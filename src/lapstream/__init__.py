@@ -1,8 +1,8 @@
 """Laplacian centrality for evolving graphs: batch, incremental, benchmarked.
 
-The incremental algorithms recompute centrality only for the endpoints of
-added/removed edges and their first-order neighbors, producing per-step
-maps identical to full recomputation at a fraction of the work.
+The incremental algorithms bring centrality up to date only for the
+endpoints of added/removed edges and their first-order neighbors, producing
+per-step maps identical to full recomputation at a fraction of the work.
 """
 
 from lapstream.bench import (

@@ -13,6 +13,7 @@ before any timing is reported.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -93,12 +94,18 @@ class BenchResult:
 
 
 def diff_maps(a: dict[int, float], b: dict[int, float], rel_tol: float = MAP_REL_TOL):
-    """First (node, value_a, value_b) divergence in ascending node order, or None."""
+    """First (node, value_a, value_b) divergence in ascending node order, or None.
+
+    A NaN on either side is a divergence, and so is an infinity against any
+    other value.
+    """
     for v in sorted(a.keys() | b.keys()):
         if v not in a or v not in b:
             return (v, a.get(v), b.get(v))
         x, y = a[v], b[v]
-        if x != y and abs(x - y) > rel_tol * max(1.0, abs(x), abs(y)):
+        # every comparison with NaN is False, so NaN fails this test; an
+        # infinite tolerance would let infinity match any finite value
+        if not (x == y or abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y)) < math.inf):
             return (v, x, y)
     return None
 

@@ -13,8 +13,6 @@ values in (0, 1] (guaranteed only for non-negative weights).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -24,56 +22,31 @@ from lapstream.graph import Graph
 
 Variant = Literal["unweighted", "weighted"]
 
-THREADS_ENV = "LAPSTREAM_THREADS"
-
 
 @dataclass
 class CentralityMap:
-    """Non-normalized centrality per node, plus how many were computed.
+    """Non-normalized centrality per node, plus how many were brought up to date.
 
-    ``computed_count`` is the number of per-node evaluations the producing
-    call actually performed: the full node count for batch calls, the
-    affected-set size for incremental ones.
+    ``computed_count`` is the number of values the producing call brought
+    up to date: the full node count for batch calls, and for incremental
+    ones the touched nodes plus their neighbours. It counts updated values,
+    not kernel evaluations: the unweighted incremental step evaluates the
+    kernel on the touched nodes only and updates their neighbours by a
+    closed-form difference.
     """
 
     values: dict[int, float]
     computed_count: int
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> dict[int, float]:
-    """Run the per-node kernel over ``nodes`` on the current graph state.
-
-    Honors LAPSTREAM_THREADS (default 1): the node list is split into
-    contiguous chunks evaluated on a thread pool and merged in chunk
-    order, so the result is identical to the sequential evaluation.
-    """
+    """Run the per-node kernel over ``nodes`` on the current graph state."""
     adj = g.adjacency()
     if variant == "weighted":
-        strength = g.strengths()
-        run = lambda chunk: kernels.weighted_values(adj, strength, chunk)
-    elif variant == "unweighted":
-        run = lambda chunk: kernels.unweighted_values(adj, chunk)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    node_list = list(nodes)
-    workers = _worker_count()
-    if workers <= 1 or len(node_list) < 2 * workers:
-        return run(node_list)
-    size = -(-len(node_list) // workers)
-    chunks = [node_list[i : i + size] for i in range(0, len(node_list), size)]
-    out: dict[int, float] = {}
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(run, chunks):
-            out.update(part)
-    return out
+        return kernels.weighted_values(adj, g.strengths(), nodes)
+    if variant == "unweighted":
+        return kernels.unweighted_values(adj, nodes)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def lap_cent_unweighted(g: Graph) -> CentralityMap:

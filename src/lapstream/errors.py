@@ -13,6 +13,10 @@ class MissingEdgeError(LapstreamError):
     """A removal names an edge that is not in the graph."""
 
 
+class NonFiniteWeightError(LapstreamError):
+    """An edge weight is NaN or infinite."""
+
+
 class DuplicateEdgeError(LapstreamError):
     """An addition names an edge already present (strict graphs only)."""
 

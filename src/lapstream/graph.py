@@ -9,6 +9,7 @@ stay proportional to the size of the change.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ItemsView, Iterable, Iterator, KeysView, NamedTuple
@@ -17,6 +18,7 @@ from lapstream.errors import (
     DuplicateEdgeError,
     MissingEdgeError,
     NegativeWeightWarning,
+    NonFiniteWeightError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -73,6 +75,8 @@ class Graph:
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
+        if not math.isfinite(weight):
+            raise NonFiniteWeightError(f"weight {weight} on edge ({u}, {v}) is not finite")
         if weight < 0:
             warnings.warn(
                 f"negative weight {weight} on edge ({u}, {v})",

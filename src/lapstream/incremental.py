@@ -1,20 +1,43 @@
-"""Incremental Laplacian centrality: recompute only nodes a delta can touch.
+"""Incremental Laplacian centrality: bring up to date only nodes a delta can touch.
 
 A snapshot transition is an :class:`EdgeDelta` (edges to add, edges to
 remove). Centrality is local: a node's value depends only on its own
 degree/strength and its neighbors', so after a delta only the endpoints of
-changed edges plus their first-order neighbors can change value. The
-neighborhoods are gathered on the union graph (adds applied, removes not
-yet), which is what catches nodes reachable only through a removed edge.
+changed edges (touched nodes) and their first-order neighbors can change
+value. A removed edge touches both its endpoints, so the neighbors can be
+gathered on the post-delta graph.
+
+A delta is validated as a whole before anything is mutated, so a rejected
+delta leaves the graph (and an ``in_place`` map) as it was.
+
+Unweighted step: with C(x) = d^2 + d + 2 * sum(d_j for j in N(x)), an
+untouched neighbor x of a touched node u keeps its own degree and changes
+by exactly 2 * delta_d(u) for each touched neighbor u. So the kernel runs
+on the touched nodes only, and the neighbors get that difference added
+along the touched nodes' adjacency rows. Values are integers, so the
+result equals a full recomputation exactly.
+
+Weighted step: the analogue, 2 * w * delta_s(u), would add floating-point
+terms in another order than a recomputation does, so the weighted step
+keeps evaluating the kernel on every touched node and neighbor, and stays
+bitwise equal to a full recomputation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
-from lapstream.errors import DeltaError, LapstreamError, MissingEdgeError
+from lapstream.errors import (
+    DeltaError,
+    DuplicateEdgeError,
+    LapstreamError,
+    MissingEdgeError,
+    NonFiniteWeightError,
+    SelfLoopError,
+)
 from lapstream.graph import Edge, Graph
 
 
@@ -23,8 +46,9 @@ class EdgeDelta:
     """Edge additions and removals taking one snapshot to the next.
 
     Adds are upserts: re-adding an existing edge replaces its weight.
-    An edge in both lists nets to removal (adds are applied first). No
-    self-loops in adds; each pair at most once per list.
+    An edge in both lists nets to removal (adds are applied first). A
+    self-loop, a non-finite weight or a pair removed twice rejects the
+    whole delta.
     """
 
     adds: list[Edge] = field(default_factory=list)
@@ -40,50 +64,90 @@ class EdgeDelta:
 
 @dataclass
 class AffectedSets:
-    """Nodes a delta names (touched) and all nodes needing recomputation."""
+    """Nodes a delta names (touched) and all nodes whose value it can change."""
 
     touched: set[int]
     recompute: set[int]
 
 
-def apply_delta(g: Graph, delta: EdgeDelta) -> None:
-    """Apply adds then removes to ``g``; raises on inconsistent removes.
+def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
+    """Validate the whole of ``delta`` against ``g`` without mutating it.
 
-    On error the graph may be partially mutated; callers treat that run
-    as aborted.
+    Raises on a self-loop, a non-finite weight, a remove of an edge that is
+    neither in ``g`` nor added by the delta, a pair removed twice and, on a
+    strict graph, an add of a pair already present. Returns the touched
+    nodes.
     """
-    for e in delta.adds:
-        g.add_edge(e.u, e.v, e.weight)
+    isfinite = math.isfinite
+    touched: set[int] = set()
+    for u, v, w in delta.adds:
+        if u == v:
+            raise SelfLoopError(f"self-loop on node {u}")
+        if not isfinite(w):
+            raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
+        touched.add(u)
+        touched.add(v)
+    if g.strict:
+        seen: set[tuple[int, int]] = set()
+        for e in delta.adds:
+            pair = e.canonical()
+            if pair in seen or g.has_edge(e.u, e.v):
+                raise DuplicateEdgeError(f"edge ({e.u}, {e.v}) already present")
+            seen.add(pair)
+    added: set[tuple[int, int]] | None = None  # built only if a remove needs it
+    removed: set[tuple[int, int]] = set()
+    for u, v in delta.removes:
+        pair = (u, v) if u <= v else (v, u)
+        if pair in removed:
+            raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
+        removed.add(pair)
+        if not g.has_edge(u, v):
+            if added is None:
+                added = {e.canonical() for e in delta.adds}
+            if pair not in added:
+                raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
+        touched.add(u)
+        touched.add(v)
+    return touched
+
+
+def _degrees_before(g: Graph, delta: EdgeDelta) -> dict[int, int]:
+    """Degree of every node ``delta`` names, read before it is applied."""
+    adj = g.adjacency()
+    ends = [(e.u, e.v) for e in delta.adds] + list(delta.removes)
+    return {x: len(adj.get(x, ())) for pair in ends for x in pair}
+
+
+def _mutate(g: Graph, delta: EdgeDelta) -> None:
+    for u, v, w in delta.adds:
+        g.add_edge(u, v, w)
     for u, v in delta.removes:
         g.remove_edge(u, v)
 
 
+def apply_delta(g: Graph, delta: EdgeDelta) -> None:
+    """Apply adds then removes to ``g``.
+
+    The whole delta is validated first; if it is rejected ``g`` is left
+    unchanged.
+    """
+    _check_delta(g, delta)
+    _mutate(g, delta)
+
+
 def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
-    """Apply ``delta`` to ``g`` and return which nodes must be recomputed.
+    """Apply ``delta`` to ``g`` and return which nodes it can change.
 
     touched: endpoints of every added or removed edge. recompute: touched
-    plus their neighbors in the union graph (after adds, before removes).
-    On return ``g`` reflects the full delta.
+    plus their neighbors. On return ``g`` reflects the full delta; if the
+    delta is rejected ``g`` is left unchanged.
     """
-    touched: set[int] = set()
-    for e in delta.adds:
-        g.add_edge(e.u, e.v, e.weight)
-        touched.add(e.u)
-        touched.add(e.v)
-    for u, v in delta.removes:
-        # checked up front so neighborhood gathering never hits unknown nodes
-        if not g.has_edge(u, v):
-            raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
-        touched.add(u)
-        touched.add(v)
-
+    touched = _check_delta(g, delta)
+    _mutate(g, delta)
     adj = g.adjacency()
     recompute = set(touched)
     for x in touched:
         recompute.update(adj[x])
-
-    for u, v in delta.removes:
-        g.remove_edge(u, v)
     return AffectedSets(touched, recompute)
 
 
@@ -94,9 +158,26 @@ def _add_remove(
     variant: Variant,
     in_place: bool,
 ) -> tuple[CentralityMap, int, Graph]:
+    if variant == "unweighted":
+        # read here rather than in the validation both variants share: the
+        # weighted step has no use for degrees, and reading them costs it
+        degree_before = _degrees_before(g, delta)
     sets = affected_nodes(g, delta)
     values = prev.values if in_place else dict(prev.values)
-    if sets.recompute:
+    if variant == "unweighted":
+        # an untouched neighbor x of u changes by exactly 2 * delta_d(u)
+        adj = g.adjacency()
+        touched = sets.touched
+        for u, d in degree_before.items():
+            row = adj[u]
+            if len(row) != d:
+                diff = 2 * (len(row) - d)
+                for x in row:
+                    if x not in touched:
+                        values[x] += diff
+        if touched:
+            values.update(evaluate_nodes(g, touched, variant))
+    elif sets.recompute:
         values.update(evaluate_nodes(g, sets.recompute, variant))
     cmap = CentralityMap(values, len(sets.recompute))
     return cmap, cmap.computed_count, g
@@ -112,9 +193,11 @@ def lap_cent_add_remove(
 
     ``prev`` must be the batch-equivalent map of ``g`` before the delta.
     Returns the updated map (equal, node for node, to a full recomputation
-    of the post-delta graph), the number of centralities recomputed, and
-    the mutated graph. By default ``prev`` is left untouched so callers
-    can keep per-step history; ``in_place=True`` updates it instead.
+    of the post-delta graph), the number of centralities brought up to
+    date (touched nodes plus their neighbors), and the mutated graph. By
+    default ``prev`` is left untouched so callers can keep per-step
+    history; ``in_place=True`` updates it instead. A rejected delta raises
+    before ``g`` or ``prev`` changes.
     """
     return _add_remove(g, delta, prev, "unweighted", in_place)
 
@@ -139,7 +222,7 @@ def run_evolving(
     """Drive a whole evolving run; ``initial`` is mutated in place.
 
     Step 0 is always a full computation on the initial graph. In dynamic
-    mode each further step recomputes only the affected set; in batch
+    mode each further step updates only the affected set; in batch
     mode the snapshot is materialized and fully recomputed. Both modes
     produce identical per-step maps. A delta that cannot be applied
     aborts with :class:`DeltaError` carrying the step index.

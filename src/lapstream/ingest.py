@@ -2,7 +2,7 @@
 
 Input grammar, per line: optional ``#`` comments; otherwise 2 to 4 fields
 split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
-non-negative decimal integers, w a decimal real (default 1.0) and t a
+non-negative decimal integers, w a finite decimal real (default 1.0) and t a
 decimal integer timestamp (default: the event's ordinal).
 
 Two evaluation regimes are supported: cumulative streams (edges only ever
@@ -13,6 +13,7 @@ deltas carry removals too).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -74,6 +75,8 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
                 weight = float(fields[2])
             except ValueError:
                 raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
+            if not math.isfinite(weight):
+                raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
         if len(fields) == 4:
             try:
                 timestamp = int(fields[3])

@@ -106,6 +106,21 @@ class TestBenchStream:
         assert err.value.node == 1
 
 
+    def test_compare_gate_catches_nan(self, monkeypatch):
+        step = bench_mod.lap_cent_add_remove
+
+        def nan_step(g, delta, prev, in_place=False):
+            cmap, count, g = step(g, delta, prev, in_place)
+            cmap.values[4] = float("nan")
+            return cmap, count, g
+
+        monkeypatch.setattr(bench_mod, "lap_cent_add_remove", nan_step)
+        with pytest.raises(CompareMismatchError) as err:
+            bench_stream(toy_stream(), "compare", "unweighted")
+        assert err.value.step == 2
+        assert err.value.node == 4
+
+
 class TestDiffMaps:
     def test_equal(self):
         assert diff_maps({1: 2.0}, {1: 2.0}) is None
@@ -115,6 +130,20 @@ class TestDiffMaps:
 
     def test_missing_key(self):
         assert diff_maps({1: 2.0}, {}) == (1, 2.0, None)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (float("nan"), 5.0),
+            (5.0, float("nan")),
+            (float("nan"), float("nan")),
+            (float("inf"), 5.0),
+            (-5.0, float("-inf")),
+        ],
+    )
+    def test_non_finite_divergence(self, a, b):
+        bad = diff_maps({0: 1.0, 1: a}, {0: 1.0, 1: b})
+        assert bad is not None and bad[0] == 1
 
     def test_tolerance(self):
         assert diff_maps({1: 1.0}, {1: 1.0 + 1e-12}) is None

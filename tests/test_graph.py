@@ -8,6 +8,7 @@ from lapstream.errors import (
     DuplicateEdgeError,
     MissingEdgeError,
     NegativeWeightWarning,
+    NonFiniteWeightError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -52,6 +53,17 @@ class TestAddEdge:
         g.add_edge(1, 2)
         with pytest.raises(DuplicateEdgeError):
             g.add_edge(2, 1)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        g = Graph([(1, 2, 2.0)])
+        before = g.copy()
+        with pytest.raises(NonFiniteWeightError):
+            g.add_edge(1, 2, weight)
+        with pytest.raises(NonFiniteWeightError):
+            g.add_edge(2, 3, weight)
+        assert g == before
+        assert g.strengths() == before.strengths()
 
     def test_negative_weight_warns(self):
         g = Graph()

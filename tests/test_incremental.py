@@ -5,8 +5,15 @@ import pytest
 from conftest import TOY_STEP1, TOY_STEP2
 from genutil import random_delta, random_graph
 
+from lapstream import kernels
 from lapstream.centrality import lap_cent, lap_cent_unweighted, lap_cent_weighted
-from lapstream.errors import DeltaError, MissingEdgeError, SelfLoopError
+from lapstream.errors import (
+    DeltaError,
+    DuplicateEdgeError,
+    MissingEdgeError,
+    NonFiniteWeightError,
+    SelfLoopError,
+)
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import (
     AffectedSets,
@@ -63,6 +70,55 @@ class TestAffectedNodes:
             assert sets.recompute <= set(work.nodes())
 
 
+# each delta is rejected only by a change listed after one that would apply
+REJECTED_DELTAS = [
+    (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 6)]), MissingEdgeError),
+    (EdgeDelta(removes=[(1, 2), (2, 1)]), MissingEdgeError),
+    (EdgeDelta(removes=[(4, 7), (4, 7)]), MissingEdgeError),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), SelfLoopError),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 8, float("nan"))]), NonFiniteWeightError),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 8, float("inf"))], removes=[(1, 2)]),
+     NonFiniteWeightError),
+]
+
+
+class TestRejectedDelta:
+    """A rejected delta leaves the graph, and an in-place map, as they were."""
+
+    @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
+    @pytest.mark.parametrize("apply", [apply_delta, affected_nodes])
+    def test_graph_unchanged(self, toy_graph, delta, error, apply):
+        before = toy_graph.copy()
+        with pytest.raises(error):
+            apply(toy_graph, delta)
+        assert toy_graph == before
+        assert toy_graph.strengths() == before.strengths()
+        assert toy_graph.num_edges == before.num_edges
+
+    @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_in_place_step_unchanged(self, toy_graph, delta, error, variant):
+        step = lap_cent_add_remove if variant == "unweighted" else lap_cent_weighted_add_remove
+        before = toy_graph.copy()
+        prev = lap_cent(toy_graph, variant)
+        values = dict(prev.values)
+        with pytest.raises(error):
+            step(toy_graph, delta, prev, in_place=True)
+        assert toy_graph == before
+        assert prev.values == values
+
+    def test_strict_duplicate_add(self, toy_graph):
+        toy_graph.strict = True
+        before = toy_graph.copy()
+        for delta in (
+            EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]),
+            EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]),
+        ):
+            with pytest.raises(DuplicateEdgeError):
+                apply_delta(toy_graph, delta)
+            assert toy_graph == before
+
+
 class TestAddRemove:
     def test_toy_step(self, toy_graph):
         prev = lap_cent_unweighted(toy_graph)
@@ -114,6 +170,29 @@ class TestAddRemove:
         prev = lap_cent_unweighted(g)
         cmap, _, _ = lap_cent_add_remove(g, EdgeDelta(removes=[(1, 2), (2, 3)]), prev)
         assert cmap.values == {1: 0, 2: 0, 3: 0}
+
+
+class TestUnweightedPropagation:
+    def test_kernel_sees_only_touched(self, monkeypatch):
+        """Untouched neighbors are updated by difference, not re-evaluated."""
+        rng = random.Random(5)
+        g = random_graph(rng, 60, 150)
+        prev = lap_cent_unweighted(g)
+        delta = random_delta(rng, g, isolate_prob=1.0)
+        sets = affected_nodes(g.copy(), delta)
+        assert sets.touched != sets.recompute
+        seen = []
+        kernel = kernels.unweighted_values
+
+        def recording(adj, nodes):
+            seen.append(set(nodes))
+            return kernel(adj, nodes)
+
+        monkeypatch.setattr(kernels, "unweighted_values", recording)
+        cmap, computed, _ = lap_cent_add_remove(g, delta, prev)
+        assert seen == [sets.touched]
+        assert computed == len(sets.recompute)
+        assert cmap.values == lap_cent_unweighted(g).values
 
 
 class TestWeightedAddRemove:
@@ -221,6 +300,17 @@ def _random_run(seed, variant, steps=12):
     return g, deltas, dynamic, batch, integer
 
 
+# deltas walked in order over the toy graph, one edge case each
+EDGE_CASE_DELTAS = [
+    EdgeDelta(adds=[Edge(1, 2, 3.0)]),  # upsert of an existing edge: no degree change
+    EdgeDelta(adds=[Edge(1, 6)], removes=[(1, 6)]),  # added and removed in one delta
+    EdgeDelta(adds=[Edge(5, 3, 2.0)], removes=[(3, 5)]),  # existing edge upserted, then removed
+    EdgeDelta(adds=[Edge(5, 99, 2.0)]),  # edge to a brand-new node
+    EdgeDelta(removes=[(1, 2)]),  # isolates node 1
+    EdgeDelta(adds=[Edge(1, 99)], removes=[(4, 7), (5, 7)]),  # reconnects 1, isolates 7
+]
+
+
 class TestOracleEquivalence:
     """Dynamic maps must equal full batch recomputation at every step."""
 
@@ -259,3 +349,20 @@ class TestOracleEquivalence:
             for v in dynamic[step - 1].values.keys() - sets.recompute:
                 assert dynamic[step].values[v] == dynamic[step - 1].values[v]
             apply_delta(sim, delta)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_edge_cases_equal_batch(self, toy_graph, variant, in_place):
+        step = lap_cent_add_remove if variant == "unweighted" else lap_cent_weighted_add_remove
+        cmap = lap_cent(toy_graph, variant)
+        for delta in EDGE_CASE_DELTAS:
+            before = dict(cmap.values)
+            sets = affected_nodes(toy_graph.copy(), delta)
+            prev = cmap
+            cmap, computed, _ = step(toy_graph, delta, prev, in_place=in_place)
+            assert cmap.values == lap_cent(toy_graph, variant).values
+            assert computed == len(sets.recompute)
+            if in_place:
+                assert cmap.values is prev.values
+            else:
+                assert prev.values == before

@@ -50,7 +50,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "line",
-        ["1", "1 2 3 4 5", "a b", "-1 2", "1 2 heavy", "1 2 1.0 soon"],
+        ["1", "1 2 3 4 5", "a b", "-1 2", "1 2 heavy", "1 2 1.0 soon", "1 2 nan", "1 2 -inf 5"],
     )
     def test_bad_lines_have_position(self, line):
         with pytest.raises(ParseError) as err:
