@@ -18,8 +18,6 @@ from lapstream.centrality import (
     cw,
     delta_energy_oracle,
     lap_cent,
-    lap_cent_unweighted,
-    lap_cent_weighted,
     laplacian_energy,
     normalize,
     write_centralities,
@@ -44,7 +42,6 @@ from lapstream.incremental import (
     affected_nodes,
     apply_delta,
     lap_cent_add_remove,
-    lap_cent_weighted_add_remove,
     run_evolving,
 )
 from lapstream.ingest import (
@@ -94,9 +91,6 @@ __all__ = [
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",
-    "lap_cent_unweighted",
-    "lap_cent_weighted",
-    "lap_cent_weighted_add_remove",
     "laplacian_energy",
     "load_edge_events",
     "normalize",

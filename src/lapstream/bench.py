@@ -15,24 +15,18 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from lapstream.centrality import (
     CentralityMap,
     Variant,
-    lap_cent,
     laplacian_energy,
     normalize,
     write_centralities,
 )
-from lapstream.errors import CompareMismatchError, DeltaError, EmptyDatasetError, LapstreamError
-from lapstream.incremental import (
-    apply_delta,
-    lap_cent_add_remove,
-    lap_cent_weighted_add_remove,
-)
+from lapstream.errors import CompareMismatchError, EmptyDatasetError
+from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import (
     SnapshotStream,
     load_edge_events,
@@ -110,87 +104,38 @@ def diff_maps(a: dict[int, float], b: dict[int, float], rel_tol: float = MAP_REL
     return None
 
 
-def _step_meta(stream: SnapshotStream):
-    """(num_nodes, num_edges, added, removed) per step, replayed off the clock."""
-    g = stream.initial.copy()
-    meta = [(g.num_nodes, g.num_edges, g.num_edges, 0)]
-    for step, delta in enumerate(stream.deltas, start=1):
-        try:
-            apply_delta(g, delta)
-        except LapstreamError as exc:
-            raise DeltaError(step, exc) from exc
-        meta.append((g.num_nodes, g.num_edges, len(delta.adds), len(delta.removes)))
-    return meta
+def _measure(
+    stream: SnapshotStream, mode: str, variant: Variant, repeat: int, strict: bool, on_map
+) -> list[BenchRecord]:
+    """Replay ``stream`` ``repeat`` times through the driver; one record per step.
 
-
-def _bench_batch(stream: SnapshotStream, variant: Variant, repeat: int, strict: bool):
-    times: list[list[float]] = []
-    maps: list[CentralityMap] = []
-    g = stream.initial.copy()
-    g.strict = strict
-    for step in range(stream.num_steps):
-        if step > 0:
-            try:
-                apply_delta(g, stream.deltas[step - 1])  # off the clock
-            except LapstreamError as exc:
-                raise DeltaError(step, exc) from exc
-        samples = []
-        cmap = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            cmap = lap_cent(g, variant)
-            samples.append(time.perf_counter() - t0)
-        times.append(samples)
-        maps.append(cmap)
-    return maps, times
-
-
-def _bench_dynamic(stream: SnapshotStream, variant: Variant, repeat: int, strict: bool):
-    step_fn = lap_cent_add_remove if variant == "unweighted" else lap_cent_weighted_add_remove
+    During the first replay, off the clock, each step's sizes are read and
+    ``on_map(step, cmap)`` is called (step 0 is the initial graph).
+    """
+    sizes = [(stream.initial.num_edges, 0)]
+    sizes += [(len(d.adds), len(d.removes)) for d in stream.deltas]
     times: list[list[float]] = [[] for _ in range(stream.num_steps)]
-    maps: list[CentralityMap] = []
-    for _ in range(repeat):
+    rows = []
+    for r in range(repeat):
         g = stream.initial.copy()
         g.strict = strict
-        t0 = time.perf_counter()
-        cmap = lap_cent(g, variant)
-        times[0].append(time.perf_counter() - t0)
-        # the algorithm updates its map in place (timed); per-step history
-        # snapshots for reporting and cross-checking are harness bookkeeping
-        # and stay off the clock
-        run_maps = [CentralityMap(dict(cmap.values), cmap.computed_count)]
-        for k, delta in enumerate(stream.deltas, start=1):
-            t0 = time.perf_counter()
-            try:
-                cmap, _, g = step_fn(g, delta, cmap, in_place=True)
-            except LapstreamError as exc:
-                raise DeltaError(k, exc) from exc
-            times[k].append(time.perf_counter() - t0)
-            run_maps.append(CentralityMap(dict(cmap.values), cmap.computed_count))
-        maps = run_maps  # deterministic: every repeat yields the same maps
-    return maps, times
-
-
-def _records(stream, meta, times, counts, speedups=None) -> list[BenchRecord]:
+        for step, (cmap, seconds) in enumerate(evolve(g, stream.deltas, mode, variant)):
+            times[step].append(seconds)
+            if r == 0:
+                on_map(step, cmap)
+                rows.append((g.num_nodes, g.num_edges, *sizes[step], cmap.computed_count))
     records = []
     cumulative = 0.0
-    for step in range(stream.num_steps):
-        mean = statistics.fmean(times[step])
-        std = statistics.stdev(times[step]) if len(times[step]) > 1 else None
+    for step, (row, samples) in enumerate(zip(rows, times), start=1):
+        mean = statistics.fmean(samples)
         cumulative += mean
-        n, m, added, removed = meta[step]
         records.append(
             BenchRecord(
-                step=step + 1,
-                num_nodes=n,
-                num_edges=m,
-                added_edges=added,
-                removed_edges=removed,
-                centralities_computed=counts[step],
+                step,
+                *row,
                 elapsed_s=mean,
                 cumulative_s=cumulative,
-                speedup=None if speedups is None else speedups[step],
-                elapsed_std_s=std,
+                elapsed_std_s=statistics.stdev(samples) if repeat > 1 else None,
             )
         )
     return records
@@ -203,40 +148,36 @@ def bench_stream(
     repeat: int = 1,
     strict: bool = False,
 ) -> BenchResult:
-    """Measure one stream. ``stream.initial`` is copied, never mutated."""
+    """Measure one stream. ``stream.initial`` is copied, never mutated.
+
+    Each mode replays the stream once per repeat. In compare mode the
+    dynamic pass runs first and keeps its maps; each batch map is checked
+    against the stored dynamic map as the batch pass produces it, so no
+    timing leaves this function on a divergence.
+    """
     if mode not in ("batch", "dynamic", "compare"):
         raise ValueError(f"unknown mode {mode!r}")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    meta = _step_meta(stream)
     result = BenchResult(mode=mode, variant=variant)
+    maps = result.maps
 
-    batch_maps = batch_times = None
-    dyn_maps = dyn_times = None
-    if mode in ("batch", "compare"):
-        batch_maps, batch_times = _bench_batch(stream, variant, repeat, strict)
-    if mode in ("dynamic", "compare"):
-        dyn_maps, dyn_times = _bench_dynamic(stream, variant, repeat, strict)
+    def keep(step, cmap):
+        maps.append(CentralityMap(dict(cmap.values), cmap.computed_count))
 
-    speedups = None
+    def gate(step, cmap):
+        bad = diff_maps(cmap.values, maps[step].values)
+        if bad is not None:
+            raise CompareMismatchError(step + 1, *bad)
+
+    if mode != "batch":
+        result.dynamic = _measure(stream, "dynamic", variant, repeat, strict, keep)
+    if mode != "dynamic":
+        on_map = gate if mode == "compare" else lambda _, cmap: maps.append(cmap)
+        result.batch = _measure(stream, "batch", variant, repeat, strict, on_map)
     if mode == "compare":
-        # correctness gate: no timings leave this function on divergence
-        for step, (bm, dm) in enumerate(zip(batch_maps, dyn_maps), start=1):
-            bad = diff_maps(bm.values, dm.values)
-            if bad is not None:
-                raise CompareMismatchError(step, bad[0], bad[1], bad[2])
-        speedups = [
-            statistics.fmean(bt) / statistics.fmean(dt)
-            for bt, dt in zip(batch_times, dyn_times)
-        ]
-
-    if batch_maps is not None:
-        counts = [m.computed_count for m in batch_maps]
-        result.batch = _records(stream, meta, batch_times, counts, speedups)
-    if dyn_maps is not None:
-        counts = [m.computed_count for m in dyn_maps]
-        result.dynamic = _records(stream, meta, dyn_times, counts, speedups)
-    result.maps = dyn_maps if dyn_maps is not None else batch_maps
+        for b, d in zip(result.batch, result.dynamic):
+            b.speedup = d.speedup = b.elapsed_s / d.elapsed_s
     return result
 
 

@@ -49,22 +49,9 @@ def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> dict[int
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def lap_cent_unweighted(g: Graph) -> CentralityMap:
-    """Batch centrality of every node, ignoring weights."""
-    return CentralityMap(evaluate_nodes(g, g.nodes(), "unweighted"), g.num_nodes)
-
-
-def lap_cent_weighted(g: Graph) -> CentralityMap:
-    """Batch centrality of every node on weighted degrees."""
-    return CentralityMap(evaluate_nodes(g, g.nodes(), "weighted"), g.num_nodes)
-
-
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
-    if variant == "weighted":
-        return lap_cent_weighted(g)
-    if variant == "unweighted":
-        return lap_cent_unweighted(g)
-    raise ValueError(f"unknown variant {variant!r}")
+    """Batch centrality of every node, on degrees or on weighted degrees."""
+    return CentralityMap(evaluate_nodes(g, g.nodes(), variant), g.num_nodes)
 
 
 def cw(g: Graph, v: int, strengths: dict[int, float] | None = None) -> tuple[float, float]:

@@ -8,7 +8,7 @@ value. A removed edge touches both its endpoints, so the neighbors can be
 gathered on the post-delta graph.
 
 A delta is validated as a whole before anything is mutated, so a rejected
-delta leaves the graph (and an ``in_place`` map) as it was.
+delta leaves the graph and the map as they were.
 
 Unweighted step: with C(x) = d^2 + d + 2 * sum(d_j for j in N(x)), an
 untouched neighbor x of a touched node u keeps its own degree and changes
@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from time import perf_counter
+from typing import Iterable, Iterator
 
 from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
 from lapstream.errors import (
@@ -151,19 +152,27 @@ def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
     return AffectedSets(touched, recompute)
 
 
-def _add_remove(
+def lap_cent_add_remove(
     g: Graph,
     delta: EdgeDelta,
-    prev: CentralityMap,
+    cmap: CentralityMap,
     variant: Variant,
-    in_place: bool,
-) -> tuple[CentralityMap, int, Graph]:
+) -> CentralityMap:
+    """One incremental step: apply ``delta`` to ``g`` and update ``cmap`` in place.
+
+    ``cmap`` must be the batch-equivalent map of ``g`` before the delta. On
+    return it equals, node for node, a full recomputation of the post-delta
+    graph, and its ``computed_count`` is the number of centralities brought
+    up to date (touched nodes plus their neighbors). Copy ``cmap`` first to
+    keep the previous step's values. A rejected delta raises before ``g`` or
+    ``cmap`` changes. Returns ``cmap``.
+    """
     if variant == "unweighted":
         # read here rather than in the validation both variants share: the
         # weighted step has no use for degrees, and reading them costs it
         degree_before = _degrees_before(g, delta)
     sets = affected_nodes(g, delta)
-    values = prev.values if in_place else dict(prev.values)
+    values = cmap.values
     if variant == "unweighted":
         # an untouched neighbor x of u changes by exactly 2 * delta_d(u)
         adj = g.adjacency()
@@ -179,70 +188,59 @@ def _add_remove(
             values.update(evaluate_nodes(g, touched, variant))
     elif sets.recompute:
         values.update(evaluate_nodes(g, sets.recompute, variant))
-    cmap = CentralityMap(values, len(sets.recompute))
-    return cmap, cmap.computed_count, g
+    cmap.computed_count = len(sets.recompute)
+    return cmap
 
 
-def lap_cent_add_remove(
+def evolve(
     g: Graph,
-    delta: EdgeDelta,
-    prev: CentralityMap,
-    in_place: bool = False,
-) -> tuple[CentralityMap, int, Graph]:
-    """One unweighted incremental step.
+    deltas: Iterable[EdgeDelta],
+    mode: str,
+    variant: Variant,
+) -> Iterator[tuple[CentralityMap, float]]:
+    """The evolving-run driver: yield each step's map and the seconds of its
+    centrality work; ``g`` is mutated by every delta.
 
-    ``prev`` must be the batch-equivalent map of ``g`` before the delta.
-    Returns the updated map (equal, node for node, to a full recomputation
-    of the post-delta graph), the number of centralities brought up to
-    date (touched nodes plus their neighbors), and the mutated graph. By
-    default ``prev`` is left untouched so callers can keep per-step
-    history; ``in_place=True`` updates it instead. A rejected delta raises
-    before ``g`` or ``prev`` changes.
+    Step 0 is a full computation on ``g``. Dynamic mode updates one map in
+    place, so a yielded map holds its step only until the next one is asked
+    for, and the clock covers the whole step. Batch mode applies each delta
+    off the clock and times only the full recomputation. A delta that cannot
+    be applied aborts with :class:`DeltaError` carrying the step index.
     """
-    return _add_remove(g, delta, prev, "unweighted", in_place)
-
-
-def lap_cent_weighted_add_remove(
-    g: Graph,
-    delta: EdgeDelta,
-    prev: CentralityMap,
-    in_place: bool = False,
-) -> tuple[CentralityMap, int, Graph]:
-    """One weighted incremental step; see :func:`lap_cent_add_remove`."""
-    return _add_remove(g, delta, prev, "weighted", in_place)
+    if mode not in ("batch", "dynamic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    t0 = perf_counter()
+    cmap = lap_cent(g, variant)
+    yield cmap, perf_counter() - t0
+    for step, delta in enumerate(deltas, start=1):
+        try:
+            if mode == "dynamic":
+                t0 = perf_counter()
+                lap_cent_add_remove(g, delta, cmap, variant)
+            else:
+                apply_delta(g, delta)
+                t0 = perf_counter()
+                cmap = lap_cent(g, variant)
+            seconds = perf_counter() - t0
+        except LapstreamError as exc:
+            raise DeltaError(step, exc) from exc
+        yield cmap, seconds
 
 
 def run_evolving(
     initial: Graph,
-    deltas: Sequence[EdgeDelta] | Iterable[EdgeDelta],
+    deltas: Iterable[EdgeDelta],
     mode: str = "dynamic",
     variant: Variant = "unweighted",
-    in_place: bool = False,
 ) -> list[CentralityMap]:
     """Drive a whole evolving run; ``initial`` is mutated in place.
 
-    Step 0 is always a full computation on the initial graph. In dynamic
-    mode each further step updates only the affected set; in batch
-    mode the snapshot is materialized and fully recomputed. Both modes
-    produce identical per-step maps. A delta that cannot be applied
-    aborts with :class:`DeltaError` carrying the step index.
-
-    With ``in_place=True`` every returned map shares one values dict, so
-    only the final entry reflects a single consistent step; use the
-    default copy-on-write mode when per-step history matters.
+    Returns one map per step, step 0 included; dynamic and batch mode
+    produce identical maps. Dynamic mode copies its map after every step so
+    the per-step history survives. A delta that cannot be applied aborts
+    with :class:`DeltaError` carrying the step index.
     """
-    if mode not in ("batch", "dynamic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    g = initial
-    results = [lap_cent(g, variant)]
-    for step, delta in enumerate(deltas, start=1):
-        try:
-            if mode == "dynamic":
-                cmap, _, g = _add_remove(g, delta, results[-1], variant, in_place)
-                results.append(cmap)
-            else:
-                apply_delta(g, delta)
-                results.append(lap_cent(g, variant))
-        except LapstreamError as exc:
-            raise DeltaError(step, exc) from exc
-    return results
+    steps = evolve(initial, deltas, mode, variant)
+    if mode == "dynamic":
+        return [CentralityMap(dict(m.values), m.computed_count) for m, _ in steps]
+    return [m for m, _ in steps]

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from lapstream.errors import EmptyDatasetError, ParseError, SelfLoopError
+from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
 
@@ -146,9 +146,19 @@ def _bucket_weights(bucket: list[EdgeEvent], policy: str) -> dict[tuple[int, int
     return weights
 
 
-def _graph_from_weights(weights: dict[tuple[int, int], float]) -> Graph:
+def _check_weight(u: int, v: int, w: float, label: str) -> None:
+    """Reject a weight the builder would emit that is not finite: accumulated
+    finite weights can overflow."""
+    if not math.isfinite(w):
+        raise NonFiniteWeightError(
+            f"weight {w} on edge ({u}, {v}) in bucket {label} is not finite"
+        )
+
+
+def _graph_from_weights(weights: dict[tuple[int, int], float], label: str) -> Graph:
     g = Graph()
     for (u, v), w in weights.items():
+        _check_weight(u, v, w, label)
         g.add_edge(u, v, w)
     return g
 
@@ -185,11 +195,12 @@ def snapshots_cumulative(
         for pair, w in observed.items():
             target = state[pair] + w if weight_policy == "accumulate" and pair in state else w
             if pair not in state or state[pair] != target:
+                _check_weight(pair[0], pair[1], target, label)
                 state[pair] = target
                 adds.append(Edge(pair[0], pair[1], target))
         adds.sort(key=lambda e: (e.u, e.v))
         if initial is None:
-            initial = _graph_from_weights(dict(state))
+            initial = _graph_from_weights(dict(state), label)
         else:
             deltas.append(EdgeDelta(adds=adds))
     assert initial is not None
@@ -226,11 +237,14 @@ def snapshots_window(
 
     labels = [label for label, _ in buckets]
     prev = window_state(0)
-    initial = _graph_from_weights(prev)
+    initial = _graph_from_weights(prev, labels[0])
     deltas: list[EdgeDelta] = []
     for k in range(1, len(buckets)):
         cur = window_state(k)
-        deltas.append(_diff_states(prev, cur))
+        delta = _diff_states(prev, cur)
+        for u, v, w in delta.adds:
+            _check_weight(u, v, w, labels[k])
+        deltas.append(delta)
         prev = cur
     return SnapshotStream(initial, deltas, labels)
 

@@ -60,22 +60,22 @@ def churn_stream(
         for e in g.edges():
             reweighted.add_edge(e.u, e.v, float(rng.randint(1, 5)))
         g = reweighted
-    initial = g.copy()
 
+    # indexed edge list: O(1) uniform pick, swap-remove, append; ``g`` itself
+    # stays the initial graph
+    edge_list = [(e.u, e.v) for e in g.edges()]
+    index = {pair: i for i, pair in enumerate(edge_list)}
     deltas: list[EdgeDelta] = []
     for _ in range(steps):
-        edge_list = list(g.edges())
         removes: list[tuple[int, int]] = []
         picked: set[tuple[int, int]] = set()
         while len(removes) < removes_per_step and len(picked) < len(edge_list):
-            e = edge_list[rng.randrange(len(edge_list))]
-            pair = (e.u, e.v)
+            pair = edge_list[rng.randrange(len(edge_list))]
             if pair in picked:
                 continue
             picked.add(pair)
             removes.append(pair)
         adds: list[Edge] = []
-        added: set[tuple[int, int]] = set()
         while len(adds) < adds_per_step:
             u = rng.randrange(num_nodes)
             v = rng.randrange(num_nodes)
@@ -84,16 +84,18 @@ def churn_stream(
             pair = (u, v) if u < v else (v, u)
             # only brand-new edges: keeps adds and removes disjoint, so the
             # apply order (adds first) cannot interact with this step's removes
-            if pair in added or g.has_edge(u, v):
+            if pair in index:
                 continue
-            added.add(pair)
+            index[pair] = len(edge_list)
+            edge_list.append(pair)
             w = float(rng.randint(1, 5)) if weighted else 1.0
             adds.append(Edge(pair[0], pair[1], w))
-        delta = EdgeDelta(adds=adds, removes=removes)
-        deltas.append(delta)
-        for u, v in removes:
-            g.remove_edge(u, v)
-        for e in adds:
-            g.add_edge(e.u, e.v, e.weight)
+        deltas.append(EdgeDelta(adds=adds, removes=removes))
+        for pair in removes:
+            i = index.pop(pair)
+            last = edge_list.pop()
+            if last != pair:
+                edge_list[i] = last
+                index[last] = i
     labels = [str(i) for i in range(steps + 1)]
-    return SnapshotStream(initial, deltas, labels)
+    return SnapshotStream(g, deltas, labels)

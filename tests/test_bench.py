@@ -2,7 +2,7 @@ import pytest
 
 from conftest import TOY_EDGES
 
-import lapstream.bench as bench_mod
+from lapstream import incremental
 from lapstream.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -13,7 +13,6 @@ from lapstream.bench import (
     emit_csv,
     run_benchmark,
 )
-from lapstream.centrality import CentralityMap
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
@@ -90,31 +89,28 @@ class TestBenchStream:
         assert err.value.step == 2
 
     def test_compare_gate_aborts_on_divergence(self, monkeypatch):
-        def corrupted(g, delta, prev, in_place=False):
-            cmap = CentralityMap(dict(prev.values), 0)
-            victim = min(cmap.values)
-            cmap.values[victim] += 1
-            from lapstream.incremental import apply_delta
+        step = incremental.lap_cent_add_remove
 
-            apply_delta(g, delta)
-            return cmap, 0, g
+        def corrupted(g, delta, cmap, variant):
+            step(g, delta, cmap, variant)
+            cmap.values[min(cmap.values)] += 1
+            return cmap
 
-        monkeypatch.setattr(bench_mod, "lap_cent_add_remove", corrupted)
+        monkeypatch.setattr(incremental, "lap_cent_add_remove", corrupted)
         with pytest.raises(CompareMismatchError) as err:
             bench_stream(toy_stream(), "compare", "unweighted")
         assert err.value.step == 2
         assert err.value.node == 1
 
-
     def test_compare_gate_catches_nan(self, monkeypatch):
-        step = bench_mod.lap_cent_add_remove
+        step = incremental.lap_cent_add_remove
 
-        def nan_step(g, delta, prev, in_place=False):
-            cmap, count, g = step(g, delta, prev, in_place)
+        def nan_step(g, delta, cmap, variant):
+            step(g, delta, cmap, variant)
             cmap.values[4] = float("nan")
-            return cmap, count, g
+            return cmap
 
-        monkeypatch.setattr(bench_mod, "lap_cent_add_remove", nan_step)
+        monkeypatch.setattr(incremental, "lap_cent_add_remove", nan_step)
         with pytest.raises(CompareMismatchError) as err:
             bench_stream(toy_stream(), "compare", "unweighted")
         assert err.value.step == 2

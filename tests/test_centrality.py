@@ -10,8 +10,6 @@ from lapstream.centrality import (
     cw,
     delta_energy_oracle,
     lap_cent,
-    lap_cent_unweighted,
-    lap_cent_weighted,
     laplacian_energy,
     normalize,
     write_centralities,
@@ -38,32 +36,32 @@ def dense_trace_energy(g: Graph, variant: str) -> float:
 
 class TestBatchUnweighted:
     def test_toy_network(self):
-        c = lap_cent_unweighted(Graph(TOY_EDGES))
+        c = lap_cent(Graph(TOY_EDGES), "unweighted")
         assert c.values == TOY_STEP1
         assert c.computed_count == 7
 
     def test_toy_network_after_addition(self):
         g = Graph(TOY_EDGES)
         g.add_edge(4, 6)
-        assert lap_cent_unweighted(g).values == TOY_STEP2
+        assert lap_cent(g, "unweighted").values == TOY_STEP2
 
     def test_two_node_graph(self):
-        c = lap_cent_unweighted(Graph([(1, 2)]))
+        c = lap_cent(Graph([(1, 2)]), "unweighted")
         assert c.values == {1: 4, 2: 4}
 
     def test_isolated_node_is_zero(self):
         g = Graph([(1, 2)])
         g.add_node(9)
-        assert lap_cent_unweighted(g).values[9] == 0
+        assert lap_cent(g, "unweighted").values[9] == 0
 
     def test_empty_graph(self):
-        c = lap_cent_unweighted(Graph())
+        c = lap_cent(Graph(), "unweighted")
         assert c.values == {}
         assert c.computed_count == 0
 
     def test_values_are_positive_integers(self):
         g = random_graph(random.Random(3), 40, 100)
-        for v, value in lap_cent_unweighted(g).values.items():
+        for v, value in lap_cent(g, "unweighted").values.items():
             if g.degree(v) > 0:
                 assert value > 0
             assert isinstance(value, int)
@@ -95,13 +93,13 @@ class TestCentralityWeight:
 class TestBatchWeighted:
     def test_unit_triangle_matches_unweighted(self):
         g = Graph([(0, 1), (1, 2), (0, 2)])
-        weighted = lap_cent_weighted(g).values
+        weighted = lap_cent(g, "weighted").values
         assert weighted == {0: 14.0, 1: 14.0, 2: 14.0}
-        assert weighted == lap_cent_unweighted(g).values
+        assert weighted == lap_cent(g, "unweighted").values
 
     def test_weighted_star(self, weighted_star):
         # center 64, leaves 28 and 48, all confirmed by the deletion oracle
-        values = lap_cent_weighted(weighted_star).values
+        values = lap_cent(weighted_star, "weighted").values
         assert values == {0: 64.0, 1: 28.0, 2: 48.0}
         for v in (0, 1, 2):
             assert values[v] == delta_energy_oracle(weighted_star, v, "weighted")
@@ -109,7 +107,7 @@ class TestBatchWeighted:
     def test_isolated_node(self):
         g = Graph()
         g.add_node(5)
-        assert lap_cent_weighted(g).values == {5: 0.0}
+        assert lap_cent(g, "weighted").values == {5: 0.0}
 
     def test_unit_weight_consistency_random(self):
         rng = random.Random(11)
@@ -120,7 +118,7 @@ class TestBatchWeighted:
                 g.add_edge(e.u, e.v, 1.0)
             for u in base.nodes():
                 g.add_node(u)
-            assert lap_cent_weighted(g).values == lap_cent_unweighted(g).values
+            assert lap_cent(g, "weighted").values == lap_cent(g, "unweighted").values
 
 
 class TestLaplacianEnergy:
@@ -151,12 +149,12 @@ class TestLaplacianEnergy:
 class TestNormalize:
     def test_toy_node_5(self):
         g = Graph(TOY_EDGES)
-        normalized = normalize(lap_cent_unweighted(g), laplacian_energy(g, "unweighted"))
+        normalized = normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
         assert normalized.values[5] == pytest.approx(34 / 48)
 
     def test_round_trip(self):
         g = Graph(TOY_EDGES)
-        c = lap_cent_unweighted(g)
+        c = lap_cent(g, "unweighted")
         e = laplacian_energy(g, "unweighted")
         back = {v: x * e for v, x in normalize(c, e).values.items()}
         for v in c.values:
@@ -166,7 +164,7 @@ class TestNormalize:
         g = Graph()
         g.add_node(1)
         with pytest.raises(ZeroEnergyError):
-            normalize(lap_cent_unweighted(g), laplacian_energy(g, "unweighted"))
+            normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
 
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)
@@ -177,7 +175,7 @@ class TestNormalize:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     g.add_edge(u, v)
-            c = normalize(lap_cent_unweighted(g), laplacian_energy(g, "unweighted"))
+            c = normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
             assert all(0.0 < x <= 1.0 for x in c.values.values())
 
 
@@ -231,24 +229,24 @@ class TestLocality:
             if not candidates:
                 continue
             a, b = rng.choice(candidates)
-            before = lap_cent_unweighted(g).values[v]
+            before = lap_cent(g, "unweighted").values[v]
             if g.has_edge(a, b):
                 g.remove_edge(a, b)
             else:
                 g.add_edge(a, b)
-            assert lap_cent_unweighted(g).values[v] == before
+            assert lap_cent(g, "unweighted").values[v] == before
 
 
 class TestExecution:
     def test_deterministic(self, toy_graph):
-        a = lap_cent_unweighted(toy_graph)
-        b = lap_cent_unweighted(toy_graph)
+        a = lap_cent(toy_graph, "unweighted")
+        b = lap_cent(toy_graph, "unweighted")
         assert a.values == b.values
 
     def test_dump_format(self, toy_graph, tmp_path):
         path = tmp_path / "cent.csv"
         with open(path, "w", newline="\n") as fh:
-            write_centralities(lap_cent_unweighted(toy_graph), fh)
+            write_centralities(lap_cent(toy_graph, "unweighted"), fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "1,6"
         assert lines[4] == "5,34"
@@ -259,7 +257,7 @@ class TestExecution:
 
         buf = io.StringIO()
         normalized = normalize(
-            lap_cent_unweighted(toy_graph), laplacian_energy(toy_graph, "unweighted")
+            lap_cent(toy_graph, "unweighted"), laplacian_energy(toy_graph, "unweighted")
         )
         write_centralities(normalized, buf)
         assert "5,0.708333333333\n" in buf.getvalue()  # 34/48 at 12 digits

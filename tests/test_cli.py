@@ -102,6 +102,17 @@ class TestRunCommand:
         empty.write_text("# nothing here\n")
         assert cli_main(["run", "--input", str(empty)]) == 2
 
+    @pytest.mark.parametrize("window", [[], ["--window", "2"]])
+    def test_accumulated_overflow_is_data_error(self, tmp_path, capsys, window):
+        path = tmp_path / "events.txt"
+        path.write_text("1 2 1e308 0\n1 2 1e308 86400\n")
+        code = cli_main(
+            ["run", "--input", str(path), "--snapshot", "daily", "--weight-policy", "accumulate"]
+            + window
+        )
+        assert code == 2
+        assert "bucket 1970-01-02" in capsys.readouterr().err
+
     def test_window_run(self, tmp_path, capsys):
         path = tmp_path / "events.txt"
         path.write_text("1 2 1.0 0\n2 3 1.0 0\n3 4 1.0 86400\n")

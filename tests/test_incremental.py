@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import TOY_STEP1, TOY_STEP2
+from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
 from genutil import random_delta, random_graph
 
 from lapstream import kernels
-from lapstream.centrality import lap_cent, lap_cent_unweighted, lap_cent_weighted
+from lapstream.centrality import CentralityMap, lap_cent
 from lapstream.errors import (
     DeltaError,
     DuplicateEdgeError,
@@ -21,7 +21,6 @@ from lapstream.incremental import (
     affected_nodes,
     apply_delta,
     lap_cent_add_remove,
-    lap_cent_weighted_add_remove,
     run_evolving,
 )
 
@@ -83,7 +82,7 @@ REJECTED_DELTAS = [
 
 
 class TestRejectedDelta:
-    """A rejected delta leaves the graph, and an in-place map, as they were."""
+    """A rejected delta leaves the graph, and the map the step updates, as they were."""
 
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("apply", [apply_delta, affected_nodes])
@@ -98,14 +97,14 @@ class TestRejectedDelta:
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_in_place_step_unchanged(self, toy_graph, delta, error, variant):
-        step = lap_cent_add_remove if variant == "unweighted" else lap_cent_weighted_add_remove
         before = toy_graph.copy()
         prev = lap_cent(toy_graph, variant)
         values = dict(prev.values)
         with pytest.raises(error):
-            step(toy_graph, delta, prev, in_place=True)
+            lap_cent_add_remove(toy_graph, delta, prev, variant)
         assert toy_graph == before
         assert prev.values == values
+        assert prev.computed_count == toy_graph.num_nodes
 
     def test_strict_duplicate_add(self, toy_graph):
         toy_graph.strict = True
@@ -121,54 +120,48 @@ class TestRejectedDelta:
 
 class TestAddRemove:
     def test_toy_step(self, toy_graph):
-        prev = lap_cent_unweighted(toy_graph)
-        assert prev.values == TOY_STEP1
-        cmap, computed, g = lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev)
+        cmap = lap_cent(toy_graph, "unweighted")
+        assert cmap.values == TOY_STEP1
+        lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), cmap, "unweighted")
         assert cmap.values == TOY_STEP2
-        assert computed == 4
         assert cmap.computed_count == 4
-        assert g is toy_graph
+        assert toy_graph.has_edge(4, 6)
 
     def test_empty_delta_returns_prev_values(self, toy_graph):
-        prev = lap_cent_unweighted(toy_graph)
-        cmap, computed, _ = lap_cent_add_remove(toy_graph, EdgeDelta(), prev)
-        assert computed == 0
-        assert cmap.values == prev.values
-
-    def test_copy_on_write_keeps_history(self, toy_graph):
-        prev = lap_cent_unweighted(toy_graph)
-        snapshot = dict(prev.values)
-        lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev)
-        assert prev.values == snapshot
+        prev = lap_cent(toy_graph, "unweighted")
+        values = dict(prev.values)
+        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(), prev, "unweighted")
+        assert cmap.computed_count == 0
+        assert cmap.values == values
 
     def test_in_place_updates_prev(self, toy_graph):
-        prev = lap_cent_unweighted(toy_graph)
-        cmap, _, _ = lap_cent_add_remove(
-            toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev, in_place=True
-        )
-        assert cmap.values is prev.values
+        prev = lap_cent(toy_graph, "unweighted")
+        values = prev.values
+        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev, "unweighted")
+        assert cmap is prev
+        assert prev.values is values
         assert prev.values == TOY_STEP2
 
     def test_random_delta_matches_batch(self):
         rng = random.Random(17)
         g = random_graph(rng, 50, 120)
-        prev = lap_cent_unweighted(g)
+        cmap = lap_cent(g, "unweighted")
         delta = random_delta(rng, g)
-        cmap, computed, _ = lap_cent_add_remove(g, delta, prev)
-        assert cmap.values == lap_cent_unweighted(g).values
-        assert computed <= g.num_nodes
+        lap_cent_add_remove(g, delta, cmap, "unweighted")
+        assert cmap.values == lap_cent(g, "unweighted").values
+        assert cmap.computed_count <= g.num_nodes
 
     def test_new_nodes_get_entries(self):
         g = Graph([(1, 2)])
-        prev = lap_cent_unweighted(g)
-        cmap, _, _ = lap_cent_add_remove(g, EdgeDelta(adds=[Edge(8, 9)]), prev)
+        cmap = lap_cent(g, "unweighted")
+        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(8, 9)]), cmap, "unweighted")
         assert cmap.values[8] == 4
         assert cmap.values[9] == 4
 
     def test_isolated_nodes_keep_zero_entries(self):
         g = Graph([(1, 2), (2, 3)])
-        prev = lap_cent_unweighted(g)
-        cmap, _, _ = lap_cent_add_remove(g, EdgeDelta(removes=[(1, 2), (2, 3)]), prev)
+        cmap = lap_cent(g, "unweighted")
+        lap_cent_add_remove(g, EdgeDelta(removes=[(1, 2), (2, 3)]), cmap, "unweighted")
         assert cmap.values == {1: 0, 2: 0, 3: 0}
 
 
@@ -177,7 +170,7 @@ class TestUnweightedPropagation:
         """Untouched neighbors are updated by difference, not re-evaluated."""
         rng = random.Random(5)
         g = random_graph(rng, 60, 150)
-        prev = lap_cent_unweighted(g)
+        cmap = lap_cent(g, "unweighted")
         delta = random_delta(rng, g, isolate_prob=1.0)
         sets = affected_nodes(g.copy(), delta)
         assert sets.touched != sets.recompute
@@ -189,10 +182,10 @@ class TestUnweightedPropagation:
             return kernel(adj, nodes)
 
         monkeypatch.setattr(kernels, "unweighted_values", recording)
-        cmap, computed, _ = lap_cent_add_remove(g, delta, prev)
+        lap_cent_add_remove(g, delta, cmap, "unweighted")
         assert seen == [sets.touched]
-        assert computed == len(sets.recompute)
-        assert cmap.values == lap_cent_unweighted(g).values
+        assert cmap.computed_count == len(sets.recompute)
+        assert cmap.values == lap_cent(g, "unweighted").values
 
 
 class TestWeightedAddRemove:
@@ -200,45 +193,40 @@ class TestWeightedAddRemove:
         unit = Graph()
         for e in toy_graph.edges():
             unit.add_edge(e.u, e.v, 1.0)
-        prev = lap_cent_weighted(unit)
-        cmap, computed, _ = lap_cent_weighted_add_remove(
-            unit, EdgeDelta(adds=[Edge(4, 6, 1.0)]), prev
-        )
+        cmap = lap_cent(unit, "weighted")
+        lap_cent_add_remove(unit, EdgeDelta(adds=[Edge(4, 6, 1.0)]), cmap, "weighted")
         assert cmap.values == {v: float(x) for v, x in TOY_STEP2.items()}
-        assert computed == 4
+        assert cmap.computed_count == 4
 
     def test_star_to_triangle(self, weighted_star):
-        prev = lap_cent_weighted(weighted_star)
+        cmap = lap_cent(weighted_star, "weighted")
         delta = EdgeDelta(adds=[Edge(1, 2, 1.0)])
-        cmap, _, _ = lap_cent_weighted_add_remove(weighted_star, delta, prev)
-        assert cmap.values == lap_cent_weighted(weighted_star).values
+        lap_cent_add_remove(weighted_star, delta, cmap, "weighted")
+        assert cmap.values == lap_cent(weighted_star, "weighted").values
 
     def test_weight_upsert_recomputes_neighborhood(self):
         g = Graph()
         g.add_edge(0, 1, 2.0)
         g.add_edge(1, 2, 1.0)
-        prev = lap_cent_weighted(g)
-        cmap, computed, _ = lap_cent_weighted_add_remove(
-            g, EdgeDelta(adds=[Edge(0, 1, 5.0)]), prev
-        )
-        assert cmap.values == lap_cent_weighted(g).values
-        assert computed == 3  # 0, 1 and 1's neighbor 2
+        cmap = lap_cent(g, "weighted")
+        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(0, 1, 5.0)]), cmap, "weighted")
+        assert cmap.values == lap_cent(g, "weighted").values
+        assert cmap.computed_count == 3  # 0, 1 and 1's neighbor 2
 
     def test_weighted_removal(self, weighted_star):
-        prev = lap_cent_weighted(weighted_star)
-        cmap, computed, _ = lap_cent_weighted_add_remove(
-            weighted_star, EdgeDelta(removes=[(0, 1)]), prev
-        )
+        cmap = lap_cent(weighted_star, "weighted")
+        lap_cent_add_remove(weighted_star, EdgeDelta(removes=[(0, 1)]), cmap, "weighted")
         # remaining graph: 0-2 with weight 3, node 1 isolated
         assert cmap.values == {0: 36.0, 1: 0.0, 2: 36.0}
-        assert computed == 3
-        assert cmap.values == lap_cent_weighted(weighted_star).values
+        assert cmap.computed_count == 3
+        assert cmap.values == lap_cent(weighted_star, "weighted").values
 
     def test_empty_delta(self, weighted_star):
-        prev = lap_cent_weighted(weighted_star)
-        cmap, computed, _ = lap_cent_weighted_add_remove(weighted_star, EdgeDelta(), prev)
-        assert computed == 0
-        assert cmap.values == prev.values
+        cmap = lap_cent(weighted_star, "weighted")
+        values = dict(cmap.values)
+        lap_cent_add_remove(weighted_star, EdgeDelta(), cmap, "weighted")
+        assert cmap.computed_count == 0
+        assert cmap.values == values
 
 
 class TestRunEvolving:
@@ -253,6 +241,12 @@ class TestRunEvolving:
         results = run_evolving(toy_graph, [EdgeDelta(adds=[Edge(4, 6)])], mode="batch")
         assert [r.computed_count for r in results] == [7, 7]
         assert sum(r.computed_count for r in results) == 14
+
+    def test_dynamic_history_survives(self, toy_graph):
+        deltas = [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(4, 6)])]
+        results = run_evolving(toy_graph, deltas, mode="dynamic")
+        assert [r.values for r in results] == [TOY_STEP1, TOY_STEP2, TOY_STEP1]
+        assert [r.computed_count for r in results] == [7, 4, 4]
 
     def test_zero_deltas(self, toy_graph):
         results = run_evolving(toy_graph, [], mode="dynamic")
@@ -350,19 +344,19 @@ class TestOracleEquivalence:
                 assert dynamic[step].values[v] == dynamic[step - 1].values[v]
             apply_delta(sim, delta)
 
-    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("keep_history", [False, True])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
-    def test_edge_cases_equal_batch(self, toy_graph, variant, in_place):
-        step = lap_cent_add_remove if variant == "unweighted" else lap_cent_weighted_add_remove
+    def test_edge_cases_equal_batch(self, toy_graph, variant, keep_history):
+        """Each step equals batch; a copy taken before a step keeps that step."""
         cmap = lap_cent(toy_graph, variant)
+        history = []
         for delta in EDGE_CASE_DELTAS:
-            before = dict(cmap.values)
+            if keep_history:
+                history.append(CentralityMap(dict(cmap.values), cmap.computed_count))
             sets = affected_nodes(toy_graph.copy(), delta)
-            prev = cmap
-            cmap, computed, _ = step(toy_graph, delta, prev, in_place=in_place)
+            assert lap_cent_add_remove(toy_graph, delta, cmap, variant) is cmap
             assert cmap.values == lap_cent(toy_graph, variant).values
-            assert computed == len(sets.recompute)
-            if in_place:
-                assert cmap.values is prev.values
-            else:
-                assert prev.values == before
+            assert cmap.computed_count == len(sets.recompute)
+        if keep_history:
+            replay = run_evolving(Graph(TOY_EDGES), EDGE_CASE_DELTAS[:-1], "batch", variant)
+            assert [m.values for m in history] == [m.values for m in replay]

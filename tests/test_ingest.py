@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lapstream.centrality import lap_cent
-from lapstream.errors import EmptyDatasetError, ParseError, SelfLoopError
+from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import apply_delta
 from lapstream.ingest import (
@@ -212,6 +212,35 @@ class TestWindow:
         cumulative = snapshots_cumulative(events, "daily")
         assert windowed.initial == cumulative.initial
         assert windowed.deltas == cumulative.deltas
+
+
+BUILDERS = {
+    "cumulative": lambda events: snapshots_cumulative(events, "daily", "accumulate"),
+    "window": lambda events: snapshots_window(events, "daily", 2, "accumulate"),
+}
+
+
+class TestAccumulateOverflow:
+    """Finite weights that sum past the float range are rejected while the
+    stream is built, naming the edge and the bucket."""
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("day, label", [(0, "1970-01-01"), (1, "1970-01-02")])
+    def test_overflow_names_edge_and_bucket(self, builder, day, label):
+        events = [
+            EdgeEvent(3, 4, 1.0, 0),
+            EdgeEvent(1, 2, 1e308, 0),
+            EdgeEvent(1, 2, 1e308, day * DAY),
+            EdgeEvent(3, 4, 1.0, 2 * DAY),
+        ]
+        with pytest.raises(NonFiniteWeightError, match=rf"\(1, 2\) in bucket {label}"):
+            BUILDERS[builder](events)
+
+    def test_large_weights_sliding_apart_are_fine(self):
+        events = [EdgeEvent(1, 2, 1e308, 0), EdgeEvent(1, 2, 1e308, DAY)]
+        stream = snapshots_window(events, "daily", 1, "accumulate")
+        assert stream.initial.edge_weight(1, 2) == 1e308
+        assert stream.deltas[0].adds == []
 
 
 class TestDeltaBetween:
