@@ -91,17 +91,31 @@ def diff_maps(a: dict[int, float], b: dict[int, float], rel_tol: float = MAP_REL
     """First (node, value_a, value_b) divergence in ascending node order, or None.
 
     A NaN on either side is a divergence, and so is an infinity against any
-    other value.
+    other value. Equal maps cost one linear pass; the keys are sorted only
+    to locate a divergence that pass has found.
     """
+    if len(a) == len(b):
+        for v, x in a.items():
+            if v not in b:
+                break
+            y = b[v]
+            if x != y and not _close(x, y, rel_tol):  # skip the call on exact equality
+                break
+        else:
+            return None
     for v in sorted(a.keys() | b.keys()):
         if v not in a or v not in b:
             return (v, a.get(v), b.get(v))
         x, y = a[v], b[v]
-        # every comparison with NaN is False, so NaN fails this test; an
-        # infinite tolerance would let infinity match any finite value
-        if not (x == y or abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y)) < math.inf):
+        if not _close(x, y, rel_tol):
             return (v, x, y)
     return None
+
+
+def _close(x: float, y: float, rel_tol: float) -> bool:
+    # every comparison with NaN is False, so NaN fails this test; an
+    # infinite tolerance would let infinity match any finite value
+    return x == y or abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y)) < math.inf
 
 
 def _measure(
@@ -209,11 +223,11 @@ def build_stream(cfg: RunConfig) -> SnapshotStream:
 def _dump_centralities(stream, maps, variant, normalized, out_dir: Path) -> None:
     dump_dir = out_dir / "centralities"
     dump_dir.mkdir(parents=True, exist_ok=True)
-    g = stream.initial.copy()
+    g = stream.initial.copy() if normalized else None  # only normalizing needs the graph
     for step, cmap in enumerate(maps):
-        if step > 0:
-            apply_delta(g, stream.deltas[step - 1])
         if normalized:
+            if step > 0:
+                apply_delta(g, stream.deltas[step - 1])
             cmap = normalize(cmap, laplacian_energy(g, variant))
         with open(dump_dir / f"step_{step + 1:04d}.csv", "w", newline="\n") as fh:
             write_centralities(cmap, fh)

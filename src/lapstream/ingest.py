@@ -5,10 +5,25 @@ split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
 non-negative decimal integers, w a finite decimal real (default 1.0) and t a
 decimal integer timestamp (default: the event's ordinal).
 
+Lines without a comma are split with ``str.split()``; lines with one go
+through the comma-or-whitespace pattern. Both split on the same
+characters, so the fast path changes no result and no error position.
+
 Two evaluation regimes are supported: cumulative streams (edges only ever
 added, bucketed by period) and sliding-window streams (an edge stays
 active for the last ``window_length`` buckets it was observed in, so
 deltas carry removals too).
+
+The window is built incrementally. Each edge in the window keeps its
+per-bucket weights in bucket order, as a tuple: a tuple of floats drops
+out of the cyclic garbage collector's scans, a list would not. A step drops
+the front entry of every edge in the bucket leaving the window, appends
+the entering bucket's weights, and re-derives only those edges: the last
+entry under ``overwrite``, the entries summed left to right under
+``accumulate``. That is the order a full rebuild of the window adds them
+in, so the weights are bitwise the same as rebuilding every bucket at every
+step, at a cost that follows the buckets entering and leaving rather than
+the window's length.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
@@ -27,8 +42,7 @@ from lapstream.incremental import EdgeDelta
 _FIELD_SPLIT = re.compile(r"[,\s]+")
 
 
-@dataclass(frozen=True)
-class EdgeEvent:
+class EdgeEvent(NamedTuple):
     u: int
     v: int
     weight: float = 1.0
@@ -57,7 +71,10 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        fields = [f for f in _FIELD_SPLIT.split(text) if f]
+        if "," in text:
+            fields = [f for f in _FIELD_SPLIT.split(text) if f]
+        else:
+            fields = text.split()
         if not 2 <= len(fields) <= 4:
             raise ParseError(lineno, f"expected 2-4 fields, got {len(fields)}: {text!r}")
         try:
@@ -137,12 +154,13 @@ def bucket_events(events: list[EdgeEvent], period: str) -> list[tuple[str, list[
 def _bucket_weights(bucket: list[EdgeEvent], policy: str) -> dict[tuple[int, int], float]:
     """Collapse a bucket's observations to one weight per edge."""
     weights: dict[tuple[int, int], float] = {}
-    for e in bucket:
-        pair = Edge(e.u, e.v, e.weight).canonical()
-        if policy == "accumulate" and pair in weights:
-            weights[pair] += e.weight
+    accumulate = policy == "accumulate"
+    for u, v, w, _ in bucket:
+        pair = (u, v) if u <= v else (v, u)
+        if accumulate and pair in weights:
+            weights[pair] += w
         else:
-            weights[pair] = e.weight
+            weights[pair] = w
     return weights
 
 
@@ -223,29 +241,51 @@ def snapshots_window(
         raise ValueError("window_length must be >= 1")
     buckets = bucket_events(events, period)
     per_bucket = [_bucket_weights(bucket, weight_policy) for _, bucket in buckets]
-
-    def window_state(k: int) -> dict[tuple[int, int], float]:
-        lo = max(0, k - window_length + 1)
-        state: dict[tuple[int, int], float] = {}
-        for i in range(lo, k + 1):
-            for pair, w in per_bucket[i].items():
-                if weight_policy == "accumulate" and pair in state:
-                    state[pair] += w
-                else:
-                    state[pair] = w  # later buckets win under overwrite
-        return state
-
     labels = [label for label, _ in buckets]
-    prev = window_state(0)
-    initial = _graph_from_weights(prev, labels[0])
+    accumulate = weight_policy == "accumulate"
+    state = dict(per_bucket[0])  # the window's current weight per edge
+    history = {pair: (w,) for pair, w in state.items()}  # per-bucket weights in the window
+    initial = _graph_from_weights(state, labels[0])
     deltas: list[EdgeDelta] = []
     for k in range(1, len(buckets)):
-        cur = window_state(k)
-        delta = _diff_states(prev, cur)
-        for u, v, w in delta.adds:
+        leaving = per_bucket[k - window_length] if k >= window_length else {}
+        entering = per_bucket[k]
+        adds: list[Edge] = []
+        removes: list[tuple[int, int]] = []
+        changed: list[tuple[int, int]] = []  # pairs staying in the window, entries changed
+        for pair in leaving:
+            entries = history[pair] = history[pair][1:]
+            if pair in entering:
+                continue  # re-derived once its new entry is in
+            if entries:
+                changed.append(pair)
+            else:
+                del history[pair], state[pair]
+                removes.append(pair)
+        for pair, w in entering.items():
+            entries = history.get(pair)
+            if entries is None:
+                history[pair] = (w,)
+                state[pair] = w
+                adds.append(Edge(pair[0], pair[1], w))
+            else:
+                history[pair] = entries + (w,)
+                changed.append(pair)
+        for pair in changed:
+            entries = history[pair]
+            w = entries[-1]
+            if accumulate and len(entries) > 1:
+                w = entries[0]
+                for x in entries[1:]:
+                    w += x
+            if state[pair] != w:
+                adds.append(Edge(pair[0], pair[1], w))
+            state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal
+        adds.sort(key=lambda e: (e.u, e.v))
+        removes.sort()
+        for u, v, w in adds:
             _check_weight(u, v, w, labels[k])
-        deltas.append(delta)
-        prev = cur
+        deltas.append(EdgeDelta(adds=adds, removes=removes))
     return SnapshotStream(initial, deltas, labels)
 
 

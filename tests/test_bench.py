@@ -2,7 +2,7 @@ import pytest
 
 from conftest import TOY_EDGES
 
-from lapstream import incremental
+from lapstream import bench, incremental
 from lapstream.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -144,6 +144,18 @@ class TestDiffMaps:
     def test_tolerance(self):
         assert diff_maps({1: 1.0}, {1: 1.0 + 1e-12}) is None
 
+    def test_same_nan_object_diverges(self):
+        nan = float("nan")
+        bad = diff_maps({1: nan}, {1: nan})
+        assert bad is not None and bad[0] == 1
+
+    def test_first_divergence_in_node_order(self):
+        a = {9: 1.0, 5: 2.0, 3: 3.0, 7: 4.0}
+        b = {9: 0.0, 5: 2.0, 3: 3.0, 7: 0.0}
+        assert diff_maps(a, b) == (7, 4.0, 0.0)
+        assert diff_maps(a, {**b, 9: 1.0, 1: 0.0}) == (1, None, 0.0)
+        assert diff_maps({2: 1.0, 4: 1.0}, {4: 1.0, 3: 1.0}) == (2, 1.0, None)
+
 
 class TestEmitCsv:
     def test_empty_records(self):
@@ -218,6 +230,28 @@ class TestRunBenchmark:
         assert dynamic_csv.splitlines()[2].split(",")[5] == "4"
         step2 = (tmp_path / "centralities" / "step_0002.csv").read_text().splitlines()
         assert step2 == ["1,6", "2,12", "3,18", "4,28", "5,38", "6,20", "7,20"]
+
+    def test_unnormalized_dump_replays_nothing(self, data_dir, tmp_path, monkeypatch):
+        def run(out_dir):
+            cfg = RunConfig(
+                input_path=data_dir / "toy_stream.txt",
+                snapshot="count:7",
+                out_dir=out_dir,
+                dump_centralities=True,
+            )
+            run_benchmark(cfg)
+            dump_dir = out_dir / "centralities"
+            return {p.name: p.read_bytes() for p in sorted(dump_dir.iterdir())}
+
+        expected = run(tmp_path / "replayed")
+
+        def no_replay(*args):
+            raise AssertionError("an unnormalized dump needs no graph")
+
+        monkeypatch.setattr(bench, "apply_delta", no_replay)
+        dumped = run(tmp_path / "direct")
+        assert len(dumped) == 2
+        assert dumped == expected
 
     def test_normalized_dump(self, data_dir, tmp_path):
         cfg = RunConfig(

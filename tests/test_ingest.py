@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -65,6 +67,106 @@ class TestParser:
         events = load_edge_events(data_dir / "toy_initial.txt")
         assert len(events) == 7
         assert events[0] == EdgeEvent(1, 2, 1.0, 0)
+
+
+def _regex_parse(lines):
+    """The parser with every line split by the comma-or-whitespace pattern:
+    the reference for the ``str.split()`` fast path."""
+    events = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = [f for f in re.split(r"[,\s]+", text) if f]
+        if not 2 <= len(fields) <= 4:
+            raise ParseError(lineno, f"expected 2-4 fields, got {len(fields)}: {text!r}")
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            raise ParseError(lineno, f"node ids must be integers: {text!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(lineno, f"node ids must be non-negative: {text!r}")
+        if u == v:
+            raise SelfLoopError(f"line {lineno}: self-loop on node {u}")
+        weight = 1.0
+        if len(fields) >= 3:
+            try:
+                weight = float(fields[2])
+            except ValueError:
+                raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
+            if not math.isfinite(weight):
+                raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
+        if len(fields) == 4:
+            try:
+                timestamp = int(fields[3])
+            except ValueError:
+                raise ParseError(lineno, f"bad timestamp {fields[3]!r}") from None
+        else:
+            timestamp = len(events)
+        events.append((u, v, weight, timestamp))
+    return events
+
+
+def _outcome(parse, lines):
+    try:
+        return [tuple(e) for e in parse(lines)]
+    except (ParseError, SelfLoopError) as err:
+        return type(err), getattr(err, "lineno", None), str(err)
+
+
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+
+
+class TestParserFastPath:
+    """Lines without a comma are split by ``str.split()``; every outcome,
+    error positions and messages included, must equal the pattern split."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_whitespace_separators(self, sep):
+        lines = ["1 2\n", f"3{sep}4{sep}2.5{sep}9\n", f"{sep}5{sep}{sep}6{sep}\r\n"]
+        assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
+        assert parse_edge_events(lines)[1] == EdgeEvent(3, 4, 2.5, 9)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1\t2\r\n",
+            "  # leading-space comment\n",
+            "\t#tab comment",
+            ",#x",
+            "1 2 # c",
+            "1,2 # c",
+            "1,,2",
+            ",1 2,",
+            "1 2,3.5 7",
+            "1 2 3 4 5",
+            "7",
+            "a b",
+            "-1 2",
+            "3 3",
+            "1 2 nan",
+            "1 2 2.0 soon",
+            "1\u200b2",
+            "",
+            "\r\n",
+        ],
+    )
+    def test_lines_match_pattern_split(self, line):
+        lines = ["1 2\n", line, "5 6 1.5\n"]
+        assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
+
+    @pytest.mark.parametrize("line", [b"1\t2 3\r\n", b"1\xc2\xa02", b" # c\n", b",#x", b"4 4"])
+    def test_bytes_match_pattern_split(self, line):
+        lines = [b"1 2\n", line]
+        assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
+
+    def test_events_are_tuples(self):
+        (event,) = parse_edge_events(["1 2"])
+        assert isinstance(event, tuple)
+        assert (event.u, event.v, event.weight, event.timestamp) == (1, 2, 1.0, 0)
+        assert EdgeEvent(1, 2) == EdgeEvent(1, 2, 1.0, 0)
 
 
 class TestBucketing:
@@ -212,6 +314,138 @@ class TestWindow:
         cumulative = snapshots_cumulative(events, "daily")
         assert windowed.initial == cumulative.initial
         assert windowed.deltas == cumulative.deltas
+
+
+def _rebuilt_window(events, period, window_length, policy):
+    """Reference window stream that rebuilds every bucket of the window at
+    each step and diffs the whole state against the previous one.
+
+    Returns the initial state and per-step ``(adds, removes)``, weights as
+    ``float.hex``, plus the edge and label of the first non-finite weight
+    the builder must reject, in the order it checks them (None if none).
+    """
+    buckets = bucket_events(events, period)
+    per_bucket = []
+    for _, bucket in buckets:
+        weights = {}
+        for e in bucket:
+            pair = Edge(e.u, e.v, e.weight).canonical()
+            if policy == "accumulate" and pair in weights:
+                weights[pair] += e.weight
+            else:
+                weights[pair] = e.weight
+        per_bucket.append(weights)
+
+    def window_state(k):
+        state = {}
+        for i in range(max(0, k - window_length + 1), k + 1):
+            for pair, w in per_bucket[i].items():
+                if policy == "accumulate" and pair in state:
+                    state[pair] += w
+                else:
+                    state[pair] = w
+        return state
+
+    labels = [label for label, _ in buckets]
+    prev = window_state(0)
+    rejected = next(((pair, labels[0]) for pair, w in prev.items() if not math.isfinite(w)), None)
+    initial = {pair: w.hex() for pair, w in prev.items()}
+    steps = []
+    for k in range(1, len(buckets)):
+        cur = window_state(k)
+        adds = sorted((u, v, w) for (u, v), w in cur.items() if (u, v) not in prev or prev[(u, v)] != w)
+        removes = sorted(pair for pair in prev if pair not in cur)
+        if rejected is None:
+            bad = [(u, v) for u, v, w in adds if not math.isfinite(w)]
+            rejected = (bad[0], labels[k]) if bad else None
+        steps.append(([(u, v, w.hex()) for u, v, w in adds], removes))
+        prev = cur
+    return initial, steps, rejected
+
+
+def _built_window(events, period, window_length, policy):
+    stream = snapshots_window(events, period, window_length, policy)
+    initial = {e.canonical(): e.weight.hex() for e in stream.initial.edges()}
+    steps = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
+    return initial, steps
+
+
+ORACLE_WEIGHTS = [1.0, 0.1, 0.3, 2.5, -0.7, 1e16, -0.0]
+
+
+def _random_events(seed, weights=ORACLE_WEIGHTS, days=8):
+    rng = random.Random(seed)
+    events = []
+    for _ in range(rng.randint(20, 120)):
+        u, v = rng.randrange(10), rng.randrange(10)
+        if u != v:
+            when = rng.randrange(days) * DAY + rng.randrange(DAY)
+            events.append(EdgeEvent(u, v, rng.choice(weights), when))
+    return events
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+class TestWindowOracle:
+    """The incremental window builder against a full rebuild per step."""
+
+    @pytest.mark.parametrize("policy", ["overwrite", "accumulate"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_full_rebuild(self, seed, window, policy):
+        events = _random_events(seed)
+        initial, steps, rejected = _rebuilt_window(events, "daily", window, policy)
+        assert rejected is None
+        assert _built_window(events, "daily", window, policy) == (initial, steps)
+
+    @pytest.mark.parametrize("policy", ["overwrite", "accumulate"])
+    def test_edge_leaving_and_reobserved_in_one_step(self, policy):
+        events = [
+            EdgeEvent(1, 2, 0.1, 0),
+            EdgeEvent(1, 2, 0.2, 0),
+            EdgeEvent(3, 4, 1.0, DAY),
+            EdgeEvent(2, 1, 0.3, 2 * DAY),  # day 0 slides out as this arrives
+            EdgeEvent(5, 6, -0.7, 2 * DAY),
+            EdgeEvent(3, 4, 1.0, 3 * DAY),  # day 1 slides out, same weight back
+            EdgeEvent(1, 2, 0.3, 4 * DAY),
+        ]
+        initial, steps, _ = _rebuilt_window(events, "daily", 2, policy)
+        assert _built_window(events, "daily", 2, policy) == (initial, steps)
+        first = 0.1 + 0.2 if policy == "accumulate" else 0.2
+        assert initial == {(1, 2): first.hex()}
+        assert steps[1] == ([(1, 2, (0.3).hex()), (5, 6, (-0.7).hex())], [])
+        assert steps[2] == ([], [])
+
+    @pytest.mark.parametrize("policy", ["overwrite", "accumulate"])
+    def test_covering_window_on_count_buckets(self, policy):
+        events = _random_events(99)
+        initial, steps, _ = _rebuilt_window(events, "count:5", 10_000, policy)
+        assert _built_window(events, "count:5", 10_000, policy) == (initial, steps)
+
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_two_overflows_in_one_bucket_name_the_same_edge(self, day):
+        events = [
+            EdgeEvent(7, 8, 1.0, 0),
+            EdgeEvent(5, 6, 1e308, 0),
+            EdgeEvent(1, 2, 1e308, 0),
+            EdgeEvent(6, 5, 1e308, day * DAY),
+            EdgeEvent(2, 1, 1e308, day * DAY),
+            EdgeEvent(7, 8, 1.0, 2 * DAY),
+        ]
+        _, _, ((u, v), label) = _rebuilt_window(events, "daily", 2, "accumulate")
+        assert (u, v) == ((5, 6) if day == 0 else (1, 2))
+        with pytest.raises(NonFiniteWeightError, match=rf"\({u}, {v}\) in bucket {label}"):
+            snapshots_window(events, "daily", 2, "accumulate")
+
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_random_overflows_name_the_same_edge(self, window):
+        for seed in range(30):
+            events = _random_events(seed, weights=[1e308, 0.5, -1e308], days=6)
+            _, _, rejected = _rebuilt_window(events, "daily", window, "accumulate")
+            if rejected is None:
+                continue
+            (u, v), label = rejected
+            with pytest.raises(NonFiniteWeightError, match=rf"\({u}, {v}\) in bucket {label}"):
+                snapshots_window(events, "daily", window, "accumulate")
 
 
 BUILDERS = {
