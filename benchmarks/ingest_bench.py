@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Time the ingest layer: parsing, the cumulative build and window builds.
 
-Generates the event workload in memory from a fixed seed (by default 500k
-events over 50k ids, one per minute, so 348 daily buckets), then reports
-the median of ``--repeat`` runs of each phase under the ``accumulate``
-weight policy. Window builds are also given as a multiple of the
-cumulative build on the same events.
+Generates the event workload in memory from a fixed seed (500k events
+over 50k ids, one per minute, so 348 daily buckets), then reports the
+median of ``--repeat`` runs of each phase under the ``accumulate`` weight
+policy. Window builds are also given as a multiple of the cumulative build
+on the same events. The share of events whose pair was already seen is
+printed too: the window re-sums a touched edge's entries, so its cost
+grows with the window length only as far as pairs repeat.
 
     python benchmarks/ingest_bench.py --repeat 3
 """
@@ -18,6 +20,9 @@ import time
 
 from lapstream.ingest import parse_edge_events, snapshots_cumulative, snapshots_window
 
+EVENTS = 500_000
+IDS = 50_000
+SEED = 0
 WINDOWS = (7, 30, 100)
 POLICY = "accumulate"  # the window re-sums every touched edge's entries
 
@@ -36,14 +41,12 @@ def event_lines(num_events, num_ids, seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--events", type=int, default=500_000)
-    parser.add_argument("--ids", type=int, default=50_000)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    lines = event_lines(args.events, args.ids, args.seed)
+    lines = event_lines(EVENTS, IDS, SEED)
     events = parse_edge_events(lines)
+    pairs = {(e.u, e.v) if e.u <= e.v else (e.v, e.u) for e in events}
     phases = [
         ("parse", lambda: parse_edge_events(lines)),
         ("cumulative build", lambda: snapshots_cumulative(events, "daily", POLICY)),
@@ -64,9 +67,10 @@ def main():
             del out
     buckets = snapshots_cumulative(events, "daily", POLICY).num_steps
     print(
-        f"workload: {len(events)} events, {args.ids} ids, {buckets} daily buckets, "
+        f"workload: {len(events)} events, {IDS} ids, {buckets} daily buckets, "
         f"policy {POLICY}, median of {args.repeat}"
     )
+    print(f"repeated pairs: {1 - len(pairs) / len(events):.4%} of events")
     cumulative_s = statistics.median(samples["cumulative build"])
     for name, _ in phases:
         seconds = statistics.median(samples[name])

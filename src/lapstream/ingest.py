@@ -5,9 +5,10 @@ split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
 non-negative decimal integers, w a finite decimal real (default 1.0) and t a
 decimal integer timestamp (default: the event's ordinal).
 
-Lines without a comma are split with ``str.split()``; lines with one go
-through the comma-or-whitespace pattern. Both split on the same
-characters, so the fast path changes no result and no error position.
+Commas are replaced by spaces and the line is split with ``str.split()``.
+``str.split()`` and the ``re`` module's whitespace class agree on which
+characters are whitespace, so fields and error positions are those of a
+regex split on runs of commas and whitespace with empty fields dropped.
 
 Two evaluation regimes are supported: cumulative streams (edges only ever
 added, bucketed by period) and sliding-window streams (an edge stays
@@ -22,14 +23,15 @@ the entering bucket's weights, and re-derives only those edges: the last
 entry under ``overwrite``, the entries summed left to right under
 ``accumulate``. That is the order a full rebuild of the window adds them
 in, so the weights are bitwise the same as rebuilding every bucket at every
-step, at a cost that follows the buckets entering and leaving rather than
-the window's length.
+step. A step costs O(entries in the window) for each edge it touches, since
+the edge's tuple is rebuilt and, under ``accumulate``, re-summed: the cost
+follows the buckets entering and leaving and not the window's length only
+when edges are seldom re-observed within a window.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,9 +40,6 @@ from typing import Iterable, NamedTuple
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
-
-_FIELD_SPLIT = re.compile(r"[,\s]+")
-
 
 class EdgeEvent(NamedTuple):
     u: int
@@ -71,10 +70,7 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if "," in text:
-            fields = [f for f in _FIELD_SPLIT.split(text) if f]
-        else:
-            fields = text.split()
+        fields = text.replace(",", " ").split()
         if not 2 <= len(fields) <= 4:
             raise ParseError(lineno, f"expected 2-4 fields, got {len(fields)}: {text!r}")
         try:
@@ -273,11 +269,12 @@ def snapshots_window(
                 changed.append(pair)
         for pair in changed:
             entries = history[pair]
-            w = entries[-1]
-            if accumulate and len(entries) > 1:
+            if accumulate:
                 w = entries[0]
                 for x in entries[1:]:
                     w += x
+            else:
+                w = entries[-1]
             if state[pair] != w:
                 adds.append(Edge(pair[0], pair[1], w))
             state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal

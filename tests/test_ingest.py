@@ -71,7 +71,7 @@ class TestParser:
 
 def _regex_parse(lines):
     """The parser with every line split by the comma-or-whitespace pattern:
-    the reference for the ``str.split()`` fast path."""
+    the reference for the ``str.split()`` split."""
     events = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
@@ -120,12 +120,18 @@ SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa
 
 
 class TestParserFastPath:
-    """Lines without a comma are split by ``str.split()``; every outcome,
-    error positions and messages included, must equal the pattern split."""
+    """Lines are split by ``str.split()`` once commas become spaces; every
+    outcome, error positions and messages included, must equal the pattern
+    split."""
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_whitespace_separators(self, sep):
-        lines = ["1 2\n", f"3{sep}4{sep}2.5{sep}9\n", f"{sep}5{sep}{sep}6{sep}\r\n"]
+        lines = [
+            "1 2\n",
+            f"3{sep}4{sep}2.5{sep}9\n",
+            f"{sep}5{sep}{sep}6{sep}\r\n",
+            f"7,{sep}8{sep},{sep}1.5,9{sep}\n",
+        ]
         assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
         assert parse_edge_events(lines)[1] == EdgeEvent(3, 4, 2.5, 9)
 
