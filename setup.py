@@ -1,30 +1,20 @@
-"""Builds the compiled kernel extension when Cython is available.
+"""Builds the compiled kernel extension from the shipped ``_kernels_c.c``.
 
-The package works without it: ``lapstream.kernels`` falls back to the
-pure-Python kernels at import time. ``-ffp-contract=off`` keeps weighted
-double arithmetic bitwise identical to CPython's.
+The extension is optional: without a C compiler the build skips it and
+``lapstream.kernels`` falls back to the pure-Python kernels at import time.
+``-ffp-contract=off`` keeps weighted double arithmetic bitwise identical to
+CPython's.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("LAPSTREAM_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "lapstream._kernels_c",
-                    ["src/lapstream/_kernels_c.pyx"],
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "lapstream._kernels_c",
+            ["src/lapstream/_kernels_c.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
         )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -3,49 +3,23 @@
 The incremental algorithms bring centrality up to date only for the
 endpoints of added/removed edges and their first-order neighbors, producing
 per-step maps identical to full recomputation at a fraction of the work.
+
+The package exports the errors that carry fields, their base class and the
+warning; the other errors live in :mod:`lapstream.errors`.
 """
 
-from lapstream.bench import (
-    BenchRecord,
-    BenchResult,
-    RunConfig,
-    bench_stream,
-    emit_csv,
-    run_benchmark,
-)
-from lapstream.centrality import (
-    CentralityMap,
-    cw,
-    delta_energy_oracle,
-    lap_cent,
-    laplacian_energy,
-    normalize,
-    write_centralities,
-)
+from lapstream.bench import RunConfig, bench_stream, emit_csv, run_benchmark
+from lapstream.centrality import CentralityMap, lap_cent, laplacian_energy, normalize
 from lapstream.errors import (
     CompareMismatchError,
     DeltaError,
-    DuplicateEdgeError,
-    EmptyDatasetError,
     LapstreamError,
-    MissingEdgeError,
     NegativeWeightWarning,
     ParseError,
-    SelfLoopError,
-    UnknownNodeError,
-    ZeroEnergyError,
 )
-from lapstream.graph import Edge, Graph, GraphStats
-from lapstream.incremental import (
-    AffectedSets,
-    EdgeDelta,
-    affected_nodes,
-    apply_delta,
-    lap_cent_add_remove,
-    run_evolving,
-)
+from lapstream.graph import Edge, Graph
+from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import (
-    EdgeEvent,
     SnapshotStream,
     delta_between,
     load_edge_events,
@@ -59,35 +33,21 @@ from lapstream.kernels import BACKEND as KERNEL_BACKEND
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffectedSets",
-    "BenchRecord",
-    "BenchResult",
     "CentralityMap",
     "CompareMismatchError",
     "DeltaError",
-    "DuplicateEdgeError",
     "Edge",
     "EdgeDelta",
-    "EdgeEvent",
-    "EmptyDatasetError",
     "Graph",
-    "GraphStats",
     "KERNEL_BACKEND",
     "LapstreamError",
-    "MissingEdgeError",
     "NegativeWeightWarning",
     "ParseError",
     "RunConfig",
-    "SelfLoopError",
     "SnapshotStream",
-    "UnknownNodeError",
-    "ZeroEnergyError",
-    "affected_nodes",
     "apply_delta",
     "bench_stream",
-    "cw",
     "delta_between",
-    "delta_energy_oracle",
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",
@@ -100,5 +60,4 @@ __all__ = [
     "snapshots_cumulative",
     "snapshots_window",
     "stream_from_snapshot_dir",
-    "write_centralities",
 ]

@@ -3,7 +3,9 @@
 
 Mirrors ``_kernels_py`` exactly: same traversal order, same accumulation
 order, compiled without fp contraction, so results are bitwise identical
-to the pure-Python backend.
+to the pure-Python backend. The build compiles the shipped ``_kernels_c.c``,
+not this file: after an edit here, regenerate it by hand with
+``cython _kernels_c.pyx``.
 """
 
 BACKEND_NAME = "c"

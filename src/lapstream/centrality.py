@@ -6,7 +6,8 @@ by deleting the node and its incident edges. The per-node closed forms are
     unweighted:  d^2 + d + 2 * sum(degrees of neighbors)
     weighted:    s^2 - sub + 2 * cw      (s = weighted degree)
 
-with ``cw`` and ``sub`` as computed by :func:`cw`. Values are returned
+for a node v, where cw = sum(w_vj^2) and sub = sum((s_j - w_vj)^2 - s_j^2)
+over the neighbors j of v. Values are returned
 non-normalized; divide by the graph energy via :func:`normalize` to get
 values in (0, 1] (guaranteed only for non-negative weights).
 """
@@ -52,25 +53,6 @@ def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> dict[int
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
     return CentralityMap(evaluate_nodes(g, g.nodes(), variant), g.num_nodes)
-
-
-def cw(g: Graph, v: int, strengths: dict[int, float] | None = None) -> tuple[float, float]:
-    """Centrality weight terms of node ``v`` for the weighted formula.
-
-    Returns ``(cw, sub)`` where ``cw = sum(w^2)`` over incident edges and
-    ``sub = sum((s_j - w)^2 - s_j^2)`` over neighbors j. ``strengths``
-    must cover all neighbors of v; defaults to the graph's own table.
-    """
-    if strengths is None:
-        strengths = g.strengths()
-    total_cw = 0.0
-    total_sub = 0.0
-    for j, w in g.neighbors(v):
-        s = strengths[j]
-        rem = s - w
-        total_cw += w * w
-        total_sub += rem * rem - s * s
-    return total_cw, total_sub
 
 
 def laplacian_energy(g: Graph, variant: Variant) -> float:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="benchmark one algorithm over a stream")
-    p_run.add_argument("--mode", choices=("batch", "dynamic", "compare"), default="dynamic")
+    p_run.add_argument("--mode", choices=("batch", "dynamic"), default="dynamic")
     _add_common(p_run)
     _add_bench(p_run)
     p_run.set_defaults(func=_cmd_run)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="batch vs dynamic with speedup per step")
     _add_common(p_cmp)
     _add_bench(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(func=_cmd_run, mode="compare")
 
     p_cent = sub.add_parser("centrality", help="batch centrality of one edge-list file")
     p_cent.add_argument("--input", required=True)
@@ -153,13 +153,6 @@ def _report(result, out_dir) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _config(args, args.mode)
-    result = run_benchmark(cfg)
-    _report(result, cfg.out_dir)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _config(args, "compare")
     result = run_benchmark(cfg)
     _report(result, cfg.out_dir)
     return 0

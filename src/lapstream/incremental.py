@@ -164,9 +164,11 @@ def lap_cent_add_remove(
     return it equals, node for node, a full recomputation of the post-delta
     graph, and its ``computed_count`` is the number of centralities brought
     up to date (touched nodes plus their neighbors). Copy ``cmap`` first to
-    keep the previous step's values. A rejected delta raises before ``g`` or
-    ``cmap`` changes. Returns ``cmap``.
+    keep the previous step's values. A rejected delta or an unknown variant
+    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
     """
+    if variant not in ("unweighted", "weighted"):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "unweighted":
         # read here rather than in the validation both variants share: the
         # weighted step has no use for degrees, and reading them costs it

@@ -1,19 +1,9 @@
-"""Kernel backend selection: compiled extension if built, else pure Python.
+"""Kernel backend selection: compiled extension if built, else pure Python."""
 
-Set ``LAPSTREAM_PURE=1`` before import to force the pure-Python backend
-even when the extension is available (used by the backend benchmark and
-for debugging).
-"""
-
-import os
-
-if os.environ.get("LAPSTREAM_PURE"):
-    from lapstream import _kernels_py as _backend
-else:
-    try:
-        from lapstream import _kernels_c as _backend  # type: ignore[no-redef]
-    except ImportError:
-        from lapstream import _kernels_py as _backend  # type: ignore[no-redef]
+try:
+    from lapstream import _kernels_c as _backend
+except ImportError:
+    from lapstream import _kernels_py as _backend  # type: ignore[no-redef]
 
 BACKEND = _backend.BACKEND_NAME
 unweighted_values = _backend.unweighted_values

@@ -7,7 +7,6 @@ from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
 from genutil import random_graph
 
 from lapstream.centrality import (
-    cw,
     delta_energy_oracle,
     lap_cent,
     laplacian_energy,
@@ -65,29 +64,6 @@ class TestBatchUnweighted:
             if g.degree(v) > 0:
                 assert value > 0
             assert isinstance(value, int)
-
-
-class TestCentralityWeight:
-    def test_star_center(self, weighted_star):
-        assert cw(weighted_star, 0) == (13.0, -13.0)
-
-    def test_star_leaf(self, weighted_star):
-        total_cw, sub = cw(weighted_star, 1)
-        assert total_cw == 4.0
-        assert sub == (5.0 - 2.0) ** 2 - 25.0
-
-    def test_degree_zero_node(self):
-        g = Graph()
-        g.add_node(0)
-        assert cw(g, 0) == (0.0, 0.0)
-
-    def test_explicit_strengths(self, weighted_star):
-        strengths = {u: weighted_star.strength(u) for u in weighted_star.nodes()}
-        assert cw(weighted_star, 0, strengths) == (13.0, -13.0)
-
-    def test_unknown_node(self, weighted_star):
-        with pytest.raises(UnknownNodeError):
-            cw(weighted_star, 17)
 
 
 class TestBatchWeighted:

@@ -125,8 +125,9 @@ class TestRunCommand:
 
 
 class TestUsageErrors:
-    def test_unknown_mode(self, capsys):
-        code = cli_main(["run", "--input", "x.txt", "--mode", "sideways"])
+    @pytest.mark.parametrize("mode", ["sideways", "compare"])
+    def test_unknown_mode(self, capsys, mode):
+        code = cli_main(["run", "--input", "x.txt", "--mode", mode])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 

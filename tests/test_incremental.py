@@ -106,6 +106,19 @@ class TestRejectedDelta:
         assert prev.values == values
         assert prev.computed_count == toy_graph.num_nodes
 
+    @pytest.mark.parametrize("delta", [EdgeDelta(adds=[Edge(3, 4)]), EdgeDelta()])
+    @pytest.mark.parametrize("variant", ["Weighted", "bogus"])
+    def test_unknown_variant_step_unchanged(self, toy_graph, delta, variant):
+        before = toy_graph.copy()
+        prev = lap_cent(toy_graph, "weighted")
+        values = dict(prev.values)
+        with pytest.raises(ValueError, match="unknown variant"):
+            lap_cent_add_remove(toy_graph, delta, prev, variant)
+        assert toy_graph == before
+        assert toy_graph.strengths() == before.strengths()
+        assert prev.values == values
+        assert prev.computed_count == toy_graph.num_nodes
+
     def test_strict_duplicate_add(self, toy_graph):
         toy_graph.strict = True
         before = toy_graph.copy()

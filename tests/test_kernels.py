@@ -1,7 +1,6 @@
 """Backend parity: the compiled kernels must match the pure-Python ones
 bitwise, value for value."""
 
-import os
 import random
 
 import pytest
@@ -25,10 +24,7 @@ def test_selected_backend_is_known():
 
 @needs_ext
 def test_extension_preferred_when_built():
-    if os.environ.get("LAPSTREAM_PURE"):
-        assert kernels.BACKEND == "python"  # explicit opt-out honored
-    else:
-        assert kernels.BACKEND == "c"
+    assert kernels.BACKEND == "c"
 
 
 @needs_ext
