@@ -2,7 +2,10 @@
 """Compare the compiled kernel extension against the pure-Python fallback.
 
 Times full batch evaluations of both variants on a synthetic scale-free
-graph and reports per-call seconds plus the compiled/pure ratio.
+graph and reports per-call seconds plus the compiled/pure ratio. Each round
+times every backend back to back, in alternating order, and the ratio
+reported is the median of the per-round ratios, so a change of CPU speed
+between rounds moves both sides of a ratio alike.
 
     python benchmarks/backend_bench.py --nodes 30000 --attach 6 --repeat 5
 """
@@ -20,15 +23,6 @@ except ImportError:
     _kernels_c = None
 
 
-def time_call(fn, repeat):
-    samples = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return min(samples), statistics.fmean(samples)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=30000)
@@ -36,6 +30,8 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     g = preferential_attachment_graph(args.nodes, args.attach, seed=args.seed)
     adj = g.adjacency()
@@ -49,20 +45,35 @@ def main():
     else:
         print("compiled extension not built; timing pure backend only")
 
-    results = {}
-    for name, mod in backends:
-        for variant, fn in (
-            ("unweighted", lambda m=mod: m.unweighted_values(adj, nodes)),
-            ("weighted", lambda m=mod: m.weighted_values(adj, strength, nodes)),
-        ):
-            best, mean = time_call(fn, args.repeat)
-            results[(name, variant)] = best
-            print(f"{name:>7} {variant:>10}: best {best * 1e3:8.2f} ms  mean {mean * 1e3:8.2f} ms")
+    kernels = {
+        "unweighted": lambda m: m.unweighted_values(adj, nodes),
+        "weighted": lambda m: m.weighted_values(adj, strength, nodes),
+    }
+    samples = {(name, variant): [] for name, _ in backends for variant in kernels}
+    ratios = {variant: [] for variant in kernels}
+    for r in range(args.repeat):
+        for variant, fn in kernels.items():
+            seconds = {}
+            for name, mod in backends if r % 2 == 0 else backends[::-1]:
+                t0 = time.perf_counter()
+                fn(mod)
+                seconds[name] = time.perf_counter() - t0
+                samples[(name, variant)].append(seconds[name])
+            if "c" in seconds:
+                ratios[variant].append(seconds["python"] / seconds["c"])
+
+    for (name, variant), times in samples.items():
+        print(
+            f"{name:>7} {variant:>10}: median {statistics.median(times) * 1e3:8.2f} ms"
+            f"  best {min(times) * 1e3:8.2f} ms"
+        )
 
     if _kernels_c is not None:
-        for variant in ("unweighted", "weighted"):
-            ratio = results[("python", variant)] / results[("c", variant)]
-            print(f"compiled speedup, {variant}: {ratio:.2f}x")
+        for variant, per_round in ratios.items():
+            print(
+                f"compiled speedup, {variant}: {statistics.median(per_round):.2f}x (median of "
+                f"{len(per_round)} rounds, range {min(per_round):.2f}-{max(per_round):.2f}x)"
+            )
         # the two backends must agree exactly
         sample = nodes[: min(2000, len(nodes))]
         assert _kernels_py.unweighted_values(adj, sample) == _kernels_c.unweighted_values(

@@ -159,10 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    events = load_edge_events(args.input)
-    g = Graph(strict=False)
-    for e in events:
-        g.add_edge(e.u, e.v, e.weight)
+    g = Graph((e.u, e.v, e.weight) for e in load_edge_events(args.input))
     cmap = lap_cent(g, args.variant)
     if args.normalized:
         cmap = normalize(cmap, laplacian_energy(g, args.variant))

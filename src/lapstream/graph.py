@@ -5,6 +5,13 @@ mentions them and never deleted, so isolated nodes keep their entries.
 Degrees are adjacency row sizes (O(1)); weighted degrees (strengths) are
 maintained incrementally on every mutation so incremental centrality steps
 stay proportional to the size of the change.
+
+Every writer goes through one mutation loop, ``Graph._apply``: the bulk
+constructor ``Graph(edges)``, :meth:`Graph.add_edge`, :meth:`Graph.remove_edge`
+and the incremental step's delta apply. The loop validates each edge as it
+goes unless its caller has already validated the whole batch, so a delta
+(checked whole by ``incremental._check_delta``) is validated once, not once
+more per edge.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ class GraphStats:
 class Graph:
     """Undirected weighted graph with O(1) amortized edge add/remove.
 
+    ``Graph(edges)`` builds the graph from (u, v) or (u, v, weight) tuples
+    in one pass, validating and warning on each edge as :meth:`add_edge`
+    does; the edges may come from any iterable, a generator included.
+
     Re-adding an existing edge replaces its weight (upsert) unless the
     graph was created with ``strict=True``, in which case it raises
     :class:`DuplicateEdgeError`; strict mode exists for auditing delta
@@ -62,8 +73,7 @@ class Graph:
         self._num_edges = 0
         self.strict = strict
         if edges is not None:
-            for e in edges:
-                self.add_edge(*e)
+            self._apply(edges, (), True)
 
     # -- mutation ---------------------------------------------------------
 
@@ -73,44 +83,88 @@ class Graph:
             self._strength[u] = 0.0
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        if u == v:
-            raise SelfLoopError(f"self-loop on node {u}")
-        if not math.isfinite(weight):
-            raise NonFiniteWeightError(f"weight {weight} on edge ({u}, {v}) is not finite")
-        if weight < 0:
-            warnings.warn(
-                f"negative weight {weight} on edge ({u}, {v})",
-                NegativeWeightWarning,
-                stacklevel=2,
-            )
-        self.add_node(u)
-        self.add_node(v)
-        row_u = self._adj[u]
-        old = row_u.get(v)
-        if old is None:
-            row_u[v] = weight
-            self._adj[v][u] = weight
-            self._num_edges += 1
-            self._strength[u] += weight
-            self._strength[v] += weight
-        else:
-            if self.strict:
-                raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-            row_u[v] = weight
-            self._adj[v][u] = weight
-            delta = weight - old
-            self._strength[u] += delta
-            self._strength[v] += delta
+        """Add edge (u, v) or replace its weight.
+
+        Raises :class:`SelfLoopError` if ``u == v``,
+        :class:`NonFiniteWeightError` on a NaN or infinite weight and, on a
+        strict graph, :class:`DuplicateEdgeError` if the edge is present;
+        warns :class:`NegativeWeightWarning` on a negative weight.
+        """
+        self._apply(((u, v, weight),), (), True)
 
     def remove_edge(self, u: int, v: int) -> None:
-        row_u = self._adj.get(u)
-        if row_u is None or v not in row_u:
-            raise MissingEdgeError(f"edge ({u}, {v}) not in graph")
-        weight = row_u.pop(v)
-        del self._adj[v][u]
-        self._num_edges -= 1
-        self._strength[u] -= weight
-        self._strength[v] -= weight
+        """Remove edge (u, v); raises :class:`MissingEdgeError` if absent."""
+        self._apply((), ((u, v),), True)
+
+    def _apply(
+        self, adds: Iterable[tuple], removes: Iterable[tuple[int, int]], check: bool
+    ) -> None:
+        """The one mutation loop: upsert ``adds``, (u, v) or (u, v, weight),
+        in order, then delete ``removes``.
+
+        With ``check`` each edge is validated before it is written, as
+        :meth:`add_edge` and :meth:`remove_edge` document, and a bad edge
+        raises with the edges before it applied. Without it the caller has
+        validated the whole batch against this graph. The edge count is
+        kept in a local and stored however the loop ends.
+        """
+        adj = self._adj
+        strength = self._strength
+        strict = self.strict
+        isfinite = math.isfinite
+        n = self._num_edges
+        try:
+            for e in adds:
+                if len(e) == 2:
+                    u, v = e
+                    w = 1.0
+                else:
+                    u, v, w = e
+                if check:
+                    if u == v:
+                        raise SelfLoopError(f"self-loop on node {u}")
+                    if not isfinite(w):
+                        raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
+                    if w < 0:
+                        warnings.warn(
+                            f"negative weight {w} on edge ({u}, {v})",
+                            NegativeWeightWarning,
+                            stacklevel=3,
+                        )
+                row_u = adj.get(u)
+                if row_u is None:
+                    row_u = adj[u] = {}
+                    strength[u] = 0.0
+                row_v = adj.get(v)
+                if row_v is None:
+                    row_v = adj[v] = {}
+                    strength[v] = 0.0
+                old = row_u.get(v)
+                if old is None:
+                    row_u[v] = w
+                    row_v[u] = w
+                    n += 1
+                    strength[u] += w
+                    strength[v] += w
+                else:
+                    if check and strict:
+                        raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+                    row_u[v] = w
+                    row_v[u] = w
+                    d = w - old
+                    strength[u] += d
+                    strength[v] += d
+            for u, v in removes:
+                row_u = adj.get(u)
+                if check and (row_u is None or v not in row_u):
+                    raise MissingEdgeError(f"edge ({u}, {v}) not in graph")
+                w = row_u.pop(v)
+                del adj[v][u]
+                n -= 1
+                strength[u] -= w
+                strength[v] -= w
+        finally:
+            self._num_edges = n
 
     # -- queries ----------------------------------------------------------
 

@@ -26,6 +26,7 @@ bitwise equal to a full recomputation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -36,6 +37,7 @@ from lapstream.errors import (
     DuplicateEdgeError,
     LapstreamError,
     MissingEdgeError,
+    NegativeWeightWarning,
     NonFiniteWeightError,
     SelfLoopError,
 )
@@ -76,8 +78,8 @@ def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
 
     Raises on a self-loop, a non-finite weight, a remove of an edge that is
     neither in ``g`` nor added by the delta, a pair removed twice and, on a
-    strict graph, an add of a pair already present. Returns the touched
-    nodes.
+    strict graph, an add of a pair already present; warns on a negative
+    weight, as :meth:`Graph.add_edge` does. Returns the touched nodes.
     """
     isfinite = math.isfinite
     touched: set[int] = set()
@@ -86,6 +88,10 @@ def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
             raise SelfLoopError(f"self-loop on node {u}")
         if not isfinite(w):
             raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
+        if w < 0:
+            warnings.warn(
+                f"negative weight {w} on edge ({u}, {v})", NegativeWeightWarning, stacklevel=3
+            )
         touched.add(u)
         touched.add(v)
     if g.strict:
@@ -120,10 +126,8 @@ def _degrees_before(g: Graph, delta: EdgeDelta) -> dict[int, int]:
 
 
 def _mutate(g: Graph, delta: EdgeDelta) -> None:
-    for u, v, w in delta.adds:
-        g.add_edge(u, v, w)
-    for u, v in delta.removes:
-        g.remove_edge(u, v)
+    """Apply a delta ``_check_delta`` has accepted, without checking it again."""
+    g._apply(delta.adds, delta.removes, False)
 
 
 def apply_delta(g: Graph, delta: EdgeDelta) -> None:

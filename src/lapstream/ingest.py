@@ -170,11 +170,11 @@ def _check_weight(u: int, v: int, w: float, label: str) -> None:
 
 
 def _graph_from_weights(weights: dict[tuple[int, int], float], label: str) -> Graph:
-    g = Graph()
-    for (u, v), w in weights.items():
-        _check_weight(u, v, w, label)
-        g.add_edge(u, v, w)
-    return g
+    if not all(map(math.isfinite, weights.values())):
+        # the graph would reject it too, but only this error names the bucket
+        for (u, v), w in weights.items():
+            _check_weight(u, v, w, label)
+    return Graph((u, v, w) for (u, v), w in weights.items())
 
 
 def _diff_states(
@@ -306,13 +306,7 @@ def stream_from_snapshot_dir(path: str | Path) -> SnapshotStream:
     files = sorted(p for p in directory.iterdir() if p.is_file())
     if not files:
         raise EmptyDatasetError(f"no snapshot files in {directory}")
-    graphs = []
-    for p in files:
-        events = load_edge_events(p)
-        g = Graph()
-        for e in events:
-            g.add_edge(e.u, e.v, e.weight)
-        graphs.append(g)
+    graphs = [Graph((e.u, e.v, e.weight) for e in load_edge_events(p)) for p in files]
     deltas = [delta_between(graphs[i - 1], graphs[i]) for i in range(1, len(graphs))]
     labels = [p.name for p in files]
     return SnapshotStream(graphs[0], deltas, labels)

@@ -8,6 +8,7 @@ of the edge count. Fully deterministic under a seed.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
@@ -19,22 +20,22 @@ def preferential_attachment_graph(num_nodes: int, attach: int, seed: int = 0) ->
     distinct existing nodes chosen proportionally to degree."""
     if num_nodes < attach + 1:
         raise ValueError("need num_nodes > attach")
-    rng = random.Random(seed)
-    g = Graph()
+    return Graph(_attachment_edges(num_nodes, attach, random.Random(seed)))
+
+
+def _attachment_edges(num_nodes: int, attach: int, rng: random.Random) -> Iterator[tuple[int, int]]:
     # seed clique keeps early attachment well-defined
-    for u in range(attach + 1):
-        for v in range(u + 1, attach + 1):
-            g.add_edge(u, v)
-    endpoints = [u for e in g.edges() for u in (e.u, e.v)]
+    clique = [(u, v) for u in range(attach + 1) for v in range(u + 1, attach + 1)]
+    yield from clique
+    endpoints = [x for pair in clique for x in pair]
     for new in range(attach + 1, num_nodes):
         targets: set[int] = set()
         while len(targets) < attach:
             targets.add(rng.choice(endpoints))
         for t in targets:
-            g.add_edge(new, t)
+            yield new, t
             endpoints.append(new)
             endpoints.append(t)
-    return g
 
 
 def churn_stream(
@@ -56,10 +57,7 @@ def churn_stream(
     rng = random.Random(seed)
     g = preferential_attachment_graph(num_nodes, attach, seed=seed)
     if weighted:
-        reweighted = Graph()
-        for e in g.edges():
-            reweighted.add_edge(e.u, e.v, float(rng.randint(1, 5)))
-        g = reweighted
+        g = Graph((e.u, e.v, float(rng.randint(1, 5))) for e in g.edges())
 
     # indexed edge list: O(1) uniform pick, swap-remove, append; ``g`` itself
     # stays the initial graph

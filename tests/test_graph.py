@@ -1,18 +1,23 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
 
 from lapstream.errors import (
     DuplicateEdgeError,
+    LapstreamError,
     MissingEdgeError,
     NegativeWeightWarning,
     NonFiniteWeightError,
     SelfLoopError,
     UnknownNodeError,
 )
-from lapstream.graph import Graph
+from lapstream.graph import Edge, Graph
+from lapstream.incremental import EdgeDelta, _mutate, apply_delta
 
 
 class TestAddEdge:
@@ -208,3 +213,144 @@ class TestInvariants:
             if not before.has_node(u):
                 assert g.degree(u) == 0
         assert g.num_edges == before.num_edges
+
+
+# -- the bulk path against the per-edge path ----------------------------------
+
+# derandomized: the same examples on every run, so the suite stays a stable gate
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.5, 0.1, -1.0, -2.5, 0.0, -0.0]),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+
+
+@st.composite
+def edge_lists(draw, nodes=8):
+    """2- and 3-tuples, Edge or plain, over few nodes so pairs repeat (upserts)."""
+    node = st.integers(0, nodes - 1)
+    pairs = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    forms = st.sampled_from(["pair", "triple", "edge"])
+    out = []
+    for (u, v), w, form in draw(st.lists(st.tuples(pairs, WEIGHTS, forms), max_size=30)):
+        out.append((u, v) if form == "pair" else (u, v, w) if form == "triple" else Edge(u, v, w))
+    return out
+
+
+def _state(g):
+    """Everything a writer sets, floats by bits, in insertion order."""
+    rows = [(u, [(v, w.hex()) for v, w in row.items()]) for u, row in g.adjacency().items()]
+    return rows, g.num_edges, [(u, s.hex()) for u, s in g.strengths().items()]
+
+
+def _recorded(fn):
+    """Run ``fn``; return its result and the warnings it gave, as (category, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    assert all(w.filename == __file__ for w in caught), "a warning points inside the package"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _add_each(g, edges):
+    for e in edges:
+        g.add_edge(*e)
+    return g
+
+
+class TestBulkPath:
+    """``Graph(edges)`` and a validated delta take the one mutation loop in
+    bulk; each must do exactly what the per-edge calls do."""
+
+    @SETTINGS
+    @given(edges=edge_lists())
+    def test_constructor_equals_add_edge(self, edges):
+        bulk, bulk_warnings = _recorded(lambda: Graph(edges))
+        seq, seq_warnings = _recorded(lambda: _add_each(Graph(), edges))
+        assert _state(bulk) == _state(seq)
+        assert bulk_warnings == seq_warnings
+
+    @SETTINGS
+    @given(
+        edges=edge_lists(),
+        bad=st.sampled_from(["self-loop", "nan", "inf", "duplicate"]),
+        data=st.data(),
+    )
+    def test_bad_edge_raises_the_same_at_the_same_edge(self, edges, bad, data):
+        strict = bad == "duplicate"
+        if strict:
+            # a strict graph needs the edges before the bad one distinct
+            seen, distinct = set(), []
+            for e in edges:
+                pair = frozenset(e[:2])
+                if pair not in seen:
+                    seen.add(pair)
+                    distinct.append(e)
+            edges = distinct
+            assume(edges)
+        at = data.draw(st.integers(0, len(edges)))
+        if bad == "self-loop":
+            wrong = (3, 3, 1.0)
+        elif bad in ("nan", "inf"):
+            wrong = (1, 2, float(bad))
+        else:
+            u, v = data.draw(st.sampled_from(edges))[:2]
+            at = max(at, 1 + next(i for i, e in enumerate(edges) if set(e[:2]) == {u, v}))
+            wrong = (v, u, 2.0)
+        feed = edges[:at] + [wrong] + edges[at:]
+
+        def run(build):
+            taken = []
+
+            def pulled():
+                for e in feed:
+                    taken.append(e)
+                    yield e
+
+            g = Graph(strict=strict)
+            with pytest.raises(LapstreamError) as raised:
+                build(g, pulled())
+            return type(raised.value), str(raised.value), len(taken), _state(g)
+
+        def by_loop(g, edges):
+            g._apply(edges, (), True)
+
+        (bulk, _), (seq, _) = _recorded(lambda: run(by_loop)), _recorded(lambda: run(_add_each))
+        assert bulk == seq
+        kind, message, pulled, (rows, num_edges, _) = bulk
+        assert pulled == at + 1
+        assert num_edges == sum(len(row) for _, row in rows) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(kind) as raised:
+                Graph(feed, strict=strict)
+        assert str(raised.value) == message
+
+    @SETTINGS
+    @given(initial=edge_lists(), adds=edge_lists(nodes=10), data=st.data())
+    def test_validated_delta_equals_per_edge(self, initial, adds, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = Graph(initial)
+        adds = [Edge(*e) for e in adds]
+        removable = sorted({e.canonical() for e in g.edges()} | {e.canonical() for e in adds})
+        removes = data.draw(st.lists(st.sampled_from(removable), unique=True)) if removable else []
+        removes = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in removes]
+        delta = EdgeDelta(adds=adds, removes=removes)
+
+        bulk, seq = g.copy(), g.copy()
+        _, bulk_warnings = _recorded(lambda: apply_delta(bulk, delta))
+
+        def per_edge():
+            _add_each(seq, adds)
+            for u, v in removes:
+                seq.remove_edge(u, v)
+
+        _, seq_warnings = _recorded(per_edge)
+        assert _state(bulk) == _state(seq)
+        assert bulk_warnings == seq_warnings
+        # the unchecked loop alone, once the delta is known good
+        unchecked = g.copy()
+        _, unchecked_warnings = _recorded(lambda: _mutate(unchecked, delta))
+        assert _state(unchecked) == _state(seq)
+        assert unchecked_warnings == []

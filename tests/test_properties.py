@@ -80,3 +80,59 @@ def test_delta_between_turns_g_into_h(data):
         e.canonical(): e.weight for e in h.edges()
     }
     assert delta_between(g, h).is_empty()
+
+
+INTEGRAL = st.sampled_from([1.0, 2.0, 3.0, 5.0, 12.0, -1.0, -4.0, 0.0, -0.0])
+FRACTIONAL = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.7, 1 / 3, 2.5, -0.3]),
+    st.floats(-5.0, 5.0, allow_nan=False).filter(lambda w: w != int(w)),
+)
+
+
+@st.composite
+def fractional_then_integral(draw):
+    """A weighted history whose fractional edges all leave before integral
+    changes follow: strengths are running sums, so they can keep the
+    rounding residue of weights no edge holds any more."""
+    n = draw(st.integers(3, 10))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+
+    def edges(weights, min_size=0):
+        drawn = draw(st.lists(st.tuples(pair, weights), min_size=min_size, max_size=6))
+        return [Edge(u, v, w) for (u, v), w in drawn]
+
+    g = Graph(edges(INTEGRAL))
+    sim = g.copy()
+    deltas = []
+
+    def step(delta):
+        apply_delta(sim, delta)
+        deltas.append(delta)
+
+    for _ in range(draw(st.integers(1, 3))):
+        step(EdgeDelta(adds=edges(FRACTIONAL, min_size=1)))
+    # every fractional edge leaves: removed, or re-weighted to an integer
+    fractional = sorted(e.canonical() for e in sim.edges() if e.weight != int(e.weight))
+    reweighted = draw(st.lists(st.sampled_from(fractional), unique=True))
+    removes = [p for p in fractional if p not in reweighted]
+    step(EdgeDelta(adds=[Edge(u, v, draw(INTEGRAL)) for u, v in reweighted], removes=removes))
+    assert all(e.weight == int(e.weight) for e in sim.edges())
+    for _ in range(draw(st.integers(1, 4))):
+        present = sorted(e.canonical() for e in sim.edges())
+        removes = []
+        if present:
+            removes = draw(st.lists(st.sampled_from(present), unique=True, max_size=3))
+        step(EdgeDelta(adds=edges(INTEGRAL), removes=removes))
+    return g, deltas
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@hypothesis.settings(SETTINGS, max_examples=150)
+@hypothesis.given(run=fractional_then_integral())
+def test_weighted_history_with_fractional_residue(run):
+    g, deltas = run
+    dynamic = run_evolving(g.copy(), deltas, "dynamic", "weighted")
+    batch = run_evolving(g.copy(), deltas, "batch", "weighted")
+    for dyn, full in zip(dynamic, batch):
+        assert _bits(dyn.values) == _bits(full.values)

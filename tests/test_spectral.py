@@ -3,7 +3,8 @@ sum(lambda^2) over the Laplacian's eigenvalues when the node is isolated.
 
 Unlike ``delta_energy_oracle``, which evaluates the energy by the same
 closed forms it checks, this computes the eigenvalues of the dense
-Laplacian.
+Laplacian. networkx's ``laplacian_centrality``, an implementation of Qi et
+al. that shares no code with lapstream, is a third check.
 """
 
 import random
@@ -44,3 +45,17 @@ def test_closed_forms_equal_spectral_drop(seed, variant):
     for v in g.nodes():
         drop = energy - spectral_energy(g, variant, isolated=v)
         assert values[v] == pytest.approx(drop, rel=1e-9, abs=1e-9 * energy)
+
+
+@pytest.mark.parametrize("variant, weight", [("unweighted", None), ("weighted", "weight")])
+@pytest.mark.parametrize("seed", range(20))
+def test_networkx_laplacian_centrality(seed, variant, weight):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    g = random_graph(rng, 25, 50, integer_weights=True)
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes())
+    G.add_weighted_edges_from(g.edges())
+    expected = nx.laplacian_centrality(G, normalized=False, weight=weight)
+    # weights 1-5: every value is an integer well below 2**53, so exact in any order
+    assert lap_cent(g, variant).values == expected
