@@ -31,9 +31,8 @@ class CentralityMap:
     ``computed_count`` is the number of values the producing call brought
     up to date: the full node count for batch calls, and for incremental
     ones the touched nodes plus their neighbours. It counts updated values,
-    not kernel evaluations: the unweighted incremental step evaluates the
-    kernel on the touched nodes only and updates their neighbours by a
-    closed-form difference.
+    not kernel evaluations: the unweighted incremental step evaluates no
+    kernel and updates every one of them by an exact closed-form difference.
     """
 
     values: dict[int, float]

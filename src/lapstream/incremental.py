@@ -10,22 +10,30 @@ gathered on the post-delta graph.
 A delta is validated as a whole before anything is mutated, so a rejected
 delta leaves the graph and the map as they were.
 
-Unweighted step: with C(x) = d^2 + d + 2 * sum(d_j for j in N(x)), an
-untouched neighbor x of a touched node u keeps its own degree and changes
-by exactly 2 * delta_d(u) for each touched neighbor u. So the kernel runs
-on the touched nodes only, and the neighbors get that difference added
-along the touched nodes' adjacency rows. Values are integers, so the
-result equals a full recomputation exactly.
+Unweighted step: with C(x) = d^2 + d + 2 * sum(d_j for j in N(x)), every
+value can be brought up to date by an exact difference, so the step
+evaluates no kernel. For a node x,
 
-Weighted step: the analogue, 2 * w * delta_s(u), would add floating-point
-terms in another order than a recomputation does, so the weighted step
-keeps evaluating the kernel on every touched node and neighbor, and stays
-bitwise equal to a full recomputation.
+    C_new(x) - C_old(x) = (d1^2 + d1) - (d0^2 + d0)
+                          + 2 * sum(delta_d(j) for j in N_new(x))
+                          + 2 * sum(d0(j) for each net-added edge (x, j))
+                          - 2 * sum(d0(j) for each net-removed edge (x, j))
+
+where d0 and d1 are degrees before and after the delta. The first and the
+last two terms are nonzero only for touched nodes; the second is added
+along the post-delta row of every node whose degree changed. Values are
+integers, so the result equals a full recomputation exactly.
+
+Weighted step: the analogous difference, 2 * w * delta_s(u), would add
+floating-point terms in another order than a recomputation does, so the
+weighted step evaluates the kernel on every touched node and neighbor,
+and stays bitwise equal to a full recomputation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -73,6 +81,19 @@ class AffectedSets:
     recompute: set[int]
 
 
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by this function's caller
+    names the first frame outside this module, so a warning reached through
+    :func:`lap_cent_add_remove` or :func:`run_evolving` names their caller."""
+    frame = sys._getframe(1)
+    here = frame.f_code.co_filename
+    level = 1
+    while frame is not None and frame.f_code.co_filename == here:
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
     """Validate the whole of ``delta`` against ``g`` without mutating it.
 
@@ -90,7 +111,9 @@ def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
             raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
         if w < 0:
             warnings.warn(
-                f"negative weight {w} on edge ({u}, {v})", NegativeWeightWarning, stacklevel=3
+                f"negative weight {w} on edge ({u}, {v})",
+                NegativeWeightWarning,
+                stacklevel=_outside_stacklevel(),
             )
         touched.add(u)
         touched.add(v)
@@ -116,13 +139,6 @@ def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
         touched.add(u)
         touched.add(v)
     return touched
-
-
-def _degrees_before(g: Graph, delta: EdgeDelta) -> dict[int, int]:
-    """Degree of every node ``delta`` names, read before it is applied."""
-    adj = g.adjacency()
-    ends = [(e.u, e.v) for e in delta.adds] + list(delta.removes)
-    return {x: len(adj.get(x, ())) for pair in ends for x in pair}
 
 
 def _mutate(g: Graph, delta: EdgeDelta) -> None:
@@ -167,33 +183,54 @@ def lap_cent_add_remove(
     ``cmap`` must be the batch-equivalent map of ``g`` before the delta. On
     return it equals, node for node, a full recomputation of the post-delta
     graph, and its ``computed_count`` is the number of centralities brought
-    up to date (touched nodes plus their neighbors). Copy ``cmap`` first to
-    keep the previous step's values. A rejected delta or an unknown variant
-    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
+    up to date (touched nodes plus their neighbors). The unweighted step
+    adds the exact closed-form difference of the module docstring to each
+    of them and evaluates no kernel; the weighted step re-evaluates the
+    kernel on all of them. Copy ``cmap`` first to keep the previous step's
+    values. A rejected delta or an unknown variant raises before ``g`` or
+    ``cmap`` changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "unweighted":
-        # read here rather than in the validation both variants share: the
-        # weighted step has no use for degrees, and reading them costs it
-        degree_before = _degrees_before(g, delta)
+    if variant == "weighted":
+        sets = affected_nodes(g, delta)
+        if sets.recompute:
+            cmap.values.update(evaluate_nodes(g, sets.recompute, variant))
+        cmap.computed_count = len(sets.recompute)
+        return cmap
+    # the old degree of every endpoint and which of the delta's pairs are
+    # edges, read before the delta is applied
+    adj = g.adjacency()
+    degree: dict[int, int] = {}
+    present: dict[tuple[int, int], bool] = {}
+    for pairs in (delta.adds, delta.removes):
+        for e in pairs:
+            u = e[0]
+            v = e[1]
+            row = adj.get(u, ())
+            degree[u] = len(row)
+            degree[v] = len(adj.get(v, ()))
+            present[(u, v) if u <= v else (v, u)] = v in row
     sets = affected_nodes(g, delta)
     values = cmap.values
-    if variant == "unweighted":
-        # an untouched neighbor x of u changes by exactly 2 * delta_d(u)
-        adj = g.adjacency()
-        touched = sets.touched
-        for u, d in degree_before.items():
-            row = adj[u]
-            if len(row) != d:
-                diff = 2 * (len(row) - d)
-                for x in row:
-                    if x not in touched:
-                        values[x] += diff
-        if touched:
-            values.update(evaluate_nodes(g, touched, variant))
-    elif sets.recompute:
-        values.update(evaluate_nodes(g, sets.recompute, variant))
+    # own-degree term; a new node starts from 0
+    for x in sets.touched:
+        d0 = degree[x]
+        d1 = len(adj[x])
+        values[x] = values.get(x, 0) + (d1 * d1 + d1 - d0 * d0 - d0)
+    # a net-added neighbor adds its old degree twice, a net-removed one subtracts it
+    for (u, v), was in present.items():
+        if (v in adj[u]) != was:
+            sign = -2 if was else 2
+            values[u] += sign * degree[v]
+            values[v] += sign * degree[u]
+    # every post-delta neighbor x of u gains 2 * delta_d(u)
+    for u, d0 in degree.items():
+        row = adj[u]
+        if len(row) != d0:
+            diff = 2 * (len(row) - d0)
+            for x in row:
+                values[x] += diff
     cmap.computed_count = len(sets.recompute)
     return cmap
 

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -11,6 +12,7 @@ from lapstream.errors import (
     DeltaError,
     DuplicateEdgeError,
     MissingEdgeError,
+    NegativeWeightWarning,
     NonFiniteWeightError,
     SelfLoopError,
 )
@@ -131,6 +133,24 @@ class TestRejectedDelta:
             assert toy_graph == before
 
 
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+def test_negative_weight_warning_names_caller(variant):
+    delta = EdgeDelta(adds=[Edge(1, 3, -1.0)])
+    calls = [
+        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
+        lambda g: run_evolving(g, [delta], "dynamic", variant),
+        lambda g: run_evolving(g, [delta], "batch", variant),
+        lambda g: apply_delta(g, delta),
+        lambda g: affected_nodes(g, delta),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(Graph([(1, 2)]))
+        assert [w.category for w in caught] == [NegativeWeightWarning]
+        assert caught[0].filename == __file__
+
+
 class TestAddRemove:
     def test_toy_step(self, toy_graph):
         cmap = lap_cent(toy_graph, "unweighted")
@@ -178,27 +198,63 @@ class TestAddRemove:
         assert cmap.values == {1: 0, 2: 0, 3: 0}
 
 
+# hub 0 joined to 1..6, a path 6-7-8 and a pendant 8-9
+HUB_EDGES = [(0, j) for j in range(1, 7)] + [(6, 7), (7, 8), (8, 9)]
+
+# each case is a sequence of deltas walked over a fresh hub graph
+PAIR_TERM_CASES = {
+    "upsert of an existing edge": [EdgeDelta(adds=[Edge(0, 1, 4.0)]), EdgeDelta(adds=[Edge(1, 0)])],
+    "same new pair added and removed": [EdgeDelta(adds=[Edge(1, 2)], removes=[(2, 1)])],
+    "existing pair in both lists": [EdgeDelta(adds=[Edge(7, 6)], removes=[(6, 7)])],
+    "new node added and removed": [
+        EdgeDelta(adds=[Edge(0, 50)], removes=[(50, 0)]),
+        EdgeDelta(adds=[Edge(50, 51)]),
+    ],
+    "hub loses one edge and gains another": [
+        EdgeDelta(adds=[Edge(0, 8)], removes=[(0, 3)]),
+        EdgeDelta(adds=[Edge(9, 0)], removes=[(0, 8)]),
+    ],
+    "duplicate adds in both orders": [
+        EdgeDelta(adds=[Edge(2, 9), Edge(9, 2)]),
+        EdgeDelta(adds=[Edge(3, 40), Edge(40, 3), Edge(3, 40)]),
+    ],
+}
+
+
 class TestUnweightedPropagation:
-    def test_kernel_sees_only_touched(self, monkeypatch):
-        """Untouched neighbors are updated by difference, not re-evaluated."""
+    def test_no_kernel_call(self, monkeypatch):
+        """The step brings every value up to date by difference, no kernel run."""
         rng = random.Random(5)
         g = random_graph(rng, 60, 150)
         cmap = lap_cent(g, "unweighted")
         delta = random_delta(rng, g, isolate_prob=1.0)
         sets = affected_nodes(g.copy(), delta)
         assert sets.touched != sets.recompute
-        seen = []
-        kernel = kernels.unweighted_values
+        calls = []
 
         def recording(adj, nodes):
-            seen.append(set(nodes))
-            return kernel(adj, nodes)
+            calls.append(set(nodes))
+            return {}
 
         monkeypatch.setattr(kernels, "unweighted_values", recording)
         lap_cent_add_remove(g, delta, cmap, "unweighted")
-        assert seen == [sets.touched]
+        monkeypatch.undo()
+        assert calls == []
         assert cmap.computed_count == len(sets.recompute)
         assert cmap.values == lap_cent(g, "unweighted").values
+
+    @pytest.mark.parametrize("deltas", PAIR_TERM_CASES.values(), ids=PAIR_TERM_CASES.keys())
+    def test_pair_terms_equal_batch(self, deltas):
+        g = Graph(HUB_EDGES)
+        cmap = lap_cent(g, "unweighted")
+        for delta in deltas:
+            sets = affected_nodes(g.copy(), delta)
+            lap_cent_add_remove(g, delta, cmap, "unweighted")
+            full = lap_cent(g, "unweighted").values
+            assert cmap.values.keys() == full.keys()
+            assert cmap.values == full
+            assert all(type(v) is int for v in cmap.values.values())
+            assert cmap.computed_count == len(sets.recompute)
 
 
 class TestWeightedAddRemove:

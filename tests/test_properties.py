@@ -52,7 +52,8 @@ def evolving_runs(draw):
 
 
 def _bits(values):
-    return {v: x.hex() if isinstance(x, float) else x for v, x in values.items()}
+    """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
+    return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}
 
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
