@@ -31,8 +31,11 @@ class CentralityMap:
     ``computed_count`` is the number of values the producing call brought
     up to date: the full node count for batch calls, and for incremental
     ones the touched nodes plus their neighbours. It counts updated values,
-    not kernel evaluations: the unweighted incremental step evaluates no
-    kernel and updates every one of them by an exact closed-form difference.
+    not kernel evaluations, and has the same meaning on every path: an
+    incremental step updates each of them by an exact closed-form
+    difference and evaluates no kernel, unless it is weighted and the
+    graph's exactness flag is set, when it re-evaluates the kernel on all
+    of them.
     """
 
     values: dict[int, float]

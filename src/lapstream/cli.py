@@ -78,13 +78,17 @@ def _add_common(p):
 
 
 def _add_bench(p):
-    p.add_argument("--normalized", action="store_true", help="normalize dumped centralities")
+    p.add_argument(
+        "--normalized",
+        action="store_true",
+        help="normalize dumped centralities (needs --dump-centralities)",
+    )
     p.add_argument("--out", metavar="DIR", default=None, help="write CSV/dumps here")
     p.add_argument("--repeat", type=_positive_int, default=1, metavar="K", help="timing repeats")
     p.add_argument(
         "--dump-centralities",
         action="store_true",
-        help="write per-step node,centrality files under DIR",
+        help="write per-step node,centrality files under DIR (needs --out)",
     )
 
 
@@ -152,6 +156,10 @@ def _report(result, out_dir) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.dump_centralities and args.out is None:
+        raise _UsageError("--dump-centralities needs --out DIR")
+    if args.normalized and not args.dump_centralities:
+        raise _UsageError("--normalized needs --dump-centralities")
     cfg = _config(args, args.mode)
     result = run_benchmark(cfg)
     _report(result, cfg.out_dir)
@@ -193,11 +201,10 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except LapstreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ constructor ``Graph(edges)``, :meth:`Graph.add_edge`, :meth:`Graph.remove_edge`
 and the incremental step's delta apply. The loop validates each edge as it
 goes unless its caller has already validated the whole batch, so a delta
 (checked whole by ``incremental._check_delta``) is validated once, not once
-more per edge.
+more per edge. The same loop keeps the two running figures that tell the
+weighted incremental step whether its float arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from lapstream.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
+
+
+# T, the sum of |w| over the edges, up to which integral weights keep the
+# weighted incremental step exact; see the proof in ``incremental``.
+_EXACT_BOUND = 2.0**24
 
 
 class Edge(NamedTuple):
@@ -61,16 +67,30 @@ class Graph:
     :class:`DuplicateEdgeError`; strict mode exists for auditing delta
     streams that should never re-present an edge.
 
+    Two running figures are kept for the weighted incremental step:
+    T, the sum of ``|w|`` over the edges, held as ``num_edges`` plus the
+    excess ``_excess`` = sum(``|w|`` - 1), which unit-weight edges leave
+    alone; and the sticky flag ``_inexact``. The flag is set the first time
+    an edge with a non-integral weight is written, or T exceeds
+    ``_EXACT_BOUND`` at any point, even partway through one call, and is
+    never cleared: strengths are running sums, so a weight that has left
+    can still leave its rounding in them. While the flag is clear every
+    weight and strength is an integer of magnitude at most T, and T is
+    exact. Both are updated only for an edge that passed validation, and
+    :meth:`copy` carries them.
+
     A Graph is single-writer: no internal locking, safe to hand between
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_adj", "_strength", "_num_edges", "strict")
+    __slots__ = ("_adj", "_strength", "_num_edges", "_excess", "_inexact", "strict")
 
     def __init__(self, edges: Iterable[tuple] | None = None, strict: bool = False):
         self._adj: dict[int, dict[int, float]] = {}
         self._strength: dict[int, float] = {}
         self._num_edges = 0
+        self._excess = 0.0
+        self._inexact = False
         self.strict = strict
         if edges is not None:
             self._apply(edges, (), True)
@@ -105,32 +125,45 @@ class Graph:
         With ``check`` each edge is validated before it is written, as
         :meth:`add_edge` and :meth:`remove_edge` document, and a bad edge
         raises with the edges before it applied. Without it the caller has
-        validated the whole batch against this graph. The edge count is
-        kept in a local and stored however the loop ends.
+        validated the whole batch against this graph. The edge count, the
+        excess and the flag are kept in locals and stored however the loop
+        ends.
+
+        A new edge never lowers T; only an upsert or a remove can. So T is
+        compared with the bound before every upsert, after the adds and
+        when the loop ends, which sees every peak, and a new edge pays for
+        the running figures only when its weight is not 1.0.
         """
         adj = self._adj
         strength = self._strength
         strict = self.strict
         isfinite = math.isfinite
+        bound = _EXACT_BOUND
         n = self._num_edges
+        excess = self._excess
+        inexact = self._inexact
         try:
             for e in adds:
                 if len(e) == 2:
                     u, v = e
                     w = 1.0
+                    if check and u == v:
+                        raise SelfLoopError(f"self-loop on node {u}")
                 else:
                     u, v, w = e
-                if check:
-                    if u == v:
-                        raise SelfLoopError(f"self-loop on node {u}")
-                    if not isfinite(w):
-                        raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
-                    if w < 0:
-                        warnings.warn(
-                            f"negative weight {w} on edge ({u}, {v})",
-                            NegativeWeightWarning,
-                            stacklevel=3,
-                        )
+                    if check:
+                        if u == v:
+                            raise SelfLoopError(f"self-loop on node {u}")
+                        if not isfinite(w):
+                            raise NonFiniteWeightError(
+                                f"weight {w} on edge ({u}, {v}) is not finite"
+                            )
+                        if w < 0:
+                            warnings.warn(
+                                f"negative weight {w} on edge ({u}, {v})",
+                                NegativeWeightWarning,
+                                stacklevel=3,
+                            )
                 row_u = adj.get(u)
                 if row_u is None:
                     row_u = adj[u] = {}
@@ -146,6 +179,10 @@ class Graph:
                     n += 1
                     strength[u] += w
                     strength[v] += w
+                    if w != 1.0:
+                        excess += abs(w) - 1.0
+                        if w % 1.0:
+                            inexact = True
                 else:
                     if check and strict:
                         raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
@@ -154,6 +191,11 @@ class Graph:
                     d = w - old
                     strength[u] += d
                     strength[v] += d
+                    if w % 1.0 or n + excess > bound:
+                        inexact = True
+                    excess += abs(w) - abs(old)
+            if n + excess > bound:
+                inexact = True
             for u, v in removes:
                 row_u = adj.get(u)
                 if check and (row_u is None or v not in row_u):
@@ -163,8 +205,12 @@ class Graph:
                 n -= 1
                 strength[u] -= w
                 strength[v] -= w
+                if w != 1.0:
+                    excess -= abs(w) - 1.0
         finally:
             self._num_edges = n
+            self._excess = excess
+            self._inexact = inexact or n + excess > bound
 
     # -- queries ----------------------------------------------------------
 
@@ -241,6 +287,8 @@ class Graph:
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         g._strength = dict(self._strength)
         g._num_edges = self._num_edges
+        g._excess = self._excess
+        g._inexact = self._inexact
         return g
 
     def __eq__(self, other) -> bool:

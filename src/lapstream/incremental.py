@@ -10,24 +10,64 @@ gathered on the post-delta graph.
 A delta is validated as a whole before anything is mutated, so a rejected
 delta leaves the graph and the map as they were.
 
-Unweighted step: with C(x) = d^2 + d + 2 * sum(d_j for j in N(x)), every
-value can be brought up to date by an exact difference, so the step
-evaluates no kernel. For a node x,
+The step: with the closed form of Qi et al.,
 
-    C_new(x) - C_old(x) = (d1^2 + d1) - (d0^2 + d0)
-                          + 2 * sum(delta_d(j) for j in N_new(x))
-                          + 2 * sum(d0(j) for each net-added edge (x, j))
-                          - 2 * sum(d0(j) for each net-removed edge (x, j))
+    C(x) = s_x^2 + sum(w_xj^2) + 2 * sum(w_xj * s_j)    (j in N(x))
 
-where d0 and d1 are degrees before and after the delta. The first and the
-last two terms are nonzero only for touched nodes; the second is added
-along the post-delta row of every node whose degree changed. Values are
-integers, so the result equals a full recomputation exactly.
+every value can be brought up to date by an exact difference, so the step
+need evaluate no kernel. For a node x,
 
-Weighted step: the analogous difference, 2 * w * delta_s(u), would add
-floating-point terms in another order than a recomputation does, so the
-weighted step evaluates the kernel on every touched node and neighbor,
-and stays bitwise equal to a full recomputation.
+    C1(x) - C0(x) = (s1^2 - s0^2)_x
+                    + sum((w1^2 - w0^2) + 2 * (w1 - w0) * s0(j))
+                          over the pairs (x, j) whose weight changed
+                    + 2 * sum(w1(x, j) * delta_s(j) for j in N1(x))
+
+where 0 and 1 mark the graph before and after the delta, an absent edge
+has w = 0 and a node new to the map starts from 0. The identity holds for
+any strength table, not only for exact sums of the weights. Both variants
+run it, in four stages: read s0 of every endpoint and w0 of every distinct
+canonical pair before the delta; apply the delta with
+:func:`affected_nodes`; add the own term and the pair terms to the touched
+nodes; and for each node whose s changed, add ``w * 2 * delta_s`` to every
+member of its post-delta row. The unweighted variant reads w as presence,
+a bool that adds as 0 or 1, and s as the degree, so that
+``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
+difference keeps exact.
+
+Exactness of the weighted step. A weighted value is a float, so the
+difference equals a full recomputation bitwise only if no float operation
+rounds on either side. The graph keeps T, the sum of |w| over the edges,
+and a sticky flag (see :class:`Graph`); while the flag is clear every
+weight written has been integral and T has never exceeded B = 2**24.
+Every strength is then an exact integer with |s| <= T, because each
+running update of it lands on the current incident sum. For a node x let
+a = sum(|w_xj|) <= T. Every intermediate result below is an integer, and
+an integer float operation is exact while its result stays below 2**53:
+
+- kernel (s^2 - sub + 2 * cw, see :mod:`lapstream.centrality`): s^2 and
+  a partial sum of cw are at most T^2. rem = s_j - w_xj is the sum of the
+  other weights at j, so rem^2 and s_j^2 are at most T^2, and each term
+  rem^2 - s_j^2 = w_xj^2 - 2 * w_xj * s_j is within 3 * |w_xj| * T; a
+  partial sum of sub is within 3*a*T <= 3*T^2, and every partial sum of
+  the kernel within 6*T^2.
+- difference: let M = max(T0, T1). |C0(x)| <= 4*M^2; the own term is
+  within M^2; inside a pair term 2 * (w1 - w0) is within 4*M and its
+  product with s0(j) within 4*M^2, and the pair terms of x sum to at most
+  (a0^2 + a1^2) + 2 * (a0 + a1) * M <= 6*M^2; 2 * delta_s is within 4*M,
+  and the propagation adds at most 2 * a1 * 2*M = 4*M^2. A value plus any
+  part of its pending difference stays within 15*M^2 <= 15 * 2**48 < 2**53.
+
+B = 2**25 would allow 15 * 2**50 > 2**53, hence 2**24. So both sides
+compute the exact integer C(x), whatever the order of their sums. No sign
+of zero differs either: a sum is -0.0 only when both addends are, the
+kernel's last addend 2 * cw never is, and so no stored value ever is.
+
+The flag must be sticky: a fractional weight, or one above the bound, can
+leave rounding in a strength after its edge has gone, and a gate on the
+weights present alone lets such a step drift from batch. When the flag is
+set before or after the delta, the weighted step falls back to the kernel
+on every touched node and neighbor, which is bitwise equal to a full
+recomputation by construction.
 """
 
 from __future__ import annotations
@@ -37,6 +77,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
@@ -50,6 +91,9 @@ from lapstream.errors import (
     SelfLoopError,
 )
 from lapstream.graph import Edge, Graph
+
+# the row read for a node not yet in the graph
+_NO_ROW = MappingProxyType({})
 
 
 @dataclass
@@ -181,57 +225,80 @@ def lap_cent_add_remove(
     """One incremental step: apply ``delta`` to ``g`` and update ``cmap`` in place.
 
     ``cmap`` must be the batch-equivalent map of ``g`` before the delta. On
-    return it equals, node for node, a full recomputation of the post-delta
-    graph, and its ``computed_count`` is the number of centralities brought
-    up to date (touched nodes plus their neighbors). The unweighted step
-    adds the exact closed-form difference of the module docstring to each
-    of them and evaluates no kernel; the weighted step re-evaluates the
-    kernel on all of them. Copy ``cmap`` first to keep the previous step's
-    values. A rejected delta or an unknown variant raises before ``g`` or
-    ``cmap`` changes. Returns ``cmap``.
+    return it equals, node for node and bit for bit, a full recomputation
+    of the post-delta graph, and its ``computed_count`` is the number of
+    centralities brought up to date (touched nodes plus their neighbors).
+    Both variants add the exact closed-form difference of the module
+    docstring to each of them and evaluate no kernel; a weighted step on a
+    graph whose exactness flag is set before or after the delta
+    re-evaluates the kernel on all of them instead. Copy ``cmap`` first to
+    keep the previous step's values. A rejected delta or an unknown variant
+    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "weighted":
-        sets = affected_nodes(g, delta)
-        if sets.recompute:
-            cmap.values.update(evaluate_nodes(g, sets.recompute, variant))
-        cmap.computed_count = len(sets.recompute)
-        return cmap
-    # the old degree of every endpoint and which of the delta's pairs are
-    # edges, read before the delta is applied
+    weighted = variant == "weighted"
     adj = g.adjacency()
-    degree: dict[int, int] = {}
-    present: dict[tuple[int, int], bool] = {}
-    for pairs in (delta.adds, delta.removes):
-        for e in pairs:
-            u = e[0]
-            v = e[1]
-            row = adj.get(u, ())
-            degree[u] = len(row)
-            degree[v] = len(adj.get(v, ()))
-            present[(u, v) if u <= v else (v, u)] = v in row
+    strength = g.strengths()
+    # the old strength of every endpoint and the old weight of every distinct
+    # canonical pair, read before the delta is applied; absent counts as 0.
+    # Unweighted, s is the degree and w is presence, a bool, so that values
+    # stay ints.
+    s0: dict[int, float] = {}
+    w0: dict[tuple[int, int], float] = {}
+    if not weighted:
+        for pairs in (delta.adds, delta.removes):
+            for e in pairs:
+                u = e[0]
+                v = e[1]
+                row = adj.get(u, ())
+                s0[u] = len(row)
+                s0[v] = len(adj.get(v, ()))
+                w0[(u, v) if u <= v else (v, u)] = v in row
+    elif not g._inexact:
+        for pairs in (delta.adds, delta.removes):
+            for e in pairs:
+                u = e[0]
+                v = e[1]
+                s0[u] = strength.get(u, 0.0)
+                s0[v] = strength.get(v, 0.0)
+                w0[(u, v) if u <= v else (v, u)] = adj.get(u, _NO_ROW).get(v, 0.0)
     sets = affected_nodes(g, delta)
     values = cmap.values
-    # own-degree term; a new node starts from 0
-    for x in sets.touched:
-        d0 = degree[x]
-        d1 = len(adj[x])
-        values[x] = values.get(x, 0) + (d1 * d1 + d1 - d0 * d0 - d0)
-    # a net-added neighbor adds its old degree twice, a net-removed one subtracts it
-    for (u, v), was in present.items():
-        if (v in adj[u]) != was:
-            sign = -2 if was else 2
-            values[u] += sign * degree[v]
-            values[v] += sign * degree[u]
-    # every post-delta neighbor x of u gains 2 * delta_d(u)
-    for u, d0 in degree.items():
-        row = adj[u]
-        if len(row) != d0:
-            diff = 2 * (len(row) - d0)
-            for x in row:
-                values[x] += diff
     cmap.computed_count = len(sets.recompute)
+    if weighted and g._inexact:
+        if sets.recompute:
+            values.update(evaluate_nodes(g, sets.recompute, variant))
+        return cmap
+    # own term on the touched nodes, the keys of s0; a new node starts from 0
+    for x, a in s0.items():
+        b = strength[x] if weighted else len(adj[x])
+        values[x] = values.get(x, 0) + (b * b - a * a)
+    # pair terms, on both ends of every pair whose weight changed
+    for (u, v), a in w0.items():
+        row = adj[u]
+        b = row.get(v, 0.0) if weighted else v in row
+        if b != a:
+            dw = b - a
+            sq = b * b - a * a
+            values[u] += sq + 2 * dw * s0[v]
+            values[v] += sq + 2 * dw * s0[u]
+    # every post-delta neighbor x of u gains w(x, u) * 2 * delta_s(u)
+    if weighted:
+        for u, a in s0.items():
+            b = strength[u]
+            if b != a:
+                diff = 2 * (b - a)
+                for x, w in adj[u].items():
+                    values[x] += w * diff
+    else:
+        for u, a in s0.items():
+            row = adj[u]
+            b = len(row)
+            if b != a:
+                diff = 2 * (b - a)
+                for x in row:
+                    values[x] += diff
     return cmap
 
 

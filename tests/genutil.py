@@ -86,3 +86,8 @@ def random_delta(
             removes.append(pair)
 
     return EdgeDelta(adds=adds, removes=removes)
+
+
+def bits(values):
+    """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
+    return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}

@@ -150,6 +150,25 @@ class TestUsageErrors:
         assert cli_main(["run", "--input", "x.txt", *flags]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [
+            (["--dump-centralities"], "--out"),
+            (["--normalized"], "--dump-centralities"),
+            (["--normalized", "--out", "OUT"], "--dump-centralities"),
+        ],
+    )
+    def test_flag_that_would_do_nothing(self, data_dir, tmp_path, capsys, command, flags, missing):
+        flags = [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+        stream = str(data_dir / "toy_stream.txt")
+        code = cli_main([command, "--input", stream, "--snapshot", "count:7", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert f"needs {missing}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidateCommand:
     def test_consistent_stream(self, data_dir, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -16,6 +17,7 @@ from lapstream.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
+from lapstream import graph as graph_module
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, _mutate, apply_delta
 
@@ -354,3 +356,114 @@ class TestBulkPath:
         _, unchecked_warnings = _recorded(lambda: _mutate(unchecked, delta))
         assert _state(unchecked) == _state(seq)
         assert unchecked_warnings == []
+
+
+# -- the running figures: T and the sticky exactness flag ----------------------
+
+
+def _recount(g):
+    """T recounted over the edges, and whether an edge is non-integral now."""
+    weights = [e.weight for e in g.edges()]
+    return math.fsum(abs(w) for w in weights), any(w % 1.0 for w in weights)
+
+
+def _written(edges):
+    """Whether any of ``edges`` carries a non-integral weight."""
+    return any(len(e) == 3 and e[2] % 1.0 for e in edges)
+
+
+def _check_figures(g, ever_fractional):
+    total, fractional_now = _recount(g)
+    running = g.num_edges + g._excess
+    assert g._inexact == (ever_fractional or total > graph_module._EXACT_BOUND)
+    assert g._inexact or not fractional_now
+    if g._inexact:
+        assert math.isclose(running, total, rel_tol=1e-12, abs_tol=1e-9)
+    else:
+        assert running == total  # exact while the flag is clear
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+class TestRunningFigures:
+    @SETTINGS
+    @given(edges=edge_lists())
+    def test_constructor(self, edges):
+        _check_figures(Graph(edges), _written(edges))
+
+    @SETTINGS
+    @given(initial=edge_lists(), adds=edge_lists(nodes=10), data=st.data())
+    def test_every_writer(self, initial, adds, data):
+        g = Graph(initial)
+        ever = _written(initial)
+        for e in adds:  # add_edge, upserts included
+            g.add_edge(*e)
+            ever = ever or _written([e])
+            _check_figures(g, ever)
+        copied = g.copy()
+        assert (copied._inexact, copied._excess) == (g._inexact, g._excess)
+        _check_figures(copied, ever)
+        present = sorted(e.canonical() for e in g.edges())
+        for u, v in data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []:
+            g.remove_edge(u, v)
+            _check_figures(g, ever)
+        delta_adds = [Edge(*e) for e in data.draw(edge_lists(nodes=12))]
+        removable = sorted({e.canonical() for e in g.edges()} | {e.canonical() for e in delta_adds})
+        removes = data.draw(st.lists(st.sampled_from(removable), unique=True)) if removable else []
+        apply_delta(g, EdgeDelta(adds=delta_adds, removes=removes))
+        _check_figures(g, ever or _written(delta_adds))
+        _check_figures(copied, ever)  # the copy is independent
+
+    def test_flag_stays_set_after_fractional_edges_leave(self):
+        g = Graph([(0, 1, 0.5), (1, 2, 2.0), (2, 3, 0.25)])
+        assert g._inexact
+        g.remove_edge(0, 1)
+        g.add_edge(2, 3, 3.0)  # the last fractional edge turns integral
+        assert not _recount(g)[1]
+        assert g._inexact
+        assert g.num_edges + g._excess == 5.0
+        assert g.copy()._inexact
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3)]
+    )
+    def test_rejected_edge_leaves_figures(self, bad):
+        g = Graph([(0, 1, 2.0), (1, 2, -3.0)])
+        with pytest.raises(LapstreamError):
+            g.add_edge(*bad)
+        with pytest.raises(LapstreamError):
+            apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 0.5), Edge(*bad)]))
+        with pytest.raises(LapstreamError):
+            g._apply([(4, 5, 7.0), bad], (), True)  # the edge before it is written
+        assert not g._inexact
+        assert g.num_edges + g._excess == 12.0
+
+    def test_rejected_strict_duplicate_leaves_figures(self):
+        g = Graph([(0, 1, 2.0)], strict=True)
+        with pytest.raises(DuplicateEdgeError):
+            g.add_edge(1, 0, 0.5)
+        assert not g._inexact
+        assert g.num_edges + g._excess == 2.0
+
+    @pytest.mark.parametrize(
+        "adds, removes, end",
+        [
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [], 5.0),  # unit edges alone
+            ([(0, 1, 3.0), (1, 2), (2, 3), (0, 1, 1.0)], [], 3.0),  # peak before an upsert
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 1), (1, 2)], 3.0),  # before removes
+            ([(0, 1, 9.0), (1, 2, 1.0)], [(1, 0)], 1.0),
+        ],
+    )
+    def test_bound_seen_at_every_peak(self, monkeypatch, adds, removes, end):
+        monkeypatch.setattr(graph_module, "_EXACT_BOUND", 4.0)
+        g = Graph()
+        g._apply(adds, removes, True)
+        assert g._inexact
+        assert g.num_edges + g._excess == _recount(g)[0] == end
+
+    def test_bound_seen_when_a_call_raises(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_EXACT_BOUND", 2.0)
+        g = Graph()
+        with pytest.raises(SelfLoopError):
+            g._apply([(0, 1), (1, 2), (2, 3), (4, 4)], (), True)
+        assert g.num_edges == 3
+        assert g._inexact

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import random_delta, random_graph
+from genutil import bits, random_delta, random_graph
 
 from lapstream import kernels
 from lapstream.centrality import CentralityMap, lap_cent
@@ -255,6 +255,89 @@ class TestUnweightedPropagation:
             assert cmap.values == full
             assert all(type(v) is int for v in cmap.values.values())
             assert cmap.computed_count == len(sets.recompute)
+
+
+WEIGHTED_HUB_EDGES = [(0, j, float(j)) for j in range(1, 7)] + [
+    (6, 7, -2.0),
+    (7, 8, 0.0),
+    (8, 9, 3.0),
+]
+
+# each case is a sequence of deltas walked over a fresh weighted hub graph
+WEIGHTED_PAIR_TERM_CASES = {
+    "upsert to the same weight": [
+        EdgeDelta(adds=[Edge(0, 2, 2.0)]),
+        EdgeDelta(adds=[Edge(9, 8, 3.0)]),
+    ],
+    "upsert to a new weight": [
+        EdgeDelta(adds=[Edge(0, 1, 4.0)]),
+        EdgeDelta(adds=[Edge(1, 0, -3.0), Edge(8, 7, 5.0)]),
+        EdgeDelta(adds=[Edge(6, 7, -0.0)]),
+    ],
+    "same new pair added and removed": [EdgeDelta(adds=[Edge(1, 2, 7.0)], removes=[(2, 1)])],
+    "existing pair in both lists": [
+        EdgeDelta(adds=[Edge(7, 6, 9.0)], removes=[(6, 7)]),
+        EdgeDelta(adds=[Edge(0, 3, 3.0)], removes=[(3, 0)]),
+    ],
+    "new node added and removed": [
+        EdgeDelta(adds=[Edge(0, 50, 6.0)], removes=[(50, 0)]),
+        EdgeDelta(adds=[Edge(50, 51, 2.0)]),
+    ],
+    "duplicate adds with different weights": [
+        EdgeDelta(adds=[Edge(2, 9, 1.0), Edge(9, 2, 4.0)]),
+        EdgeDelta(adds=[Edge(3, 40, 2.0), Edge(40, 3, 0.0), Edge(3, 40, -5.0)]),
+    ],
+}
+
+
+@pytest.fixture
+def weighted_kernel_calls(monkeypatch):
+    """The node sets the weighted kernel is called on, recorded in order."""
+    calls = []
+    real = kernels.weighted_values
+
+    def recording(adj, strength, nodes):
+        calls.append(set(nodes))
+        return real(adj, strength, nodes)
+
+    monkeypatch.setattr(kernels, "weighted_values", recording)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+class TestWeightedPropagation:
+    """Integral weights: the weighted step adds the closed-form difference
+    and runs no kernel, bitwise equal to batch."""
+
+    @pytest.mark.parametrize(
+        "deltas", WEIGHTED_PAIR_TERM_CASES.values(), ids=WEIGHTED_PAIR_TERM_CASES.keys()
+    )
+    def test_pair_terms_equal_batch(self, deltas, weighted_kernel_calls):
+        g = Graph(WEIGHTED_HUB_EDGES)
+        cmap = lap_cent(g, "weighted")
+        for delta in deltas:
+            sets = affected_nodes(g.copy(), delta)
+            weighted_kernel_calls.clear()
+            lap_cent_add_remove(g, delta, cmap, "weighted")
+            assert weighted_kernel_calls == []
+            assert not g._inexact
+            full = lap_cent(g, "weighted").values
+            assert cmap.values.keys() == full.keys()
+            assert bits(cmap.values) == bits(full)
+            assert all(type(v) is float for v in cmap.values.values())
+            assert cmap.computed_count == len(sets.recompute)
+
+    def test_fractional_weight_runs_kernel_on_recompute(self, weighted_kernel_calls):
+        g = Graph(WEIGHTED_HUB_EDGES)
+        cmap = lap_cent(g, "weighted")
+        delta = EdgeDelta(adds=[Edge(6, 9, 0.5)], removes=[(0, 1)])
+        sets = affected_nodes(g.copy(), delta)
+        weighted_kernel_calls.clear()
+        lap_cent_add_remove(g, delta, cmap, "weighted")
+        assert weighted_kernel_calls == [sets.recompute]
+        assert g._inexact
+        assert bits(cmap.values) == bits(lap_cent(g, "weighted").values)
+        assert cmap.computed_count == len(sets.recompute)
 
 
 class TestWeightedAddRemove:

@@ -1,9 +1,21 @@
 """Property tests over random delta sequences (Hypothesis)."""
 
+import contextlib
+
 import pytest
 
+from genutil import bits
+
+from lapstream import kernels
+from lapstream.centrality import lap_cent
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, apply_delta, run_evolving
+from lapstream.incremental import (
+    EdgeDelta,
+    affected_nodes,
+    apply_delta,
+    lap_cent_add_remove,
+    run_evolving,
+)
 from lapstream.ingest import delta_between
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,13 +24,13 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _edges(draw, n, integer, max_size):
+def _weights(integer):
+    return st.integers(1, 5).map(float) if integer else st.floats(0.01, 5.0)
+
+
+def _edges(draw, n, weights, max_size):
     node = st.integers(0, n - 1)
     pairs = st.tuples(node, node).filter(lambda p: p[0] != p[1])
-    if integer:
-        weights = st.integers(1, 5).map(float)
-    else:
-        weights = st.floats(0.01, 5.0)
     drawn = draw(st.lists(st.tuples(pairs, weights), max_size=max_size))
     return [Edge(u, v, w) for (u, v), w in drawn]
 
@@ -31,16 +43,18 @@ def _graph(edges):
 
 
 @st.composite
-def evolving_runs(draw):
+def evolving_runs(draw, weights=None):
     """An initial graph and deltas that apply to it in turn: upserts, nodes
-    new to the graph, removes of present edges and of the delta's own adds."""
+    new to the graph, removes of present edges and of the delta's own adds.
+    Weights come from ``weights``, or else all integral or all fractional."""
     n = draw(st.integers(2, 14))
-    integer = draw(st.booleans())
-    g = _graph(_edges(draw, n, integer, 25))
+    if weights is None:
+        weights = _weights(draw(st.booleans()))
+    g = _graph(_edges(draw, n, weights, 25))
     sim = g.copy()
     deltas = []
     for _ in range(draw(st.integers(1, 8))):
-        adds = _edges(draw, n + 3, integer, 5)
+        adds = _edges(draw, n + 3, weights, 5)
         removable = sorted({e.canonical() for e in sim.edges()} | {e.canonical() for e in adds})
         removes = []
         if removable:
@@ -49,11 +63,6 @@ def evolving_runs(draw):
         apply_delta(sim, delta)
         deltas.append(delta)
     return g, deltas
-
-
-def _bits(values):
-    """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
-    return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}
 
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -66,16 +75,16 @@ def test_dynamic_equals_batch_every_step(variant, run):
     assert len(dynamic) == len(batch) == len(deltas) + 1
     for dyn, full in zip(dynamic, batch):
         # exact for integer values, bitwise for floats
-        assert _bits(dyn.values) == _bits(full.values)
+        assert bits(dyn.values) == bits(full.values)
 
 
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_delta_between_turns_g_into_h(data):
     n = data.draw(st.integers(2, 14))
-    integer = data.draw(st.booleans())
-    g = _graph(_edges(data.draw, n, integer, 25))
-    h = _graph(_edges(data.draw, n, integer, 25))
+    weights = _weights(data.draw(st.booleans()))
+    g = _graph(_edges(data.draw, n, weights, 25))
+    h = _graph(_edges(data.draw, n, weights, 25))
     apply_delta(g, delta_between(g, h))
     assert {e.canonical(): e.weight for e in g.edges()} == {
         e.canonical(): e.weight for e in h.edges()
@@ -136,4 +145,116 @@ def test_weighted_history_with_fractional_residue(run):
     dynamic = run_evolving(g.copy(), deltas, "dynamic", "weighted")
     batch = run_evolving(g.copy(), deltas, "batch", "weighted")
     for dyn, full in zip(dynamic, batch):
-        assert _bits(dyn.values) == _bits(full.values)
+        assert bits(dyn.values) == bits(full.values)
+
+
+# -- which path the weighted step takes ----------------------------------------
+
+MIXED = st.one_of(INTEGRAL, FRACTIONAL)
+
+
+@contextlib.contextmanager
+def _kernel_calls():
+    """Record the node sets :func:`kernels.weighted_values` is called on."""
+    calls = []
+    real = kernels.weighted_values
+
+    def recording(adj, strength, nodes):
+        calls.append(set(nodes))
+        return real(adj, strength, nodes)
+
+    kernels.weighted_values = recording
+    try:
+        yield calls
+    finally:
+        kernels.weighted_values = real
+
+
+def _walk(g, deltas):
+    """Run the weighted dynamic step over ``deltas`` on a copy of ``g``;
+    check every step against batch bitwise and against the path the graph's
+    flag picks. Returns whether each step ran the kernel, and the graph."""
+    g = g.copy()
+    cmap = lap_cent(g, "weighted")
+    ran = []
+    for delta in deltas:
+        sets = affected_nodes(g.copy(), delta)
+        with _kernel_calls() as calls:
+            lap_cent_add_remove(g, delta, cmap, "weighted")
+        if g._inexact:
+            assert calls == ([sets.recompute] if sets.recompute else [])
+        else:
+            assert calls == []
+        ran.append(bool(calls))
+        assert cmap.computed_count == len(sets.recompute)
+        assert bits(cmap.values) == bits(lap_cent(g, "weighted").values)
+    return ran, g
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@SETTINGS
+@hypothesis.given(run=evolving_runs(INTEGRAL))
+def test_integral_history_runs_no_kernel(run):
+    """0.0, -0.0 and negative integral weights: no kernel call after step 0."""
+    g, deltas = run
+    ran, final = _walk(g, deltas)
+    assert not any(ran)
+    assert not final._inexact
+    with _kernel_calls() as calls:
+        run_evolving(g.copy(), deltas, "dynamic", "weighted")
+    assert calls == [set(g.nodes())]
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@SETTINGS
+@hypothesis.given(run=evolving_runs(FRACTIONAL))
+def test_fractional_history_runs_kernel(run):
+    g, deltas = run
+    ran, _ = _walk(g, deltas)
+    sim = g.copy()
+    for delta, kernel in zip(deltas, ran):
+        assert kernel == bool(affected_nodes(sim, delta).recompute)
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@SETTINGS
+@hypothesis.given(run=evolving_runs(MIXED))
+def test_mixed_history_leaves_exact_path_for_good(run):
+    """The step runs the kernel from the first fractional weight on."""
+    g, deltas = run
+    ran, _ = _walk(g, deltas)
+    fractional = g._inexact
+    sim = g.copy()
+    for delta, kernel in zip(deltas, ran):
+        fractional = fractional or any(e.weight % 1.0 for e in delta.adds)
+        changed = bool(affected_nodes(sim, delta).recompute)
+        assert sim._inexact == fractional
+        assert kernel == (fractional and changed)
+
+
+def test_bound_crossing_stays_on_kernel():
+    """T passes the bound and comes back: the flag is sticky."""
+    big = 2.0**23
+    g = Graph([(0, 1, 2.0), (1, 2, 3.0)])
+    deltas = [
+        EdgeDelta(adds=[Edge(2, 3, 4.0)]),
+        EdgeDelta(adds=[Edge(3, 4, big), Edge(4, 5, big), Edge(5, 6, big)]),
+        EdgeDelta(removes=[(3, 4), (5, 4), (5, 6)]),
+        EdgeDelta(adds=[Edge(0, 2, 5.0)], removes=[(1, 2)]),
+    ]
+    ran, final = _walk(g, deltas)
+    assert ran == [False, True, True, True]
+    assert final.num_edges + final._excess == 11.0
+
+
+def test_transient_huge_weight_within_one_delta():
+    g = Graph([(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0)])
+    huge = 2.0**60
+    for deltas in (
+        [EdgeDelta(adds=[Edge(0, 1, huge)], removes=[(1, 0)])],
+        [EdgeDelta(adds=[Edge(1, 2, huge), Edge(2, 1, 4.0)])],
+        [EdgeDelta(adds=[Edge(3, 9, huge)], removes=[(9, 3)])],
+    ):
+        ran, final = _walk(g, deltas + [EdgeDelta(adds=[Edge(0, 3, 1.0)])])
+        assert ran == [True, True]
+        assert final._inexact
