@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Time a dynamic step against a full recomputation as the change grows.
+
+A churn stream over a 30k-node preferential-attachment graph (about 180k
+edges) makes K_STEPS steps of k changes for every k in KS, in two regimes:
+fully dynamic (k adds plus k removes a step) and incremental (k adds, no
+removes), for both variants, on the default kernel backend. Each step is
+timed both ways on two copies of the graph, in alternating order: batch
+applies the delta off the clock and times ``lap_cent``; dynamic times
+``lap_cent_add_remove``. A row gives the median over the steps of each
+side's seconds, the median per-step speedup (batch over dynamic), the
+touched nodes and the values brought up to date (``computed_count``), and
+checks that both sides end each step with equal maps.
+
+    python benchmarks/change_sweep.py --json BENCH_change_sweep.json
+
+Measurement only: where dynamic falls behind batch is the input to a later
+choice of path, not made here.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+from lapstream import KERNEL_BACKEND
+from lapstream.centrality import lap_cent
+from lapstream.incremental import apply_delta, lap_cent_add_remove
+from lapstream.synth import churn_stream
+
+NODES = 30_000
+ATTACH = 6
+SEED = 7
+K_STEPS = 5
+KS = (5, 50, 500, 5_000, 20_000)
+REGIMES = ("fully dynamic", "incremental")
+VARIANTS = ("unweighted", "weighted")
+
+
+def sweep_row(regime, variant, k):
+    removes = k if regime == "fully dynamic" else 0
+    weighted = variant == "weighted"
+    stream = churn_stream(NODES, ATTACH, K_STEPS, k, removes, seed=SEED, weighted=weighted)
+    initial_edges = stream.initial.num_edges
+    batch_g, dyn_g = stream.initial.copy(), stream.initial
+    cmap = lap_cent(dyn_g, variant)
+    batch_s, dynamic_s, speedup, touched, computed = [], [], [], [], []
+    for i, delta in enumerate(stream.deltas):
+        seconds = {}
+        for side in ("batch", "dynamic") if i % 2 == 0 else ("dynamic", "batch"):
+            if side == "batch":
+                apply_delta(batch_g, delta)
+                t0 = time.perf_counter()
+                full = lap_cent(batch_g, variant)
+            else:
+                t0 = time.perf_counter()
+                lap_cent_add_remove(dyn_g, delta, cmap, variant)
+            seconds[side] = time.perf_counter() - t0
+        if full.values != cmap.values:
+            raise AssertionError(f"{regime} {variant} k={k}: maps differ at step {i + 1}")
+        batch_s.append(seconds["batch"])
+        dynamic_s.append(seconds["dynamic"])
+        speedup.append(seconds["batch"] / seconds["dynamic"])
+        ends = {x for e in delta.adds for x in e[:2]} | {x for p in delta.removes for x in p}
+        touched.append(len(ends))
+        computed.append(cmap.computed_count)
+    return {
+        "regime": regime,
+        "variant": variant,
+        "k": k,
+        "initial_edges": initial_edges,
+        "batch_s": statistics.median(batch_s),
+        "dynamic_s": statistics.median(dynamic_s),
+        "speedup": statistics.median(speedup),
+        "touched": statistics.median(touched),
+        "computed": statistics.median(computed),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", metavar="PATH", help="also write the rows as JSON to PATH")
+    args = parser.parse_args()
+
+    print(
+        f"{NODES} nodes, attach {ATTACH}, seed {SEED}, median of {K_STEPS} steps, "
+        f"backend {KERNEL_BACKEND}"
+    )
+    print(
+        f"{'regime':>13} {'variant':>10} {'k':>6} {'batch ms':>9} {'dynamic ms':>10} "
+        f"{'speedup':>8} {'touched':>8} {'computed':>8}"
+    )
+    rows = []
+    for regime in REGIMES:
+        for variant in VARIANTS:
+            for k in KS:
+                row = sweep_row(regime, variant, k)
+                rows.append(row)
+                print(
+                    f"{regime:>13} {variant:>10} {k:>6} {row['batch_s'] * 1e3:9.2f} "
+                    f"{row['dynamic_s'] * 1e3:10.2f} {row['speedup']:7.2f}x "
+                    f"{row['touched']:>8} {row['computed']:>8}"
+                )
+    if args.json:
+        report = {
+            "command": "python benchmarks/change_sweep.py --json " + args.json,
+            "nodes": NODES,
+            "attach": ATTACH,
+            "seed": SEED,
+            "steps": K_STEPS,
+            "backend": KERNEL_BACKEND,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "rows": rows,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

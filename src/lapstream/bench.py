@@ -91,9 +91,16 @@ def diff_maps(a: dict[int, float], b: dict[int, float], rel_tol: float = MAP_REL
     """First (node, value_a, value_b) divergence in ascending node order, or None.
 
     A NaN on either side is a divergence, and so is an infinity against any
-    other value. Equal maps cost one linear pass; the keys are sorted only
-    to locate a divergence that pass has found.
+    other value. Equal maps are answered in C, by a dict comparison and a
+    sum whose difference with itself is 0 only if no value is NaN or
+    infinite (the comparison takes a NaN object as equal to itself).
+    Otherwise one linear pass looks for a divergence, and the keys are
+    sorted only to locate one it has found.
     """
+    if a == b:
+        s = sum(a.values())
+        if s - s == 0:
+            return None
     if len(a) == len(b):
         for v, x in a.items():
             if v not in b:

@@ -9,10 +9,11 @@ stay proportional to the size of the change.
 Every writer goes through one mutation loop, ``Graph._apply``: the bulk
 constructor ``Graph(edges)``, :meth:`Graph.add_edge`, :meth:`Graph.remove_edge`
 and the incremental step's delta apply. The loop validates each edge as it
-goes unless its caller has already validated the whole batch, so a delta
-(checked whole by ``incremental._check_delta``) is validated once, not once
-more per edge. The same loop keeps the two running figures that tell the
-weighted incremental step whether its float arithmetic is exact.
+goes unless its caller has already validated the whole batch, so a delta is
+validated once, by ``incremental._read_delta`` (which in the same pass reads
+what the step needs from before the delta), not once more per edge. The same
+loop keeps the two running figures that tell the weighted incremental step
+whether its float arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ class Graph:
         """Add edge (u, v) or replace its weight.
 
         Raises :class:`SelfLoopError` if ``u == v``,
-        :class:`NonFiniteWeightError` on a NaN or infinite weight and, on a
-        strict graph, :class:`DuplicateEdgeError` if the edge is present;
-        warns :class:`NegativeWeightWarning` on a negative weight.
+        :class:`NonFiniteWeightError` on a NaN or infinite weight or an int
+        too large for a float and, on a strict graph,
+        :class:`DuplicateEdgeError` if the edge is present; warns
+        :class:`NegativeWeightWarning` on a negative weight.
         """
         self._apply(((u, v, weight),), (), True)
 
@@ -154,10 +156,15 @@ class Graph:
                     if check:
                         if u == v:
                             raise SelfLoopError(f"self-loop on node {u}")
-                        if not isfinite(w):
+                        try:
+                            if not isfinite(w):
+                                raise NonFiniteWeightError(
+                                    f"weight {w} on edge ({u}, {v}) is not finite"
+                                )
+                        except OverflowError:
                             raise NonFiniteWeightError(
-                                f"weight {w} on edge ({u}, {v}) is not finite"
-                            )
+                                f"weight on edge ({u}, {v}) is too large for a float"
+                            ) from None
                         if w < 0:
                             warnings.warn(
                                 f"negative weight {w} on edge ({u}, {v})",

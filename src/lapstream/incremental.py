@@ -25,11 +25,15 @@ need evaluate no kernel. For a node x,
 where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. The identity holds for
 any strength table, not only for exact sums of the weights. Both variants
-run it, in four stages: read s0 of every endpoint and w0 of every distinct
-canonical pair before the delta; apply the delta with
-:func:`affected_nodes`; add the own term and the pair terms to the touched
-nodes; and for each node whose s changed, add ``w * 2 * delta_s`` to every
-member of its post-delta row. The unweighted variant reads w as presence,
+run it in three walks. One validating read of the delta raises whatever
+rejects it and, in the same loop, records s0 of every endpoint (its keys
+are the touched nodes) and w0 of every distinct canonical pair. The
+delta is then applied without a second check. After the pair terms, one
+walk over the touched nodes adds each node's own term and, where its s
+changed, ``w * 2 * delta_s`` to every member of its post-delta row; as it
+goes it grows touched | N(touched), whose size is the step's
+``computed_count`` (:func:`affected_nodes` returns the same set, and is
+its reference). The unweighted variant reads w as presence,
 a bool that adds as 0 or 1, and s as the degree, so that
 ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
 difference keeps exact.
@@ -76,6 +80,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
 from types import MappingProxyType
 from typing import Iterable, Iterator
@@ -138,56 +143,104 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _check_delta(g: Graph, delta: EdgeDelta) -> set[int]:
-    """Validate the whole of ``delta`` against ``g`` without mutating it.
+def _read_delta(
+    g: Graph, delta: EdgeDelta, read: Variant | None
+) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
+    """The one validating read of ``delta`` against ``g``, which it does not mutate.
 
-    Raises on a self-loop, a non-finite weight, a remove of an edge that is
-    neither in ``g`` nor added by the delta, a pair removed twice and, on a
-    strict graph, an add of a pair already present; warns on a negative
-    weight, as :meth:`Graph.add_edge` does. Returns the touched nodes.
+    Raises on a self-loop, a non-finite weight (an int too large for a float
+    counts as one), a remove of an edge that is neither in ``g`` nor added
+    by the delta, a pair removed twice and, on a strict graph, an add of a
+    pair already present; warns on a negative weight, as
+    :meth:`Graph.add_edge` does. The adds are checked edge by edge, then the
+    first strict duplicate raises, then the removes are checked edge by edge.
+
+    Returns ``(s0, w0)``, in order of first mention: s0 maps every endpoint,
+    so its keys are the touched nodes, and w0 every distinct canonical pair.
+    ``read`` says what they hold before the delta: for "unweighted" the
+    degree and the presence of the pair, a bool; for "weighted" the strength
+    and the weight, 0 when absent; for None nothing, only 0.
     """
+    adj = g.adjacency()
+    strength = g.strengths()
+    sget = strength.get
+    strict = g.strict
     isfinite = math.isfinite
-    touched: set[int] = set()
+    degrees = read == "unweighted"
+    s0: dict[int, float] = {}
+    w0: dict[tuple[int, int], float] = {}
+    duplicate = None
     for u, v, w in delta.adds:
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
-        if not isfinite(w):
-            raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
+        try:
+            if not isfinite(w):
+                raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
+        except OverflowError:
+            raise NonFiniteWeightError(
+                f"weight on edge ({u}, {v}) is too large for a float"
+            ) from None
         if w < 0:
             warnings.warn(
                 f"negative weight {w} on edge ({u}, {v})",
                 NegativeWeightWarning,
                 stacklevel=_outside_stacklevel(),
             )
-        touched.add(u)
-        touched.add(v)
-    if g.strict:
-        seen: set[tuple[int, int]] = set()
-        for e in delta.adds:
-            pair = e.canonical()
-            if pair in seen or g.has_edge(e.u, e.v):
-                raise DuplicateEdgeError(f"edge ({e.u}, {e.v}) already present")
-            seen.add(pair)
-    added: set[tuple[int, int]] | None = None  # built only if a remove needs it
+        pair = (u, v) if u <= v else (v, u)
+        if pair in w0:
+            if strict and duplicate is None:
+                duplicate = (u, v)
+            continue
+        row = adj.get(u, _NO_ROW)
+        present = v in row
+        if present and strict and duplicate is None:
+            duplicate = (u, v)
+        if degrees:
+            w0[pair] = present
+            s0[u] = len(row)
+            s0[v] = len(adj.get(v, _NO_ROW))
+        elif read:
+            w0[pair] = row[v] if present else 0.0
+            s0[u] = sget(u, 0.0)
+            s0[v] = sget(v, 0.0)
+        else:
+            w0[pair] = s0[u] = s0[v] = 0
+    if duplicate is not None:
+        raise DuplicateEdgeError(f"edge ({duplicate[0]}, {duplicate[1]}) already present")
     removed: set[tuple[int, int]] = set()
     for u, v in delta.removes:
         pair = (u, v) if u <= v else (v, u)
         if pair in removed:
             raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
         removed.add(pair)
-        if not g.has_edge(u, v):
-            if added is None:
-                added = {e.canonical() for e in delta.adds}
-            if pair not in added:
-                raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
-        touched.add(u)
-        touched.add(v)
-    return touched
+        if pair in w0:  # added by this delta, not removed before
+            continue
+        row = adj.get(u, _NO_ROW)
+        if v not in row:
+            raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
+        if degrees:
+            w0[pair] = True
+            s0[u] = len(row)
+            s0[v] = len(adj[v])
+        elif read:
+            w0[pair] = row[v]
+            s0[u] = strength[u]
+            s0[v] = strength[v]
+        else:
+            w0[pair] = s0[u] = s0[v] = 0
+    return s0, w0
 
 
-def _mutate(g: Graph, delta: EdgeDelta) -> None:
-    """Apply a delta ``_check_delta`` has accepted, without checking it again."""
-    g._apply(delta.adds, delta.removes, False)
+def _gather(adj: dict[int, dict[int, float]], s0: dict[int, float]) -> AffectedSets:
+    """The keys of ``s0`` as the touched nodes, and them plus their rows."""
+    # key by key, not sized up front as set(s0) is: the set's layout, and so
+    # the order in which the kernel fallback adds nodes new to the map, is
+    # the one a touched set grown edge by edge has
+    touched = set(s0.keys())
+    recompute = set(touched)
+    for x in touched:
+        recompute.update(adj[x])
+    return AffectedSets(touched, recompute)
 
 
 def apply_delta(g: Graph, delta: EdgeDelta) -> None:
@@ -196,24 +249,22 @@ def apply_delta(g: Graph, delta: EdgeDelta) -> None:
     The whole delta is validated first; if it is rejected ``g`` is left
     unchanged.
     """
-    _check_delta(g, delta)
-    _mutate(g, delta)
+    _read_delta(g, delta, None)
+    g._apply(delta.adds, delta.removes, False)
 
 
 def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
     """Apply ``delta`` to ``g`` and return which nodes it can change.
 
     touched: endpoints of every added or removed edge. recompute: touched
-    plus their neighbors. On return ``g`` reflects the full delta; if the
-    delta is rejected ``g`` is left unchanged.
+    plus their neighbors; its size is the ``computed_count`` of a
+    :func:`lap_cent_add_remove` step with this delta. On return ``g``
+    reflects the full delta; if the delta is rejected ``g`` is left
+    unchanged.
     """
-    touched = _check_delta(g, delta)
-    _mutate(g, delta)
-    adj = g.adjacency()
-    recompute = set(touched)
-    for x in touched:
-        recompute.update(adj[x])
-    return AffectedSets(touched, recompute)
+    s0, _ = _read_delta(g, delta, None)
+    g._apply(delta.adds, delta.removes, False)
+    return _gather(g.adjacency(), s0)
 
 
 def lap_cent_add_remove(
@@ -224,56 +275,39 @@ def lap_cent_add_remove(
 ) -> CentralityMap:
     """One incremental step: apply ``delta`` to ``g`` and update ``cmap`` in place.
 
-    ``cmap`` must be the batch-equivalent map of ``g`` before the delta. On
-    return it equals, node for node and bit for bit, a full recomputation
-    of the post-delta graph, and its ``computed_count`` is the number of
-    centralities brought up to date (touched nodes plus their neighbors).
+    ``cmap`` must be the batch-equivalent map of ``g`` before the delta,
+    with a value for every node of ``g``. On return it equals, node for
+    node and bit for bit, a full recomputation of the post-delta graph, and
+    its ``computed_count`` is the number of centralities brought up to date
+    (touched nodes plus their neighbors).
     Both variants add the exact closed-form difference of the module
-    docstring to each of them and evaluate no kernel; a weighted step on a
-    graph whose exactness flag is set before or after the delta
-    re-evaluates the kernel on all of them instead. Copy ``cmap`` first to
-    keep the previous step's values. A rejected delta or an unknown variant
-    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
+    docstring to each of them and evaluate no kernel, in three walks: one
+    validating read of the delta, the apply, and one walk over the touched
+    nodes after the pair terms. A weighted step on a graph whose exactness
+    flag is set before or after the delta re-evaluates the kernel on all of
+    them instead. Copy ``cmap`` first to keep the previous step's values. A
+    rejected delta or an unknown variant raises before ``g`` or ``cmap``
+    changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
     weighted = variant == "weighted"
+    s0, w0 = _read_delta(g, delta, None if weighted and g._inexact else variant)
     adj = g.adjacency()
-    strength = g.strengths()
-    # the old strength of every endpoint and the old weight of every distinct
-    # canonical pair, read before the delta is applied; absent counts as 0.
-    # Unweighted, s is the degree and w is presence, a bool, so that values
-    # stay ints.
-    s0: dict[int, float] = {}
-    w0: dict[tuple[int, int], float] = {}
-    if not weighted:
-        for pairs in (delta.adds, delta.removes):
-            for e in pairs:
-                u = e[0]
-                v = e[1]
-                row = adj.get(u, ())
-                s0[u] = len(row)
-                s0[v] = len(adj.get(v, ()))
-                w0[(u, v) if u <= v else (v, u)] = v in row
-    elif not g._inexact:
-        for pairs in (delta.adds, delta.removes):
-            for e in pairs:
-                u = e[0]
-                v = e[1]
-                s0[u] = strength.get(u, 0.0)
-                s0[v] = strength.get(v, 0.0)
-                w0[(u, v) if u <= v else (v, u)] = adj.get(u, _NO_ROW).get(v, 0.0)
-    sets = affected_nodes(g, delta)
+    known = len(adj)
+    g._apply(delta.adds, delta.removes, False)
     values = cmap.values
-    cmap.computed_count = len(sets.recompute)
     if weighted and g._inexact:
-        if sets.recompute:
-            values.update(evaluate_nodes(g, sets.recompute, variant))
+        recompute = _gather(adj, s0).recompute
+        cmap.computed_count = len(recompute)
+        if recompute:
+            values.update(evaluate_nodes(g, recompute, variant))
         return cmap
-    # own term on the touched nodes, the keys of s0; a new node starts from 0
-    for x, a in s0.items():
-        b = strength[x] if weighted else len(adj[x])
-        values[x] = values.get(x, 0) + (b * b - a * a)
+    if len(adj) > known:
+        # nodes are never deleted, so the nodes new to the graph are the last
+        # keys of its adjacency, in order of first mention; they start from 0
+        fresh = list(islice(reversed(adj), len(adj) - known))
+        values.update(dict.fromkeys(reversed(fresh), 0.0 if weighted else 0))
     # pair terms, on both ends of every pair whose weight changed
     for (u, v), a in w0.items():
         row = adj[u]
@@ -283,22 +317,32 @@ def lap_cent_add_remove(
             sq = b * b - a * a
             values[u] += sq + 2 * dw * s0[v]
             values[v] += sq + 2 * dw * s0[u]
-    # every post-delta neighbor x of u gains w(x, u) * 2 * delta_s(u)
+    # the own term of each touched node u, and w(x, u) * 2 * delta_s(u) for
+    # every post-delta neighbor x of u, while counting touched | N(touched)
+    recompute = set(s0)
+    grow = recompute.update
     if weighted:
+        strength = g.strengths()
         for u, a in s0.items():
+            row = adj[u]
             b = strength[u]
             if b != a:
+                values[u] += b * b - a * a
                 diff = 2 * (b - a)
-                for x, w in adj[u].items():
+                for x, w in row.items():
                     values[x] += w * diff
+            grow(row)
     else:
         for u, a in s0.items():
             row = adj[u]
             b = len(row)
             if b != a:
+                values[u] += b * b - a * a
                 diff = 2 * (b - a)
                 for x in row:
                     values[x] += diff
+            grow(row)
+    cmap.computed_count = len(recompute)
     return cmap
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import TOY_EDGES
@@ -148,6 +150,26 @@ class TestDiffMaps:
         nan = float("nan")
         bad = diff_maps({1: nan}, {1: nan})
         assert bad is not None and bad[0] == 1
+
+    def test_same_nan_object_in_equal_maps_diverges(self):
+        nan = float("nan")
+        a = {v: float(v) for v in range(50)}
+        bad = diff_maps({**a, 17: nan}, {**a, 17: nan})
+        assert bad is not None and bad[0] == 17
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ({1: math.inf, 2: 3.0}, {2: 3.0, 1: math.inf}, None),
+            ({1: math.inf, 2: -math.inf}, {1: math.inf, 2: -math.inf}, None),
+            ({1: 1e308, 2: 1e308}, {1: 1e308, 2: 1e308}, None),
+            ({1: 2, 2: 0}, {1: 2.0, 2: 0.0}, None),
+            ({1: 2, 2: 0}, {1: 2.0, 2: 0.5}, (2, 0, 0.5)),
+        ],
+        ids=["inf-inf", "infs-sum-to-nan", "sum-overflows", "int-float", "int-float-diverge"],
+    )
+    def test_equal_maps_beyond_floats(self, a, b, expected):
+        assert diff_maps(a, b) == expected
 
     def test_first_divergence_in_node_order(self):
         a = {9: 1.0, 5: 2.0, 3: 3.0, 7: 4.0}

@@ -19,7 +19,7 @@ from lapstream.errors import (
 )
 from lapstream import graph as graph_module
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, _mutate, apply_delta
+from lapstream.incremental import EdgeDelta, apply_delta
 
 
 class TestAddEdge:
@@ -61,16 +61,28 @@ class TestAddEdge:
         with pytest.raises(DuplicateEdgeError):
             g.add_edge(2, 1)
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="int-too-large"),
+            pytest.param(-(10**400), id="-int-too-large"),
+        ],
+    )
     def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(NonFiniteWeightError, match=r"edge \(2, 3\)"):
+            Graph([(1, 2, 2.0), (2, 3, weight)])
         g = Graph([(1, 2, 2.0)])
         before = g.copy()
         with pytest.raises(NonFiniteWeightError):
             g.add_edge(1, 2, weight)
-        with pytest.raises(NonFiniteWeightError):
+        with pytest.raises(NonFiniteWeightError, match=r"edge \(2, 3\)"):
             g.add_edge(2, 3, weight)
         assert g == before
         assert g.strengths() == before.strengths()
+        assert (g.num_edges, g._excess, g._inexact) == (before.num_edges, before._excess, False)
 
     def test_negative_weight_warns(self):
         g = Graph()
@@ -353,7 +365,9 @@ class TestBulkPath:
         assert bulk_warnings == seq_warnings
         # the unchecked loop alone, once the delta is known good
         unchecked = g.copy()
-        _, unchecked_warnings = _recorded(lambda: _mutate(unchecked, delta))
+        _, unchecked_warnings = _recorded(
+            lambda: unchecked._apply(delta.adds, delta.removes, False)
+        )
         assert _state(unchecked) == _state(seq)
         assert unchecked_warnings == []
 
@@ -424,7 +438,7 @@ class TestRunningFigures:
         assert g.copy()._inexact
 
     @pytest.mark.parametrize(
-        "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3)]
+        "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3), (1, 2, 10**400)]
     )
     def test_rejected_edge_leaves_figures(self, bad):
         g = Graph([(0, 1, 2.0), (1, 2, -3.0)])

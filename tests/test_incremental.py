@@ -80,7 +80,46 @@ REJECTED_DELTAS = [
     (EdgeDelta(adds=[Edge(1, 9), Edge(2, 8, float("nan"))]), NonFiniteWeightError),
     (EdgeDelta(adds=[Edge(1, 9), Edge(2, 8, float("inf"))], removes=[(1, 2)]),
      NonFiniteWeightError),
+    # an int too large for a float
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 8, 10**400)]), NonFiniteWeightError),
+    (EdgeDelta(adds=[Edge(1, 9, 2.0), Edge(8, 2, -10**400)], removes=[(1, 2)]),
+     NonFiniteWeightError),
 ]
+
+# rejected on the strict toy graph: the adds' own checks come first, then the
+# first duplicate, then the removes
+STRICT_REJECTED_DELTAS = [
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]), DuplicateEdgeError),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]), DuplicateEdgeError),
+    (EdgeDelta(adds=[Edge(2, 1), Edge(3, 3)]), SelfLoopError),
+    (EdgeDelta(adds=[Edge(9, 1), Edge(1, 9), Edge(2, 8, 10**400)]), NonFiniteWeightError),
+    (EdgeDelta(adds=[Edge(3, 2)], removes=[(1, 6)]), DuplicateEdgeError),
+]
+
+
+def _state(g, cmap):
+    """Everything a step may change: the graph, its running figures and the map."""
+    return (
+        {u: dict(row) for u, row in g.adjacency().items()},
+        dict(g.strengths()),
+        g.num_edges,
+        g._excess,
+        g._inexact,
+        list(bits(cmap.values).items()),
+        cmap.computed_count,
+    )
+
+
+def _step_rejects_as_apply_delta(g, delta, error, variant):
+    """The step raises the type and message apply_delta raises, and changes nothing."""
+    with pytest.raises(error) as applied:
+        apply_delta(g.copy(), delta)
+    cmap = lap_cent(g, variant)
+    before = _state(g, cmap)
+    with pytest.raises(error) as stepped:
+        lap_cent_add_remove(g, delta, cmap, variant)
+    assert str(stepped.value) == str(applied.value)
+    assert _state(g, cmap) == before
 
 
 class TestRejectedDelta:
@@ -99,14 +138,7 @@ class TestRejectedDelta:
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_in_place_step_unchanged(self, toy_graph, delta, error, variant):
-        before = toy_graph.copy()
-        prev = lap_cent(toy_graph, variant)
-        values = dict(prev.values)
-        with pytest.raises(error):
-            lap_cent_add_remove(toy_graph, delta, prev, variant)
-        assert toy_graph == before
-        assert prev.values == values
-        assert prev.computed_count == toy_graph.num_nodes
+        _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
     @pytest.mark.parametrize("delta", [EdgeDelta(adds=[Edge(3, 4)]), EdgeDelta()])
     @pytest.mark.parametrize("variant", ["Weighted", "bogus"])
@@ -120,6 +152,22 @@ class TestRejectedDelta:
         assert toy_graph.strengths() == before.strengths()
         assert prev.values == values
         assert prev.computed_count == toy_graph.num_nodes
+
+    @pytest.mark.parametrize(
+        "strict, flagged, delta, error",
+        [(False, True, d, e) for d, e in REJECTED_DELTAS]
+        + [(True, f, d, e) for f in (False, True) for d, e in STRICT_REJECTED_DELTAS],
+    )
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_strict_or_flagged_step_unchanged(
+        self, toy_graph, strict, flagged, delta, error, variant
+    ):
+        """The step rejects as apply_delta does on a strict graph too, and on a
+        flagged one, whose weighted step takes the kernel fallback."""
+        if flagged:
+            toy_graph.add_edge(6, 7, 0.5)
+        toy_graph.strict = strict
+        _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
     def test_strict_duplicate_add(self, toy_graph):
         toy_graph.strict = True
@@ -410,6 +458,20 @@ class TestRunEvolving:
         with pytest.raises(DeltaError) as err:
             run_evolving(toy_graph, deltas, mode="dynamic")
         assert err.value.step == 2
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_huge_int_weight_aborts_with_step(self, toy_graph, mode, variant):
+        deltas = [
+            EdgeDelta(adds=[Edge(4, 6, 2)]),
+            EdgeDelta(adds=[Edge(1, 8), Edge(8, 9, 10**400)]),
+        ]
+        with pytest.raises(DeltaError) as err:
+            run_evolving(toy_graph, deltas, mode, variant)
+        assert err.value.step == 2
+        assert isinstance(err.value.cause, NonFiniteWeightError)
+        assert "(8, 9)" in str(err.value)
+        assert not toy_graph.has_node(8)
 
     def test_unknown_mode(self, toy_graph):
         with pytest.raises(ValueError):

@@ -76,6 +76,10 @@ def test_dynamic_equals_batch_every_step(variant, run):
     for dyn, full in zip(dynamic, batch):
         # exact for integer values, bitwise for floats
         assert bits(dyn.values) == bits(full.values)
+    # the step counts touched | N(touched) itself; affected_nodes is the reference
+    sim = g.copy()
+    for delta, dyn in zip(deltas, dynamic[1:]):
+        assert dyn.computed_count == len(affected_nodes(sim, delta).recompute)
 
 
 @SETTINGS
