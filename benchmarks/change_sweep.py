@@ -4,7 +4,7 @@
 A churn stream over a 30k-node preferential-attachment graph (about 180k
 edges) makes K_STEPS steps of k changes for every k in KS, in two regimes:
 fully dynamic (k adds plus k removes a step) and incremental (k adds, no
-removes), for both variants, on the default kernel backend. Each step is
+removes), for both variants, on the pure-Python kernels. Each step is
 timed both ways on two copies of the graph, in alternating order: batch
 applies the delta off the clock and times ``lap_cent``; dynamic times
 ``lap_cent_add_remove``. A row gives the median over the steps of each

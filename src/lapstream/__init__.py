@@ -28,9 +28,11 @@ from lapstream.ingest import (
     snapshots_window,
     stream_from_snapshot_dir,
 )
-from lapstream.kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
+
+# the kernels are pure Python; perfbench records this name with every result
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "CentralityMap",

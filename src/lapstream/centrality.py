@@ -4,12 +4,12 @@ A node's Laplacian centrality is the drop in graph Laplacian energy caused
 by deleting the node and its incident edges. The per-node closed forms are
 
     unweighted:  d^2 + d + 2 * sum(degrees of neighbors)
-    weighted:    s^2 - sub + 2 * cw      (s = weighted degree)
+    weighted:    s^2 + sum(w_vj * (w_vj + 2 * s_j))    (s = weighted degree)
 
-for a node v, where cw = sum(w_vj^2) and sub = sum((s_j - w_vj)^2 - s_j^2)
-over the neighbors j of v. Values are returned
-non-normalized; divide by the graph energy via :func:`normalize` to get
-values in (0, 1] (guaranteed only for non-negative weights).
+for a node v, with the sums over the neighbors j of v (Qi et al., 2012).
+Values are returned non-normalized; divide by the graph energy via
+:func:`normalize` to get values in (0, 1] (guaranteed only for
+non-negative weights).
 """
 
 from __future__ import annotations

@@ -48,12 +48,10 @@ running update of it lands on the current incident sum. For a node x let
 a = sum(|w_xj|) <= T. Every intermediate result below is an integer, and
 an integer float operation is exact while its result stays below 2**53:
 
-- kernel (s^2 - sub + 2 * cw, see :mod:`lapstream.centrality`): s^2 and
-  a partial sum of cw are at most T^2. rem = s_j - w_xj is the sum of the
-  other weights at j, so rem^2 and s_j^2 are at most T^2, and each term
-  rem^2 - s_j^2 = w_xj^2 - 2 * w_xj * s_j is within 3 * |w_xj| * T; a
-  partial sum of sub is within 3*a*T <= 3*T^2, and every partial sum of
-  the kernel within 6*T^2.
+- kernel (s^2 + sum(w_xj * (w_xj + 2 * s_j)), see :mod:`lapstream.kernels`):
+  s^2 <= T^2; 2 * s_j is within 2*T and w_xj + 2 * s_j within 3*T, so each
+  term w_xj * (w_xj + 2 * s_j) is within 3 * |w_xj| * T, and every partial
+  sum within T^2 + 3*a*T <= 4*T^2.
 - difference: let M = max(T0, T1). |C0(x)| <= 4*M^2; the own term is
   within M^2; inside a pair term 2 * (w1 - w0) is within 4*M and its
   product with s0(j) within 4*M^2, and the pair terms of x sum to at most
@@ -64,7 +62,7 @@ an integer float operation is exact while its result stays below 2**53:
 B = 2**25 would allow 15 * 2**50 > 2**53, hence 2**24. So both sides
 compute the exact integer C(x), whatever the order of their sums. No sign
 of zero differs either: a sum is -0.0 only when both addends are, the
-kernel's last addend 2 * cw never is, and so no stored value ever is.
+kernel's first addend s^2 never is, and so no stored value ever is.
 
 The flag must be sticky: a fractional weight, or one above the bound, can
 leave rounding in a strength after its edge has gone, and a gate on the

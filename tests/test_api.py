@@ -1,5 +1,8 @@
 """The package's public surface: exactly these names, each importable."""
 
+import subprocess
+from pathlib import Path
+
 import lapstream
 
 PUBLIC = [
@@ -59,3 +62,19 @@ def test_every_name_resolves():
 def test_benchmark_names_present():
     assert set(BENCHMARK_NAMES) <= set(lapstream.__all__)
 
+
+def test_kernel_backend_is_python():
+    assert lapstream.KERNEL_BACKEND == "python"
+
+
+def test_package_is_python_source_only():
+    """Every file tracked in the package is ``.py`` source: no generated backend."""
+    pkg = Path(lapstream.__file__).parent
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files"], cwd=pkg, capture_output=True, text=True, check=True
+        ).stdout.split()
+    except (OSError, subprocess.CalledProcessError):  # not a git checkout
+        listed = [p.name for p in pkg.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert listed
+    assert [name for name in listed if not name.endswith(".py")] == []

@@ -1,4 +1,6 @@
 import random
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,22 @@ def dense_trace_energy(g: Graph, variant: str) -> float:
         lap[i, i] += w
         lap[j, j] += w
     return float(np.trace(lap @ lap))
+
+
+def exact_weighted_values(g: Graph) -> dict[int, Fraction]:
+    """Test-only oracle: exact C(x) = s^2 + sum(w * (w + 2 * s_j)) from the edge list."""
+    strength: dict[int, Fraction] = defaultdict(Fraction)
+    rows: dict[int, list] = defaultdict(list)
+    for e in g.edges():
+        w = Fraction(e.weight)
+        strength[e.u] += w
+        strength[e.v] += w
+        rows[e.u].append((e.v, w))
+        rows[e.v].append((e.u, w))
+    return {
+        x: s * s + sum(w * (w + 2 * strength[j]) for j, w in rows[x])
+        for x, s in strength.items()
+    }
 
 
 class TestBatchUnweighted:
@@ -95,6 +113,25 @@ class TestBatchWeighted:
             for u in base.nodes():
                 g.add_node(u)
             assert lap_cent(g, "weighted").values == lap_cent(g, "unweighted").values
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_within_rounding_of_exact(self, seed):
+        """Values on a freshly built graph lie within rel 2e-15 of the exact C(x)."""
+        rng = random.Random(seed)
+        n = rng.randint(5, 60)
+        weights = (
+            lambda: rng.random() * 10,
+            lambda: rng.randint(1, 99) / 10,
+            lambda: float(rng.randint(1, 5)),
+        )
+        pairs: dict[tuple[int, int], float] = {}
+        for _ in range(rng.randint(1, 400)):
+            u, v = rng.sample(range(n), 2)
+            pairs.setdefault((min(u, v), max(u, v)), rng.choice(weights)())
+        g = Graph((u, v, w) for (u, v), w in pairs.items())
+        values = lap_cent(g, "weighted").values
+        for x, exact in exact_weighted_values(g).items():
+            assert abs(Fraction(values[x]) - exact) <= Fraction(2e-15) * abs(exact), (x, values[x])
 
 
 class TestLaplacianEnergy:
