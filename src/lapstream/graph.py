@@ -14,6 +14,19 @@ validated once, by ``incremental._read_delta`` (which in the same pass reads
 what the step needs from before the delta), not once more per edge. The same
 loop keeps the two running figures that tell the weighted incremental step
 whether its float arithmetic is exact.
+
+One int object per node. Equal ints need not be the same object: every
+parsed line or computed id brings its own, and only -5..256 are cached by
+CPython. A dict probe whose key is the very object stored in the dict
+succeeds on an identity check; an equal but distinct key costs a rich
+comparison against a second object elsewhere in memory. So the graph keeps
+an id table, ``Graph._ids``, mapping each node to its canonical object (the
+first one it was given), and ``_apply`` and :meth:`Graph.add_node` pass every
+node they store through it. Adjacency keys, row keys and strength keys, and so
+the keys of every centrality map built from them, are then one object per
+node, and the incremental step reads a delta's endpoints through the same
+table. This is a performance property only: lookups still go by equality, so
+a graph fed foreign objects gives the same values, only slower.
 """
 
 from __future__ import annotations
@@ -80,15 +93,21 @@ class Graph:
     exact. Both are updated only for an edge that passed validation, and
     :meth:`copy` carries them.
 
+    Every node is stored as one int object, the first the graph was given
+    for it: the private id table ``_ids`` maps each node to that object, and
+    every key the graph writes goes through it (see the module docstring for
+    why). :meth:`copy` carries the table.
+
     A Graph is single-writer: no internal locking, safe to hand between
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_adj", "_strength", "_num_edges", "_excess", "_inexact", "strict")
+    __slots__ = ("_adj", "_strength", "_ids", "_num_edges", "_excess", "_inexact", "strict")
 
     def __init__(self, edges: Iterable[tuple] | None = None, strict: bool = False):
         self._adj: dict[int, dict[int, float]] = {}
         self._strength: dict[int, float] = {}
+        self._ids: dict[int, int] = {}
         self._num_edges = 0
         self._excess = 0.0
         self._inexact = False
@@ -99,6 +118,7 @@ class Graph:
     # -- mutation ---------------------------------------------------------
 
     def add_node(self, u: int) -> None:
+        u = self._ids.setdefault(u, u)
         if u not in self._adj:
             self._adj[u] = {}
             self._strength[u] = 0.0
@@ -138,6 +158,7 @@ class Graph:
         """
         adj = self._adj
         strength = self._strength
+        intern = self._ids.setdefault
         strict = self.strict
         isfinite = math.isfinite
         bound = _EXACT_BOUND
@@ -171,6 +192,8 @@ class Graph:
                                 NegativeWeightWarning,
                                 stacklevel=3,
                             )
+                u = intern(u, u)
+                v = intern(v, v)
                 row_u = adj.get(u)
                 if row_u is None:
                     row_u = adj[u] = {}
@@ -293,6 +316,7 @@ class Graph:
         g = Graph(strict=self.strict)
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         g._strength = dict(self._strength)
+        g._ids = dict(self._ids)
         g._num_edges = self._num_edges
         g._excess = self._excess
         g._inexact = self._inexact

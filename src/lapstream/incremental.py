@@ -158,10 +158,18 @@ def _read_delta(
     ``read`` says what they hold before the delta: for "unweighted" the
     degree and the presence of the pair, a bool; for "weighted" the strength
     and the weight, 0 when absent; for None nothing, only 0.
+
+    Each endpoint is read through the graph's id table, so the keys of s0,
+    the pairs of w0 and every probe made with them are the objects the graph
+    stores (see :mod:`lapstream.graph`), and the step's walks over them take
+    the dicts' identity fast path. A node new to the graph keeps the object
+    of its first mention, which ``Graph._apply`` then registers, since it
+    walks the adds in the same order.
     """
     adj = g.adjacency()
     strength = g.strengths()
     sget = strength.get
+    canon = g._ids.get
     strict = g.strict
     isfinite = math.isfinite
     degrees = read == "unweighted"
@@ -169,6 +177,8 @@ def _read_delta(
     w0: dict[tuple[int, int], float] = {}
     duplicate = None
     for u, v, w in delta.adds:
+        u = canon(u, u)
+        v = canon(v, v)
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
         try:
@@ -207,6 +217,8 @@ def _read_delta(
         raise DuplicateEdgeError(f"edge ({duplicate[0]}, {duplicate[1]}) already present")
     removed: set[tuple[int, int]] = set()
     for u, v in delta.removes:
+        u = canon(u, u)
+        v = canon(v, v)
         pair = (u, v) if u <= v else (v, u)
         if pair in removed:
             raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")

@@ -63,10 +63,24 @@ class SnapshotStream:
 
 def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
     """Parse edge-event lines; every non-comment line yields an event or a
-    positioned error."""
+    positioned error.
+
+    Bytes are decoded as UTF-8; a line that is not raises :class:`ParseError`.
+    Every mention of one node id is the same int object, the first parsed
+    (see :mod:`lapstream.graph` for why), so the events, and the buckets,
+    windows, graphs and deltas built from them, hold one object per node.
+    """
     events: list[EdgeEvent] = []
+    by_text: dict[str, int] = {}  # field text -> its node's object
+    ids: dict[int, int] = {}  # node -> its object, for "7" and "07" alike
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
+        if isinstance(raw, (bytes, bytearray)):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(lineno, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+        else:
+            line = raw
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -74,8 +88,14 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
         if not 2 <= len(fields) <= 4:
             raise ParseError(lineno, f"expected 2-4 fields, got {len(fields)}: {text!r}")
         try:
-            u = int(fields[0])
-            v = int(fields[1])
+            u = by_text.get(fields[0])
+            if u is None:
+                u = int(fields[0])
+                u = by_text[fields[0]] = ids.setdefault(u, u)
+            v = by_text.get(fields[1])
+            if v is None:
+                v = int(fields[1])
+                v = by_text[fields[1]] = ids.setdefault(v, v)
         except ValueError:
             raise ParseError(lineno, f"node ids must be integers: {text!r}") from None
         if u < 0 or v < 0:

@@ -88,6 +88,34 @@ def random_delta(
     return EdgeDelta(adds=adds, removes=removes)
 
 
+# ids at or above 2**20 leave CPython's small-int cache (-5..256), so two
+# equal ids made apart are distinct objects
+FAR = 1 << 20
+
+
+def far(x: int) -> int:
+    """Node id ``x`` moved to ``FAR + x``, a fresh int object on every call."""
+    return FAR + x
+
+
+def far_graph(g: Graph) -> Graph:
+    """``g`` with every node id moved by :func:`far`, each mention its own object."""
+    h = Graph(strict=g.strict)
+    for u in g.nodes():
+        h.add_node(far(u))
+    for u, v, w in g.edges():
+        h.add_edge(far(u), far(v), w)
+    return h
+
+
+def far_delta(delta: EdgeDelta) -> EdgeDelta:
+    """``delta`` with every node id moved by :func:`far`, each mention its own object."""
+    return EdgeDelta(
+        adds=[Edge(far(u), far(v), w) for u, v, w in delta.adds],
+        removes=[(far(u), far(v)) for u, v in delta.removes],
+    )
+
+
 def bits(values):
     """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
     return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}

@@ -97,6 +97,14 @@ class TestRunCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run", "--snapshot", "count:1"], ["centrality"]])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"1 2\n2 3 \xe9\n")
+        code = cli_main([command[0], "--input", str(bad), *command[1:]])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_empty_dataset_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "only_comments.txt"
         empty.write_text("# nothing here\n")

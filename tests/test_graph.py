@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
+from genutil import far
 
 from lapstream.errors import (
     DuplicateEdgeError,
@@ -19,7 +20,8 @@ from lapstream.errors import (
 )
 from lapstream import graph as graph_module
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.centrality import lap_cent
+from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove
 
 
 class TestAddEdge:
@@ -227,6 +229,45 @@ class TestInvariants:
             if not before.has_node(u):
                 assert g.degree(u) == 0
         assert g.num_edges == before.num_edges
+
+
+class TestOneObjectPerNode:
+    """Each node is one int object everywhere the graph and its maps keep it,
+    whatever objects its ids arrived as."""
+
+    @staticmethod
+    def _assert_own_objects(g, *maps):
+        own = {u: u for u in g.adjacency()}  # equal lookup, returns the adjacency key
+        for row in g.adjacency().values():
+            assert all(x is own[x] for x in row)
+        for keys in (g.strengths(), *maps):
+            assert all(x is own[x] for x in keys)
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_keys_are_the_graph_objects(self, variant):
+        g = Graph([(far(u), far(v), 2.0) for u, v in TOY_EDGES])
+        g.add_edge(far(1), far(7), 3.0)
+        g.add_edge(far(7), far(40))  # a node new to the graph
+        g.add_node(far(50))
+        g.add_node(far(5))
+        apply_delta(
+            g,
+            EdgeDelta(
+                adds=[Edge(far(2), far(60)), Edge(far(60), far(1), 4.0)],
+                removes=[(far(5), far(3))],
+            ),
+        )
+        h = g.copy()
+        cmap = lap_cent(h, variant)
+        self._assert_own_objects(g)
+        self._assert_own_objects(h, cmap.values)
+        delta = EdgeDelta(
+            adds=[Edge(far(50), far(4)), Edge(far(70), far(5), 5.0), Edge(far(3), far(70))],
+            removes=[(far(2), far(1)), (far(60), far(2))],
+        )
+        lap_cent_add_remove(h, delta, cmap, variant)
+        self._assert_own_objects(h, cmap.values)
+        assert cmap.values == lap_cent(h, variant).values
 
 
 # -- the bulk path against the per-edge path ----------------------------------

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import bits, random_delta, random_graph
+from genutil import bits, far_delta, far_graph, random_delta, random_graph
 
 from lapstream import kernels
 from lapstream.centrality import CentralityMap, lap_cent
@@ -125,9 +125,12 @@ def _step_rejects_as_apply_delta(g, delta, error, variant):
 class TestRejectedDelta:
     """A rejected delta leaves the graph, and the map the step updates, as they were."""
 
+    @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("apply", [apply_delta, affected_nodes])
-    def test_graph_unchanged(self, toy_graph, delta, error, apply):
+    def test_graph_unchanged(self, toy_graph, delta, error, apply, far):
+        if far:
+            toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         before = toy_graph.copy()
         with pytest.raises(error):
             apply(toy_graph, delta)
@@ -135,9 +138,12 @@ class TestRejectedDelta:
         assert toy_graph.strengths() == before.strengths()
         assert toy_graph.num_edges == before.num_edges
 
+    @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
-    def test_in_place_step_unchanged(self, toy_graph, delta, error, variant):
+    def test_in_place_step_unchanged(self, toy_graph, delta, error, variant, far):
+        if far:
+            toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
     @pytest.mark.parametrize("delta", [EdgeDelta(adds=[Edge(3, 4)]), EdgeDelta()])
@@ -158,15 +164,18 @@ class TestRejectedDelta:
         [(False, True, d, e) for d, e in REJECTED_DELTAS]
         + [(True, f, d, e) for f in (False, True) for d, e in STRICT_REJECTED_DELTAS],
     )
+    @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_strict_or_flagged_step_unchanged(
-        self, toy_graph, strict, flagged, delta, error, variant
+        self, toy_graph, strict, flagged, delta, error, variant, far
     ):
         """The step rejects as apply_delta does on a strict graph too, and on a
         flagged one, whose weighted step takes the kernel fallback."""
         if flagged:
             toy_graph.add_edge(6, 7, 0.5)
         toy_graph.strict = strict
+        if far:
+            toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
     def test_strict_duplicate_add(self, toy_graph):
@@ -492,8 +501,9 @@ class TestRunEvolving:
         assert [r.computed_count for r in a] == [r.computed_count for r in b]
 
 
-def _random_run(seed, variant, steps=12):
-    """Random evolving run returning per-step (dynamic, batch, delta, pre-graph)."""
+def _random_run(seed, variant, steps=12, far=False):
+    """Random evolving run returning per-step (dynamic, batch, delta, pre-graph);
+    with ``far`` its node ids are moved out of the small-int cache."""
     rng = random.Random(seed)
     integer = seed % 2 == 0
     g = random_graph(rng, rng.randint(6, 60), rng.randint(4, 120), integer)
@@ -503,6 +513,8 @@ def _random_run(seed, variant, steps=12):
         d = random_delta(rng, sim, integer_weights=integer)
         deltas.append(d)
         apply_delta(sim, d)
+    if far:
+        g, deltas = far_graph(g), [far_delta(d) for d in deltas]
     dynamic = run_evolving(g.copy(), deltas, mode="dynamic", variant=variant)
     batch = run_evolving(g.copy(), deltas, mode="batch", variant=variant)
     return g, deltas, dynamic, batch, integer
@@ -522,10 +534,11 @@ EDGE_CASE_DELTAS = [
 class TestOracleEquivalence:
     """Dynamic maps must equal full batch recomputation at every step."""
 
+    @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_dynamic_equals_batch(self, seed, variant):
-        _, _, dynamic, batch, integer = _random_run(seed, variant)
+    def test_dynamic_equals_batch(self, seed, variant, far):
+        _, _, dynamic, batch, integer = _random_run(seed, variant, far=far)
         for dyn, full in zip(dynamic, batch):
             if variant == "unweighted" or integer:
                 assert dyn.values == full.values

@@ -63,6 +63,22 @@ class TestParser:
         with pytest.raises(SelfLoopError, match="line 3"):
             parse_edge_events(["1 2", "2 3", "4 4"])
 
+    def test_non_utf8_line_has_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_edge_events([b"1 2\n", b"# caf\xc3\xa9\n", b"3 \xe94\n"])
+        assert err.value.lineno == 3
+
+    def test_one_object_per_node_id(self):
+        """Every mention of an id is one int object, "0700" and "700" alike;
+        ids above 256 are outside CPython's small-int cache."""
+        lines = [f"{700 + i % 7} {900 + i % 5} 1.0 {i}\n" for i in range(40)]
+        events = parse_edge_events(lines + ["0700 901\n", "+701,+0902\n"])
+        own = {}
+        for e in events:
+            assert own.setdefault(e.u, e.u) is e.u
+            assert own.setdefault(e.v, e.v) is e.v
+        assert len(own) == 12
+
     def test_load_from_file(self, data_dir):
         events = load_edge_events(data_dir / "toy_initial.txt")
         assert len(events) == 7

@@ -4,7 +4,7 @@ import contextlib
 
 import pytest
 
-from genutil import bits
+from genutil import bits, far_delta, far_graph
 
 from lapstream import kernels
 from lapstream.centrality import lap_cent
@@ -65,11 +65,14 @@ def evolving_runs(draw, weights=None):
     return g, deltas
 
 
+@pytest.mark.parametrize("far", [False, True])
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 @SETTINGS
 @hypothesis.given(run=evolving_runs())
-def test_dynamic_equals_batch_every_step(variant, run):
+def test_dynamic_equals_batch_every_step(variant, far, run):
     g, deltas = run
+    if far:
+        g, deltas = far_graph(g), [far_delta(d) for d in deltas]
     dynamic = run_evolving(g.copy(), deltas, "dynamic", variant)
     batch = run_evolving(g.copy(), deltas, "batch", variant)
     assert len(dynamic) == len(batch) == len(deltas) + 1
@@ -142,10 +145,13 @@ def fractional_then_integral(draw):
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@pytest.mark.parametrize("far", [False, True])
 @hypothesis.settings(SETTINGS, max_examples=150)
 @hypothesis.given(run=fractional_then_integral())
-def test_weighted_history_with_fractional_residue(run):
+def test_weighted_history_with_fractional_residue(far, run):
     g, deltas = run
+    if far:
+        g, deltas = far_graph(g), [far_delta(d) for d in deltas]
     dynamic = run_evolving(g.copy(), deltas, "dynamic", "weighted")
     batch = run_evolving(g.copy(), deltas, "batch", "weighted")
     for dyn, full in zip(dynamic, batch):
