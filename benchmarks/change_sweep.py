@@ -9,7 +9,9 @@ timed both ways on two copies of the graph, in alternating order: dynamic
 times ``lap_cent_add_remove``, which validates and applies the delta
 itself; batch times ``lap_cent`` alone (``batch_s``, the centrality-only
 timing the paper style uses) and ``apply_delta`` plus ``lap_cent``
-(``batch_e2e_s``, the like-for-like one). A row gives the median over the
+(``batch_e2e_s``, the like-for-like one). The rows run in ROUNDS rounds,
+in reverse order every other round, so that a slow phase of the machine
+does not fall on whole rows. A row gives the median over all its rounds'
 steps of each of these seconds, the median per-step speedups (batch over
 dynamic) on both clocks, the touched nodes and the values brought up to
 date (``computed_count``), and checks that both sides end each step with
@@ -37,20 +39,21 @@ NODES = 30_000
 ATTACH = 6
 SEED = 7
 K_STEPS = 5
+ROUNDS = 3
 KS = (5, 50, 500, 5_000, 20_000)
 REGIMES = ("fully dynamic", "incremental")
 VARIANTS = ("unweighted", "weighted")
 
 
 def sweep_row(regime, variant, k):
+    """One round of a row: the initial edge count, and per step a dict of
+    seconds, speedups and counts."""
     removes = k if regime == "fully dynamic" else 0
     weighted = variant == "weighted"
     stream = churn_stream(NODES, ATTACH, K_STEPS, k, removes, seed=SEED, weighted=weighted)
-    initial_edges = stream.initial.num_edges
     batch_g, dyn_g = stream.initial.copy(), stream.initial
     cmap = lap_cent(dyn_g, variant)
-    batch_s, batch_e2e_s, dynamic_s, speedup, speedup_e2e = [], [], [], [], []
-    touched, computed = [], []
+    steps = []
     for i, delta in enumerate(stream.deltas):
         seconds = {}
         for side in ("batch", "dynamic") if i % 2 == 0 else ("dynamic", "batch"):
@@ -68,27 +71,19 @@ def sweep_row(regime, variant, k):
                 seconds["dynamic"] = time.perf_counter() - t0
         if full.values != cmap.values:
             raise AssertionError(f"{regime} {variant} k={k}: maps differ at step {i + 1}")
-        batch_s.append(seconds["batch"])
-        batch_e2e_s.append(seconds["batch_e2e"])
-        dynamic_s.append(seconds["dynamic"])
-        speedup.append(seconds["batch"] / seconds["dynamic"])
-        speedup_e2e.append(seconds["batch_e2e"] / seconds["dynamic"])
         ends = {x for e in delta.adds for x in e[:2]} | {x for p in delta.removes for x in p}
-        touched.append(len(ends))
-        computed.append(cmap.computed_count)
-    return {
-        "regime": regime,
-        "variant": variant,
-        "k": k,
-        "initial_edges": initial_edges,
-        "batch_s": statistics.median(batch_s),
-        "batch_e2e_s": statistics.median(batch_e2e_s),
-        "dynamic_s": statistics.median(dynamic_s),
-        "speedup": statistics.median(speedup),
-        "speedup_e2e": statistics.median(speedup_e2e),
-        "touched": statistics.median(touched),
-        "computed": statistics.median(computed),
-    }
+        steps.append(
+            {
+                "batch_s": seconds["batch"],
+                "batch_e2e_s": seconds["batch_e2e"],
+                "dynamic_s": seconds["dynamic"],
+                "speedup": seconds["batch"] / seconds["dynamic"],
+                "speedup_e2e": seconds["batch_e2e"] / seconds["dynamic"],
+                "touched": len(ends),
+                "computed": cmap.computed_count,
+            }
+        )
+    return stream.initial.num_edges, steps
 
 
 def main():
@@ -96,26 +91,36 @@ def main():
     parser.add_argument("--json", metavar="PATH", help="also write the rows as JSON to PATH")
     args = parser.parse_args()
 
+    order = [(regime, variant, k) for regime in REGIMES for variant in VARIANTS for k in KS]
+    steps = {row: [] for row in order}
+    initial_edges = {}
+    for r in range(ROUNDS):
+        for row in order if r % 2 == 0 else order[::-1]:
+            initial_edges[row], got = sweep_row(*row)
+            steps[row] += got
+
     print(
-        f"{NODES} nodes, attach {ATTACH}, seed {SEED}, median of {K_STEPS} steps, "
-        f"backend {KERNEL_BACKEND}"
+        f"{NODES} nodes, attach {ATTACH}, seed {SEED}, median of {ROUNDS} rounds of "
+        f"{K_STEPS} steps, backend {KERNEL_BACKEND}"
     )
     print(
         f"{'regime':>13} {'variant':>10} {'k':>6} {'batch ms':>9} {'+apply ms':>9} "
         f"{'dynamic ms':>10} {'speedup':>8} {'e2e':>7} {'touched':>8} {'computed':>8}"
     )
     rows = []
-    for regime in REGIMES:
-        for variant in VARIANTS:
-            for k in KS:
-                row = sweep_row(regime, variant, k)
-                rows.append(row)
-                print(
-                    f"{regime:>13} {variant:>10} {k:>6} {row['batch_s'] * 1e3:9.2f} "
-                    f"{row['batch_e2e_s'] * 1e3:9.2f} {row['dynamic_s'] * 1e3:10.2f} "
-                    f"{row['speedup']:7.2f}x {row['speedup_e2e']:6.2f}x "
-                    f"{row['touched']:>8} {row['computed']:>8}"
-                )
+    for regime, variant, k in order:
+        row = {"regime": regime, "variant": variant, "k": k}
+        row["initial_edges"] = initial_edges[regime, variant, k]
+        got = steps[regime, variant, k]
+        for key in got[0]:
+            row[key] = statistics.median(step[key] for step in got)
+        rows.append(row)
+        print(
+            f"{regime:>13} {variant:>10} {k:>6} {row['batch_s'] * 1e3:9.2f} "
+            f"{row['batch_e2e_s'] * 1e3:9.2f} {row['dynamic_s'] * 1e3:10.2f} "
+            f"{row['speedup']:7.2f}x {row['speedup_e2e']:6.2f}x "
+            f"{row['touched']:>8} {row['computed']:>8}"
+        )
     if args.json:
         report = {
             "command": "python benchmarks/change_sweep.py --json " + args.json,
@@ -123,6 +128,7 @@ def main():
             "attach": ATTACH,
             "seed": SEED,
             "steps": K_STEPS,
+            "rounds": ROUNDS,
             "backend": KERNEL_BACKEND,
             "python": platform.python_version(),
             "machine": platform.machine(),

@@ -6,14 +6,14 @@ Degrees are adjacency row sizes (O(1)); weighted degrees (strengths) are
 maintained incrementally on every mutation so incremental centrality steps
 stay proportional to the size of the change.
 
-Every writer goes through one mutation loop, ``Graph._apply``: the bulk
-constructor ``Graph(edges)``, :meth:`Graph.add_edge`, :meth:`Graph.remove_edge`
-and the incremental step's delta apply. The loop validates each edge as it
-goes unless its caller has already validated the whole batch, so a delta is
-validated once, by ``incremental._read_delta`` (which in the same pass reads
-what the step needs from before the delta), not once more per edge. The same
-loop keeps the two running figures that tell the weighted incremental step
-whether its float arithmetic is exact.
+Every writer goes through one loop, ``Graph._apply``, the only code that
+checks an edge: the bulk constructor ``Graph(edges)``, :meth:`Graph.add_edge`,
+:meth:`Graph.remove_edge` and every delta of :mod:`lapstream.incremental`.
+For a delta it is also the only walk over the edges: it records, as it
+checks each one, what the incremental step needs from before the delta,
+and keeps an undo log so that a rejected delta leaves the graph as it was.
+The same loop keeps the two running figures that tell the weighted
+incremental step whether its float arithmetic is exact.
 
 One int object per node. Equal ints need not be the same object: every
 parsed line or computed id brings its own, and only -5..256 are cached by
@@ -32,6 +32,8 @@ a graph fed foreign objects gives the same values, only slower.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import ItemsView, Iterable, Iterator, KeysView, NamedTuple
@@ -49,6 +51,20 @@ from lapstream.errors import (
 # T, the sum of |w| over the edges, up to which integral weights keep the
 # weighted incremental step exact; see the proof in ``incremental``.
 _EXACT_BOUND = 2.0**24
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by this function's caller
+    names the first frame outside the package, whichever public function it
+    was reached through."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 class Edge(NamedTuple):
@@ -90,8 +106,9 @@ class Graph:
     never cleared: strengths are running sums, so a weight that has left
     can still leave its rounding in them. While the flag is clear every
     weight and strength is an integer of magnitude at most T, and T is
-    exact. Both are updated only for an edge that passed validation, and
-    :meth:`copy` carries them.
+    exact. Both are updated only for an edge that passed its checks, a
+    rejected delta leaves them as they were (its undo puts back every
+    weight and strength it wrote), and :meth:`copy` carries them.
 
     Every node is stored as one int object, the first the graph was given
     for it: the private id table ``_ids`` maps each node to that object, and
@@ -113,7 +130,7 @@ class Graph:
         self._inexact = False
         self.strict = strict
         if edges is not None:
-            self._apply(edges, (), True)
+            self._apply(edges, ())
 
     # -- mutation ---------------------------------------------------------
 
@@ -132,24 +149,37 @@ class Graph:
         :class:`DuplicateEdgeError` if the edge is present; warns
         :class:`NegativeWeightWarning` on a negative weight.
         """
-        self._apply(((u, v, weight),), (), True)
+        self._apply(((u, v, weight),), ())
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove edge (u, v); raises :class:`MissingEdgeError` if absent."""
-        self._apply((), ((u, v),), True)
+        self._apply((), ((u, v),))
 
     def _apply(
-        self, adds: Iterable[tuple], removes: Iterable[tuple[int, int]], check: bool
-    ) -> None:
-        """The one mutation loop: upsert ``adds``, (u, v) or (u, v, weight),
-        in order, then delete ``removes``.
+        self,
+        adds: Iterable[tuple],
+        removes: Iterable[tuple[int, int]],
+        read: str | None = None,
+    ) -> tuple[dict[int, float], dict[tuple[int, int], float | None]]:
+        """The one loop that checks and writes edges: upsert ``adds``, (u, v)
+        or (u, v, weight), in order, then delete ``removes``.
 
-        With ``check`` each edge is validated before it is written, as
-        :meth:`add_edge` and :meth:`remove_edge` document, and a bad edge
-        raises with the edges before it applied. Without it the caller has
-        validated the whole batch against this graph. The edge count, the
-        excess and the flag are kept in locals and stored however the loop
-        ends.
+        Each add is checked, as :meth:`add_edge` documents, before it is
+        written; the removes are all checked, against the graph with the adds
+        in, before any is written: a pair removed twice or a pair not present
+        raises :class:`MissingEdgeError`.
+
+        With ``read`` None a bad add raises with the edges before it written,
+        a strict duplicate at once. With ``read`` "unweighted" or "weighted"
+        the call applies a delta, all or nothing: a strict duplicate raises
+        only after every add has passed its own checks, and any exception
+        before the removes are written undoes the adds, so rows, their order,
+        the strengths, the id table and the running figures are as they were.
+        Returns ``(s0, w0)`` in order of first mention: s0 maps every
+        endpoint to its degree ("unweighted") or strength ("weighted") before
+        the call, so its keys are the touched nodes, and w0 every canonical
+        pair to its weight before the call, None when absent. Both are empty
+        when ``read`` is None.
 
         A new edge never lowers T; only an upsert or a remove can. So T is
         compared with the bound before every upsert, after the adds and
@@ -158,40 +188,47 @@ class Graph:
         """
         adj = self._adj
         strength = self._strength
-        intern = self._ids.setdefault
+        ids = self._ids
+        intern = ids.setdefault
         strict = self.strict
         isfinite = math.isfinite
         bound = _EXACT_BOUND
-        n = self._num_edges
-        excess = self._excess
-        inexact = self._inexact
+        n0 = n = self._num_edges
+        excess0 = excess = self._excess
+        inexact0 = inexact = self._inexact
+        known = len(adj)
+        delta = read is not None
+        degrees = read == "unweighted"
+        s0: dict[int, float] = {}
+        w0: dict[tuple[int, int], float | None] = {}
+        # strengths before the call, for the undo; s0 holds them unless degrees
+        was = {} if degrees else s0
+        duplicate = None
         try:
             for e in adds:
                 if len(e) == 2:
                     u, v = e
                     w = 1.0
-                    if check and u == v:
-                        raise SelfLoopError(f"self-loop on node {u}")
                 else:
                     u, v, w = e
-                    if check:
-                        if u == v:
-                            raise SelfLoopError(f"self-loop on node {u}")
-                        try:
-                            if not isfinite(w):
-                                raise NonFiniteWeightError(
-                                    f"weight {w} on edge ({u}, {v}) is not finite"
-                                )
-                        except OverflowError:
+                if u == v:
+                    raise SelfLoopError(f"self-loop on node {u}")
+                if w != 1.0:
+                    try:
+                        if not isfinite(w):
                             raise NonFiniteWeightError(
-                                f"weight on edge ({u}, {v}) is too large for a float"
-                            ) from None
-                        if w < 0:
-                            warnings.warn(
-                                f"negative weight {w} on edge ({u}, {v})",
-                                NegativeWeightWarning,
-                                stacklevel=3,
+                                f"weight {w} on edge ({u}, {v}) is not finite"
                             )
+                    except OverflowError:
+                        raise NonFiniteWeightError(
+                            f"weight on edge ({u}, {v}) is too large for a float"
+                        ) from None
+                    if w < 0:
+                        warnings.warn(
+                            f"negative weight {w} on edge ({u}, {v})",
+                            NegativeWeightWarning,
+                            stacklevel=_outside_stacklevel(),
+                        )
                 u = intern(u, u)
                 v = intern(v, v)
                 row_u = adj.get(u)
@@ -203,6 +240,16 @@ class Graph:
                     row_v = adj[v] = {}
                     strength[v] = 0.0
                 old = row_u.get(v)
+                if delta:
+                    if u not in s0:
+                        s0[u] = len(row_u) if degrees else strength[u]
+                        was[u] = strength[u]
+                    if v not in s0:
+                        s0[v] = len(row_v) if degrees else strength[v]
+                        was[v] = strength[v]
+                    pair = (u, v) if u <= v else (v, u)
+                    if pair not in w0:
+                        w0[pair] = old
                 if old is None:
                     row_u[v] = w
                     row_v[u] = w
@@ -213,9 +260,13 @@ class Graph:
                         excess += abs(w) - 1.0
                         if w % 1.0:
                             inexact = True
+                elif strict:
+                    # raised at once, or for a delta once every add has passed
+                    # its own checks
+                    duplicate = duplicate or (u, v)
+                    if not delta:
+                        break
                 else:
-                    if check and strict:
-                        raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
                     row_u[v] = w
                     row_v[u] = w
                     d = w - old
@@ -224,13 +275,50 @@ class Graph:
                     if w % 1.0 or n + excess > bound:
                         inexact = True
                     excess += abs(w) - abs(old)
+            if duplicate is not None:
+                raise DuplicateEdgeError(f"edge ({duplicate[0]}, {duplicate[1]}) already present")
             if n + excess > bound:
                 inexact = True
+            canon = ids.get
+            removed: set[tuple[int, int]] = set()
+            checked = []
             for u, v in removes:
+                u = canon(u, u)
+                v = canon(v, v)
+                pair = (u, v) if u <= v else (v, u)
+                if pair in removed:
+                    raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
                 row_u = adj.get(u)
-                if check and (row_u is None or v not in row_u):
-                    raise MissingEdgeError(f"edge ({u}, {v}) not in graph")
-                w = row_u.pop(v)
+                if row_u is None or v not in row_u:
+                    raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
+                removed.add(pair)
+                checked.append((u, v))
+                if delta:
+                    if u not in s0:
+                        s0[u] = len(row_u) if degrees else strength[u]
+                    if v not in s0:
+                        s0[v] = len(adj[v]) if degrees else strength[v]
+                    if pair not in w0:
+                        w0[pair] = row_u[v]
+        except BaseException:
+            if delta:
+                for (u, v), old in w0.items():
+                    if old is None:
+                        del adj[u][v], adj[v][u]
+                    else:
+                        adj[u][v] = adj[v][u] = old
+                strength.update(was)
+                # nodes are never deleted, so those new to the graph are the
+                # last keys of adj, strength and ids
+                for _ in range(len(adj) - known):
+                    adj.popitem()
+                    strength.popitem()
+                    ids.popitem()
+                n, excess, inexact = n0, excess0, inexact0
+            raise
+        else:
+            for u, v in checked:
+                w = adj[u].pop(v)
                 del adj[v][u]
                 n -= 1
                 strength[u] -= w
@@ -241,6 +329,7 @@ class Graph:
             self._num_edges = n
             self._excess = excess
             self._inexact = inexact or n + excess > bound
+        return s0, w0
 
     # -- queries ----------------------------------------------------------
 

@@ -7,8 +7,10 @@ changed edges (touched nodes) and their first-order neighbors can change
 value. A removed edge touches both its endpoints, so the neighbors can be
 gathered on the post-delta graph.
 
-A delta is validated as a whole before anything is mutated, so a rejected
-delta leaves the graph and the map as they were.
+A delta is applied all or nothing by ``Graph._apply``: the removes are all
+checked before any is written, and an add or a remove that rejects the
+delta undoes the adds written before it, so a rejected delta leaves the
+graph, its row order and the map as they were.
 
 The step: with the closed form of Qi et al.,
 
@@ -25,15 +27,14 @@ need evaluate no kernel. For a node x,
 where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. The identity holds for
 any strength table, not only for exact sums of the weights. Both variants
-run it in three walks. One validating read of the delta raises whatever
-rejects it and, in the same loop, records s0 of every endpoint (its keys
-are the touched nodes) and w0 of every distinct canonical pair. The
-delta is then applied without a second check. After the pair terms, one
-walk over the touched nodes adds each node's own term and, where its s
-changed, ``w * 2 * delta_s`` to every member of its post-delta row; as it
-goes it grows touched | N(touched), whose size is the step's
-``computed_count`` (:func:`affected_nodes` returns the same set, and is
-its reference). The unweighted variant reads w as presence,
+run it in two walks. The apply checks and writes the delta and, in the
+same loop, records s0 of every endpoint (its keys are the touched nodes)
+and w0 of every distinct canonical pair, None where absent. After the
+pair terms, one walk over the touched nodes adds each node's own term
+and, where its s changed, ``w * 2 * delta_s`` to every member of its
+post-delta row; as it goes it grows touched | N(touched), whose size is
+the step's ``computed_count`` (:func:`affected_nodes` returns the same
+set, and is its reference). The unweighted variant reads w as presence,
 a bool that adds as 0 or 1, and s as the degree, so that
 ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
 difference keeps exact.
@@ -74,29 +75,14 @@ recomputation by construction.
 
 from __future__ import annotations
 
-import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
-from lapstream.errors import (
-    DeltaError,
-    DuplicateEdgeError,
-    LapstreamError,
-    MissingEdgeError,
-    NegativeWeightWarning,
-    NonFiniteWeightError,
-    SelfLoopError,
-)
+from lapstream.errors import DeltaError, LapstreamError
 from lapstream.graph import Edge, Graph
-
-# the row read for a node not yet in the graph
-_NO_ROW = MappingProxyType({})
 
 
 @dataclass
@@ -128,125 +114,9 @@ class AffectedSets:
     recompute: set[int]
 
 
-def _outside_stacklevel() -> int:
-    """The ``stacklevel`` at which a warning raised by this function's caller
-    names the first frame outside this module, so a warning reached through
-    :func:`lap_cent_add_remove` or :func:`run_evolving` names their caller."""
-    frame = sys._getframe(1)
-    here = frame.f_code.co_filename
-    level = 1
-    while frame is not None and frame.f_code.co_filename == here:
-        frame = frame.f_back
-        level += 1
-    return level
-
-
-def _read_delta(
-    g: Graph, delta: EdgeDelta, read: Variant | None
-) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
-    """The one validating read of ``delta`` against ``g``, which it does not mutate.
-
-    Raises on a self-loop, a non-finite weight (an int too large for a float
-    counts as one), a remove of an edge that is neither in ``g`` nor added
-    by the delta, a pair removed twice and, on a strict graph, an add of a
-    pair already present; warns on a negative weight, as
-    :meth:`Graph.add_edge` does. The adds are checked edge by edge, then the
-    first strict duplicate raises, then the removes are checked edge by edge.
-
-    Returns ``(s0, w0)``, in order of first mention: s0 maps every endpoint,
-    so its keys are the touched nodes, and w0 every distinct canonical pair.
-    ``read`` says what they hold before the delta: for "unweighted" the
-    degree and the presence of the pair, a bool; for "weighted" the strength
-    and the weight, 0 when absent; for None nothing, only 0.
-
-    Each endpoint is read through the graph's id table, so the keys of s0,
-    the pairs of w0 and every probe made with them are the objects the graph
-    stores (see :mod:`lapstream.graph`), and the step's walks over them take
-    the dicts' identity fast path. A node new to the graph keeps the object
-    of its first mention, which ``Graph._apply`` then registers, since it
-    walks the adds in the same order.
-    """
-    adj = g.adjacency()
-    strength = g.strengths()
-    sget = strength.get
-    canon = g._ids.get
-    strict = g.strict
-    isfinite = math.isfinite
-    degrees = read == "unweighted"
-    s0: dict[int, float] = {}
-    w0: dict[tuple[int, int], float] = {}
-    duplicate = None
-    for u, v, w in delta.adds:
-        u = canon(u, u)
-        v = canon(v, v)
-        if u == v:
-            raise SelfLoopError(f"self-loop on node {u}")
-        try:
-            if not isfinite(w):
-                raise NonFiniteWeightError(f"weight {w} on edge ({u}, {v}) is not finite")
-        except OverflowError:
-            raise NonFiniteWeightError(
-                f"weight on edge ({u}, {v}) is too large for a float"
-            ) from None
-        if w < 0:
-            warnings.warn(
-                f"negative weight {w} on edge ({u}, {v})",
-                NegativeWeightWarning,
-                stacklevel=_outside_stacklevel(),
-            )
-        pair = (u, v) if u <= v else (v, u)
-        if pair in w0:
-            if strict and duplicate is None:
-                duplicate = (u, v)
-            continue
-        row = adj.get(u, _NO_ROW)
-        present = v in row
-        if present and strict and duplicate is None:
-            duplicate = (u, v)
-        if degrees:
-            w0[pair] = present
-            s0[u] = len(row)
-            s0[v] = len(adj.get(v, _NO_ROW))
-        elif read:
-            w0[pair] = row[v] if present else 0.0
-            s0[u] = sget(u, 0.0)
-            s0[v] = sget(v, 0.0)
-        else:
-            w0[pair] = s0[u] = s0[v] = 0
-    if duplicate is not None:
-        raise DuplicateEdgeError(f"edge ({duplicate[0]}, {duplicate[1]}) already present")
-    removed: set[tuple[int, int]] = set()
-    for u, v in delta.removes:
-        u = canon(u, u)
-        v = canon(v, v)
-        pair = (u, v) if u <= v else (v, u)
-        if pair in removed:
-            raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
-        removed.add(pair)
-        if pair in w0:  # added by this delta, not removed before
-            continue
-        row = adj.get(u, _NO_ROW)
-        if v not in row:
-            raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
-        if degrees:
-            w0[pair] = True
-            s0[u] = len(row)
-            s0[v] = len(adj[v])
-        elif read:
-            w0[pair] = row[v]
-            s0[u] = strength[u]
-            s0[v] = strength[v]
-        else:
-            w0[pair] = s0[u] = s0[v] = 0
-    return s0, w0
-
-
 def _gather(adj: dict[int, dict[int, float]], s0: dict[int, float]) -> AffectedSets:
     """The keys of ``s0`` as the touched nodes, and them plus their rows."""
-    # key by key, not sized up front as set(s0) is: the set's layout, and so
-    # the order in which the kernel fallback adds nodes new to the map, is
-    # the one a touched set grown edge by edge has
-    touched = set(s0.keys())
+    touched = set(s0)
     recompute = set(touched)
     for x in touched:
         recompute.update(adj[x])
@@ -256,11 +126,9 @@ def _gather(adj: dict[int, dict[int, float]], s0: dict[int, float]) -> AffectedS
 def apply_delta(g: Graph, delta: EdgeDelta) -> None:
     """Apply adds then removes to ``g``.
 
-    The whole delta is validated first; if it is rejected ``g`` is left
-    unchanged.
+    All or nothing: if the delta is rejected ``g`` is left unchanged.
     """
-    _read_delta(g, delta, None)
-    g._apply(delta.adds, delta.removes, False)
+    g._apply(delta.adds, delta.removes, "weighted")
 
 
 def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
@@ -272,8 +140,7 @@ def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
     reflects the full delta; if the delta is rejected ``g`` is left
     unchanged.
     """
-    s0, _ = _read_delta(g, delta, None)
-    g._apply(delta.adds, delta.removes, False)
+    s0, _ = g._apply(delta.adds, delta.removes, "weighted")
     return _gather(g.adjacency(), s0)
 
 
@@ -291,37 +158,42 @@ def lap_cent_add_remove(
     its ``computed_count`` is the number of centralities brought up to date
     (touched nodes plus their neighbors).
     Both variants add the exact closed-form difference of the module
-    docstring to each of them and evaluate no kernel, in three walks: one
-    validating read of the delta, the apply, and one walk over the touched
-    nodes after the pair terms. A weighted step on a graph whose exactness
-    flag is set before or after the delta re-evaluates the kernel on all of
-    them instead. Copy ``cmap`` first to keep the previous step's values. A
-    rejected delta or an unknown variant raises before ``g`` or ``cmap``
-    changes. Returns ``cmap``.
+    docstring to each of them and evaluate no kernel, in two walks: the
+    apply, which checks the delta and records what the step reads from
+    before it, and one walk over the touched nodes after the pair terms. A
+    weighted step on a graph whose exactness flag is set before or after
+    the delta re-evaluates the kernel on all of them instead. Copy ``cmap``
+    first to keep the previous step's values. A rejected delta or an
+    unknown variant raises before ``g`` or ``cmap`` changes. Returns
+    ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
     weighted = variant == "weighted"
-    s0, w0 = _read_delta(g, delta, None if weighted and g._inexact else variant)
     adj = g.adjacency()
     known = len(adj)
-    g._apply(delta.adds, delta.removes, False)
+    s0, w0 = g._apply(delta.adds, delta.removes, variant)
     values = cmap.values
+    if len(adj) > known:
+        # nodes are never deleted, so the nodes new to the graph are the last
+        # keys of its adjacency, in order of first mention, which is batch's
+        # key order; they start from 0
+        fresh = list(islice(reversed(adj), len(adj) - known))
+        values.update(dict.fromkeys(reversed(fresh), 0.0 if weighted else 0))
     if weighted and g._inexact:
         recompute = _gather(adj, s0).recompute
         cmap.computed_count = len(recompute)
         if recompute:
             values.update(evaluate_nodes(g, recompute, variant))
         return cmap
-    if len(adj) > known:
-        # nodes are never deleted, so the nodes new to the graph are the last
-        # keys of its adjacency, in order of first mention; they start from 0
-        fresh = list(islice(reversed(adj), len(adj) - known))
-        values.update(dict.fromkeys(reversed(fresh), 0.0 if weighted else 0))
     # pair terms, on both ends of every pair whose weight changed
     for (u, v), a in w0.items():
         row = adj[u]
-        b = row.get(v, 0.0) if weighted else v in row
+        if weighted:
+            a = 0.0 if a is None else a
+            b = row.get(v, 0.0)
+        else:
+            a, b = a is not None, v in row
         if b != a:
             dw = b - a
             sq = b * b - a * a

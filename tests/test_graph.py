@@ -368,7 +368,7 @@ class TestBulkPath:
             return type(raised.value), str(raised.value), len(taken), _state(g)
 
         def by_loop(g, edges):
-            g._apply(edges, (), True)
+            g._apply(edges, ())
 
         (bulk, _), (seq, _) = _recorded(lambda: run(by_loop)), _recorded(lambda: run(_add_each))
         assert bulk == seq
@@ -404,13 +404,6 @@ class TestBulkPath:
         _, seq_warnings = _recorded(per_edge)
         assert _state(bulk) == _state(seq)
         assert bulk_warnings == seq_warnings
-        # the unchecked loop alone, once the delta is known good
-        unchecked = g.copy()
-        _, unchecked_warnings = _recorded(
-            lambda: unchecked._apply(delta.adds, delta.removes, False)
-        )
-        assert _state(unchecked) == _state(seq)
-        assert unchecked_warnings == []
 
 
 # -- the running figures: T and the sticky exactness flag ----------------------
@@ -488,7 +481,7 @@ class TestRunningFigures:
         with pytest.raises(LapstreamError):
             apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 0.5), Edge(*bad)]))
         with pytest.raises(LapstreamError):
-            g._apply([(4, 5, 7.0), bad], (), True)  # the edge before it is written
+            g._apply([(4, 5, 7.0), bad], ())  # the edge before it is written
         assert not g._inexact
         assert g.num_edges + g._excess == 12.0
 
@@ -511,7 +504,7 @@ class TestRunningFigures:
     def test_bound_seen_at_every_peak(self, monkeypatch, adds, removes, end):
         monkeypatch.setattr(graph_module, "_EXACT_BOUND", 4.0)
         g = Graph()
-        g._apply(adds, removes, True)
+        g._apply(adds, removes)
         assert g._inexact
         assert g.num_edges + g._excess == _recount(g)[0] == end
 
@@ -519,6 +512,6 @@ class TestRunningFigures:
         monkeypatch.setattr(graph_module, "_EXACT_BOUND", 2.0)
         g = Graph()
         with pytest.raises(SelfLoopError):
-            g._apply([(0, 1), (1, 2), (2, 3), (4, 4)], (), True)
+            g._apply([(0, 1), (1, 2), (2, 3), (4, 4)], ())
         assert g.num_edges == 3
         assert g._inexact

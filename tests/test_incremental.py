@@ -4,9 +4,10 @@ import warnings
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import bits, far_delta, far_graph, random_delta, random_graph
+from genutil import FAR, bits, far_delta, far_graph, random_delta, random_graph
 
 from lapstream import kernels
+from lapstream.bench import bench_stream
 from lapstream.centrality import CentralityMap, lap_cent
 from lapstream.errors import (
     DeltaError,
@@ -25,6 +26,7 @@ from lapstream.incremental import (
     lap_cent_add_remove,
     run_evolving,
 )
+from lapstream.ingest import EdgeEvent, SnapshotStream, snapshots_cumulative, snapshots_window
 
 
 class TestAffectedNodes:
@@ -98,10 +100,12 @@ STRICT_REJECTED_DELTAS = [
 
 
 def _state(g, cmap):
-    """Everything a step may change: the graph, its running figures and the map."""
+    """Everything a step may change: the graph in insertion order and floats by
+    bits, its id table, its running figures and the map."""
     return (
-        {u: dict(row) for u, row in g.adjacency().items()},
-        dict(g.strengths()),
+        [(u, [(v, w.hex()) for v, w in row.items()]) for u, row in g.adjacency().items()],
+        [(u, s.hex()) for u, s in g.strengths().items()],
+        list(g._ids.items()),
         g.num_edges,
         g._excess,
         g._inexact,
@@ -137,6 +141,8 @@ class TestRejectedDelta:
         assert toy_graph == before
         assert toy_graph.strengths() == before.strengths()
         assert toy_graph.num_edges == before.num_edges
+        cmap = lap_cent(before, "weighted")
+        assert _state(toy_graph, cmap) == _state(before, cmap)
 
     @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
@@ -178,6 +184,20 @@ class TestRejectedDelta:
             toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_undo_restores_upsert_and_drops_new_node(self, toy_graph, variant, far):
+        """An upsert of an existing edge and a new node, then a bad remove: the
+        old weight goes back in place and the node leaves rows and id table."""
+        delta = EdgeDelta(adds=[Edge(3, 2, 4.0), Edge(1, 9)], removes=[(1, 6)])
+        if far:
+            toy_graph, delta = far_graph(toy_graph), far_delta(delta)
+        _step_rejects_as_apply_delta(toy_graph, delta, MissingEdgeError, variant)
+        base = FAR if far else 0
+        assert list(toy_graph.adjacency()[base + 2].items()) == [(base + 1, 1.0), (base + 3, 1.0)]
+        assert base + 9 not in toy_graph
+        assert base + 9 not in toy_graph._ids
+
     def test_strict_duplicate_add(self, toy_graph):
         toy_graph.strict = True
         before = toy_graph.copy()
@@ -193,12 +213,21 @@ class TestRejectedDelta:
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 def test_negative_weight_warning_names_caller(variant):
     delta = EdgeDelta(adds=[Edge(1, 3, -1.0)])
+    events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 3, -1.0, 0)]
+
+    def stream(g):
+        return SnapshotStream(g, [delta], ["0", "1"])
+
     calls = [
         lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
         lambda g: run_evolving(g, [delta], "dynamic", variant),
         lambda g: run_evolving(g, [delta], "batch", variant),
         lambda g: apply_delta(g, delta),
         lambda g: affected_nodes(g, delta),
+        lambda g: bench_stream(stream(g), "dynamic", variant),
+        lambda g: bench_stream(stream(g), "batch", variant),
+        lambda g: snapshots_cumulative(events, "daily"),
+        lambda g: snapshots_window(events, "daily", 2),
     ]
     for call in calls:
         with warnings.catch_warnings(record=True) as caught:
@@ -206,6 +235,42 @@ def test_negative_weight_warning_names_caller(variant):
             call(Graph([(1, 2)]))
         assert [w.category for w in caught] == [NegativeWeightWarning]
         assert caught[0].filename == __file__
+    # compare mode replays the delta once for each algorithm
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bench_stream(stream(Graph([(1, 2)])), "compare", variant)
+    assert [(w.category, w.filename) for w in caught] == [(NegativeWeightWarning, __file__)] * 2
+
+
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+def test_absent_remove_raises_one_message(variant):
+    """remove_edge, a delta and a step name an absent edge the same way."""
+    delta = EdgeDelta(removes=[(1, 6)])
+    calls = [
+        lambda g: g.remove_edge(1, 6),
+        lambda g: apply_delta(g, delta),
+        lambda g: affected_nodes(g, delta),
+        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(MissingEdgeError) as raised:
+            call(Graph(TOY_EDGES))
+        messages.append(str(raised.value))
+    assert messages == ["cannot remove absent edge (1, 6)"] * len(calls)
+
+
+@pytest.mark.parametrize("weight", [2.0, 0.5], ids=["exact", "fallback"])
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+def test_new_nodes_take_batch_key_order(variant, weight):
+    """Nodes new to the graph enter the map in batch's order on either path
+    of the weighted step, the kernel fallback included."""
+    g = Graph([(1, 2, weight)])
+    cmap = lap_cent(g, variant)
+    delta = EdgeDelta(adds=[Edge(100, 1), Edge(50, 2), Edge(7, 300, 3.0), Edge(33, 2)])
+    lap_cent_add_remove(g, delta, cmap, variant)
+    assert list(cmap.values) == list(lap_cent(g, variant).values)
+    assert list(cmap.values) == [1, 2, 100, 50, 7, 300, 33]
 
 
 class TestAddRemove:
