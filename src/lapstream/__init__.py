@@ -8,7 +8,7 @@ The package exports the errors that carry fields, their base class and the
 warning; the other errors live in :mod:`lapstream.errors`.
 """
 
-from lapstream.bench import RunConfig, bench_stream, emit_csv, run_benchmark
+from lapstream.bench import bench_stream, emit_csv
 from lapstream.centrality import CentralityMap, lap_cent, laplacian_energy, normalize
 from lapstream.errors import (
     CompareMismatchError,
@@ -45,7 +45,6 @@ __all__ = [
     "LapstreamError",
     "NegativeWeightWarning",
     "ParseError",
-    "RunConfig",
     "SnapshotStream",
     "apply_delta",
     "bench_stream",
@@ -57,7 +56,6 @@ __all__ = [
     "load_edge_events",
     "normalize",
     "parse_edge_events",
-    "run_benchmark",
     "run_evolving",
     "snapshots_cumulative",
     "snapshots_window",

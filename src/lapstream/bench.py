@@ -3,12 +3,13 @@
 Per step it records network size, delta size, centralities computed,
 elapsed and cumulative seconds (monotonic clock), and, in compare mode,
 the per-step batch/dynamic speedup. Timing covers centrality computation
-only; for the dynamic algorithm that includes delta application and
-affected-set gathering (they are part of its work), while batch snapshots
-are materialized off the clock and only the full recomputation is timed.
+only; for the dynamic algorithm that includes validating and applying the
+delta (they are part of its step), while batch snapshots are materialized
+off the clock and only the full recomputation is timed.
 
 Compare mode cross-checks that batch and dynamic maps agree at every step
-before any timing is reported.
+before any timing is reported; it is the only mode that keeps a map per
+step.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from lapstream.centrality import (
-    CentralityMap,
-    Variant,
-    laplacian_energy,
-    normalize,
-    write_centralities,
-)
+from lapstream.centrality import CentralityMap, Variant
 from lapstream.errors import CompareMismatchError, EmptyDatasetError
-from lapstream.incremental import apply_delta, evolve
+from lapstream.incremental import evolve
 from lapstream.ingest import (
     SnapshotStream,
     load_edge_events,
@@ -58,27 +53,12 @@ class BenchRecord:
 
 
 @dataclass
-class RunConfig:
-    input_path: str | Path
-    mode: str = "dynamic"  # batch | dynamic | compare
-    variant: Variant = "unweighted"
-    snapshot: str = "daily"  # daily | monthly | count:N
-    window: int | None = None  # sliding window length in buckets
-    normalized: bool = False
-    out_dir: str | Path | None = None
-    strict: bool = False
-    repeat: int = 1
-    dump_centralities: bool = False
-    weight_policy: str = "overwrite"
-
-
-@dataclass
 class BenchResult:
     mode: str
     variant: Variant
     batch: list[BenchRecord] | None = None
     dynamic: list[BenchRecord] | None = None
-    maps: list[CentralityMap] = field(default_factory=list)  # authoritative pass
+    maps: list[CentralityMap] = field(default_factory=list)  # compare mode only
 
     @property
     def records(self) -> list[BenchRecord]:
@@ -126,12 +106,12 @@ def _close(x: float, y: float, rel_tol: float) -> bool:
 
 
 def _measure(
-    stream: SnapshotStream, mode: str, variant: Variant, repeat: int, strict: bool, on_map
+    stream: SnapshotStream, mode: str, variant: Variant, repeat: int, on_map=None
 ) -> list[BenchRecord]:
     """Replay ``stream`` ``repeat`` times through the driver; one record per step.
 
-    During the first replay, off the clock, each step's sizes are read and
-    ``on_map(step, cmap)`` is called (step 0 is the initial graph).
+    During the first replay, off the clock, each step's sizes are read and,
+    if given, ``on_map(step, cmap)`` is called (step 0 is the initial graph).
     """
     sizes = [(stream.initial.num_edges, 0)]
     sizes += [(len(d.adds), len(d.removes)) for d in stream.deltas]
@@ -139,11 +119,11 @@ def _measure(
     rows = []
     for r in range(repeat):
         g = stream.initial.copy()
-        g.strict = strict
         for step, (cmap, seconds) in enumerate(evolve(g, stream.deltas, mode, variant)):
             times[step].append(seconds)
             if r == 0:
-                on_map(step, cmap)
+                if on_map is not None:
+                    on_map(step, cmap)
                 rows.append((g.num_nodes, g.num_edges, *sizes[step], cmap.computed_count))
     records = []
     cumulative = 0.0
@@ -167,14 +147,14 @@ def bench_stream(
     mode: str,
     variant: Variant = "unweighted",
     repeat: int = 1,
-    strict: bool = False,
 ) -> BenchResult:
     """Measure one stream. ``stream.initial`` is copied, never mutated.
 
     Each mode replays the stream once per repeat. In compare mode the
-    dynamic pass runs first and keeps its maps; each batch map is checked
-    against the stored dynamic map as the batch pass produces it, so no
-    timing leaves this function on a divergence.
+    dynamic pass runs first and keeps a copy of its map at every step, in
+    ``maps``; each batch map is checked against the stored dynamic map as
+    the batch pass produces it, so no timing leaves this function on a
+    divergence. Batch and dynamic mode keep no map: ``maps`` stays empty.
     """
     if mode not in ("batch", "dynamic", "compare"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -191,12 +171,13 @@ def bench_stream(
         if bad is not None:
             raise CompareMismatchError(step + 1, *bad)
 
-    if mode != "batch":
-        result.dynamic = _measure(stream, "dynamic", variant, repeat, strict, keep)
-    if mode != "dynamic":
-        on_map = gate if mode == "compare" else lambda _, cmap: maps.append(cmap)
-        result.batch = _measure(stream, "batch", variant, repeat, strict, on_map)
-    if mode == "compare":
+    if mode == "dynamic":
+        result.dynamic = _measure(stream, "dynamic", variant, repeat)
+    elif mode == "batch":
+        result.batch = _measure(stream, "batch", variant, repeat)
+    else:
+        result.dynamic = _measure(stream, "dynamic", variant, repeat, keep)
+        result.batch = _measure(stream, "batch", variant, repeat, gate)
         for b, d in zip(result.batch, result.dynamic):
             b.speedup = d.speedup = b.elapsed_s / d.elapsed_s
     return result
@@ -215,43 +196,20 @@ def emit_csv(records: list[BenchRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_stream(cfg: RunConfig) -> SnapshotStream:
-    path = Path(cfg.input_path)
+def build_stream(
+    path: str | Path,
+    snapshot: str = "daily",
+    window: int | None = None,
+    weight_policy: str = "overwrite",
+) -> SnapshotStream:
+    """The stream of an event file or a snapshot directory: cumulative, or
+    sliding-window when ``window`` (in periods) is given."""
+    path = Path(path)
     if path.is_dir():
         return stream_from_snapshot_dir(path)
     events = load_edge_events(path)
     if not events:
         raise EmptyDatasetError(f"no edge events in {path}")
-    if cfg.window is not None:
-        return snapshots_window(events, cfg.snapshot, cfg.window, cfg.weight_policy)
-    return snapshots_cumulative(events, cfg.snapshot, cfg.weight_policy)
-
-
-def _dump_centralities(stream, maps, variant, normalized, out_dir: Path) -> None:
-    dump_dir = out_dir / "centralities"
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    g = stream.initial.copy() if normalized else None  # only normalizing needs the graph
-    for step, cmap in enumerate(maps):
-        if normalized:
-            if step > 0:
-                apply_delta(g, stream.deltas[step - 1])
-            cmap = normalize(cmap, laplacian_energy(g, variant))
-        with open(dump_dir / f"step_{step + 1:04d}.csv", "w", newline="\n") as fh:
-            write_centralities(cmap, fh)
-
-
-def run_benchmark(cfg: RunConfig) -> BenchResult:
-    """Full harness entry point: build the stream per the config, measure,
-    and write CSV/centrality artifacts if an output directory is set."""
-    stream = build_stream(cfg)
-    result = bench_stream(stream, cfg.mode, cfg.variant, cfg.repeat, cfg.strict)
-    if cfg.out_dir is not None:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if result.batch is not None:
-            (out_dir / "batch.csv").write_text(emit_csv(result.batch), newline="\n")
-        if result.dynamic is not None:
-            (out_dir / "dynamic.csv").write_text(emit_csv(result.dynamic), newline="\n")
-        if cfg.dump_centralities:
-            _dump_centralities(stream, result.maps, cfg.variant, cfg.normalized, out_dir)
-    return result
+    if window is not None:
+        return snapshots_window(events, snapshot, window, weight_policy)
+    return snapshots_cumulative(events, snapshot, weight_policy)

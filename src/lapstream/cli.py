@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from lapstream import __version__
-from lapstream.bench import RunConfig, build_stream, emit_csv, run_benchmark
+from lapstream.bench import bench_stream, build_stream, emit_csv
 from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_centralities
 from lapstream.errors import LapstreamError
 from lapstream.graph import Graph
-from lapstream.incremental import apply_delta
+from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import load_edge_events
 
 
@@ -74,7 +75,6 @@ def _add_common(p):
         default="overwrite",
         help="how re-observed edge weights combine (default: overwrite)",
     )
-    p.add_argument("--strict", action="store_true", help="treat re-added edges as errors")
 
 
 def _add_bench(p):
@@ -121,22 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, mode) -> RunConfig:
-    return RunConfig(
-        input_path=args.input,
-        mode=mode,
-        variant=args.variant,
-        snapshot=args.snapshot,
-        window=args.window,
-        normalized=getattr(args, "normalized", False),
-        out_dir=getattr(args, "out", None),
-        strict=args.strict,
-        repeat=getattr(args, "repeat", 1),
-        dump_centralities=getattr(args, "dump_centralities", False),
-        weight_policy=args.weight_policy,
-    )
-
-
 def _report(result, out_dir) -> None:
     if out_dir is None:
         sys.stdout.write(emit_csv(result.records))
@@ -160,10 +144,34 @@ def _cmd_run(args) -> int:
         raise _UsageError("--dump-centralities needs --out DIR")
     if args.normalized and not args.dump_centralities:
         raise _UsageError("--normalized needs --dump-centralities")
-    cfg = _config(args, args.mode)
-    result = run_benchmark(cfg)
-    _report(result, cfg.out_dir)
+    stream = build_stream(args.input, args.snapshot, args.window, args.weight_policy)
+    result = bench_stream(stream, args.mode, args.variant, args.repeat)
+    if args.out is not None:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if result.batch is not None:
+            (out_dir / "batch.csv").write_text(emit_csv(result.batch), newline="\n")
+        if result.dynamic is not None:
+            (out_dir / "dynamic.csv").write_text(emit_csv(result.dynamic), newline="\n")
+        if args.dump_centralities:
+            _dump_centralities(stream, args.mode, args.variant, args.normalized, out_dir)
+    _report(result, args.out)
     return 0
+
+
+def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None:
+    """Write each step's map under ``out_dir/centralities``, replaying
+    ``stream`` through the driver once more in the run's mode (compare
+    dumps the dynamic maps)."""
+    dump_dir = out_dir / "centralities"
+    dump_dir.mkdir(parents=True, exist_ok=True)
+    g = stream.initial.copy()
+    steps = evolve(g, stream.deltas, "batch" if mode == "batch" else "dynamic", variant)
+    for step, (cmap, _) in enumerate(steps, start=1):
+        if normalized:
+            cmap = normalize(cmap, laplacian_energy(g, variant))
+        with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
+            write_centralities(cmap, fh)
 
 
 def _cmd_centrality(args) -> int:
@@ -180,8 +188,7 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _config(args, "dynamic")
-    stream = build_stream(cfg)
+    stream = build_stream(args.input, args.snapshot, args.window, args.weight_policy)
     g = stream.initial.copy()
     g.strict = True
     for step, delta in enumerate(stream.deltas, start=1):

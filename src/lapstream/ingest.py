@@ -3,7 +3,8 @@
 Input grammar, per line: optional ``#`` comments; otherwise 2 to 4 fields
 split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
 non-negative decimal integers, w a finite decimal real (default 1.0) and t a
-decimal integer timestamp (default: the event's ordinal).
+decimal integer timestamp in epoch seconds (default: the event's ordinal),
+within years 1 to 9999 UTC, the range ``datetime`` can bucket.
 
 Commas are replaced by spaces and the line is split with ``str.split()``.
 ``str.split()`` and the ``re`` module's whitespace class agree on which
@@ -40,6 +41,11 @@ from typing import Iterable, NamedTuple
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
+
+# the first and last second of years 1 to 9999 UTC
+_MIN_TIMESTAMP = -62135596800
+_MAX_TIMESTAMP = 253402300799
+
 
 class EdgeEvent(NamedTuple):
     u: int
@@ -115,6 +121,8 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
                 timestamp = int(fields[3])
             except ValueError:
                 raise ParseError(lineno, f"bad timestamp {fields[3]!r}") from None
+            if not _MIN_TIMESTAMP <= timestamp <= _MAX_TIMESTAMP:
+                raise ParseError(lineno, f"timestamp {fields[3]!r} outside years 1 to 9999 UTC")
         else:
             timestamp = len(events)
         events.append(EdgeEvent(u, v, weight, timestamp))

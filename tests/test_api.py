@@ -16,7 +16,6 @@ PUBLIC = [
     "LapstreamError",
     "NegativeWeightWarning",
     "ParseError",
-    "RunConfig",
     "SnapshotStream",
     "apply_delta",
     "bench_stream",
@@ -28,7 +27,6 @@ PUBLIC = [
     "load_edge_events",
     "normalize",
     "parse_edge_events",
-    "run_benchmark",
     "run_evolving",
     "snapshots_cumulative",
     "snapshots_window",

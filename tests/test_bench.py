@@ -4,17 +4,16 @@ import pytest
 
 from conftest import TOY_EDGES
 
-from lapstream import bench, incremental
+from lapstream import cli, incremental
 from lapstream.bench import (
     CSV_HEADER,
     BenchRecord,
-    RunConfig,
     bench_stream,
     build_stream,
     diff_maps,
     emit_csv,
-    run_benchmark,
 )
+from lapstream.cli import cli_main
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
@@ -61,6 +60,19 @@ class TestBenchStream:
         assert batch_rec.centralities_computed == dyn_rec.centralities_computed
         # both sides run the identical full computation on step 1
         assert 0.3 < dyn_rec.speedup < 3.0
+
+    @pytest.mark.parametrize("mode", ["batch", "dynamic"])
+    def test_single_mode_keeps_no_maps(self, mode):
+        stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
+        assert bench_stream(stream, mode, "unweighted").maps == []
+
+    def test_compare_keeps_one_map_per_step(self):
+        stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
+        result = bench_stream(stream, "compare", "unweighted")
+        assert len(result.maps) == stream.num_steps
+        assert len({id(m.values) for m in result.maps}) == stream.num_steps
+        computed = [m.computed_count for m in result.maps]
+        assert computed == [r.centralities_computed for r in result.dynamic]
 
     def test_repeat_populates_std(self):
         result = bench_stream(toy_stream(), "dynamic", "unweighted", repeat=3)
@@ -212,40 +224,36 @@ class TestEmitCsv:
 
 class TestBuildStream:
     def test_from_event_file(self, data_dir):
-        cfg = RunConfig(input_path=data_dir / "toy_stream.txt", snapshot="count:7")
-        stream = build_stream(cfg)
+        stream = build_stream(data_dir / "toy_stream.txt", snapshot="count:7")
         assert stream.initial.num_edges == 7
         assert len(stream.deltas) == 1
 
     def test_window_selects_dynamic_semantics(self, tmp_path):
         path = tmp_path / "events.txt"
         path.write_text("1 2 1.0 0\n3 4 1.0 86400\n")
-        cfg = RunConfig(input_path=path, snapshot="daily", window=1)
-        stream = build_stream(cfg)
+        stream = build_stream(path, snapshot="daily", window=1)
         assert stream.deltas[0].removes == [(1, 2)]
 
     def test_from_directory(self, tmp_path):
         (tmp_path / "00.txt").write_text("1 2\n")
         (tmp_path / "01.txt").write_text("1 2\n2 3\n")
-        cfg = RunConfig(input_path=tmp_path)
-        stream = build_stream(cfg)
+        stream = build_stream(tmp_path)
         assert len(stream.deltas) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            build_stream(RunConfig(input_path=tmp_path / "missing.txt"))
+            build_stream(tmp_path / "missing.txt")
 
 
-class TestRunBenchmark:
+def _run(data_dir, out_dir, command, *flags):
+    toy = str(data_dir / "toy_stream.txt")
+    argv = [*command, "--input", toy, "--snapshot", "count:7", "--out", str(out_dir), *flags]
+    return cli_main(argv)
+
+
+class TestRunArtifacts:
     def test_writes_artifacts(self, data_dir, tmp_path):
-        cfg = RunConfig(
-            input_path=data_dir / "toy_stream.txt",
-            mode="compare",
-            snapshot="count:7",
-            out_dir=tmp_path,
-            dump_centralities=True,
-        )
-        run_benchmark(cfg)
+        assert _run(data_dir, tmp_path, ["compare"], "--dump-centralities") == 0
         batch_csv = (tmp_path / "batch.csv").read_text()
         dynamic_csv = (tmp_path / "dynamic.csv").read_text()
         assert batch_csv.startswith(CSV_HEADER)
@@ -253,38 +261,50 @@ class TestRunBenchmark:
         step2 = (tmp_path / "centralities" / "step_0002.csv").read_text().splitlines()
         assert step2 == ["1,6", "2,12", "3,18", "4,28", "5,38", "6,20", "7,20"]
 
-    def test_unnormalized_dump_replays_nothing(self, data_dir, tmp_path, monkeypatch):
-        def run(out_dir):
-            cfg = RunConfig(
-                input_path=data_dir / "toy_stream.txt",
-                snapshot="count:7",
-                out_dir=out_dir,
-                dump_centralities=True,
-            )
-            run_benchmark(cfg)
-            dump_dir = out_dir / "centralities"
-            return {p.name: p.read_bytes() for p in sorted(dump_dir.iterdir())}
+    @pytest.mark.parametrize(
+        "command, replayed",
+        [
+            (["run", "--mode", "batch"], "batch"),
+            (["run", "--mode", "dynamic"], "dynamic"),
+            (["compare"], "dynamic"),
+        ],
+    )
+    def test_dump_replays_in_run_mode(self, data_dir, tmp_path, monkeypatch, command, replayed):
+        """The dump replays the stream once more through the driver, in the
+        run's mode (compare dumps the dynamic maps), after the measurement."""
+        modes = []
 
-        expected = run(tmp_path / "replayed")
+        def recorded(g, deltas, mode, variant):
+            modes.append(mode)
+            return incremental.evolve(g, deltas, mode, variant)
 
-        def no_replay(*args):
-            raise AssertionError("an unnormalized dump needs no graph")
+        monkeypatch.setattr(cli, "evolve", recorded)
+        assert _run(data_dir, tmp_path, command, "--dump-centralities") == 0
+        assert modes == [replayed]
+        assert len(list((tmp_path / "centralities").iterdir())) == 2
 
-        monkeypatch.setattr(bench, "apply_delta", no_replay)
-        dumped = run(tmp_path / "direct")
-        assert len(dumped) == 2
-        assert dumped == expected
+    def test_failed_gate_writes_no_dump(self, data_dir, tmp_path, monkeypatch, capsys):
+        step = incremental.lap_cent_add_remove
+
+        def corrupted(g, delta, cmap, variant):
+            step(g, delta, cmap, variant)
+            cmap.values[min(cmap.values)] += 1
+            return cmap
+
+        monkeypatch.setattr(incremental, "lap_cent_add_remove", corrupted)
+        assert _run(data_dir, tmp_path, ["compare"], "--dump-centralities") == 2
+        assert "step 2" in capsys.readouterr().err
+        assert not (tmp_path / "centralities").exists()
 
     def test_normalized_dump(self, data_dir, tmp_path):
-        cfg = RunConfig(
-            input_path=data_dir / "toy_initial.txt",
-            mode="batch",
-            snapshot="count:7",
-            out_dir=tmp_path,
-            normalized=True,
-            dump_centralities=True,
-        )
-        run_benchmark(cfg)
+        argv = [
+            "run", "--mode", "batch",
+            "--input", str(data_dir / "toy_initial.txt"),
+            "--snapshot", "count:7",
+            "--out", str(tmp_path),
+            "--normalized", "--dump-centralities",
+        ]
+        assert cli_main(argv) == 0
         rows = (tmp_path / "centralities" / "step_0001.csv").read_text().splitlines()
         values = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
         assert values[5] == pytest.approx(34 / 48)

@@ -121,6 +121,19 @@ class TestRunCommand:
         assert code == 2
         assert "bucket 1970-01-02" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snapshot", ["daily", "monthly"])
+    @pytest.mark.parametrize(
+        "timestamp", ["253402300800", "-62135596801", "99999999999999999", str(10**30)]
+    )
+    def test_timestamp_outside_datetime_range_is_data_error(
+        self, tmp_path, capsys, snapshot, timestamp
+    ):
+        path = tmp_path / "events.txt"
+        path.write_text(f"1 2 1 0\n2 3 1 {timestamp}\n")
+        code = cli_main(["run", "--input", str(path), "--snapshot", snapshot])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_window_run(self, tmp_path, capsys):
         path = tmp_path / "events.txt"
         path.write_text("1 2 1.0 0\n2 3 1.0 0\n3 4 1.0 86400\n")
@@ -132,10 +145,61 @@ class TestRunCommand:
         assert rows[2].split(",")[4] == "2"  # both day-0 edges slide out
 
 
+# fractional weights; re-observed edges change weight, and a window drops edges
+FRACTIONAL_EVENTS = """\
+1 2 0.1
+2 3 0.7
+3 4 0.3
+1 3 2.25
+4 5 0.05
+1 2 0.7
+2 3 0.2
+5 6 1.9
+1 6 0.7
+2 6 0.1
+3 4 0.3
+4 5 1.1
+"""
+
+
+class TestDumps:
+    @pytest.mark.parametrize("normalized", [[], ["--normalized"]])
+    @pytest.mark.parametrize(
+        "source, flags",
+        [
+            ("toy", ["--snapshot", "count:7"]),
+            ("fractional", ["--snapshot", "count:4", "--variant", "weighted"]),
+            ("fractional", ["--snapshot", "count:3", "--variant", "weighted", "--window", "2"]),
+        ],
+    )
+    def test_same_files_in_every_mode(self, data_dir, tmp_path, source, flags, normalized):
+        if source == "toy":
+            path = data_dir / "toy_stream.txt"
+        else:
+            path = tmp_path / "fractional.txt"
+            path.write_text(FRACTIONAL_EVENTS)
+        dumps = []
+        for command in (["run", "--mode", "batch"], ["run", "--mode", "dynamic"], ["compare"]):
+            out = tmp_path / "_".join(command)
+            argv = [*command, "--input", str(path), *flags, "--out", str(out)]
+            assert cli_main([*argv, "--dump-centralities", *normalized]) == 0
+            files = sorted((out / "centralities").iterdir())
+            dumps.append({f.name: f.read_bytes() for f in files})
+        assert len(dumps[0]) > 1
+        assert dumps[0] == dumps[1] == dumps[2]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("mode", ["sideways", "compare"])
     def test_unknown_mode(self, capsys, mode):
         code = cli_main(["run", "--input", "x.txt", "--mode", mode])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    def test_strict_flag_is_gone(self, data_dir, capsys, command):
+        stream = str(data_dir / "toy_stream.txt")
+        code = cli_main([command, "--input", stream, "--snapshot", "count:7", "--strict"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 

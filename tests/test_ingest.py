@@ -59,6 +59,23 @@ class TestParser:
             parse_edge_events(["1 2\n", line])
         assert err.value.lineno == 2
 
+    @pytest.mark.parametrize(
+        "timestamp", ["253402300800", "-62135596801", "99999999999999999", str(10**30)]
+    )
+    def test_timestamp_outside_datetime_range(self, timestamp):
+        with pytest.raises(ParseError, match="years 1 to 9999") as err:
+            parse_edge_events(["1 2 1 0\n", f"2 3 1 {timestamp}\n"])
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize(
+        "period, labels",
+        [("daily", ["0001-01-01", "9999-12-31"]), ("monthly", ["0001-01", "9999-12"])],
+    )
+    def test_timestamp_bounds_accepted_and_labelled(self, period, labels):
+        events = parse_edge_events(["1 2 1 -62135596800\n", "2 3 1 253402300799\n"])
+        assert [e.timestamp for e in events] == [-62135596800, 253402300799]
+        assert [label for label, _ in bucket_events(events, period)] == labels
+
     def test_self_loop_line(self):
         with pytest.raises(SelfLoopError, match="line 3"):
             parse_edge_events(["1 2", "2 3", "4 4"])
