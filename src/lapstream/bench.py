@@ -7,14 +7,13 @@ only; for the dynamic algorithm that includes validating and applying the
 delta (they are part of its step), while batch snapshots are materialized
 off the clock and only the full recomputation is timed.
 
-Compare mode cross-checks that batch and dynamic maps agree at every step
-before any timing is reported; it is the only mode that keeps a map per
-step.
+Compare mode cross-checks that batch and dynamic maps are equal, value for
+value, at every step before any timing is reported; it is the only mode
+that keeps a map per step.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,8 +33,6 @@ CSV_HEADER = (
     "step,num_nodes,num_edges,added_edges,removed_edges,"
     "centralities_computed,elapsed_s,cumulative_s,speedup"
 )
-
-MAP_REL_TOL = 1e-9
 
 
 @dataclass
@@ -67,42 +64,27 @@ class BenchResult:
         return primary
 
 
-def diff_maps(a: dict[int, float], b: dict[int, float], rel_tol: float = MAP_REL_TOL):
+def diff_maps(a: dict[int, float], b: dict[int, float]):
     """First (node, value_a, value_b) divergence in ascending node order, or None.
 
-    A NaN on either side is a divergence, and so is an infinity against any
-    other value. Equal maps are answered in C, by a dict comparison and a
-    sum whose difference with itself is 0 only if no value is NaN or
-    infinite (the comparison takes a NaN object as equal to itself).
-    Otherwise one linear pass looks for a divergence, and the keys are
-    sorted only to locate one it has found.
+    Values must compare equal: a NaN on either side is a divergence, even
+    against the same NaN object, and so is an infinity against any other
+    value. Equal maps are answered in C, by a dict comparison and a sum
+    whose difference with itself is 0 only if no value is NaN or infinite
+    (the comparison takes a NaN object as equal to itself). Otherwise the
+    keys are walked in sorted order.
     """
     if a == b:
         s = sum(a.values())
         if s - s == 0:
             return None
-    if len(a) == len(b):
-        for v, x in a.items():
-            if v not in b:
-                break
-            y = b[v]
-            if x != y and not _close(x, y, rel_tol):  # skip the call on exact equality
-                break
-        else:
-            return None
     for v in sorted(a.keys() | b.keys()):
         if v not in a or v not in b:
             return (v, a.get(v), b.get(v))
         x, y = a[v], b[v]
-        if not _close(x, y, rel_tol):
+        if not x == y:
             return (v, x, y)
     return None
-
-
-def _close(x: float, y: float, rel_tol: float) -> bool:
-    # every comparison with NaN is False, so NaN fails this test; an
-    # infinite tolerance would let infinity match any finite value
-    return x == y or abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y)) < math.inf
 
 
 def _measure(

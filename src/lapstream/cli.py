@@ -4,7 +4,7 @@ Subcommands:
     run         benchmark one algorithm (batch or dynamic) over a stream
     compare     run both algorithms, cross-check results, report speedups
     centrality  one-shot batch centrality of a single edge-list file
-    validate    strict delta-consistency audit of a stream
+    validate    delta-consistency audit of a stream: no add re-adds an edge
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 from lapstream import __version__
 from lapstream.bench import bench_stream, build_stream, emit_csv
 from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_centralities
-from lapstream.errors import LapstreamError
+from lapstream.errors import DuplicateEdgeError, LapstreamError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import load_edge_events
@@ -50,34 +50,32 @@ def _period(text: str) -> str:
     raise argparse.ArgumentTypeError(f"expected daily, monthly or count:N, got {text!r}")
 
 
-def _add_common(p):
+def _add_stream(p):
     p.add_argument("--input", required=True, help="edge-event file or snapshot directory")
-    p.add_argument(
-        "--variant", choices=("unweighted", "weighted"), default="unweighted"
-    )
     p.add_argument(
         "--snapshot",
         type=_period,
-        default="daily",
+        default=argparse.SUPPRESS,
         metavar="{daily|monthly|count:N}",
         help="aggregation period for event files (default: daily)",
     )
     p.add_argument(
         "--window",
         type=_positive_int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="N",
         help="sliding window length in periods (full-dynamic semantics)",
     )
     p.add_argument(
         "--weight-policy",
         choices=("overwrite", "accumulate"),
-        default="overwrite",
+        default=argparse.SUPPRESS,
         help="how re-observed edge weights combine (default: overwrite)",
     )
 
 
 def _add_bench(p):
+    p.add_argument("--variant", choices=("unweighted", "weighted"), default="unweighted")
     p.add_argument(
         "--normalized",
         action="store_true",
@@ -99,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="benchmark one algorithm over a stream")
     p_run.add_argument("--mode", choices=("batch", "dynamic"), default="dynamic")
-    _add_common(p_run)
+    _add_stream(p_run)
     _add_bench(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="batch vs dynamic with speedup per step")
-    _add_common(p_cmp)
+    _add_stream(p_cmp)
     _add_bench(p_cmp)
     p_cmp.set_defaults(func=_cmd_run, mode="compare")
 
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cent.set_defaults(func=_cmd_centrality)
 
     p_val = sub.add_parser("validate", help="audit a stream's delta consistency")
-    _add_common(p_val)
+    _add_stream(p_val)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 
@@ -139,12 +137,22 @@ def _report(result, out_dir) -> None:
     print(line, file=sys.stderr)
 
 
+def _stream(args):
+    """The stream of ``--input``. The flags only an event file uses are absent
+    unless given, so a snapshot directory can refuse them."""
+    given = {k: getattr(args, k) for k in ("snapshot", "window", "weight_policy") if k in args}
+    if given and Path(args.input).is_dir():
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise _UsageError(f"{flags} would do nothing on a snapshot directory")
+    return build_stream(args.input, **given)
+
+
 def _cmd_run(args) -> int:
     if args.dump_centralities and args.out is None:
         raise _UsageError("--dump-centralities needs --out DIR")
     if args.normalized and not args.dump_centralities:
         raise _UsageError("--normalized needs --dump-centralities")
-    stream = build_stream(args.input, args.snapshot, args.window, args.weight_policy)
+    stream = _stream(args)
     result = bench_stream(stream, args.mode, args.variant, args.repeat)
     if args.out is not None:
         out_dir = Path(args.out)
@@ -188,11 +196,17 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    stream = build_stream(args.input, args.snapshot, args.window, args.weight_policy)
+    stream = _stream(args)
     g = stream.initial.copy()
-    g.strict = True
     for step, delta in enumerate(stream.deltas, start=1):
+        added = set()
         try:
+            # a consistent stream never re-adds an edge, an upsert included
+            for u, v, _ in delta.adds:
+                pair = (u, v) if u <= v else (v, u)
+                if pair in added or g.has_edge(u, v):
+                    raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+                added.add(pair)
             apply_delta(g, delta)
         except LapstreamError as exc:
             print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)

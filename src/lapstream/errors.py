@@ -18,7 +18,7 @@ class NonFiniteWeightError(LapstreamError):
 
 
 class DuplicateEdgeError(LapstreamError):
-    """An addition names an edge already present (strict graphs only)."""
+    """A delta re-adds an edge already present; reported by ``lapstream validate``."""
 
 
 class UnknownNodeError(LapstreamError):

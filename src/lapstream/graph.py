@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import ItemsView, Iterable, Iterator, KeysView, NamedTuple
 
 from lapstream.errors import (
-    DuplicateEdgeError,
     MissingEdgeError,
     NegativeWeightWarning,
     NonFiniteWeightError,
@@ -92,10 +91,7 @@ class Graph:
     in one pass, validating and warning on each edge as :meth:`add_edge`
     does; the edges may come from any iterable, a generator included.
 
-    Re-adding an existing edge replaces its weight (upsert) unless the
-    graph was created with ``strict=True``, in which case it raises
-    :class:`DuplicateEdgeError`; strict mode exists for auditing delta
-    streams that should never re-present an edge.
+    Re-adding an existing edge replaces its weight (upsert).
 
     Two running figures are kept for the weighted incremental step:
     T, the sum of ``|w|`` over the edges, held as ``num_edges`` plus the
@@ -119,16 +115,15 @@ class Graph:
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_adj", "_strength", "_ids", "_num_edges", "_excess", "_inexact", "strict")
+    __slots__ = ("_adj", "_strength", "_ids", "_num_edges", "_excess", "_inexact")
 
-    def __init__(self, edges: Iterable[tuple] | None = None, strict: bool = False):
+    def __init__(self, edges: Iterable[tuple] | None = None):
         self._adj: dict[int, dict[int, float]] = {}
         self._strength: dict[int, float] = {}
         self._ids: dict[int, int] = {}
         self._num_edges = 0
         self._excess = 0.0
         self._inexact = False
-        self.strict = strict
         if edges is not None:
             self._apply(edges, ())
 
@@ -145,9 +140,8 @@ class Graph:
 
         Raises :class:`SelfLoopError` if ``u == v``,
         :class:`NonFiniteWeightError` on a NaN or infinite weight or an int
-        too large for a float and, on a strict graph,
-        :class:`DuplicateEdgeError` if the edge is present; warns
-        :class:`NegativeWeightWarning` on a negative weight.
+        too large for a float; warns :class:`NegativeWeightWarning` on a
+        negative weight.
         """
         self._apply(((u, v, weight),), ())
 
@@ -169,12 +163,11 @@ class Graph:
         in, before any is written: a pair removed twice or a pair not present
         raises :class:`MissingEdgeError`.
 
-        With ``read`` None a bad add raises with the edges before it written,
-        a strict duplicate at once. With ``read`` "unweighted" or "weighted"
-        the call applies a delta, all or nothing: a strict duplicate raises
-        only after every add has passed its own checks, and any exception
-        before the removes are written undoes the adds, so rows, their order,
-        the strengths, the id table and the running figures are as they were.
+        With ``read`` None a bad add raises with the edges before it written.
+        With ``read`` "unweighted" or "weighted" the call applies a delta, all
+        or nothing: any exception before the removes are written undoes the
+        adds, so rows, their order, the strengths, the id table and the
+        running figures are as they were.
         Returns ``(s0, w0)`` in order of first mention: s0 maps every
         endpoint to its degree ("unweighted") or strength ("weighted") before
         the call, so its keys are the touched nodes, and w0 every canonical
@@ -190,7 +183,6 @@ class Graph:
         strength = self._strength
         ids = self._ids
         intern = ids.setdefault
-        strict = self.strict
         isfinite = math.isfinite
         bound = _EXACT_BOUND
         n0 = n = self._num_edges
@@ -203,7 +195,6 @@ class Graph:
         w0: dict[tuple[int, int], float | None] = {}
         # strengths before the call, for the undo; s0 holds them unless degrees
         was = {} if degrees else s0
-        duplicate = None
         try:
             for e in adds:
                 if len(e) == 2:
@@ -260,12 +251,6 @@ class Graph:
                         excess += abs(w) - 1.0
                         if w % 1.0:
                             inexact = True
-                elif strict:
-                    # raised at once, or for a delta once every add has passed
-                    # its own checks
-                    duplicate = duplicate or (u, v)
-                    if not delta:
-                        break
                 else:
                     row_u[v] = w
                     row_v[u] = w
@@ -275,8 +260,6 @@ class Graph:
                     if w % 1.0 or n + excess > bound:
                         inexact = True
                     excess += abs(w) - abs(old)
-            if duplicate is not None:
-                raise DuplicateEdgeError(f"edge ({duplicate[0]}, {duplicate[1]}) already present")
             if n + excess > bound:
                 inexact = True
             canon = ids.get
@@ -402,7 +385,7 @@ class Graph:
         return self._strength
 
     def copy(self) -> Graph:
-        g = Graph(strict=self.strict)
+        g = Graph()
         g._adj = {u: dict(row) for u, row in self._adj.items()}
         g._strength = dict(self._strength)
         g._ids = dict(self._ids)

@@ -100,7 +100,7 @@ def far(x: int) -> int:
 
 def far_graph(g: Graph) -> Graph:
     """``g`` with every node id moved by :func:`far`, each mention its own object."""
-    h = Graph(strict=g.strict)
+    h = Graph()
     for u in g.nodes():
         h.add_node(far(u))
     for u, v, w in g.edges():

@@ -89,14 +89,9 @@ def randomized_runs() -> RandomizedRuns:
         dynamic = run_evolving(g.copy(), deltas, mode="dynamic", variant=variant)
         batch = run_evolving(g.copy(), deltas, mode="batch", variant=variant)
 
-        exact = variant == "unweighted" or integer
         sim = g.copy()
         for step in range(len(dynamic)):
-            bad = diff_maps(
-                batch[step].values,
-                dynamic[step].values,
-                rel_tol=0.0 if exact else 1e-9,
-            )
+            bad = diff_maps(batch[step].values, dynamic[step].values)
             if bad is not None:
                 out.mismatches.append((i, step, *bad))
             if step > 0:

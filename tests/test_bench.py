@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import pytest
 
@@ -16,8 +18,8 @@ from lapstream.bench import (
 from lapstream.cli import cli_main
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta
-from lapstream.ingest import SnapshotStream
+from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.ingest import EdgeEvent, SnapshotStream, snapshots_cumulative, snapshots_window
 from lapstream.synth import churn_stream
 
 
@@ -155,8 +157,8 @@ class TestDiffMaps:
         bad = diff_maps({0: 1.0, 1: a}, {0: 1.0, 1: b})
         assert bad is not None and bad[0] == 1
 
-    def test_tolerance(self):
-        assert diff_maps({1: 1.0}, {1: 1.0 + 1e-12}) is None
+    def test_tiny_difference_diverges(self):
+        assert diff_maps({1: 1.0}, {1: 1.0 + 1e-12}) == (1, 1.0, 1.0 + 1e-12)
 
     def test_same_nan_object_diverges(self):
         nan = float("nan")
@@ -189,6 +191,50 @@ class TestDiffMaps:
         assert diff_maps(a, b) == (7, 4.0, 0.0)
         assert diff_maps(a, {**b, 9: 1.0, 1: 0.0}) == (1, None, 0.0)
         assert diff_maps({2: 1.0, 4: 1.0}, {4: 1.0, 3: 1.0}) == (2, 1.0, None)
+
+
+# one weight kind per seed: integral weights keep the weighted step on the
+# closed form; the others set the graph's exactness flag (a fractional weight,
+# or T past the bound), so the weighted step takes the kernel fallback
+WEIGHTS = {
+    "integral": lambda rng: float(rng.randint(1, 5)),
+    "fractional": lambda rng: rng.uniform(0.01, 5.0),
+    "negative": lambda rng: -rng.uniform(0.01, 5.0) if rng.random() < 0.3 else 1.5,
+    "12345.678": lambda rng: 12345.678 * rng.randint(1, 3),
+    "large": lambda rng: float(rng.randint(1, 3) * 10**6),
+}
+
+
+class TestExactGate:
+    """Batch and dynamic maps of event streams pass the exact gate at every step."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_compare_on_event_streams(self, seed):
+        rng = random.Random(seed)
+        kind = list(WEIGHTS)[seed % len(WEIGHTS)]
+        weight = WEIGHTS[kind]
+        events = []
+        for day in range(20):
+            for _ in range(rng.randint(5, 40)):
+                u, v = rng.sample(range(60), 2)
+                events.append(EdgeEvent(u, v, weight(rng), day * 86400 + rng.randrange(86400)))
+        events.sort(key=lambda e: e.timestamp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # negative weights warn
+            streams = [
+                snapshots_cumulative(events, "daily"),
+                snapshots_window(events, "daily", 3, "accumulate"),
+                snapshots_window(events, "daily", 3, "overwrite"),
+            ]
+            for stream in streams:
+                g = stream.initial.copy()
+                for delta in stream.deltas:
+                    apply_delta(g, delta)
+                assert g._inexact == (kind != "integral")
+                for variant in ("unweighted", "weighted"):
+                    result = bench_stream(stream, "compare", variant)
+                    assert len(result.maps) == stream.num_steps == 20
+        assert any(d.removes for d in streams[1].deltas)
 
 
 class TestEmitCsv:

@@ -1,7 +1,11 @@
 import pytest
 
+from lapstream import cli
 from lapstream.bench import CSV_HEADER
 from lapstream.cli import cli_main
+from lapstream.graph import Edge, Graph
+from lapstream.incremental import EdgeDelta
+from lapstream.ingest import SnapshotStream
 
 
 class TestCentralityCommand:
@@ -203,6 +207,34 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_validate_takes_no_variant(self, data_dir, capsys):
+        stream = str(data_dir / "toy_stream.txt")
+        code = cli_main(
+            ["validate", "--input", stream, "--snapshot", "count:7", "--variant", "weighted"]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--window", "1"],
+            ["--snapshot", "monthly"],
+            ["--weight-policy", "accumulate"],
+            ["--window", "1", "--weight-policy", "accumulate", "--snapshot", "monthly"],
+        ],
+    )
+    def test_event_flag_on_snapshot_dir(self, tmp_path, capsys, command, flags):
+        (tmp_path / "a.txt").write_text("1 2\n")
+        (tmp_path / "b.txt").write_text("2 3\n")
+        assert cli_main([command, "--input", str(tmp_path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert all(flag in captured.err for flag in flags[::2])
+        assert "would do nothing on a snapshot directory" in captured.err
+        assert captured.out == ""
+
     def test_missing_required_flag(self, capsys):
         assert cli_main(["run"]) == 1
 
@@ -257,12 +289,29 @@ class TestValidateCommand:
         assert code == 2
         assert "step 1" in capsys.readouterr().err
 
-    def test_inconsistent_snapshot_dir_remove(self, tmp_path, capsys):
-        # two snapshot files whose delta is fine, then corrupt it by hand
+    def test_consistent_snapshot_dir_passes(self, tmp_path, capsys):
+        # the second snapshot removes (1, 2) and adds (2, 3)
         (tmp_path / "a.txt").write_text("1 2\n")
         (tmp_path / "b.txt").write_text("2 3\n")
         code = cli_main(["validate", "--input", str(tmp_path)])
         assert code == 0
+        assert "ok: 2 steps" in capsys.readouterr().out
+
+    def test_reweighted_snapshot_dir_fails(self, tmp_path, capsys):
+        # the second snapshot re-weights (1, 2), an upsert of a present edge
+        (tmp_path / "a.txt").write_text("1 2 1.0\n2 3\n")
+        (tmp_path / "b.txt").write_text("1 2 5.0\n2 3\n")
+        code = cli_main(["validate", "--input", str(tmp_path)])
+        assert code == 2
+        assert "step 1: edge (1, 2) already present" in capsys.readouterr().err
+
+    def test_pair_added_twice_in_one_delta(self, monkeypatch, capsys):
+        # no builder emits such a delta, so hand one to the command
+        stream = SnapshotStream(Graph([(1, 2)]), [EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)])])
+        monkeypatch.setattr(cli, "build_stream", lambda path: stream)
+        code = cli_main(["validate", "--input", "unused.txt"])
+        assert code == 2
+        assert "step 1: edge (9, 1) already present" in capsys.readouterr().err
 
 
 class TestVersion:

@@ -3,14 +3,13 @@ import random
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
 from genutil import far
 
 from lapstream.errors import (
-    DuplicateEdgeError,
     LapstreamError,
     MissingEdgeError,
     NegativeWeightWarning,
@@ -57,11 +56,9 @@ class TestAddEdge:
         assert g.edge_weight(2, 1) == 3.0
         assert g.strength(1) == 3.0
 
-    def test_strict_rejects_duplicate(self):
-        g = Graph(strict=True)
-        g.add_edge(1, 2)
-        with pytest.raises(DuplicateEdgeError):
-            g.add_edge(2, 1)
+    def test_no_strict_mode(self):
+        with pytest.raises(TypeError):
+            Graph(strict=True)
 
     @pytest.mark.parametrize(
         "weight",
@@ -328,30 +325,12 @@ class TestBulkPath:
     @SETTINGS
     @given(
         edges=edge_lists(),
-        bad=st.sampled_from(["self-loop", "nan", "inf", "duplicate"]),
+        bad=st.sampled_from(["self-loop", "nan", "inf"]),
         data=st.data(),
     )
     def test_bad_edge_raises_the_same_at_the_same_edge(self, edges, bad, data):
-        strict = bad == "duplicate"
-        if strict:
-            # a strict graph needs the edges before the bad one distinct
-            seen, distinct = set(), []
-            for e in edges:
-                pair = frozenset(e[:2])
-                if pair not in seen:
-                    seen.add(pair)
-                    distinct.append(e)
-            edges = distinct
-            assume(edges)
         at = data.draw(st.integers(0, len(edges)))
-        if bad == "self-loop":
-            wrong = (3, 3, 1.0)
-        elif bad in ("nan", "inf"):
-            wrong = (1, 2, float(bad))
-        else:
-            u, v = data.draw(st.sampled_from(edges))[:2]
-            at = max(at, 1 + next(i for i, e in enumerate(edges) if set(e[:2]) == {u, v}))
-            wrong = (v, u, 2.0)
+        wrong = (3, 3, 1.0) if bad == "self-loop" else (1, 2, float(bad))
         feed = edges[:at] + [wrong] + edges[at:]
 
         def run(build):
@@ -362,7 +341,7 @@ class TestBulkPath:
                     taken.append(e)
                     yield e
 
-            g = Graph(strict=strict)
+            g = Graph()
             with pytest.raises(LapstreamError) as raised:
                 build(g, pulled())
             return type(raised.value), str(raised.value), len(taken), _state(g)
@@ -378,7 +357,7 @@ class TestBulkPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(kind) as raised:
-                Graph(feed, strict=strict)
+                Graph(feed)
         assert str(raised.value) == message
 
     @SETTINGS
@@ -484,13 +463,6 @@ class TestRunningFigures:
             g._apply([(4, 5, 7.0), bad], ())  # the edge before it is written
         assert not g._inexact
         assert g.num_edges + g._excess == 12.0
-
-    def test_rejected_strict_duplicate_leaves_figures(self):
-        g = Graph([(0, 1, 2.0)], strict=True)
-        with pytest.raises(DuplicateEdgeError):
-            g.add_edge(1, 0, 0.5)
-        assert not g._inexact
-        assert g.num_edges + g._excess == 2.0
 
     @pytest.mark.parametrize(
         "adds, removes, end",

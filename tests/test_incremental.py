@@ -11,7 +11,6 @@ from lapstream.bench import bench_stream
 from lapstream.centrality import CentralityMap, lap_cent
 from lapstream.errors import (
     DeltaError,
-    DuplicateEdgeError,
     MissingEdgeError,
     NegativeWeightWarning,
     NonFiniteWeightError,
@@ -88,16 +87,6 @@ REJECTED_DELTAS = [
      NonFiniteWeightError),
 ]
 
-# rejected on the strict toy graph: the adds' own checks come first, then the
-# first duplicate, then the removes
-STRICT_REJECTED_DELTAS = [
-    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]), DuplicateEdgeError),
-    (EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]), DuplicateEdgeError),
-    (EdgeDelta(adds=[Edge(2, 1), Edge(3, 3)]), SelfLoopError),
-    (EdgeDelta(adds=[Edge(9, 1), Edge(1, 9), Edge(2, 8, 10**400)]), NonFiniteWeightError),
-    (EdgeDelta(adds=[Edge(3, 2)], removes=[(1, 6)]), DuplicateEdgeError),
-]
-
 
 def _state(g, cmap):
     """Everything a step may change: the graph in insertion order and floats by
@@ -165,21 +154,13 @@ class TestRejectedDelta:
         assert prev.values == values
         assert prev.computed_count == toy_graph.num_nodes
 
-    @pytest.mark.parametrize(
-        "strict, flagged, delta, error",
-        [(False, True, d, e) for d, e in REJECTED_DELTAS]
-        + [(True, f, d, e) for f in (False, True) for d, e in STRICT_REJECTED_DELTAS],
-    )
     @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
-    def test_strict_or_flagged_step_unchanged(
-        self, toy_graph, strict, flagged, delta, error, variant, far
-    ):
-        """The step rejects as apply_delta does on a strict graph too, and on a
-        flagged one, whose weighted step takes the kernel fallback."""
-        if flagged:
-            toy_graph.add_edge(6, 7, 0.5)
-        toy_graph.strict = strict
+    def test_flagged_step_unchanged(self, toy_graph, delta, error, variant, far):
+        """The step rejects as apply_delta does on a flagged graph too, whose
+        weighted step takes the kernel fallback."""
+        toy_graph.add_edge(6, 7, 0.5)
         if far:
             toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
@@ -197,17 +178,6 @@ class TestRejectedDelta:
         assert list(toy_graph.adjacency()[base + 2].items()) == [(base + 1, 1.0), (base + 3, 1.0)]
         assert base + 9 not in toy_graph
         assert base + 9 not in toy_graph._ids
-
-    def test_strict_duplicate_add(self, toy_graph):
-        toy_graph.strict = True
-        before = toy_graph.copy()
-        for delta in (
-            EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]),
-            EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]),
-        ):
-            with pytest.raises(DuplicateEdgeError):
-                apply_delta(toy_graph, delta)
-            assert toy_graph == before
 
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
