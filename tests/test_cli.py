@@ -1,11 +1,28 @@
 import pytest
 
+from conftest import TOY_EDGES
+from genutil import far_delta, far_graph
+
 from lapstream import cli
 from lapstream.bench import CSV_HEADER
 from lapstream.cli import cli_main
+from lapstream.errors import LapstreamError
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta
+from lapstream.incremental import EdgeDelta, apply_delta
 from lapstream.ingest import SnapshotStream
+
+# deltas validate rejects on the toy graph, each with the index of the add its
+# duplicate audit reports, or None where the audit passes and apply_delta's own
+# check rejects; the audit runs over every add before any is applied
+AUDITED_DELTAS = [
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]), 1),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]), 1),
+    (EdgeDelta(adds=[Edge(2, 1), Edge(3, 3)]), 0),
+    (EdgeDelta(adds=[Edge(9, 1), Edge(1, 9), Edge(2, 8, 10**400)]), 1),
+    (EdgeDelta(adds=[Edge(3, 2)], removes=[(1, 6)]), 0),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), None),
+    (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 2), (2, 1)]), None),
+]
 
 
 class TestCentralityCommand:
@@ -312,6 +329,38 @@ class TestValidateCommand:
         code = cli_main(["validate", "--input", "unused.txt"])
         assert code == 2
         assert "step 1: edge (9, 1) already present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("flagged", [False, True])
+    @pytest.mark.parametrize("delta, culprit", AUDITED_DELTAS)
+    def test_audit_reports_first_duplicate(
+        self, monkeypatch, capsys, delta, culprit, flagged, far
+    ):
+        """validate names the step and the first duplicate add, ahead of any
+        other fault in the delta, and leaves the stream's graph as it was."""
+        g = Graph(TOY_EDGES)
+        if flagged:
+            g.add_edge(6, 7, 0.5)
+        deltas = [EdgeDelta(adds=[Edge(6, 8)]), delta]
+        if far:
+            g, deltas = far_graph(g), [far_delta(d) for d in deltas]
+        if culprit is None:
+            after = g.copy()
+            apply_delta(after, deltas[0])
+            with pytest.raises(LapstreamError) as raised:
+                apply_delta(after, deltas[1])
+            message = str(raised.value)
+        else:
+            u, v, _ = deltas[1].adds[culprit]
+            message = f"edge ({u}, {v}) already present"
+        before = g.copy()
+        stream = SnapshotStream(g, deltas)
+        monkeypatch.setattr(cli, "build_stream", lambda path: stream)
+        assert cli_main(["validate", "--input", "unused.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"inconsistent delta at step 2: {message}\n"
+        assert captured.out == ""
+        assert stream.initial == before
 
 
 class TestVersion:
