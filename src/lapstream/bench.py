@@ -4,21 +4,24 @@ Per step it records network size, delta size, centralities computed,
 elapsed and cumulative seconds (monotonic clock), and, in compare mode,
 the per-step batch/dynamic speedup. Timing covers centrality computation
 only; for the dynamic algorithm that includes validating and applying the
-delta (they are part of its step), while batch snapshots are materialized
-off the clock and only the full recomputation is timed.
+delta (they are part of its step), while batch mode applies each delta
+off the clock and times only the full recomputation.
 
-Compare mode cross-checks that batch and dynamic maps are equal, value for
-value, at every step before any timing is reported; it is the only mode
-that keeps a map per step.
+Every mode is one replay of the stream through the evolving-run driver,
+on one copy of the initial graph, so each delta is applied once. Compare
+mode follows each dynamic step with a timed full recomputation of the
+same post-delta graph, then checks off the clock that the two maps are
+equal, value for value, before any timing is reported; it is the only
+mode that keeps a map per step.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
-from lapstream.centrality import CentralityMap, Variant
+from lapstream.centrality import CentralityMap, Variant, lap_cent
 from lapstream.errors import CompareMismatchError, EmptyDatasetError
 from lapstream.incremental import evolve
 from lapstream.ingest import (
@@ -46,7 +49,6 @@ class BenchRecord:
     elapsed_s: float
     cumulative_s: float
     speedup: float | None = None
-    elapsed_std_s: float | None = None  # populated when repeat > 1; not in CSV
 
 
 @dataclass
@@ -87,40 +89,13 @@ def diff_maps(a: dict[int, float], b: dict[int, float]):
     return None
 
 
-def _measure(
-    stream: SnapshotStream, mode: str, variant: Variant, repeat: int, on_map=None
-) -> list[BenchRecord]:
-    """Replay ``stream`` ``repeat`` times through the driver; one record per step.
-
-    During the first replay, off the clock, each step's sizes are read and,
-    if given, ``on_map(step, cmap)`` is called (step 0 is the initial graph).
-    """
-    sizes = [(stream.initial.num_edges, 0)]
-    sizes += [(len(d.adds), len(d.removes)) for d in stream.deltas]
-    times: list[list[float]] = [[] for _ in range(stream.num_steps)]
-    rows = []
-    for r in range(repeat):
-        g = stream.initial.copy()
-        for step, (cmap, seconds) in enumerate(evolve(g, stream.deltas, mode, variant)):
-            times[step].append(seconds)
-            if r == 0:
-                if on_map is not None:
-                    on_map(step, cmap)
-                rows.append((g.num_nodes, g.num_edges, *sizes[step], cmap.computed_count))
+def _records(rows) -> list[BenchRecord]:
+    """One record per ``(*sizes, computed, seconds)`` row, with running totals."""
     records = []
     cumulative = 0.0
-    for step, (row, samples) in enumerate(zip(rows, times), start=1):
-        mean = statistics.fmean(samples)
-        cumulative += mean
-        records.append(
-            BenchRecord(
-                step,
-                *row,
-                elapsed_s=mean,
-                cumulative_s=cumulative,
-                elapsed_std_s=statistics.stdev(samples) if repeat > 1 else None,
-            )
-        )
+    for step, (*row, seconds) in enumerate(rows, start=1):
+        cumulative += seconds
+        records.append(BenchRecord(step, *row, elapsed_s=seconds, cumulative_s=cumulative))
     return records
 
 
@@ -128,38 +103,44 @@ def bench_stream(
     stream: SnapshotStream,
     mode: str,
     variant: Variant = "unweighted",
-    repeat: int = 1,
 ) -> BenchResult:
     """Measure one stream. ``stream.initial`` is copied, never mutated.
 
-    Each mode replays the stream once per repeat. In compare mode the
-    dynamic pass runs first and keeps a copy of its map at every step, in
-    ``maps``; each batch map is checked against the stored dynamic map as
-    the batch pass produces it, so no timing leaves this function on a
-    divergence. Batch and dynamic mode keep no map: ``maps`` stays empty.
+    Every mode is one replay of the stream through :func:`evolve`, on one
+    copy of ``stream.initial``, so each delta is applied once: in batch
+    mode the driver recomputes every step, in dynamic and compare mode it
+    runs the dynamic step. Compare mode then times a :func:`lap_cent` of
+    the same post-delta graph as that step's batch record, checks off the
+    clock that the batch map equals the dynamic one, so no timing leaves
+    this function on a divergence, and keeps a copy of the dynamic map in
+    ``maps``. Batch and dynamic mode keep no map: ``maps`` stays empty.
     """
     if mode not in ("batch", "dynamic", "compare"):
         raise ValueError(f"unknown mode {mode!r}")
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
     result = BenchResult(mode=mode, variant=variant)
-    maps = result.maps
-
-    def keep(step, cmap):
-        maps.append(CentralityMap(dict(cmap.values), cmap.computed_count))
-
-    def gate(step, cmap):
-        bad = diff_maps(cmap.values, maps[step].values)
-        if bad is not None:
-            raise CompareMismatchError(step + 1, *bad)
-
-    if mode == "dynamic":
-        result.dynamic = _measure(stream, "dynamic", variant, repeat)
-    elif mode == "batch":
-        result.batch = _measure(stream, "batch", variant, repeat)
+    sizes = [(stream.initial.num_edges, 0)]
+    sizes += [(len(d.adds), len(d.removes)) for d in stream.deltas]
+    g = stream.initial.copy()
+    steps = evolve(g, stream.deltas, "batch" if mode == "batch" else "dynamic", variant)
+    rows = []
+    batch_rows = []
+    for step, (cmap, seconds) in enumerate(steps):
+        row = (g.num_nodes, g.num_edges, *sizes[step])
+        rows.append((*row, cmap.computed_count, seconds))
+        if mode == "compare":
+            t0 = perf_counter()
+            full = lap_cent(g, variant)
+            batch_rows.append((*row, full.computed_count, perf_counter() - t0))
+            bad = diff_maps(full.values, cmap.values)
+            if bad is not None:
+                raise CompareMismatchError(step + 1, *bad)
+            result.maps.append(CentralityMap(dict(cmap.values), cmap.computed_count))
+    if mode == "batch":
+        result.batch = _records(rows)
     else:
-        result.dynamic = _measure(stream, "dynamic", variant, repeat, keep)
-        result.batch = _measure(stream, "batch", variant, repeat, gate)
+        result.dynamic = _records(rows)
+    if mode == "compare":
+        result.batch = _records(batch_rows)
         for b, d in zip(result.batch, result.dynamic):
             b.speedup = d.speedup = b.elapsed_s / d.elapsed_s
     return result

@@ -1,4 +1,4 @@
-"""Batch Laplacian centrality, Laplacian energy, and the node-deletion oracle.
+"""Batch Laplacian centrality and Laplacian energy.
 
 A node's Laplacian centrality is the drop in graph Laplacian energy caused
 by deleting the node and its incident edges. The per-node closed forms are
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from lapstream import kernels
-from lapstream.errors import UnknownNodeError, ZeroEnergyError
+from lapstream.errors import ZeroEnergyError
 from lapstream.graph import Graph
 
 Variant = Literal["unweighted", "weighted"]
@@ -92,21 +92,6 @@ def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
         {v: value / energy for v, value in cmap.values.items()},
         cmap.computed_count,
     )
-
-
-def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
-    """Centrality of ``v`` computed the definitional way: delete the node,
-    re-evaluate the energy, return the drop.
-
-    Independent of the per-node closed forms; exists to validate them.
-    """
-    if not g.has_node(v):
-        raise UnknownNodeError(f"node {v} not in graph")
-    reduced = g.copy()
-    # isolating v == deleting v: a degree-0 node contributes nothing to energy
-    for j, _ in list(reduced.neighbors(v)):
-        reduced.remove_edge(v, j)
-    return laplacian_energy(g, variant) - laplacian_energy(reduced, variant)
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:

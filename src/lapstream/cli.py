@@ -82,7 +82,6 @@ def _add_bench(p):
         help="normalize dumped centralities (needs --dump-centralities)",
     )
     p.add_argument("--out", metavar="DIR", default=None, help="write CSV/dumps here")
-    p.add_argument("--repeat", type=_positive_int, default=1, metavar="K", help="timing repeats")
     p.add_argument(
         "--dump-centralities",
         action="store_true",
@@ -131,9 +130,6 @@ def _report(result, out_dir) -> None:
         batch_total = result.batch[-1].cumulative_s
         mean_speedup = sum(r.speedup for r in records) / len(records)
         line += f" dynamic vs {batch_total:.3f}s batch, mean speedup {mean_speedup:.2f}x"
-    stds = [r.elapsed_std_s for r in records if r.elapsed_std_s is not None]
-    if stds:
-        line += f", per-step std {sum(stds) / len(stds) * 1e3:.3f}ms mean"
     print(line, file=sys.stderr)
 
 
@@ -153,7 +149,7 @@ def _cmd_run(args) -> int:
     if args.normalized and not args.dump_centralities:
         raise _UsageError("--normalized needs --dump-centralities")
     stream = _stream(args)
-    result = bench_stream(stream, args.mode, args.variant, args.repeat)
+    result = bench_stream(stream, args.mode, args.variant)
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import ItemsView, Iterable, Iterator, KeysView, NamedTuple
 
 from lapstream.errors import (
@@ -74,14 +73,6 @@ class Edge(NamedTuple):
     def canonical(self) -> tuple[int, int]:
         """Undirected identity of the edge: smaller endpoint first."""
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    num_nodes: int
-    num_edges: int
-    max_degree: int
-    avg_degree: float
 
 
 class Graph:
@@ -366,13 +357,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self._num_edges
-
-    def stats(self) -> GraphStats:
-        n = len(self._adj)
-        if n == 0:
-            return GraphStats(0, 0, 0, 0.0)
-        max_deg = max(len(row) for row in self._adj.values())
-        return GraphStats(n, self._num_edges, max_deg, 2.0 * self._num_edges / n)
 
     # -- plumbing ---------------------------------------------------------
 

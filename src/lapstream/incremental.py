@@ -33,8 +33,7 @@ and w0 of every distinct canonical pair, None where absent. After the
 pair terms, one walk over the touched nodes adds each node's own term
 and, where its s changed, ``w * 2 * delta_s`` to every member of its
 post-delta row; as it goes it grows touched | N(touched), whose size is
-the step's ``computed_count`` (:func:`affected_nodes` returns the same
-set, and is its reference). The unweighted variant reads w as presence,
+the step's ``computed_count``. The unweighted variant reads w as presence,
 a bool that adds as 0 or 1, and s as the degree, so that
 ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
 difference keeps exact.
@@ -106,42 +105,12 @@ class EdgeDelta:
         return len(self.adds) + len(self.removes)
 
 
-@dataclass
-class AffectedSets:
-    """Nodes a delta names (touched) and all nodes whose value it can change."""
-
-    touched: set[int]
-    recompute: set[int]
-
-
-def _gather(adj: dict[int, dict[int, float]], s0: dict[int, float]) -> AffectedSets:
-    """The keys of ``s0`` as the touched nodes, and them plus their rows."""
-    touched = set(s0)
-    recompute = set(touched)
-    for x in touched:
-        recompute.update(adj[x])
-    return AffectedSets(touched, recompute)
-
-
 def apply_delta(g: Graph, delta: EdgeDelta) -> None:
     """Apply adds then removes to ``g``.
 
     All or nothing: if the delta is rejected ``g`` is left unchanged.
     """
     g._apply(delta.adds, delta.removes, "weighted")
-
-
-def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
-    """Apply ``delta`` to ``g`` and return which nodes it can change.
-
-    touched: endpoints of every added or removed edge. recompute: touched
-    plus their neighbors; its size is the ``computed_count`` of a
-    :func:`lap_cent_add_remove` step with this delta. On return ``g``
-    reflects the full delta; if the delta is rejected ``g`` is left
-    unchanged.
-    """
-    s0, _ = g._apply(delta.adds, delta.removes, "weighted")
-    return _gather(g.adjacency(), s0)
 
 
 def lap_cent_add_remove(
@@ -181,7 +150,10 @@ def lap_cent_add_remove(
         fresh = list(islice(reversed(adj), len(adj) - known))
         values.update(dict.fromkeys(reversed(fresh), 0.0 if weighted else 0))
     if weighted and g._inexact:
-        recompute = _gather(adj, s0).recompute
+        # the keys of s0 are the touched nodes; add their post-delta rows
+        recompute = set(s0)
+        for x in s0:
+            recompute.update(adj[x])
         cmap.computed_count = len(recompute)
         if recompute:
             values.update(evaluate_nodes(g, recompute, variant))

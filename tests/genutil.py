@@ -1,7 +1,11 @@
-"""Seeded random graph and delta generators shared across test modules."""
+"""Seeded random graph and delta generators and reference oracles shared
+across test modules."""
 
 import random
+from dataclasses import dataclass
 
+from lapstream.centrality import Variant, laplacian_energy
+from lapstream.errors import UnknownNodeError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta
 
@@ -119,3 +123,45 @@ def far_delta(delta: EdgeDelta) -> EdgeDelta:
 def bits(values):
     """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
     return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}
+
+
+def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
+    """Centrality of ``v`` computed the definitional way: delete the node,
+    re-evaluate the energy, return the drop.
+
+    Independent of the per-node closed forms; exists to validate them.
+    """
+    if not g.has_node(v):
+        raise UnknownNodeError(f"node {v} not in graph")
+    reduced = g.copy()
+    # isolating v == deleting v: a degree-0 node contributes nothing to energy
+    for j, _ in list(reduced.neighbors(v)):
+        reduced.remove_edge(v, j)
+    return laplacian_energy(g, variant) - laplacian_energy(reduced, variant)
+
+
+@dataclass
+class AffectedSets:
+    """Nodes a delta names (touched) and all nodes whose value it can change."""
+
+    touched: set[int]
+    recompute: set[int]
+
+
+def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
+    """Apply ``delta`` to ``g`` and return which nodes it can change: the
+    reference for the ``computed_count`` of a dynamic step.
+
+    touched: endpoints of every added or removed edge. recompute: touched
+    plus their post-delta neighbors; its size is the ``computed_count`` of
+    a ``lap_cent_add_remove`` step with this delta. On return ``g``
+    reflects the full delta; if the delta is rejected ``g`` is left
+    unchanged.
+    """
+    s0, _ = g._apply(delta.adds, delta.removes, "weighted")
+    touched = set(s0)
+    recompute = set(touched)
+    adj = g.adjacency()
+    for x in touched:
+        recompute.update(adj[x])
+    return AffectedSets(touched, recompute)

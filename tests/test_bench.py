@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from operator import attrgetter
 
 import pytest
 
@@ -45,6 +46,10 @@ class TestBenchStream:
             assert rec.centralities_computed == rec.num_nodes
         for rec in result.dynamic:
             assert rec.centralities_computed <= rec.num_nodes
+        # both records of a step describe the same post-delta graph and delta
+        sizes = attrgetter("step", "num_nodes", "num_edges", "added_edges", "removed_edges")
+        assert list(map(sizes, result.batch)) == list(map(sizes, result.dynamic))
+        assert len(result.batch) == stream.num_steps
 
     def test_cumulative_is_prefix_sum(self):
         stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
@@ -56,7 +61,7 @@ class TestBenchStream:
 
     def test_single_snapshot_work_parity(self):
         stream = SnapshotStream(churn_stream(2000, 3, 0, 0, 0, seed=5).initial, [], ["0"])
-        result = bench_stream(stream, "compare", "unweighted", repeat=3)
+        result = bench_stream(stream, "compare", "unweighted")
         (batch_rec,) = result.batch
         (dyn_rec,) = result.dynamic
         assert batch_rec.centralities_computed == dyn_rec.centralities_computed
@@ -76,13 +81,24 @@ class TestBenchStream:
         computed = [m.computed_count for m in result.maps]
         assert computed == [r.centralities_computed for r in result.dynamic]
 
-    def test_repeat_populates_std(self):
-        result = bench_stream(toy_stream(), "dynamic", "unweighted", repeat=3)
-        assert all(r.elapsed_std_s is not None for r in result.dynamic)
+    @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
+    def test_one_copy_and_one_apply_per_delta(self, mode, monkeypatch):
+        stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
+        calls = []
+        copy, apply = Graph.copy, Graph._apply
 
-    def test_repeat_must_be_positive(self):
-        with pytest.raises(ValueError):
-            bench_stream(toy_stream(), "dynamic", repeat=0)
+        def counted_copy(g):
+            calls.append("copy")
+            return copy(g)
+
+        def counted_apply(g, *args):
+            calls.append("apply")
+            return apply(g, *args)
+
+        monkeypatch.setattr(Graph, "copy", counted_copy)
+        monkeypatch.setattr(Graph, "_apply", counted_apply)
+        bench_stream(stream, mode, "unweighted")
+        assert calls == ["copy"] + ["apply"] * len(stream.deltas)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -94,14 +110,15 @@ class TestBenchStream:
         bench_stream(stream, "compare", "unweighted")
         assert stream.initial == before
 
-    def test_inconsistent_delta_carries_step(self):
+    @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
+    def test_inconsistent_delta_carries_step(self, mode):
         stream = SnapshotStream(
             Graph(TOY_EDGES),
             [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(1, 4)])],
             ["0", "1", "2"],
         )
         with pytest.raises(DeltaError) as err:
-            bench_stream(stream, "dynamic")
+            bench_stream(stream, mode)
         assert err.value.step == 2
 
     def test_compare_gate_aborts_on_divergence(self, monkeypatch):

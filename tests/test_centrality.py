@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import random_graph
+from genutil import delta_energy_oracle, random_graph
 
 from lapstream.centrality import (
-    delta_energy_oracle,
     lap_cent,
     laplacian_energy,
     normalize,

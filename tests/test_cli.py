@@ -262,7 +262,6 @@ class TestUsageErrors:
         "flags",
         [
             ["--snapshot", "weekly"],
-            ["--repeat", "0"],
             ["--window", "-2"],
             ["--snapshot", "count:0"],
         ],

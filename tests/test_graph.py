@@ -143,18 +143,6 @@ class TestQueries:
         assert g.strength(0) == 5.0
         assert g.strength(1) == 2.0
 
-    def test_stats_toy(self):
-        s = Graph(TOY_EDGES).stats()
-        assert (s.num_nodes, s.num_edges, s.max_degree) == (7, 7, 4)
-        assert s.avg_degree == pytest.approx(2.0)
-
-    def test_stats_empty_and_single(self):
-        assert Graph().stats() == Graph().stats()
-        s = Graph().stats()
-        assert (s.num_nodes, s.num_edges, s.max_degree, s.avg_degree) == (0, 0, 0, 0.0)
-        s = Graph([(1, 2)]).stats()
-        assert (s.num_nodes, s.num_edges, s.max_degree, s.avg_degree) == (2, 1, 1, 1.0)
-
     def test_edges_canonical(self):
         g = Graph()
         g.add_edge(5, 2, 1.5)

@@ -4,18 +4,12 @@ import contextlib
 
 import pytest
 
-from genutil import bits, far_delta, far_graph
+from genutil import affected_nodes, bits, far_delta, far_graph
 
 from lapstream import kernels
 from lapstream.centrality import lap_cent
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import (
-    EdgeDelta,
-    affected_nodes,
-    apply_delta,
-    lap_cent_add_remove,
-    run_evolving,
-)
+from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import delta_between
 
 hypothesis = pytest.importorskip("hypothesis")
