@@ -6,8 +6,10 @@ over 50k ids, one per minute, so 348 daily buckets), then reports the
 median of ``--repeat`` runs of each phase under the ``accumulate`` weight
 policy. Window builds are also given as a multiple of the cumulative build
 on the same events. The share of events whose pair was already seen is
-printed too: the window re-sums a touched edge's entries, so its cost
-grows with the window length only as far as pairs repeat.
+printed too: a window step copies the entries of each edge it touches and
+re-sums those of an edge whose oldest entry leaves, so its cost grows with
+the window length only as far as pairs repeat. The cumulative build keeps
+no entries and folds each observation into its edge's weight.
 
     python benchmarks/ingest_bench.py --repeat 3
 """
@@ -24,7 +26,7 @@ EVENTS = 500_000
 IDS = 50_000
 SEED = 0
 WINDOWS = (7, 30, 100)
-POLICY = "accumulate"  # the window re-sums every touched edge's entries
+POLICY = "accumulate"  # the window re-sums an edge whose oldest entry leaves
 
 
 def event_lines(num_events, num_ids, seed):

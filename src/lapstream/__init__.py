@@ -21,7 +21,6 @@ from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import (
     SnapshotStream,
-    delta_between,
     load_edge_events,
     parse_edge_events,
     snapshots_cumulative,
@@ -48,7 +47,6 @@ __all__ = [
     "SnapshotStream",
     "apply_delta",
     "bench_stream",
-    "delta_between",
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",

@@ -70,10 +70,6 @@ class Edge(NamedTuple):
     v: int
     weight: float = 1.0
 
-    def canonical(self) -> tuple[int, int]:
-        """Undirected identity of the edge: smaller endpoint first."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
 
 class Graph:
     """Undirected weighted graph with O(1) amortized edge add/remove.

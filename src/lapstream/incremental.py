@@ -81,24 +81,22 @@ from typing import Iterable, Iterator
 
 from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
 from lapstream.errors import DeltaError, LapstreamError
-from lapstream.graph import Edge, Graph
+from lapstream.graph import Graph
 
 
 @dataclass
 class EdgeDelta:
     """Edge additions and removals taking one snapshot to the next.
 
-    Adds are upserts: re-adding an existing edge replaces its weight.
-    An edge in both lists nets to removal (adds are applied first). A
-    self-loop, a non-finite weight or a pair removed twice rejects the
-    whole delta.
+    Adds are (u, v, weight) tuples, as the builders emit them; an
+    :class:`~lapstream.graph.Edge` still works. They are upserts:
+    re-adding an existing edge replaces its weight. An edge in both lists
+    nets to removal (adds are applied first). A self-loop, a non-finite
+    weight or a pair removed twice rejects the whole delta.
     """
 
-    adds: list[Edge] = field(default_factory=list)
+    adds: list[tuple[int, int, float]] = field(default_factory=list)
     removes: list[tuple[int, int]] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not self.adds and not self.removes
 
     @property
     def num_changes(self) -> int:

@@ -14,32 +14,42 @@ regex split on runs of commas and whitespace with empty fields dropped.
 Two evaluation regimes are supported: cumulative streams (edges only ever
 added, bucketed by period) and sliding-window streams (an edge stays
 active for the last ``window_length`` buckets it was observed in, so
-deltas carry removals too).
+deltas carry removals too). A directory of snapshot files is a third
+source: one bucket per file.
 
-The window is built incrementally. Each edge in the window keeps its
-per-bucket weights in bucket order, as a tuple: a tuple of floats drops
-out of the cyclic garbage collector's scans, a list would not. A step drops
-the front entry of every edge in the bucket leaving the window, appends
-the entering bucket's weights, and re-derives only those edges: the last
-entry under ``overwrite``, the entries summed left to right under
-``accumulate``. That is the order a full rebuild of the window adds them
-in, so the weights are bitwise the same as rebuilding every bucket at every
-step. A step costs O(entries in the window) for each edge it touches, since
-the edge's tuple is rebuilt and, under ``accumulate``, re-summed: the cost
-follows the buckets entering and leaving and not the window's length only
-when edges are seldom re-observed within a window.
+One loop, ``_build``, turns per-bucket edge weights into deltas for all
+three: a window slid over the buckets, where the cumulative stream is the
+window covering every bucket and a snapshot directory the window of one
+bucket under ``overwrite``. An edge's weight is the last of its per-bucket
+weights in the window under ``overwrite``, and their sum left to right
+under ``accumulate``. That is the order a full rebuild of the window adds
+them in, so the weights are bitwise the same as rebuilding every bucket at
+every step.
+
+Fold identity: ``state`` always holds that weight, so for an edge whose
+oldest entry did not leave this step the new weight is ``old + x``
+(accumulate) or ``x`` (overwrite), bitwise the sum a rebuild would take.
+Only an edge whose oldest entry leaves is derived again from its entries.
+Those are kept per edge in bucket order as a tuple, which drops out of the
+cyclic garbage collector's scans where a list would not, and only when the
+window is shorter than the stream: a covering window never loses an
+entry, so it keeps none, and a cumulative build costs O(1) per
+observation. A shorter window also pays, for each edge a step touches,
+the copy of that edge's tuple, and under ``accumulate`` the re-sum of an
+edge whose oldest entry leaves: O(entries in the window) each.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
-from lapstream.graph import Edge, Graph
+from lapstream.graph import Graph
 from lapstream.incremental import EdgeDelta
 
 # the first and last second of years 1 to 9999 UTC
@@ -205,76 +215,25 @@ def _graph_from_weights(weights: dict[tuple[int, int], float], label: str) -> Gr
     return Graph((u, v, w) for (u, v), w in weights.items())
 
 
-def _diff_states(
-    prev: dict[tuple[int, int], float], cur: dict[tuple[int, int], float]
-) -> EdgeDelta:
-    adds = [
-        Edge(u, v, w)
-        for (u, v), w in cur.items()
-        if (u, v) not in prev or prev[(u, v)] != w
-    ]
-    removes = [pair for pair in prev if pair not in cur]
-    adds.sort(key=lambda e: (e.u, e.v))
-    removes.sort()
-    return EdgeDelta(adds=adds, removes=removes)
-
-
-def snapshots_cumulative(
-    events: list[EdgeEvent], period: str, weight_policy: str = "overwrite"
+def _build(
+    buckets: list[tuple[str, list[EdgeEvent]]], window_length: int, policy: str
 ) -> SnapshotStream:
-    """Incremental regime: each delta only adds the edges first seen (or,
-    for weighted data, re-weighted) in its bucket; removes stay empty."""
-    _check_policy(weight_policy)
-    buckets = bucket_events(events, period)
-    state: dict[tuple[int, int], float] = {}
-    deltas: list[EdgeDelta] = []
-    labels: list[str] = []
+    """The stream of a window of ``window_length`` buckets slid over
+    ``buckets`` (see the module docstring): snapshot k holds the edges
+    observed in buckets k - window_length + 1 to k."""
+    accumulate = policy == "accumulate"
+    windowed = window_length < len(buckets)  # else no entry ever leaves
+    window: deque[dict[tuple[int, int], float]] = deque()  # bucket weights yet to leave
+    state: dict[tuple[int, int], float] = {}  # the window's weight per edge
+    history: dict[tuple[int, int], tuple[float, ...]] = {}  # per-bucket weights in the window
     initial: Graph | None = None
-    for label, bucket in buckets:
-        labels.append(label)
-        observed = _bucket_weights(bucket, weight_policy)
-        adds: list[Edge] = []
-        for pair, w in observed.items():
-            target = state[pair] + w if weight_policy == "accumulate" and pair in state else w
-            if pair not in state or state[pair] != target:
-                _check_weight(pair[0], pair[1], target, label)
-                state[pair] = target
-                adds.append(Edge(pair[0], pair[1], target))
-        adds.sort(key=lambda e: (e.u, e.v))
-        if initial is None:
-            initial = _graph_from_weights(dict(state), label)
-        else:
-            deltas.append(EdgeDelta(adds=adds))
-    assert initial is not None
-    return SnapshotStream(initial, deltas, labels)
-
-
-def snapshots_window(
-    events: list[EdgeEvent],
-    period: str,
-    window_length: int,
-    weight_policy: str = "overwrite",
-) -> SnapshotStream:
-    """Full-dynamic regime: snapshot k holds the edges observed in the last
-    ``window_length`` buckets; edges sliding out of the window become
-    removals. A window covering every bucket degenerates to the
-    cumulative stream.
-    """
-    _check_policy(weight_policy)
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
-    buckets = bucket_events(events, period)
-    per_bucket = [_bucket_weights(bucket, weight_policy) for _, bucket in buckets]
-    labels = [label for label, _ in buckets]
-    accumulate = weight_policy == "accumulate"
-    state = dict(per_bucket[0])  # the window's current weight per edge
-    history = {pair: (w,) for pair, w in state.items()}  # per-bucket weights in the window
-    initial = _graph_from_weights(state, labels[0])
     deltas: list[EdgeDelta] = []
-    for k in range(1, len(buckets)):
-        leaving = per_bucket[k - window_length] if k >= window_length else {}
-        entering = per_bucket[k]
-        adds: list[Edge] = []
+    for label, bucket in buckets:
+        entering = _bucket_weights(bucket, policy)
+        leaving = window.popleft() if len(window) == window_length else {}
+        if windowed:
+            window.append(entering)
+        adds: list[tuple[int, int, float]] = []
         removes: list[tuple[int, int]] = []
         changed: list[tuple[int, int]] = []  # pairs staying in the window, entries changed
         for pair in leaving:
@@ -286,15 +245,23 @@ def snapshots_window(
             else:
                 del history[pair], state[pair]
                 removes.append(pair)
-        for pair, w in entering.items():
-            entries = history.get(pair)
-            if entries is None:
-                history[pair] = (w,)
-                state[pair] = w
-                adds.append(Edge(pair[0], pair[1], w))
-            else:
-                history[pair] = entries + (w,)
-                changed.append(pair)
+        for pair, x in entering.items():
+            old = state.get(pair)
+            if old is None:
+                state[pair] = x
+                if windowed:
+                    history[pair] = (x,)
+                adds.append((pair[0], pair[1], x))
+                continue
+            if windowed:
+                history[pair] += (x,)
+                if pair in leaving:
+                    changed.append(pair)
+                    continue
+            w = old + x if accumulate else x  # the fold identity
+            if w != old:
+                adds.append((pair[0], pair[1], w))
+            state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal
         for pair in changed:
             entries = history[pair]
             if accumulate:
@@ -304,14 +271,45 @@ def snapshots_window(
             else:
                 w = entries[-1]
             if state[pair] != w:
-                adds.append(Edge(pair[0], pair[1], w))
-            state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal
-        adds.sort(key=lambda e: (e.u, e.v))
+                adds.append((pair[0], pair[1], w))
+            state[pair] = w
+        if initial is None:
+            initial = _graph_from_weights(state, label)
+            continue
+        adds.sort()  # pairs are unique within a step, so no weight is compared
         removes.sort()
         for u, v, w in adds:
-            _check_weight(u, v, w, labels[k])
+            _check_weight(u, v, w, label)
         deltas.append(EdgeDelta(adds=adds, removes=removes))
-    return SnapshotStream(initial, deltas, labels)
+    assert initial is not None
+    return SnapshotStream(initial, deltas, [label for label, _ in buckets])
+
+
+def snapshots_cumulative(
+    events: list[EdgeEvent], period: str, weight_policy: str = "overwrite"
+) -> SnapshotStream:
+    """Incremental regime: each delta only adds the edges first seen (or,
+    for weighted data, re-weighted) in its bucket; removes stay empty.
+    This is the window covering every bucket."""
+    _check_policy(weight_policy)
+    buckets = bucket_events(events, period)
+    return _build(buckets, len(buckets), weight_policy)
+
+
+def snapshots_window(
+    events: list[EdgeEvent],
+    period: str,
+    window_length: int,
+    weight_policy: str = "overwrite",
+) -> SnapshotStream:
+    """Full-dynamic regime: snapshot k holds the edges observed in the last
+    ``window_length`` buckets; edges sliding out of the window become
+    removals. A window covering every bucket is the cumulative stream.
+    """
+    _check_policy(weight_policy)
+    if window_length < 1:
+        raise ValueError("window_length must be >= 1")
+    return _build(bucket_events(events, period), window_length, weight_policy)
 
 
 def _check_policy(policy: str) -> None:
@@ -319,22 +317,16 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown weight policy {policy!r}")
 
 
-def delta_between(prev: Graph, next_graph: Graph) -> EdgeDelta:
-    """Delta turning ``prev`` into ``next_graph``: new or re-weighted edges
-    as upsert-adds, vanished edges as removes."""
-    prev_state = {e.canonical(): e.weight for e in prev.edges()}
-    next_state = {e.canonical(): e.weight for e in next_graph.edges()}
-    return _diff_states(prev_state, next_state)
-
-
 def stream_from_snapshot_dir(path: str | Path) -> SnapshotStream:
     """Build a stream from a directory of pre-materialized snapshots, one
-    edge-list file per snapshot, applied in lexicographic filename order."""
+    edge-list file per snapshot, applied in lexicographic filename order.
+
+    Each file is one bucket of a window of one bucket under ``overwrite``:
+    the last weight of a repeated edge wins, and each delta upserts the
+    edges new or re-weighted since the previous file and removes those it
+    no longer lists."""
     directory = Path(path)
     files = sorted(p for p in directory.iterdir() if p.is_file())
     if not files:
         raise EmptyDatasetError(f"no snapshot files in {directory}")
-    graphs = [Graph((e.u, e.v, e.weight) for e in load_edge_events(p)) for p in files]
-    deltas = [delta_between(graphs[i - 1], graphs[i]) for i in range(1, len(graphs))]
-    labels = [p.name for p in files]
-    return SnapshotStream(graphs[0], deltas, labels)
+    return _build([(p.name, load_edge_events(p)) for p in files], 1, "overwrite")

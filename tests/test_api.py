@@ -19,7 +19,6 @@ PUBLIC = [
     "SnapshotStream",
     "apply_delta",
     "bench_stream",
-    "delta_between",
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",

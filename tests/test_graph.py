@@ -355,7 +355,7 @@ class TestBulkPath:
             warnings.simplefilter("ignore")
             g = Graph(initial)
         adds = [Edge(*e) for e in adds]
-        removable = sorted({e.canonical() for e in g.edges()} | {e.canonical() for e in adds})
+        removable = sorted({e[:2] for e in g.edges()} | {tuple(sorted(e[:2])) for e in adds})
         removes = data.draw(st.lists(st.sampled_from(removable), unique=True)) if removable else []
         removes = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in removes]
         delta = EdgeDelta(adds=adds, removes=removes)
@@ -417,12 +417,12 @@ class TestRunningFigures:
         copied = g.copy()
         assert (copied._inexact, copied._excess) == (g._inexact, g._excess)
         _check_figures(copied, ever)
-        present = sorted(e.canonical() for e in g.edges())
+        present = sorted(e[:2] for e in g.edges())
         for u, v in data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []:
             g.remove_edge(u, v)
             _check_figures(g, ever)
         delta_adds = [Edge(*e) for e in data.draw(edge_lists(nodes=12))]
-        removable = sorted({e.canonical() for e in g.edges()} | {e.canonical() for e in delta_adds})
+        removable = sorted({e[:2] for e in g.edges()} | {tuple(sorted(e[:2])) for e in delta_adds})
         removes = data.draw(st.lists(st.sampled_from(removable), unique=True)) if removable else []
         apply_delta(g, EdgeDelta(adds=delta_adds, removes=removes))
         _check_figures(g, ever or _written(delta_adds))

@@ -4,14 +4,15 @@ import re
 
 import pytest
 
+from genutil import bits
+
 from lapstream.centrality import lap_cent
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import apply_delta
+from lapstream.incremental import EdgeDelta, apply_delta
 from lapstream.ingest import (
     EdgeEvent,
     bucket_events,
-    delta_between,
     load_edge_events,
     parse_edge_events,
     snapshots_cumulative,
@@ -240,6 +241,18 @@ class TestBucketing:
             bucket_events([], "daily")
 
 
+class _Counted(float):
+    """A weight that counts the additions made with it."""
+
+    additions = 0
+
+    def __add__(self, other):
+        _Counted.additions += 1
+        return _Counted(float.__add__(self, other))
+
+    __radd__ = __add__
+
+
 class TestCumulative:
     def test_count_one_stream(self):
         events = parse_edge_events(["1 2", "2 3", "3 4"])
@@ -270,7 +283,7 @@ class TestCumulative:
     def test_reobserved_unit_edge_not_readded(self):
         events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 2, 1.0, DAY)]
         stream = snapshots_cumulative(events, "daily")
-        assert stream.deltas[0].is_empty()
+        assert stream.deltas[0] == EdgeDelta()
 
     def test_reweighted_edge_is_upsert_add(self):
         events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 2, 4.0, DAY)]
@@ -292,6 +305,16 @@ class TestCumulative:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             snapshots_cumulative([EdgeEvent(1, 2)], "count:1", weight_policy="max")
+
+    def test_reobserved_pair_costs_one_addition(self):
+        """n observations of one pair, one per bucket: each step folds its
+        weight into the pair's sum rather than summing every entry again."""
+        n = 2_000
+        events = [EdgeEvent(1, 2, _Counted(1.0), i) for i in range(n)]
+        _Counted.additions = 0
+        stream = snapshots_cumulative(events, "count:1", "accumulate")
+        assert _Counted.additions <= 2 * n
+        assert stream.deltas[-1].adds == [(1, 2, float(n))]
 
 
 class TestWindow:
@@ -368,7 +391,7 @@ def _rebuilt_window(events, period, window_length, policy):
     for _, bucket in buckets:
         weights = {}
         for e in bucket:
-            pair = Edge(e.u, e.v, e.weight).canonical()
+            pair = tuple(sorted(e[:2]))
             if policy == "accumulate" and pair in weights:
                 weights[pair] += e.weight
             else:
@@ -403,8 +426,11 @@ def _rebuilt_window(events, period, window_length, policy):
 
 
 def _built_window(events, period, window_length, policy):
-    stream = snapshots_window(events, period, window_length, policy)
-    initial = {e.canonical(): e.weight.hex() for e in stream.initial.edges()}
+    if window_length == "cumulative":
+        stream = snapshots_cumulative(events, period, policy)
+    else:
+        stream = snapshots_window(events, period, window_length, policy)
+    initial = {e[:2]: e.weight.hex() for e in stream.initial.edges()}
     steps = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
     return initial, steps
 
@@ -428,11 +454,12 @@ class TestWindowOracle:
     """The incremental window builder against a full rebuild per step."""
 
     @pytest.mark.parametrize("policy", ["overwrite", "accumulate"])
-    @pytest.mark.parametrize("window", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 50, "cumulative"])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_full_rebuild(self, seed, window, policy):
         events = _random_events(seed)
-        initial, steps, rejected = _rebuilt_window(events, "daily", window, policy)
+        length = 10_000 if window == "cumulative" else window
+        initial, steps, rejected = _rebuilt_window(events, "daily", length, policy)
         assert rejected is None
         assert _built_window(events, "daily", window, policy) == (initial, steps)
 
@@ -509,52 +536,22 @@ class TestAccumulateOverflow:
         with pytest.raises(NonFiniteWeightError, match=rf"\(1, 2\) in bucket {label}"):
             BUILDERS[builder](events)
 
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_two_overflows_in_one_bucket_name_the_smallest_pair(self, builder):
+        events = [
+            EdgeEvent(5, 6, 1e308, 0),
+            EdgeEvent(1, 2, 1e308, 0),
+            EdgeEvent(6, 5, 1e308, DAY),
+            EdgeEvent(2, 1, 1e308, DAY),
+        ]
+        with pytest.raises(NonFiniteWeightError, match=r"\(1, 2\) in bucket 1970-01-02"):
+            BUILDERS[builder](events)
+
     def test_large_weights_sliding_apart_are_fine(self):
         events = [EdgeEvent(1, 2, 1e308, 0), EdgeEvent(1, 2, 1e308, DAY)]
         stream = snapshots_window(events, "daily", 1, "accumulate")
         assert stream.initial.edge_weight(1, 2) == 1e308
         assert stream.deltas[0].adds == []
-
-
-class TestDeltaBetween:
-    def test_equal_graphs(self, toy_graph):
-        assert delta_between(toy_graph, toy_graph.copy()).is_empty()
-
-    def test_toy_transition(self, toy_graph):
-        nxt = toy_graph.copy()
-        nxt.add_edge(4, 6)
-        delta = delta_between(toy_graph, nxt)
-        assert delta.adds == [Edge(4, 6, 1.0)]
-        assert delta.removes == []
-
-    def test_disjoint_graphs(self):
-        delta = delta_between(Graph([(1, 2)]), Graph([(2, 3)]))
-        assert delta.adds == [Edge(2, 3, 1.0)]
-        assert delta.removes == [(1, 2)]
-
-    def test_weight_change_is_upsert(self):
-        prev = Graph([(1, 2, 1.0)])
-        nxt = Graph([(1, 2, 2.0)])
-        assert delta_between(prev, nxt).adds == [Edge(1, 2, 2.0)]
-
-    def test_applying_delta_reaches_target(self):
-        rng = random.Random(12)
-        for _ in range(20):
-            prev = Graph()
-            nxt = Graph()
-            for _ in range(rng.randint(0, 30)):
-                u, v = rng.randrange(8), rng.randrange(8)
-                if u != v:
-                    prev.add_edge(u, v, float(rng.randint(1, 3)))
-            for _ in range(rng.randint(0, 30)):
-                u, v = rng.randrange(8), rng.randrange(8)
-                if u != v:
-                    nxt.add_edge(u, v, float(rng.randint(1, 3)))
-            g = prev.copy()
-            apply_delta(g, delta_between(prev, nxt))
-            for u in nxt.nodes():
-                assert dict(g.neighbors(u)) == dict(nxt.neighbors(u))
-            assert g.num_edges == nxt.num_edges
 
 
 class TestRoundTrip:
@@ -580,8 +577,8 @@ class TestRoundTrip:
             expected = target.initial
             for d in target.deltas:
                 apply_delta(expected, d)
-            assert {e.canonical(): e.weight for e in g.edges()} == {
-                e.canonical(): e.weight for e in expected.edges()
+            assert {e[:2]: e.weight for e in g.edges()} == {
+                e[:2]: e.weight for e in expected.edges()
             }
 
 
@@ -618,3 +615,85 @@ class TestSnapshotDir:
         g = stream.initial.copy()
         apply_delta(g, stream.deltas[0])
         assert lap_cent(g, "unweighted").values == lap_cent(toy_with_edge, "unweighted").values
+
+    def test_equal_snapshots(self, tmp_path, toy_graph):
+        _write_snapshots(tmp_path, toy_graph, toy_graph)
+        assert stream_from_snapshot_dir(tmp_path).deltas == [EdgeDelta()]
+
+    def test_new_edge(self, tmp_path, toy_graph):
+        nxt = toy_graph.copy()
+        nxt.add_edge(4, 6)
+        _write_snapshots(tmp_path, toy_graph, nxt)
+        (delta,) = stream_from_snapshot_dir(tmp_path).deltas
+        assert delta.adds == [(4, 6, 1.0)]
+        assert delta.removes == []
+
+    def test_disjoint_snapshots(self, tmp_path):
+        _write_snapshots(tmp_path, Graph([(1, 2)]), Graph([(2, 3)]))
+        (delta,) = stream_from_snapshot_dir(tmp_path).deltas
+        assert delta.adds == [(2, 3, 1.0)]
+        assert delta.removes == [(1, 2)]
+
+    def test_weight_change_is_upsert(self, tmp_path):
+        _write_snapshots(tmp_path, Graph([(1, 2, 1.0)]), Graph([(1, 2, 2.0)]))
+        (delta,) = stream_from_snapshot_dir(tmp_path).deltas
+        assert delta.adds == [(1, 2, 2.0)]
+        assert delta.removes == []
+
+    def test_applying_deltas_reaches_each_snapshot(self, tmp_path):
+        rng = random.Random(12)
+        graphs = []
+        for _ in range(20):
+            g = Graph()
+            for _ in range(rng.randint(0, 30)):
+                u, v = rng.randrange(8), rng.randrange(8)
+                if u != v:
+                    g.add_edge(u, v, float(rng.randint(1, 3)))
+            graphs.append(g)
+        _write_snapshots(tmp_path, *graphs)
+        stream = stream_from_snapshot_dir(tmp_path)
+        g = stream.initial
+        for delta, nxt in zip(stream.deltas, graphs[1:]):
+            apply_delta(g, delta)
+            for u in nxt.nodes():
+                assert dict(g.neighbors(u)) == dict(nxt.neighbors(u))
+            assert g.num_edges == nxt.num_edges
+
+    @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_diff_of_last_weights(self, tmp_path, seed):
+        """Files with repeated and reversed pairs and fractional weights: the
+        stream is, bitwise, the diff of consecutive files' states, where the
+        last weight of a repeated edge wins."""
+        rng = random.Random(seed)
+        states = []
+        for i in range(rng.randint(1, 6)):
+            state, lines = {}, []
+            for _ in range(rng.randint(0, 25)):
+                u, v = rng.randrange(7), rng.randrange(7)
+                if u != v:
+                    w = rng.choice(ORACLE_WEIGHTS + [0.0, 0.2])
+                    state[(min(u, v), max(u, v))] = w
+                    lines.append(f"{u} {v} {w!r}\n")
+            (tmp_path / f"{i:02d}.txt").write_text("".join(lines))
+            states.append(state)
+        stream = stream_from_snapshot_dir(tmp_path)
+        expected = Graph((u, v, w) for (u, v), w in states[0].items())
+        assert {e[:2]: e.weight.hex() for e in stream.initial.edges()} == {
+            pair: w.hex() for pair, w in states[0].items()
+        }
+        assert bits(stream.initial.strengths()) == bits(expected.strengths())
+        built = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
+        diffs = []
+        for prev, cur in zip(states, states[1:]):
+            adds = sorted((u, v, w) for (u, v), w in cur.items() if prev.get((u, v)) != w)
+            removes = sorted(pair for pair in prev if pair not in cur)
+            diffs.append(([(u, v, w.hex()) for u, v, w in adds], removes))
+        assert built == diffs
+
+
+def _write_snapshots(directory, *graphs):
+    """One snapshot file per graph, named so they sort in the given order."""
+    for i, g in enumerate(graphs):
+        lines = "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges())
+        (directory / f"{i:02d}.txt").write_text(lines)

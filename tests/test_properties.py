@@ -1,6 +1,8 @@
 """Property tests over random delta sequences (Hypothesis)."""
 
 import contextlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from lapstream import kernels
 from lapstream.centrality import lap_cent
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
-from lapstream.ingest import delta_between
+from lapstream.ingest import stream_from_snapshot_dir
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -49,7 +51,7 @@ def evolving_runs(draw, weights=None):
     deltas = []
     for _ in range(draw(st.integers(1, 8))):
         adds = _edges(draw, n + 3, weights, 5)
-        removable = sorted({e.canonical() for e in sim.edges()} | {e.canonical() for e in adds})
+        removable = sorted({e[:2] for e in sim.edges()} | {tuple(sorted(e[:2])) for e in adds})
         removes = []
         if removable:
             removes = draw(st.lists(st.sampled_from(removable), unique=True, max_size=5))
@@ -81,16 +83,22 @@ def test_dynamic_equals_batch_every_step(variant, far, run):
 
 @SETTINGS
 @hypothesis.given(data=st.data())
-def test_delta_between_turns_g_into_h(data):
+def test_snapshot_dir_turns_g_into_h(data):
+    """Snapshot files g, h, h: the first delta turns g into h, the second is empty."""
     n = data.draw(st.integers(2, 14))
     weights = _weights(data.draw(st.booleans()))
     g = _graph(_edges(data.draw, n, weights, 25))
     h = _graph(_edges(data.draw, n, weights, 25))
-    apply_delta(g, delta_between(g, h))
-    assert {e.canonical(): e.weight for e in g.edges()} == {
-        e.canonical(): e.weight for e in h.edges()
-    }
-    assert delta_between(g, h).is_empty()
+    with tempfile.TemporaryDirectory() as directory:
+        for name, snapshot in (("0.txt", g), ("1.txt", h), ("2.txt", h)):
+            lines = "".join(f"{u} {v} {w!r}\n" for u, v, w in snapshot.edges())
+            Path(directory, name).write_text(lines)
+        stream = stream_from_snapshot_dir(directory)
+    built = stream.initial
+    assert {e[:2]: e.weight for e in built.edges()} == {e[:2]: e.weight for e in g.edges()}
+    apply_delta(built, stream.deltas[0])
+    assert {e[:2]: e.weight for e in built.edges()} == {e[:2]: e.weight for e in h.edges()}
+    assert stream.deltas[1] == EdgeDelta()
 
 
 INTEGRAL = st.sampled_from([1.0, 2.0, 3.0, 5.0, 12.0, -1.0, -4.0, 0.0, -0.0])
@@ -124,13 +132,13 @@ def fractional_then_integral(draw):
     for _ in range(draw(st.integers(1, 3))):
         step(EdgeDelta(adds=edges(FRACTIONAL, min_size=1)))
     # every fractional edge leaves: removed, or re-weighted to an integer
-    fractional = sorted(e.canonical() for e in sim.edges() if e.weight != int(e.weight))
+    fractional = sorted(e[:2] for e in sim.edges() if e.weight != int(e.weight))
     reweighted = draw(st.lists(st.sampled_from(fractional), unique=True))
     removes = [p for p in fractional if p not in reweighted]
     step(EdgeDelta(adds=[Edge(u, v, draw(INTEGRAL)) for u, v in reweighted], removes=removes))
     assert all(e.weight == int(e.weight) for e in sim.edges())
     for _ in range(draw(st.integers(1, 4))):
-        present = sorted(e.canonical() for e in sim.edges())
+        present = sorted(e[:2] for e in sim.edges())
         removes = []
         if present:
             removes = draw(st.lists(st.sampled_from(present), unique=True, max_size=3))
