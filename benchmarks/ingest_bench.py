@@ -11,11 +11,14 @@ re-sums those of an edge whose oldest entry leaves, so its cost grows with
 the window length only as far as pairs repeat. The cumulative build keeps
 no entries and folds each observation into its edge's weight.
 
-    python benchmarks/ingest_bench.py --repeat 3
+    python benchmarks/ingest_bench.py --repeat 3 --json BENCH_ingest.json
 """
 
 import argparse
 import gc
+import json
+import os
+import platform
 import random
 import statistics
 import time
@@ -44,11 +47,12 @@ def event_lines(num_events, num_ids, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--json", metavar="PATH", help="also write the medians as JSON to PATH")
     args = parser.parse_args()
 
     lines = event_lines(EVENTS, IDS, SEED)
     events = parse_edge_events(lines)
-    pairs = {(e.u, e.v) if e.u <= e.v else (e.v, e.u) for e in events}
+    pairs = {e[:2] if e[0] <= e[1] else (e[1], e[0]) for e in events}
     phases = [
         ("parse", lambda: parse_edge_events(lines)),
         ("cumulative build", lambda: snapshots_cumulative(events, "daily", POLICY)),
@@ -72,12 +76,31 @@ def main():
         f"workload: {len(events)} events, {IDS} ids, {buckets} daily buckets, "
         f"policy {POLICY}, median of {args.repeat}"
     )
-    print(f"repeated pairs: {1 - len(pairs) / len(events):.4%} of events")
-    cumulative_s = statistics.median(samples["cumulative build"])
-    for name, _ in phases:
-        seconds = statistics.median(samples[name])
+    repeated = 1 - len(pairs) / len(events)
+    print(f"repeated pairs: {repeated:.4%} of events")
+    medians = {name: statistics.median(samples[name]) for name, _ in phases}
+    cumulative_s = medians["cumulative build"]
+    for name, seconds in medians.items():
         ratio = f"  ({seconds / cumulative_s:.2f}x cumulative)" if name.startswith("window") else ""
         print(f"{name + ':':18}{seconds:8.3f} s{ratio}")
+    if args.json:
+        report = {
+            "command": f"python benchmarks/ingest_bench.py --repeat {args.repeat} --json {args.json}",
+            "events": len(events),
+            "ids": IDS,
+            "seed": SEED,
+            "buckets": buckets,
+            "policy": POLICY,
+            "repeat": args.repeat,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "repeated_pairs": repeated,
+            "median_s": medians,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

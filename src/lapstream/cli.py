@@ -179,7 +179,7 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
 
 
 def _cmd_centrality(args) -> int:
-    g = Graph((e.u, e.v, e.weight) for e in load_edge_events(args.input))
+    g = Graph(e[:3] for e in load_edge_events(args.input))
     cmap = lap_cent(g, args.variant)
     if args.normalized:
         cmap = normalize(cmap, laplacian_energy(g, args.variant))

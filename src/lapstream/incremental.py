@@ -88,8 +88,9 @@ from lapstream.graph import Graph
 class EdgeDelta:
     """Edge additions and removals taking one snapshot to the next.
 
-    Adds are (u, v, weight) tuples, as the builders emit them; an
-    :class:`~lapstream.graph.Edge` still works. They are upserts:
+    Adds are (u, v, weight) tuples, as every producer in the package
+    (the stream builders and :func:`~lapstream.synth.churn_stream`) emits
+    them; an :class:`~lapstream.graph.Edge` still works. They are upserts:
     re-adding an existing edge replaces its weight. An edge in both lists
     nets to removal (adds are applied first). A self-loop, a non-finite
     weight or a pair removed twice rejects the whole delta.

@@ -17,6 +17,11 @@ active for the last ``window_length`` buckets it was observed in, so
 deltas carry removals too). A directory of snapshot files is a third
 source: one bucket per file.
 
+Events are plain ``(u, v, weight, timestamp)`` tuples: a tuple costs no
+Python-level ``__new__``, and the cyclic garbage collector untracks one that
+holds only numbers, so a build's collections do not rescan every event. It
+never untracks an instance of a tuple subclass such as a ``NamedTuple``.
+
 One loop, ``_build``, turns per-bucket edge weights into deltas for all
 three: a window slid over the buckets, where the cumulative stream is the
 window covering every bucket and a snapshot directory the window of one
@@ -46,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
 from lapstream.graph import Graph
@@ -56,12 +61,7 @@ from lapstream.incremental import EdgeDelta
 _MIN_TIMESTAMP = -62135596800
 _MAX_TIMESTAMP = 253402300799
 
-
-class EdgeEvent(NamedTuple):
-    u: int
-    v: int
-    weight: float = 1.0
-    timestamp: int = 0
+_Event = tuple[int, int, float, int]  # (u, v, weight, timestamp)
 
 
 @dataclass
@@ -77,16 +77,19 @@ class SnapshotStream:
         return len(self.deltas) + 1
 
 
-def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
+def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
     """Parse edge-event lines; every non-comment line yields an event or a
     positioned error.
+
+    An event is a plain ``(u, v, weight, timestamp)`` tuple, which needs no
+    ``__new__`` and which the garbage collector untracks.
 
     Bytes are decoded as UTF-8; a line that is not raises :class:`ParseError`.
     Every mention of one node id is the same int object, the first parsed
     (see :mod:`lapstream.graph` for why), so the events, and the buckets,
     windows, graphs and deltas built from them, hold one object per node.
     """
-    events: list[EdgeEvent] = []
+    events: list[_Event] = []
     by_text: dict[str, int] = {}  # field text -> its node's object
     ids: dict[int, int] = {}  # node -> its object, for "7" and "07" alike
     for lineno, raw in enumerate(lines, start=1):
@@ -135,11 +138,11 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[EdgeEvent]:
                 raise ParseError(lineno, f"timestamp {fields[3]!r} outside years 1 to 9999 UTC")
         else:
             timestamp = len(events)
-        events.append(EdgeEvent(u, v, weight, timestamp))
+        events.append((u, v, weight, timestamp))
     return events
 
 
-def load_edge_events(path: str | Path) -> list[EdgeEvent]:
+def load_edge_events(path: str | Path) -> list[_Event]:
     with open(path, "rb") as fh:
         return parse_edge_events(fh)
 
@@ -152,7 +155,7 @@ def _month_key(ts: int) -> tuple[int, int]:
     return (dt.year, dt.month)
 
 
-def bucket_events(events: list[EdgeEvent], period: str) -> list[tuple[str, list[EdgeEvent]]]:
+def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Event]]]:
     """Group events into ordered (label, events) buckets.
 
     ``period``: ``day``/``daily`` (UTC calendar days), ``month``/``monthly``,
@@ -172,10 +175,10 @@ def bucket_events(events: list[EdgeEvent], period: str) -> list[tuple[str, list[
         chunks = [events[i : i + size] for i in range(0, len(events), size)]
         return [(str(i), chunk) for i, chunk in enumerate(chunks)]
     if p in ("day", "daily"):
-        key = lambda e: e.timestamp // 86400
+        key = lambda e: e[3] // 86400
         label = lambda k: datetime.fromtimestamp(k * 86400, tz=timezone.utc).date().isoformat()
     elif p in ("month", "monthly"):
-        key = lambda e: _month_key(e.timestamp)
+        key = lambda e: _month_key(e[3])
         label = lambda k: f"{k[0]:04d}-{k[1]:02d}"
     else:
         raise ValueError(f"unknown period {period!r}")
@@ -185,7 +188,7 @@ def bucket_events(events: list[EdgeEvent], period: str) -> list[tuple[str, list[
     return [(label(k), grouped[k]) for k in sorted(grouped)]
 
 
-def _bucket_weights(bucket: list[EdgeEvent], policy: str) -> dict[tuple[int, int], float]:
+def _bucket_weights(bucket: list[_Event], policy: str) -> dict[tuple[int, int], float]:
     """Collapse a bucket's observations to one weight per edge."""
     weights: dict[tuple[int, int], float] = {}
     accumulate = policy == "accumulate"
@@ -198,25 +201,19 @@ def _bucket_weights(bucket: list[EdgeEvent], policy: str) -> dict[tuple[int, int
     return weights
 
 
-def _check_weight(u: int, v: int, w: float, label: str) -> None:
-    """Reject a weight the builder would emit that is not finite: accumulated
-    finite weights can overflow."""
-    if not math.isfinite(w):
-        raise NonFiniteWeightError(
-            f"weight {w} on edge ({u}, {v}) in bucket {label} is not finite"
-        )
-
-
-def _graph_from_weights(weights: dict[tuple[int, int], float], label: str) -> Graph:
-    if not all(map(math.isfinite, weights.values())):
-        # the graph would reject it too, but only this error names the bucket
-        for (u, v), w in weights.items():
-            _check_weight(u, v, w, label)
-    return Graph((u, v, w) for (u, v), w in weights.items())
+def _check_weights(adds: list[tuple[int, int, float]], label: str) -> None:
+    """Reject the first weight the builder would emit that is not finite:
+    accumulated finite weights can overflow. The graph would reject it too,
+    but only this error names the bucket."""
+    for u, v, w in adds:
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(
+                f"weight {w} on edge ({u}, {v}) in bucket {label} is not finite"
+            )
 
 
 def _build(
-    buckets: list[tuple[str, list[EdgeEvent]]], window_length: int, policy: str
+    buckets: list[tuple[str, list[_Event]]], window_length: int, policy: str
 ) -> SnapshotStream:
     """The stream of a window of ``window_length`` buckets slid over
     ``buckets`` (see the module docstring): snapshot k holds the edges
@@ -274,19 +271,20 @@ def _build(
                 adds.append((pair[0], pair[1], w))
             state[pair] = w
         if initial is None:
-            initial = _graph_from_weights(state, label)
+            # every edge of the first snapshot, in first-observed order
+            _check_weights(adds, label)
+            initial = Graph(adds)
             continue
         adds.sort()  # pairs are unique within a step, so no weight is compared
         removes.sort()
-        for u, v, w in adds:
-            _check_weight(u, v, w, label)
+        _check_weights(adds, label)
         deltas.append(EdgeDelta(adds=adds, removes=removes))
     assert initial is not None
     return SnapshotStream(initial, deltas, [label for label, _ in buckets])
 
 
 def snapshots_cumulative(
-    events: list[EdgeEvent], period: str, weight_policy: str = "overwrite"
+    events: list[_Event], period: str, weight_policy: str = "overwrite"
 ) -> SnapshotStream:
     """Incremental regime: each delta only adds the edges first seen (or,
     for weighted data, re-weighted) in its bucket; removes stay empty.
@@ -297,7 +295,7 @@ def snapshots_cumulative(
 
 
 def snapshots_window(
-    events: list[EdgeEvent],
+    events: list[_Event],
     period: str,
     window_length: int,
     weight_policy: str = "overwrite",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from lapstream.graph import Edge, Graph
+from lapstream.graph import Graph
 from lapstream.incremental import EdgeDelta
 from lapstream.ingest import SnapshotStream
 
@@ -73,7 +73,7 @@ def churn_stream(
                 continue
             picked.add(pair)
             removes.append(pair)
-        adds: list[Edge] = []
+        adds: list[tuple[int, int, float]] = []
         while len(adds) < adds_per_step:
             u = rng.randrange(num_nodes)
             v = rng.randrange(num_nodes)
@@ -87,7 +87,7 @@ def churn_stream(
             index[pair] = len(edge_list)
             edge_list.append(pair)
             w = float(rng.randint(1, 5)) if weighted else 1.0
-            adds.append(Edge(pair[0], pair[1], w))
+            adds.append((pair[0], pair[1], w))
         deltas.append(EdgeDelta(adds=adds, removes=removes))
         for pair in removes:
             i = index.pop(pair)

@@ -17,7 +17,7 @@ from lapstream.bench import bench_stream, diff_maps, emit_csv
 from lapstream.centrality import lap_cent
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, run_evolving
-from lapstream.ingest import SnapshotStream, EdgeEvent, snapshots_cumulative, snapshots_window
+from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
 from lapstream.synth import churn_stream
 
 DAY = 86400
@@ -218,7 +218,7 @@ def test_criterion_6_window_equals_cumulative():
             if u == v:
                 continue
             w = float(rng.randint(1, 5)) if i % 3 else rng.uniform(0.1, 5.0)
-            events.append(EdgeEvent(u, v, w, rng.randrange(6) * DAY))
+            events.append((u, v, w, rng.randrange(6) * DAY))
         cumulative = snapshots_cumulative(events, "daily", weight_policy=policy)
         windowed = snapshots_window(events, "daily", 10**9, weight_policy=policy)
 

@@ -20,7 +20,7 @@ from lapstream.cli import cli_main
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
-from lapstream.ingest import EdgeEvent, SnapshotStream, snapshots_cumulative, snapshots_window
+from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
 from lapstream.synth import churn_stream
 
 
@@ -234,8 +234,8 @@ class TestExactGate:
         for day in range(20):
             for _ in range(rng.randint(5, 40)):
                 u, v = rng.sample(range(60), 2)
-                events.append(EdgeEvent(u, v, weight(rng), day * 86400 + rng.randrange(86400)))
-        events.sort(key=lambda e: e.timestamp)
+                events.append((u, v, weight(rng), day * 86400 + rng.randrange(86400)))
+        events.sort(key=lambda e: e[3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # negative weights warn
             streams = [

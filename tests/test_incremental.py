@@ -27,7 +27,7 @@ from lapstream.errors import (
 )
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
-from lapstream.ingest import EdgeEvent, SnapshotStream, snapshots_cumulative, snapshots_window
+from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
 
 
 class TestAffectedNodes:
@@ -185,7 +185,7 @@ class TestRejectedDelta:
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 def test_negative_weight_warning_names_caller(variant):
     delta = EdgeDelta(adds=[Edge(1, 3, -1.0)])
-    events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 3, -1.0, 0)]
+    events = [(1, 2, 1.0, 0), (1, 3, -1.0, 0)]
 
     def stream(g):
         return SnapshotStream(g, [delta], ["0", "1"])

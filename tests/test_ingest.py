@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -11,7 +12,6 @@ from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
 from lapstream.ingest import (
-    EdgeEvent,
     bucket_events,
     load_edge_events,
     parse_edge_events,
@@ -26,11 +26,11 @@ DAY = 86400
 class TestParser:
     def test_two_field_lines(self):
         events = parse_edge_events(["1 2\n", "2 3\n"])
-        assert events == [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(2, 3, 1.0, 1)]
+        assert events == [(1, 2, 1.0, 0), (2, 3, 1.0, 1)]
 
     def test_bitcoin_alpha_row(self):
         (event,) = parse_edge_events(["7188,1,10,1407470400"])
-        assert event == EdgeEvent(7188, 1, 10.0, 1407470400)
+        assert event == (7188, 1, 10.0, 1407470400)
 
     def test_comment_only(self):
         assert parse_edge_events(["# comment\n"]) == []
@@ -40,16 +40,16 @@ class TestParser:
 
     def test_three_fields_is_weight(self):
         (event,) = parse_edge_events(["4 5 2.5"])
-        assert event.weight == 2.5
-        assert event.timestamp == 0
+        assert event[2] == 2.5
+        assert event[3] == 0
 
     def test_bytes_input(self):
         (event,) = parse_edge_events([b"1 2 1.0 99"])
-        assert event == EdgeEvent(1, 2, 1.0, 99)
+        assert event == (1, 2, 1.0, 99)
 
     def test_mixed_separators(self):
         (event,) = parse_edge_events(["1, 2,3.0, 7"])
-        assert event == EdgeEvent(1, 2, 3.0, 7)
+        assert event == (1, 2, 3.0, 7)
 
     @pytest.mark.parametrize(
         "line",
@@ -74,7 +74,7 @@ class TestParser:
     )
     def test_timestamp_bounds_accepted_and_labelled(self, period, labels):
         events = parse_edge_events(["1 2 1 -62135596800\n", "2 3 1 253402300799\n"])
-        assert [e.timestamp for e in events] == [-62135596800, 253402300799]
+        assert [e[3] for e in events] == [-62135596800, 253402300799]
         assert [label for label, _ in bucket_events(events, period)] == labels
 
     def test_self_loop_line(self):
@@ -93,14 +93,14 @@ class TestParser:
         events = parse_edge_events(lines + ["0700 901\n", "+701,+0902\n"])
         own = {}
         for e in events:
-            assert own.setdefault(e.u, e.u) is e.u
-            assert own.setdefault(e.v, e.v) is e.v
+            assert own.setdefault(e[0], e[0]) is e[0]
+            assert own.setdefault(e[1], e[1]) is e[1]
         assert len(own) == 12
 
     def test_load_from_file(self, data_dir):
         events = load_edge_events(data_dir / "toy_initial.txt")
         assert len(events) == 7
-        assert events[0] == EdgeEvent(1, 2, 1.0, 0)
+        assert events[0] == (1, 2, 1.0, 0)
 
 
 def _regex_parse(lines):
@@ -167,7 +167,7 @@ class TestParserFastPath:
             f"7,{sep}8{sep},{sep}1.5,9{sep}\n",
         ]
         assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
-        assert parse_edge_events(lines)[1] == EdgeEvent(3, 4, 2.5, 9)
+        assert parse_edge_events(lines)[1] == (3, 4, 2.5, 9)
 
     @pytest.mark.parametrize(
         "line",
@@ -203,10 +203,12 @@ class TestParserFastPath:
         assert _outcome(parse_edge_events, lines) == _outcome(_regex_parse, lines)
 
     def test_events_are_tuples(self):
-        (event,) = parse_edge_events(["1 2"])
-        assert isinstance(event, tuple)
-        assert (event.u, event.v, event.weight, event.timestamp) == (1, 2, 1.0, 0)
-        assert EdgeEvent(1, 2) == EdgeEvent(1, 2, 1.0, 0)
+        """An event is an exact tuple, which the cyclic collector untracks;
+        it never untracks an instance of a tuple subclass."""
+        (event,) = parse_edge_events(["1001 1002 2.5 7"])
+        assert type(event) is tuple
+        gc.collect()
+        assert not gc.is_tracked(event)
 
 
 class TestBucketing:
@@ -217,24 +219,24 @@ class TestBucketing:
         assert [len(b) for _, b in buckets] == [2, 1]
 
     def test_daily_buckets_use_utc_days(self):
-        events = [EdgeEvent(1, 2, 1.0, 10), EdgeEvent(2, 3, 1.0, DAY + 5)]
+        events = [(1, 2, 1.0, 10), (2, 3, 1.0, DAY + 5)]
         buckets = bucket_events(events, "daily")
         assert [label for label, _ in buckets] == ["1970-01-01", "1970-01-02"]
 
     def test_monthly_buckets(self):
-        events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(2, 3, 1.0, 40 * DAY)]
+        events = [(1, 2, 1.0, 0), (2, 3, 1.0, 40 * DAY)]
         buckets = bucket_events(events, "month")
         assert [label for label, _ in buckets] == ["1970-01", "1970-02"]
 
     def test_unknown_period(self):
         with pytest.raises(ValueError):
-            bucket_events([EdgeEvent(1, 2)], "weekly")
+            bucket_events([(1, 2, 1.0, 0)], "weekly")
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
-            bucket_events([EdgeEvent(1, 2)], "count:0")
+            bucket_events([(1, 2, 1.0, 0)], "count:0")
         with pytest.raises(ValueError):
-            bucket_events([EdgeEvent(1, 2)], "count:many")
+            bucket_events([(1, 2, 1.0, 0)], "count:many")
 
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
@@ -270,10 +272,10 @@ class TestCumulative:
 
     def test_daily_buckets(self):
         events = [
-            EdgeEvent(1, 2, 1.0, 0),
-            EdgeEvent(2, 3, 1.0, DAY),
-            EdgeEvent(3, 4, 1.0, DAY + 1),
-            EdgeEvent(4, 5, 1.0, 3 * DAY),
+            (1, 2, 1.0, 0),
+            (2, 3, 1.0, DAY),
+            (3, 4, 1.0, DAY + 1),
+            (4, 5, 1.0, 3 * DAY),
         ]
         stream = snapshots_cumulative(events, "daily")
         assert stream.num_steps == 3
@@ -281,22 +283,22 @@ class TestCumulative:
         assert [len(d.adds) for d in stream.deltas] == [2, 1]
 
     def test_reobserved_unit_edge_not_readded(self):
-        events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 2, 1.0, DAY)]
+        events = [(1, 2, 1.0, 0), (1, 2, 1.0, DAY)]
         stream = snapshots_cumulative(events, "daily")
         assert stream.deltas[0] == EdgeDelta()
 
     def test_reweighted_edge_is_upsert_add(self):
-        events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 2, 4.0, DAY)]
+        events = [(1, 2, 1.0, 0), (1, 2, 4.0, DAY)]
         stream = snapshots_cumulative(events, "daily")
         assert stream.deltas[0].adds == [Edge(1, 2, 4.0)]
 
     def test_accumulate_policy_sums(self):
-        events = [EdgeEvent(1, 2, 2.0, 0), EdgeEvent(1, 2, 3.0, DAY)]
+        events = [(1, 2, 2.0, 0), (1, 2, 3.0, DAY)]
         stream = snapshots_cumulative(events, "daily", weight_policy="accumulate")
         assert stream.deltas[0].adds == [Edge(1, 2, 5.0)]
 
     def test_duplicates_within_initial_bucket_collapse(self):
-        events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(1, 2, 9.0, 0)]
+        events = [(1, 2, 1.0, 0), (1, 2, 9.0, 0)]
         stream = snapshots_cumulative(events, "daily")
         assert stream.initial.edge_weight(1, 2) == 9.0  # last observation wins
         accumulated = snapshots_cumulative(events, "daily", weight_policy="accumulate")
@@ -304,13 +306,13 @@ class TestCumulative:
 
     def test_bad_policy(self):
         with pytest.raises(ValueError):
-            snapshots_cumulative([EdgeEvent(1, 2)], "count:1", weight_policy="max")
+            snapshots_cumulative([(1, 2, 1.0, 0)], "count:1", weight_policy="max")
 
     def test_reobserved_pair_costs_one_addition(self):
         """n observations of one pair, one per bucket: each step folds its
         weight into the pair's sum rather than summing every entry again."""
         n = 2_000
-        events = [EdgeEvent(1, 2, _Counted(1.0), i) for i in range(n)]
+        events = [(1, 2, _Counted(1.0), i) for i in range(n)]
         _Counted.additions = 0
         stream = snapshots_cumulative(events, "count:1", "accumulate")
         assert _Counted.additions <= 2 * n
@@ -319,7 +321,7 @@ class TestCumulative:
 
 class TestWindow:
     def test_full_turnover(self):
-        events = [EdgeEvent(1, 2, 1.0, 0), EdgeEvent(3, 4, 1.0, DAY)]
+        events = [(1, 2, 1.0, 0), (3, 4, 1.0, DAY)]
         stream = snapshots_window(events, "daily", window_length=1)
         (delta,) = stream.deltas
         assert delta.adds == [Edge(3, 4, 1.0)]
@@ -327,9 +329,9 @@ class TestWindow:
 
     def test_straddling_edge_untouched(self):
         events = [
-            EdgeEvent(1, 2, 1.0, 0),
-            EdgeEvent(1, 2, 1.0, DAY),
-            EdgeEvent(3, 4, 1.0, DAY),
+            (1, 2, 1.0, 0),
+            (1, 2, 1.0, DAY),
+            (3, 4, 1.0, DAY),
         ]
         stream = snapshots_window(events, "daily", window_length=1)
         (delta,) = stream.deltas
@@ -340,11 +342,11 @@ class TestWindow:
         # (1,2) seen in days 0 and 2: with a 2-day window it must survive
         # until day 4, when both supporting observations have slid out
         events = [
-            EdgeEvent(1, 2, 1.0, 0),
-            EdgeEvent(3, 4, 1.0, DAY),
-            EdgeEvent(1, 2, 1.0, 2 * DAY),
-            EdgeEvent(3, 4, 1.0, 3 * DAY),
-            EdgeEvent(3, 4, 1.0, 4 * DAY),
+            (1, 2, 1.0, 0),
+            (3, 4, 1.0, DAY),
+            (1, 2, 1.0, 2 * DAY),
+            (3, 4, 1.0, 3 * DAY),
+            (3, 4, 1.0, 4 * DAY),
         ]
         stream = snapshots_window(events, "daily", window_length=2)
         assert [d.removes for d in stream.deltas] == [[], [], [], [(1, 2)]]
@@ -352,10 +354,10 @@ class TestWindow:
     def test_expiry_can_outnumber_arrivals(self):
         # three edges in day 0, one in day 1: net added edge count is negative
         events = [
-            EdgeEvent(1, 2, 1.0, 0),
-            EdgeEvent(2, 3, 1.0, 0),
-            EdgeEvent(3, 4, 1.0, 0),
-            EdgeEvent(5, 6, 1.0, DAY),
+            (1, 2, 1.0, 0),
+            (2, 3, 1.0, 0),
+            (3, 4, 1.0, 0),
+            (5, 6, 1.0, DAY),
         ]
         stream = snapshots_window(events, "daily", window_length=1)
         (delta,) = stream.deltas
@@ -363,15 +365,15 @@ class TestWindow:
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            snapshots_window([EdgeEvent(1, 2)], "daily", window_length=0)
+            snapshots_window([(1, 2, 1.0, 0)], "daily", window_length=0)
 
     def test_covering_window_equals_cumulative(self):
         rng = random.Random(8)
         events = [
-            EdgeEvent(rng.randrange(10), rng.randrange(10), float(rng.randint(1, 3)), rng.randrange(5) * DAY)
+            (rng.randrange(10), rng.randrange(10), float(rng.randint(1, 3)), rng.randrange(5) * DAY)
             for _ in range(60)
         ]
-        events = [e for e in events if e.u != e.v]
+        events = [e for e in events if e[0] != e[1]]
         windowed = snapshots_window(events, "daily", window_length=10_000)
         cumulative = snapshots_cumulative(events, "daily")
         assert windowed.initial == cumulative.initial
@@ -393,9 +395,9 @@ def _rebuilt_window(events, period, window_length, policy):
         for e in bucket:
             pair = tuple(sorted(e[:2]))
             if policy == "accumulate" and pair in weights:
-                weights[pair] += e.weight
+                weights[pair] += e[2]
             else:
-                weights[pair] = e.weight
+                weights[pair] = e[2]
         per_bucket.append(weights)
 
     def window_state(k):
@@ -445,7 +447,7 @@ def _random_events(seed, weights=ORACLE_WEIGHTS, days=8):
         u, v = rng.randrange(10), rng.randrange(10)
         if u != v:
             when = rng.randrange(days) * DAY + rng.randrange(DAY)
-            events.append(EdgeEvent(u, v, rng.choice(weights), when))
+            events.append((u, v, rng.choice(weights), when))
     return events
 
 
@@ -466,13 +468,13 @@ class TestWindowOracle:
     @pytest.mark.parametrize("policy", ["overwrite", "accumulate"])
     def test_edge_leaving_and_reobserved_in_one_step(self, policy):
         events = [
-            EdgeEvent(1, 2, 0.1, 0),
-            EdgeEvent(1, 2, 0.2, 0),
-            EdgeEvent(3, 4, 1.0, DAY),
-            EdgeEvent(2, 1, 0.3, 2 * DAY),  # day 0 slides out as this arrives
-            EdgeEvent(5, 6, -0.7, 2 * DAY),
-            EdgeEvent(3, 4, 1.0, 3 * DAY),  # day 1 slides out, same weight back
-            EdgeEvent(1, 2, 0.3, 4 * DAY),
+            (1, 2, 0.1, 0),
+            (1, 2, 0.2, 0),
+            (3, 4, 1.0, DAY),
+            (2, 1, 0.3, 2 * DAY),  # day 0 slides out as this arrives
+            (5, 6, -0.7, 2 * DAY),
+            (3, 4, 1.0, 3 * DAY),  # day 1 slides out, same weight back
+            (1, 2, 0.3, 4 * DAY),
         ]
         initial, steps, _ = _rebuilt_window(events, "daily", 2, policy)
         assert _built_window(events, "daily", 2, policy) == (initial, steps)
@@ -490,12 +492,12 @@ class TestWindowOracle:
     @pytest.mark.parametrize("day", [0, 1])
     def test_two_overflows_in_one_bucket_name_the_same_edge(self, day):
         events = [
-            EdgeEvent(7, 8, 1.0, 0),
-            EdgeEvent(5, 6, 1e308, 0),
-            EdgeEvent(1, 2, 1e308, 0),
-            EdgeEvent(6, 5, 1e308, day * DAY),
-            EdgeEvent(2, 1, 1e308, day * DAY),
-            EdgeEvent(7, 8, 1.0, 2 * DAY),
+            (7, 8, 1.0, 0),
+            (5, 6, 1e308, 0),
+            (1, 2, 1e308, 0),
+            (6, 5, 1e308, day * DAY),
+            (2, 1, 1e308, day * DAY),
+            (7, 8, 1.0, 2 * DAY),
         ]
         _, _, ((u, v), label) = _rebuilt_window(events, "daily", 2, "accumulate")
         assert (u, v) == ((5, 6) if day == 0 else (1, 2))
@@ -528,10 +530,10 @@ class TestAccumulateOverflow:
     @pytest.mark.parametrize("day, label", [(0, "1970-01-01"), (1, "1970-01-02")])
     def test_overflow_names_edge_and_bucket(self, builder, day, label):
         events = [
-            EdgeEvent(3, 4, 1.0, 0),
-            EdgeEvent(1, 2, 1e308, 0),
-            EdgeEvent(1, 2, 1e308, day * DAY),
-            EdgeEvent(3, 4, 1.0, 2 * DAY),
+            (3, 4, 1.0, 0),
+            (1, 2, 1e308, 0),
+            (1, 2, 1e308, day * DAY),
+            (3, 4, 1.0, 2 * DAY),
         ]
         with pytest.raises(NonFiniteWeightError, match=rf"\(1, 2\) in bucket {label}"):
             BUILDERS[builder](events)
@@ -539,16 +541,16 @@ class TestAccumulateOverflow:
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_two_overflows_in_one_bucket_name_the_smallest_pair(self, builder):
         events = [
-            EdgeEvent(5, 6, 1e308, 0),
-            EdgeEvent(1, 2, 1e308, 0),
-            EdgeEvent(6, 5, 1e308, DAY),
-            EdgeEvent(2, 1, 1e308, DAY),
+            (5, 6, 1e308, 0),
+            (1, 2, 1e308, 0),
+            (6, 5, 1e308, DAY),
+            (2, 1, 1e308, DAY),
         ]
         with pytest.raises(NonFiniteWeightError, match=r"\(1, 2\) in bucket 1970-01-02"):
             BUILDERS[builder](events)
 
     def test_large_weights_sliding_apart_are_fine(self):
-        events = [EdgeEvent(1, 2, 1e308, 0), EdgeEvent(1, 2, 1e308, DAY)]
+        events = [(1, 2, 1e308, 0), (1, 2, 1e308, DAY)]
         stream = snapshots_window(events, "daily", 1, "accumulate")
         assert stream.initial.edge_weight(1, 2) == 1e308
         assert stream.deltas[0].adds == []
@@ -565,7 +567,7 @@ class TestRoundTrip:
         for _ in range(80):
             u, v = rng.randrange(12), rng.randrange(12)
             if u != v:
-                events.append(EdgeEvent(u, v, float(rng.randint(1, 4)), rng.randrange(6) * DAY))
+                events.append((u, v, float(rng.randint(1, 4)), rng.randrange(6) * DAY))
         window = rng.randint(1, 4)
         stream = snapshots_window(events, "daily", window, weight_policy=policy)
         g = stream.initial.copy()
@@ -585,7 +587,7 @@ class TestRoundTrip:
 def _in_window(event, labels, step, window):
     from datetime import datetime, timezone
 
-    day = datetime.fromtimestamp(event.timestamp, tz=timezone.utc).date().isoformat()
+    day = datetime.fromtimestamp(event[3], tz=timezone.utc).date().isoformat()
     active = labels[max(0, step - window + 1) : step + 1]
     return day in active
 
