@@ -14,6 +14,7 @@ non-negative weights).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -36,9 +37,13 @@ class CentralityMap:
     difference and evaluates no kernel, unless it is weighted and the
     graph's exactness flag is set, when it re-evaluates the kernel on all
     of them.
+
+    ``values`` is a ``dict`` in the map a step works on. In the maps
+    :func:`~lapstream.incremental.run_evolving` keeps, it is a read-only
+    mapping with the same keys, key order and values.
     """
 
-    values: dict[int, float]
+    values: Mapping[int, float]
     computed_count: int
 
 

@@ -74,6 +74,7 @@ recomputation by construction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -234,6 +235,36 @@ def evolve(
         yield cmap, seconds
 
 
+class _StepValues(Mapping):
+    """One kept step of a run, read-only: its values in node order, over a
+    node -> position table that every step of the run shares.
+
+    A step's keys are the first ``len(values)`` keys of the table, in the
+    map's own key order.
+    """
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: dict[int, int], values: tuple):
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, node):
+        i = self._index[node]
+        if i >= len(self._values):
+            raise KeyError(node)
+        return self._values[i]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return islice(self._index, len(self._values))
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self, self._values)))
+
+
 def run_evolving(
     initial: Graph,
     deltas: Iterable[EdgeDelta],
@@ -243,11 +274,21 @@ def run_evolving(
     """Drive a whole evolving run; ``initial`` is mutated in place.
 
     Returns one map per step, step 0 included; dynamic and batch mode
-    produce identical maps. Dynamic mode copies its map after every step so
-    the per-step history survives. A delta that cannot be applied aborts
-    with :class:`DeltaError` carrying the step index.
+    produce identical maps. The values of a kept map are a read-only
+    mapping with the same keys, key order and values as the step's live
+    ``dict``; the steps share one node -> position table and each keeps
+    only a tuple of its values. A delta that cannot be applied aborts with
+    :class:`DeltaError` carrying the step index.
     """
-    steps = evolve(initial, deltas, mode, variant)
-    if mode == "dynamic":
-        return [CentralityMap(dict(m.values), m.computed_count) for m, _ in steps]
-    return [m for m, _ in steps]
+    index: dict[int, int] = {}
+    kept = []
+    for cmap, _ in evolve(initial, deltas, mode, variant):
+        values = cmap.values
+        grown = len(values) - len(index)
+        if grown:
+            # nodes are never deleted and new ones are appended to the map's
+            # keys in both modes, so the nodes new to the table are its last keys
+            fresh = reversed(list(islice(reversed(values), grown)))
+            index.update(zip(fresh, range(len(index), len(values))))
+        kept.append(CentralityMap(_StepValues(index, tuple(values.values())), cmap.computed_count))
+    return kept

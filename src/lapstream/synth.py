@@ -52,7 +52,9 @@ def churn_stream(
     Each delta removes ``removes_per_step`` uniformly random existing
     edges and adds ``adds_per_step`` new edges between uniformly random
     node pairs (uniform, not preferential: edge-uniform removal already
-    biases touched endpoints toward hubs).
+    biases touched endpoints toward hubs). Raises ``ValueError`` when a
+    step's adds would not fit beside the edges present on ``num_nodes``
+    nodes.
     """
     rng = random.Random(seed)
     g = preferential_attachment_graph(num_nodes, attach, seed=seed)
@@ -64,7 +66,8 @@ def churn_stream(
     edge_list = [(e.u, e.v) for e in g.edges()]
     index = {pair: i for i, pair in enumerate(edge_list)}
     deltas: list[EdgeDelta] = []
-    for _ in range(steps):
+    room = num_nodes * (num_nodes - 1) // 2
+    for step in range(1, steps + 1):
         removes: list[tuple[int, int]] = []
         picked: set[tuple[int, int]] = set()
         while len(removes) < removes_per_step and len(picked) < len(edge_list):
@@ -73,6 +76,11 @@ def churn_stream(
                 continue
             picked.add(pair)
             removes.append(pair)
+        if len(edge_list) + adds_per_step > room:
+            raise ValueError(
+                f"step {step}: {adds_per_step} new edges do not fit beside the "
+                f"{len(edge_list)} edges on {num_nodes} nodes"
+            )
         adds: list[tuple[int, int, float]] = []
         while len(adds) < adds_per_step:
             u = rng.randrange(num_nodes)

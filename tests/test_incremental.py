@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -28,6 +29,7 @@ from lapstream.errors import (
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
+from lapstream.synth import churn_stream
 
 
 class TestAffectedNodes:
@@ -471,6 +473,17 @@ class TestWeightedAddRemove:
         assert cmap.values == values
 
 
+# deltas over the toy graph that bring in new nodes, out of id order, on both
+# paths of the weighted step (the 0.5 weight sets the exactness flag)
+GROWING_DELTAS = [
+    EdgeDelta(adds=[Edge(100, 1), Edge(50, 2, 2.0)]),
+    EdgeDelta(adds=[Edge(7, 300, 3.0)], removes=[(1, 2)]),
+    EdgeDelta(adds=[Edge(33, 2, 0.5)]),
+    EdgeDelta(removes=[(2, 50)]),
+    EdgeDelta(),
+]
+
+
 class TestRunEvolving:
     def test_toy_dynamic_work(self, toy_graph):
         results = run_evolving(toy_graph, [EdgeDelta(adds=[Edge(4, 6)])], mode="dynamic")
@@ -532,6 +545,55 @@ class TestRunEvolving:
         b = run_evolving(g.copy(), deltas, mode="dynamic")
         assert [r.values for r in a] == [r.values for r in b]
         assert [r.computed_count for r in a] == [r.computed_count for r in b]
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_values_in_graph_node_order(self, variant):
+        dynamic = run_evolving(Graph(TOY_EDGES), GROWING_DELTAS, "dynamic", variant)
+        batch = run_evolving(Graph(TOY_EDGES), GROWING_DELTAS, "batch", variant)
+        sim = Graph(TOY_EDGES)
+        for k in range(len(GROWING_DELTAS) + 1):
+            if k:
+                apply_delta(sim, GROWING_DELTAS[k - 1])
+            assert list(dynamic[k].values) == list(batch[k].values) == list(sim.nodes())
+            assert list(dynamic[k].values.items()) == list(batch[k].values.items())
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_node_added_later_is_absent_before(self, mode, variant):
+        deltas = [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(adds=[Edge(1, 8)])]
+        maps = run_evolving(Graph(TOY_EDGES), deltas, mode, variant)
+        before, after = maps[1].values, maps[2].values
+        assert 8 not in before
+        with pytest.raises(KeyError):
+            before[8]
+        assert before.get(8) is None
+        assert len(before) == 7
+        assert 8 in after
+        assert len(after) == 8
+        assert after == lap_cent(Graph(TOY_EDGES + [(4, 6), (1, 8)]), variant).values
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_kept_maps_are_read_only(self, mode, variant):
+        for cmap in run_evolving(Graph(TOY_EDGES), GROWING_DELTAS, mode, variant):
+            with pytest.raises(TypeError):
+                cmap.values[1] = 0
+            with pytest.raises(TypeError):
+                cmap.values[999] = 0
+            assert 999 not in cmap.values
+
+    def test_dynamic_history_memory(self):
+        """The kept history costs under 16 bytes per node per step; a whole
+        dict copy per step costs about 32."""
+        stream = churn_stream(5000, 4, 30, 5, 5, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            maps = run_evolving(stream.initial, stream.deltas, "dynamic")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / sum(len(m.values) for m in maps) < 16
 
 
 def _random_run(seed, variant, steps=12, far=False):
