@@ -40,7 +40,8 @@ class CentralityMap:
 
     ``values`` is a ``dict`` in the map a step works on. In the maps
     :func:`~lapstream.incremental.run_evolving` keeps, it is a read-only
-    mapping with the same keys, key order and values.
+    mapping with the same keys, key order and values; compare mode's
+    ``BenchResult.maps`` keep ``dict`` copies.
     """
 
     values: Mapping[int, float]

@@ -132,12 +132,14 @@ def lap_cent_add_remove(
     before it, and one walk over the touched nodes after the pair terms. A
     weighted step on a graph whose exactness flag is set before or after
     the delta re-evaluates the kernel on all of them instead. Copy ``cmap``
-    first to keep the previous step's values. A rejected delta or an
-    unknown variant raises before ``g`` or ``cmap`` changes. Returns
-    ``cmap``.
+    first to keep the previous step's values. A rejected delta, an unknown
+    variant or a kept map (see :func:`run_evolving`), whose values are
+    read-only, raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not isinstance(cmap.values, dict):
+        raise TypeError("cmap is a kept map, whose values are read-only; step a live map")
     weighted = variant == "weighted"
     adj = g.adjacency()
     known = len(adj)

@@ -19,7 +19,7 @@ from lapstream.bench import (
 from lapstream.cli import cli_main
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.incremental import EdgeDelta, apply_delta, run_evolving
 from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
 from lapstream.synth import churn_stream
 
@@ -80,6 +80,24 @@ class TestBenchStream:
         assert len({id(m.values) for m in result.maps}) == stream.num_steps
         computed = [m.computed_count for m in result.maps]
         assert computed == [r.centralities_computed for r in result.dynamic]
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_compare_keeps_run_evolving_maps(self, variant):
+        rng = random.Random(3)
+        events = [
+            (*rng.sample(range(60), 2), float(rng.randint(1, 5)), rng.randrange(10 * 86400))
+            for _ in range(300)
+        ]
+        events.sort(key=lambda e: e[3])
+        stream = snapshots_window(events, "daily", 3, "accumulate")
+        kept = bench_stream(stream, "compare", variant).maps
+        maps = run_evolving(stream.initial.copy(), stream.deltas, "dynamic", variant)
+        assert len(kept) == len(maps) == stream.num_steps
+        assert len(maps[0].values) < len(maps[-1].values)
+        assert any(d.removes for d in stream.deltas)
+        for a, b in zip(kept, maps):
+            assert list(a.values.items()) == list(b.values.items())
+            assert a.computed_count == b.computed_count
 
     @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
     def test_one_copy_and_one_apply_per_delta(self, mode, monkeypatch):

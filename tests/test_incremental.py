@@ -582,6 +582,17 @@ class TestRunEvolving:
                 cmap.values[999] = 0
             assert 999 not in cmap.values
 
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_step_rejects_a_kept_map(self, mode, variant):
+        """Stepping a kept map raises before the graph or the map changes."""
+        g = Graph([(1, 2), (2, 3)])
+        kept = run_evolving(g, [], mode, variant)[0]
+        before = _state(g, kept)
+        with pytest.raises(TypeError, match="read-only"):
+            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0), (1, 3, 2.0)]), kept, variant)
+        assert _state(g, kept) == before
+
     def test_dynamic_history_memory(self):
         """The kept history costs under 16 bytes per node per step; a whole
         dict copy per step costs about 32."""
