@@ -18,7 +18,7 @@ from pathlib import Path
 from lapstream import __version__
 from lapstream.bench import bench_stream, build_stream, emit_csv
 from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_centralities
-from lapstream.errors import DuplicateEdgeError, LapstreamError
+from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, LapstreamError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import load_edge_events
@@ -179,7 +179,10 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
 
 
 def _cmd_centrality(args) -> int:
-    g = Graph(e[:3] for e in load_edge_events(args.input))
+    events = load_edge_events(args.input)
+    if not events:
+        raise EmptyDatasetError(f"no edge events in {args.input}")
+    g = Graph(e[:3] for e in events)
     cmap = lap_cent(g, args.variant)
     if args.normalized:
         cmap = normalize(cmap, laplacian_energy(g, args.variant))

@@ -21,10 +21,6 @@ class DuplicateEdgeError(LapstreamError):
     """A delta re-adds an edge already present; reported by ``lapstream validate``."""
 
 
-class UnknownNodeError(LapstreamError):
-    """A query names a node the graph has never seen."""
-
-
 class ZeroEnergyError(LapstreamError):
     """Normalization requested on a graph with zero Laplacian energy."""
 

@@ -6,14 +6,14 @@ Degrees are adjacency row sizes (O(1)); weighted degrees (strengths) are
 maintained incrementally on every mutation so incremental centrality steps
 stay proportional to the size of the change.
 
-Every writer goes through one loop, ``Graph._apply``, the only code that
-checks an edge: the bulk constructor ``Graph(edges)``, :meth:`Graph.add_edge`,
-:meth:`Graph.remove_edge` and every delta of :mod:`lapstream.incremental`.
-For a delta it is also the only walk over the edges: it records, as it
-checks each one, what the incremental step needs from before the delta,
-and keeps an undo log so that a rejected delta leaves the graph as it was.
-The same loop keeps the two running figures that tell the weighted
-incremental step whether its float arithmetic is exact.
+There are two writers, the constructor ``Graph(edges)`` and every delta of
+:mod:`lapstream.incremental`, and both go through one loop,
+``Graph._apply``, the only code that checks an edge. For a delta it is also
+the only walk over the edges: it records, as it checks each one, what the
+incremental step needs from before the delta, and keeps an undo log so that
+a rejected delta leaves the graph as it was. The same loop keeps the two
+running figures that tell the weighted incremental step whether its float
+arithmetic is exact.
 
 One int object per node. Equal ints need not be the same object: every
 parsed line or computed id brings its own, and only -5..256 are cached by
@@ -21,12 +21,12 @@ CPython. A dict probe whose key is the very object stored in the dict
 succeeds on an identity check; an equal but distinct key costs a rich
 comparison against a second object elsewhere in memory. So the graph keeps
 an id table, ``Graph._ids``, mapping each node to its canonical object (the
-first one it was given), and ``_apply`` and :meth:`Graph.add_node` pass every
-node they store through it. Adjacency keys, row keys and strength keys, and so
-the keys of every centrality map built from them, are then one object per
-node, and the incremental step reads a delta's endpoints through the same
-table. This is a performance property only: lookups still go by equality, so
-a graph fed foreign objects gives the same values, only slower.
+first one it was given), and ``_apply`` passes every node it stores through
+it. Adjacency keys, row keys and strength keys, and so the keys of every
+centrality map built from them, are then one object per node, and the
+incremental step reads a delta's endpoints through the same table. This is a
+performance property only: lookups still go by equality, so a graph fed
+foreign objects gives the same values, only slower.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ import math
 import os
 import sys
 import warnings
-from typing import ItemsView, Iterable, Iterator, KeysView, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 from lapstream.errors import (
     MissingEdgeError,
     NegativeWeightWarning,
     NonFiniteWeightError,
     SelfLoopError,
-    UnknownNodeError,
 )
 
 
@@ -75,8 +74,10 @@ class Graph:
     """Undirected weighted graph with O(1) amortized edge add/remove.
 
     ``Graph(edges)`` builds the graph from (u, v) or (u, v, weight) tuples
-    in one pass, validating and warning on each edge as :meth:`add_edge`
-    does; the edges may come from any iterable, a generator included.
+    in one pass, checking and warning on each edge as a delta does; the
+    edges may come from any iterable, a generator included. After that it
+    changes only through deltas: :func:`lapstream.incremental.apply_delta`
+    and the incremental step.
 
     Re-adding an existing edge replaces its weight (upsert).
 
@@ -116,26 +117,6 @@ class Graph:
 
     # -- mutation ---------------------------------------------------------
 
-    def add_node(self, u: int) -> None:
-        u = self._ids.setdefault(u, u)
-        if u not in self._adj:
-            self._adj[u] = {}
-            self._strength[u] = 0.0
-
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Add edge (u, v) or replace its weight.
-
-        Raises :class:`SelfLoopError` if ``u == v``,
-        :class:`NonFiniteWeightError` on a NaN or infinite weight or an int
-        too large for a float; warns :class:`NegativeWeightWarning` on a
-        negative weight.
-        """
-        self._apply(((u, v, weight),), ())
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove edge (u, v); raises :class:`MissingEdgeError` if absent."""
-        self._apply((), ((u, v),))
-
     def _apply(
         self,
         adds: Iterable[tuple],
@@ -145,12 +126,15 @@ class Graph:
         """The one loop that checks and writes edges: upsert ``adds``, (u, v)
         or (u, v, weight), in order, then delete ``removes``.
 
-        Each add is checked, as :meth:`add_edge` documents, before it is
-        written; the removes are all checked, against the graph with the adds
-        in, before any is written: a pair removed twice or a pair not present
-        raises :class:`MissingEdgeError`.
+        Each add is checked before it is written: ``u == v`` raises
+        :class:`SelfLoopError`, a NaN or infinite weight or an int too large
+        for a float :class:`NonFiniteWeightError`, and a negative weight warns
+        :class:`NegativeWeightWarning`. The removes are all checked, against
+        the graph with the adds in, before any is written: a pair removed
+        twice or a pair not present raises :class:`MissingEdgeError`.
 
-        With ``read`` None a bad add raises with the edges before it written.
+        With ``read`` None, the constructor's case, a bad add raises with the
+        edges before it written.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception before the removes are written undoes the
         adds, so rows, their order, the strengths, the id table and the
@@ -303,38 +287,9 @@ class Graph:
 
     # -- queries ----------------------------------------------------------
 
-    def has_node(self, u: int) -> bool:
-        return u in self._adj
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self._adj.get(u)
         return row is not None and v in row
-
-    def neighbors(self, u: int) -> ItemsView[int, float]:
-        """(neighbor, weight) pairs of ``u``; empty for isolated nodes."""
-        row = self._adj.get(u)
-        if row is None:
-            raise UnknownNodeError(f"node {u} not in graph")
-        return row.items()
-
-    def degree(self, u: int) -> int:
-        row = self._adj.get(u)
-        if row is None:
-            raise UnknownNodeError(f"node {u} not in graph")
-        return len(row)
-
-    def strength(self, u: int) -> float:
-        """Weighted degree: sum of incident edge weights."""
-        s = self._strength.get(u)
-        if s is None:
-            raise UnknownNodeError(f"node {u} not in graph")
-        return s
-
-    def edge_weight(self, u: int, v: int) -> float:
-        row = self._adj.get(u)
-        if row is None or v not in row:
-            raise MissingEdgeError(f"edge ({u}, {v}) not in graph")
-        return row[v]
 
     def nodes(self) -> KeysView[int]:
         return self._adj.keys()
@@ -373,16 +328,6 @@ class Graph:
         g._excess = self._excess
         g._inexact = self._inexact
         return g
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._adj == other._adj
-
-    __hash__ = None  # mutable
-
-    def __contains__(self, u: int) -> bool:
-        return u in self._adj
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -2,9 +2,10 @@
 
 Input grammar, per line: optional ``#`` comments; otherwise 2 to 4 fields
 split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
-non-negative decimal integers, w a finite decimal real (default 1.0) and t a
-decimal integer timestamp in epoch seconds (default: the event's ordinal),
-within years 1 to 9999 UTC, the range ``datetime`` can bucket.
+non-negative decimal integers in ASCII digits (a sign and leading zeros
+allowed, no ``_`` separators), w a finite decimal real (default 1.0) and t
+a decimal integer timestamp in epoch seconds (default: the event's
+ordinal), within years 1 to 9999 UTC, the range ``datetime`` can bucket.
 
 Commas are replaced by spaces and the line is split with ``str.split()``.
 ``str.split()`` and the ``re`` module's whitespace class agree on which
@@ -106,17 +107,22 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
         fields = text.replace(",", " ").split()
         if not 2 <= len(fields) <= 4:
             raise ParseError(lineno, f"expected 2-4 fields, got {len(fields)}: {text!r}")
+        # a new id text is checked once: int() alone also takes "1_000" and "\u0661"
         try:
             u = by_text.get(fields[0])
             if u is None:
+                if not fields[0].isascii() or "_" in fields[0]:
+                    raise ValueError
                 u = int(fields[0])
                 u = by_text[fields[0]] = ids.setdefault(u, u)
             v = by_text.get(fields[1])
             if v is None:
+                if not fields[1].isascii() or "_" in fields[1]:
+                    raise ValueError
                 v = int(fields[1])
                 v = by_text[fields[1]] = ids.setdefault(v, v)
         except ValueError:
-            raise ParseError(lineno, f"node ids must be integers: {text!r}") from None
+            raise ParseError(lineno, f"node ids must be ASCII integers: {text!r}") from None
         if u < 0 or v < 0:
             raise ParseError(lineno, f"node ids must be non-negative: {text!r}")
         if u == v:

@@ -20,10 +20,7 @@ def toy_graph() -> Graph:
 
 @pytest.fixture
 def weighted_star() -> Graph:
-    g = Graph()
-    g.add_edge(0, 1, 2.0)
-    g.add_edge(0, 2, 3.0)
-    return g
+    return Graph([(0, 1, 2.0), (0, 2, 3.0)])
 
 
 @pytest.fixture

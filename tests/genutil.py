@@ -5,9 +5,8 @@ import random
 from dataclasses import dataclass
 
 from lapstream.centrality import Variant, laplacian_energy
-from lapstream.errors import UnknownNodeError
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta
+from lapstream.incremental import EdgeDelta, apply_delta
 
 
 def random_weight(rng: random.Random, integer: bool) -> float:
@@ -20,17 +19,33 @@ def random_graph(
     num_edges: int,
     integer_weights: bool = True,
 ) -> Graph:
-    g = Graph()
-    for u in range(num_nodes):
-        g.add_node(u)
+    edges: dict[tuple[int, int], float] = {}
     tries = 0
-    while g.num_edges < num_edges and tries < 50 * num_edges:
+    while len(edges) < num_edges and tries < 50 * num_edges:
         tries += 1
         u = rng.randrange(num_nodes)
         v = rng.randrange(num_nodes)
-        if u == v or g.has_edge(u, v):
+        if u == v or (u, v) in edges or (v, u) in edges:
             continue
-        g.add_edge(u, v, random_weight(rng, integer_weights))
+        edges[(u, v)] = random_weight(rng, integer_weights)
+    g = with_isolated(Graph(), range(num_nodes))
+    apply_delta(g, EdgeDelta(adds=[(u, v, w) for (u, v), w in edges.items()]))
+    return g
+
+
+def with_isolated(g: Graph, nodes) -> Graph:
+    """``g`` with each of ``nodes`` it lacks added at degree 0, in order.
+
+    Each arrives on an edge that the same delta removes again: to the next
+    new node, or, for a lone new node, to the graph's first node.
+    """
+    adj = g.adjacency()
+    new = [x for x in dict.fromkeys(nodes) if x not in adj]
+    pairs = list(zip(new, new[1:]))
+    if len(new) == 1:
+        assert adj, "a lone node needs a node of the graph to arrive with"
+        pairs = [(new[0], next(iter(adj)))]
+    apply_delta(g, EdgeDelta(adds=pairs, removes=pairs))
     return g
 
 
@@ -53,9 +68,10 @@ def random_delta(
     removed: set[tuple[int, int]] = set()
     added: set[tuple[int, int]] = set()
 
+    adj = g.adjacency()
     if edges and rng.random() < isolate_prob:
-        victim = rng.choice([u for u in nodes if g.degree(u) > 0])
-        for j, _ in g.neighbors(victim):
+        victim = rng.choice([u for u in nodes if adj[u]])
+        for j in adj[victim]:
             pair = (victim, j) if victim < j else (j, victim)
             if pair not in removed:
                 removed.add(pair)
@@ -104,11 +120,8 @@ def far(x: int) -> int:
 
 def far_graph(g: Graph) -> Graph:
     """``g`` with every node id moved by :func:`far`, each mention its own object."""
-    h = Graph()
-    for u in g.nodes():
-        h.add_node(far(u))
-    for u, v, w in g.edges():
-        h.add_edge(far(u), far(v), w)
+    h = with_isolated(Graph(), [far(u) for u in g.nodes()])
+    apply_delta(h, EdgeDelta(adds=[(far(u), far(v), w) for u, v, w in g.edges()]))
     return h
 
 
@@ -125,18 +138,27 @@ def bits(values):
     return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}
 
 
+def graph_state(g: Graph):
+    """Everything a writer sets, to compare two graphs: rows and strengths in
+    their order, floats by bits, ``num_edges`` and the id table."""
+    return (
+        [(u, list(bits(row).items())) for u, row in g.adjacency().items()],
+        list(bits(g.strengths()).items()),
+        g.num_edges,
+        list(g._ids.items()),
+    )
+
+
 def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
     """Centrality of ``v`` computed the definitional way: delete the node,
-    re-evaluate the energy, return the drop.
+    re-evaluate the energy, return the drop. ``KeyError`` if ``g`` lacks ``v``.
 
     Independent of the per-node closed forms; exists to validate them.
     """
-    if not g.has_node(v):
-        raise UnknownNodeError(f"node {v} not in graph")
+    row = g.adjacency()[v]
     reduced = g.copy()
     # isolating v == deleting v: a degree-0 node contributes nothing to energy
-    for j, _ in list(reduced.neighbors(v)):
-        reduced.remove_edge(v, j)
+    apply_delta(reduced, EdgeDelta(removes=[(v, j) for j in row]))
     return laplacian_energy(g, variant) - laplacian_energy(reduced, variant)
 
 

@@ -97,8 +97,7 @@ def randomized_runs() -> RandomizedRuns:
             if step > 0:
                 delta = deltas[step - 1]
                 union = sim.copy()
-                for e in delta.adds:
-                    union.add_edge(e.u, e.v, e.weight)
+                apply_delta(union, EdgeDelta(adds=delta.adds))
                 sets = affected_nodes(sim, delta)  # advances sim to this step
                 m_prime = delta.num_changes
                 max_degree = max(map(len, union.adjacency().values()))

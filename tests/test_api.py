@@ -4,6 +4,7 @@ import subprocess
 from pathlib import Path
 
 import lapstream
+from lapstream.graph import Graph
 
 PUBLIC = [
     "CentralityMap",
@@ -49,6 +50,20 @@ BENCHMARK_NAMES = [
 
 def test_all_is_pinned():
     assert sorted(lapstream.__all__) == PUBLIC
+
+
+def test_graph_surface_is_pinned():
+    """Graph's public members are the ones the package itself uses."""
+    assert {n for n in dir(Graph) if not n.startswith("_")} == {
+        "adjacency",
+        "copy",
+        "edges",
+        "has_edge",
+        "nodes",
+        "num_edges",
+        "num_nodes",
+        "strengths",
+    }
 
 
 def test_every_name_resolves():

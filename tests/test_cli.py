@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import TOY_EDGES
-from genutil import far_delta, far_graph
+from genutil import far_delta, far_graph, graph_state
 
 from lapstream import cli
 from lapstream.bench import CSV_HEADER
@@ -126,10 +126,14 @@ class TestRunCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_empty_dataset_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "compare", "validate", "centrality"])
+    def test_empty_dataset_is_data_error(self, tmp_path, capsys, command):
         empty = tmp_path / "only_comments.txt"
         empty.write_text("# nothing here\n")
-        assert cli_main(["run", "--input", str(empty)]) == 2
+        assert cli_main([command, "--input", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no edge events in {empty}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("window", [[], ["--window", "2"]])
     def test_accumulated_overflow_is_data_error(self, tmp_path, capsys, window):
@@ -337,9 +341,7 @@ class TestValidateCommand:
     ):
         """validate names the step and the first duplicate add, ahead of any
         other fault in the delta, and leaves the stream's graph as it was."""
-        g = Graph(TOY_EDGES)
-        if flagged:
-            g.add_edge(6, 7, 0.5)
+        g = Graph(TOY_EDGES + ([(6, 7, 0.5)] if flagged else []))
         deltas = [EdgeDelta(adds=[Edge(6, 8)]), delta]
         if far:
             g, deltas = far_graph(g), [far_delta(d) for d in deltas]
@@ -359,7 +361,7 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.err == f"inconsistent delta at step 2: {message}\n"
         assert captured.out == ""
-        assert stream.initial == before
+        assert graph_state(stream.initial) == graph_state(before)
 
 
 class TestVersion:

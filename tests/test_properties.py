@@ -31,13 +31,6 @@ def _edges(draw, n, weights, max_size):
     return [Edge(u, v, w) for (u, v), w in drawn]
 
 
-def _graph(edges):
-    g = Graph()
-    for e in edges:
-        g.add_edge(*e)
-    return g
-
-
 @st.composite
 def evolving_runs(draw, weights=None):
     """An initial graph and deltas that apply to it in turn: upserts, nodes
@@ -46,7 +39,7 @@ def evolving_runs(draw, weights=None):
     n = draw(st.integers(2, 14))
     if weights is None:
         weights = _weights(draw(st.booleans()))
-    g = _graph(_edges(draw, n, weights, 25))
+    g = Graph(_edges(draw, n, weights, 25))
     sim = g.copy()
     deltas = []
     for _ in range(draw(st.integers(1, 8))):
@@ -87,8 +80,8 @@ def test_snapshot_dir_turns_g_into_h(data):
     """Snapshot files g, h, h: the first delta turns g into h, the second is empty."""
     n = data.draw(st.integers(2, 14))
     weights = _weights(data.draw(st.booleans()))
-    g = _graph(_edges(data.draw, n, weights, 25))
-    h = _graph(_edges(data.draw, n, weights, 25))
+    g = Graph(_edges(data.draw, n, weights, 25))
+    h = Graph(_edges(data.draw, n, weights, 25))
     with tempfile.TemporaryDirectory() as directory:
         for name, snapshot in (("0.txt", g), ("1.txt", h), ("2.txt", h)):
             lines = "".join(f"{u} {v} {w!r}\n" for u, v, w in snapshot.edges())
