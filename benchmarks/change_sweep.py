@@ -15,7 +15,7 @@ does not fall on whole rows. A row gives the median over all its rounds'
 steps of each of these seconds, the median per-step speedups (batch over
 dynamic) on both clocks, the touched nodes and the values brought up to
 date (``computed_count``), and checks that both sides end each step with
-equal maps.
+equal maps by compare's gate, ``diff_maps``, off the clock.
 
     python benchmarks/change_sweep.py --json BENCH_change_sweep.json
 
@@ -31,6 +31,7 @@ import statistics
 import time
 
 from lapstream import KERNEL_BACKEND
+from lapstream.bench import diff_maps
 from lapstream.centrality import lap_cent
 from lapstream.incremental import apply_delta, lap_cent_add_remove
 from lapstream.synth import churn_stream
@@ -69,8 +70,9 @@ def sweep_row(regime, variant, k):
                 t0 = time.perf_counter()
                 lap_cent_add_remove(dyn_g, delta, cmap, variant)
                 seconds["dynamic"] = time.perf_counter() - t0
-        if full.values != cmap.values:
-            raise AssertionError(f"{regime} {variant} k={k}: maps differ at step {i + 1}")
+        bad = diff_maps(full.values, cmap.values)
+        if bad is not None:
+            raise AssertionError(f"{regime} {variant} k={k}: maps differ at step {i + 1}: {bad}")
         ends = {x for e in delta.adds for x in e[:2]} | {x for p in delta.removes for x in p}
         steps.append(
             {

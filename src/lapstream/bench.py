@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-from lapstream.centrality import CentralityMap, Variant, lap_cent
+from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
 from lapstream.errors import CompareMismatchError, EmptyDatasetError
 from lapstream.incremental import evolve
 from lapstream.ingest import (
@@ -66,18 +66,20 @@ class BenchResult:
         return primary
 
 
-def diff_maps(a: dict[int, float], b: dict[int, float]):
+def diff_maps(a: NodeValues, b: NodeValues):
     """First (node, value_a, value_b) divergence in ascending node order, or None.
 
     Values must compare equal: a NaN on either side is a divergence, even
     against the same NaN object, and so is an infinity against any other
-    value. Equal maps are answered in C, by a dict comparison and a sum
-    whose difference with itself is 0 only if no value is NaN or infinite
-    (the comparison takes a NaN object as equal to itself). Otherwise the
-    keys are walked in sorted order.
+    value. Equal maps with the same keys in the same order, as two maps
+    over one graph's node table have, are answered in C, by comparing
+    their value sequences and a sum whose difference with itself is 0 only
+    if no value is NaN or infinite (the comparison takes a NaN object as
+    equal to itself). Otherwise the keys are walked in sorted order.
     """
-    if a == b:
-        s = sum(a.values())
+    x, y = a._values, b._values
+    if (a._nodes is b._nodes or a._nodes[: len(x)] == b._nodes[: len(y)]) and tuple(x) == tuple(y):
+        s = sum(x)
         if s - s == 0:
             return None
     for v in sorted(a.keys() | b.keys()):
@@ -134,7 +136,8 @@ def bench_stream(
             bad = diff_maps(full.values, cmap.values)
             if bad is not None:
                 raise CompareMismatchError(step + 1, *bad)
-            result.maps.append(CentralityMap(dict(cmap.values), cmap.computed_count))
+            copy = dict(zip(g.nodes(), cmap.values._values))
+            result.maps.append(CentralityMap(copy, cmap.computed_count))
     if mode == "batch":
         result.batch = _records(rows)
     else:

@@ -16,13 +16,43 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from itertools import islice
+from typing import Iterable, Iterator, Literal
 
 from lapstream import kernels
 from lapstream.errors import ZeroEnergyError
 from lapstream.graph import Graph
 
 Variant = Literal["unweighted", "weighted"]
+
+
+class NodeValues(Mapping):
+    """A map's values, read-only, over a graph's node table: the keys are the
+    first ``len(values)`` nodes in position order, ``values`` a list (a live
+    map, which the incremental step updates and extends) or a tuple (a kept
+    step). It reads and compares as a ``dict`` of those keys and values."""
+
+    __slots__ = ("_pos", "_nodes", "_values")
+
+    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple):
+        self._pos = pos
+        self._nodes = nodes
+        self._values = values
+
+    def __getitem__(self, node):
+        i = self._pos[node]
+        if i >= len(self._values):
+            raise KeyError(node)
+        return self._values[i]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return islice(self._nodes, len(self._values))
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._nodes, self._values)))
 
 
 @dataclass
@@ -38,18 +68,17 @@ class CentralityMap:
     graph's exactness flag is set, when it re-evaluates the kernel on all
     of them.
 
-    ``values`` is a ``dict`` in the map a step works on. In the maps
-    :func:`~lapstream.incremental.run_evolving` keeps, it is a read-only
-    mapping with the same keys, key order and values; compare mode's
-    ``BenchResult.maps`` keep ``dict`` copies.
+    ``values`` is a read-only :class:`NodeValues` view in every map the
+    package makes, live or kept by :func:`~lapstream.incremental.run_evolving`;
+    compare mode's ``BenchResult.maps`` keep ``dict`` copies.
     """
 
     values: Mapping[int, float]
     computed_count: int
 
 
-def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> dict[int, float]:
-    """Run the per-node kernel over ``nodes`` on the current graph state."""
+def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> list:
+    """Values of the per-node kernel for the positions ``nodes``, in order."""
     adj = g.adjacency()
     if variant == "weighted":
         return kernels.weighted_values(adj, g.strengths(), nodes)
@@ -60,7 +89,8 @@ def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> dict[int
 
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
-    return CentralityMap(evaluate_nodes(g, g.nodes(), variant), g.num_nodes)
+    values = evaluate_nodes(g, range(g.num_nodes), variant)
+    return CentralityMap(NodeValues(g._pos, g._nodes, values), g.num_nodes)
 
 
 def laplacian_energy(g: Graph, variant: Variant) -> float:
@@ -73,15 +103,13 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
     adj = g.adjacency()
     if variant == "unweighted":
         total = 0
-        for row in adj.values():
+        for row in adj:
             d = len(row)
             total += d * d + d
         return total
     if variant == "weighted":
-        strength = g.strengths()
         total = 0.0
-        for v, row in adj.items():
-            s = strength[v]
+        for s, row in zip(g.strengths(), adj):
             total += s * s
             for w in row.values():
                 total += w * w
@@ -94,13 +122,13 @@ def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
     connected graphs with non-negative weights."""
     if energy == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
-    return CentralityMap(
-        {v: value / energy for v, value in cmap.values.items()},
-        cmap.computed_count,
-    )
+    view = cmap.values
+    normalized = NodeValues(view._pos, view._nodes, [x / energy for x in view._values])
+    return CentralityMap(normalized, cmap.computed_count)
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:
     """Dump ``node,centrality`` lines, ascending node id, 12 significant digits."""
-    for v in sorted(cmap.values):
-        stream.write(f"{v},{cmap.values[v]:.12g}\n")
+    view = cmap.values
+    for v, x in sorted(zip(view, view._values)):
+        stream.write(f"{v},{x:.12g}\n")

@@ -1,10 +1,10 @@
-"""Mutable undirected weighted graph backed by a dict-of-dicts adjacency.
+"""Mutable undirected weighted graph over a dense node table.
 
-Nodes are non-negative integers, auto-created on the first edge that
-mentions them and never deleted, so isolated nodes keep their entries.
-Degrees are adjacency row sizes (O(1)); weighted degrees (strengths) are
-maintained incrementally on every mutation so incremental centrality steps
-stay proportional to the size of the change.
+Nodes are non-negative integers, given a position (0, 1, 2, ...) at the
+first edge that mentions them and never deleted, so isolated nodes keep
+their entries. Degrees are adjacency row sizes (O(1)); weighted degrees
+(strengths) are maintained incrementally on every mutation so incremental
+centrality steps stay proportional to the size of the change.
 
 There are two writers, the constructor ``Graph(edges)`` and every delta of
 :mod:`lapstream.incremental`, and both go through one loop,
@@ -15,18 +15,15 @@ a rejected delta leaves the graph as it was. The same loop keeps the two
 running figures that tell the weighted incremental step whether its float
 arithmetic is exact.
 
-One int object per node. Equal ints need not be the same object: every
-parsed line or computed id brings its own, and only -5..256 are cached by
-CPython. A dict probe whose key is the very object stored in the dict
-succeeds on an identity check; an equal but distinct key costs a rich
-comparison against a second object elsewhere in memory. So the graph keeps
-an id table, ``Graph._ids``, mapping each node to its canonical object (the
-first one it was given), and ``_apply`` passes every node it stores through
-it. Adjacency keys, row keys and strength keys, and so the keys of every
-centrality map built from them, are then one object per node, and the
-incremental step reads a delta's endpoints through the same table. This is a
-performance property only: lookups still go by equality, so a graph fed
-foreign objects gives the same values, only slower.
+One node table. The graph keeps a node -> position dict, ``_pos``, and the
+nodes in position order, which is order of first mention, ``_nodes``. A node
+is looked up once, where an edge brings it in; the rows (dicts keyed by the
+neighbours' positions) and the strengths are lists indexed by position, and
+so are the values of every centrality map (see
+:class:`lapstream.centrality.NodeValues`). The kernels and the incremental
+step thus index lists where they probed a dict per node. A node is kept as
+the object it first came as, and a position as one int object shared by
+every row key of it, so a row probe succeeds on an identity check.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Iterable, Iterator, KeysView, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from lapstream.errors import (
     MissingEdgeError,
@@ -94,21 +91,21 @@ class Graph:
     rejected delta leaves them as they were (its undo puts back every
     weight and strength it wrote), and :meth:`copy` carries them.
 
-    Every node is stored as one int object, the first the graph was given
-    for it: the private id table ``_ids`` maps each node to that object, and
-    every key the graph writes goes through it (see the module docstring for
-    why). :meth:`copy` carries the table.
+    :meth:`adjacency` and :meth:`strengths` are indexed by a node's position
+    in the node table :meth:`nodes` (see the module docstring). A rejected
+    delta drops the positions it created; :meth:`copy` carries the table.
 
     A Graph is single-writer: no internal locking, safe to hand between
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_adj", "_strength", "_ids", "_num_edges", "_excess", "_inexact")
+    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_excess", "_inexact")
 
     def __init__(self, edges: Iterable[tuple] | None = None):
-        self._adj: dict[int, dict[int, float]] = {}
-        self._strength: dict[int, float] = {}
-        self._ids: dict[int, int] = {}
+        self._pos: dict[int, int] = {}
+        self._nodes: list[int] = []
+        self._rows: list[dict[int, float]] = []
+        self._strength: list[float] = []
         self._num_edges = 0
         self._excess = 0.0
         self._inexact = False
@@ -137,29 +134,30 @@ class Graph:
         edges before it written.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception before the removes are written undoes the
-        adds, so rows, their order, the strengths, the id table and the
+        adds, so rows, their order, the strengths, the node table and the
         running figures are as they were.
-        Returns ``(s0, w0)`` in order of first mention: s0 maps every
-        endpoint to its degree ("unweighted") or strength ("weighted") before
-        the call, so its keys are the touched nodes, and w0 every canonical
-        pair to its weight before the call, None when absent. Both are empty
-        when ``read`` is None.
+        Returns ``(s0, w0)`` in order of first mention, keyed by position: s0
+        maps every endpoint to its degree ("unweighted") or strength
+        ("weighted") before the call, so its keys are the touched nodes, and
+        w0 every pair, smaller position first, to its weight before the call,
+        None when absent. Both are empty when ``read`` is None.
 
         A new edge never lowers T; only an upsert or a remove can. So T is
         compared with the bound before every upsert, after the adds and
         when the loop ends, which sees every peak, and a new edge pays for
         the running figures only when its weight is not 1.0.
         """
-        adj = self._adj
+        rows = self._rows
         strength = self._strength
-        ids = self._ids
-        intern = ids.setdefault
+        pos = self._pos
+        nodes = self._nodes
+        where = pos.get
         isfinite = math.isfinite
         bound = _EXACT_BOUND
         n0 = n = self._num_edges
         excess0 = excess = self._excess
         inexact0 = inexact = self._inexact
-        known = len(adj)
+        known = len(nodes)
         delta = read is not None
         degrees = read == "unweighted"
         s0: dict[int, float] = {}
@@ -191,92 +189,93 @@ class Graph:
                             NegativeWeightWarning,
                             stacklevel=_outside_stacklevel(),
                         )
-                u = intern(u, u)
-                v = intern(v, v)
-                row_u = adj.get(u)
-                if row_u is None:
-                    row_u = adj[u] = {}
-                    strength[u] = 0.0
-                row_v = adj.get(v)
-                if row_v is None:
-                    row_v = adj[v] = {}
-                    strength[v] = 0.0
-                old = row_u.get(v)
+                p = where(u)
+                if p is None:
+                    p = pos[u] = len(nodes)
+                    nodes.append(u)
+                    rows.append({})
+                    strength.append(0.0)
+                q = where(v)
+                if q is None:
+                    q = pos[v] = len(nodes)
+                    nodes.append(v)
+                    rows.append({})
+                    strength.append(0.0)
+                row_p = rows[p]
+                row_q = rows[q]
+                old = row_p.get(q)
                 if delta:
-                    if u not in s0:
-                        s0[u] = len(row_u) if degrees else strength[u]
-                        was[u] = strength[u]
-                    if v not in s0:
-                        s0[v] = len(row_v) if degrees else strength[v]
-                        was[v] = strength[v]
-                    pair = (u, v) if u <= v else (v, u)
+                    if p not in s0:
+                        s0[p] = len(row_p) if degrees else strength[p]
+                        was[p] = strength[p]
+                    if q not in s0:
+                        s0[q] = len(row_q) if degrees else strength[q]
+                        was[q] = strength[q]
+                    pair = (p, q) if p <= q else (q, p)
                     if pair not in w0:
                         w0[pair] = old
+                row_p[q] = w
+                row_q[p] = w
                 if old is None:
-                    row_u[v] = w
-                    row_v[u] = w
                     n += 1
-                    strength[u] += w
-                    strength[v] += w
+                    strength[p] += w
+                    strength[q] += w
                     if w != 1.0:
                         excess += abs(w) - 1.0
                         if w % 1.0:
                             inexact = True
                 else:
-                    row_u[v] = w
-                    row_v[u] = w
                     d = w - old
-                    strength[u] += d
-                    strength[v] += d
+                    strength[p] += d
+                    strength[q] += d
                     if w % 1.0 or n + excess > bound:
                         inexact = True
                     excess += abs(w) - abs(old)
             if n + excess > bound:
                 inexact = True
-            canon = ids.get
             removed: set[tuple[int, int]] = set()
             checked = []
             for u, v in removes:
-                u = canon(u, u)
-                v = canon(v, v)
-                pair = (u, v) if u <= v else (v, u)
+                p = where(u, -1)
+                q = where(v, -1)
+                pair = (p, q) if p <= q else (q, p)
                 if pair in removed:
                     raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
-                row_u = adj.get(u)
-                if row_u is None or v not in row_u:
+                if p < 0 or q not in rows[p]:
                     raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
                 removed.add(pair)
-                checked.append((u, v))
+                checked.append(pair)
                 if delta:
-                    if u not in s0:
-                        s0[u] = len(row_u) if degrees else strength[u]
-                    if v not in s0:
-                        s0[v] = len(adj[v]) if degrees else strength[v]
+                    if p not in s0:
+                        s0[p] = len(rows[p]) if degrees else strength[p]
+                    if q not in s0:
+                        s0[q] = len(rows[q]) if degrees else strength[q]
                     if pair not in w0:
-                        w0[pair] = row_u[v]
+                        w0[pair] = rows[p][q]
         except BaseException:
             if delta:
-                for (u, v), old in w0.items():
+                for (p, q), old in w0.items():
                     if old is None:
-                        del adj[u][v], adj[v][u]
+                        del rows[p][q], rows[q][p]
                     else:
-                        adj[u][v] = adj[v][u] = old
-                strength.update(was)
-                # nodes are never deleted, so those new to the graph are the
-                # last keys of adj, strength and ids
-                for _ in range(len(adj) - known):
-                    adj.popitem()
-                    strength.popitem()
-                    ids.popitem()
+                        rows[p][q] = rows[q][p] = old
+                for p, s in was.items():
+                    strength[p] = s
+                # nodes are never deleted, so those new to the graph hold the
+                # last positions
+                for _ in range(len(nodes) - known):
+                    del pos[nodes.pop()]
+                    rows.pop()
+                    strength.pop()
                 n, excess, inexact = n0, excess0, inexact0
             raise
         else:
-            for u, v in checked:
-                w = adj[u].pop(v)
-                del adj[v][u]
+            for p, q in checked:
+                w = rows[p].pop(q)
+                del rows[q][p]
                 n -= 1
-                strength[u] -= w
-                strength[v] -= w
+                strength[p] -= w
+                strength[q] -= w
                 if w != 1.0:
                     excess -= abs(w) - 1.0
         finally:
@@ -288,22 +287,26 @@ class Graph:
     # -- queries ----------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self._adj.get(u)
-        return row is not None and v in row
+        p = self._pos.get(u)
+        return p is not None and self._pos.get(v) in self._rows[p]
 
-    def nodes(self) -> KeysView[int]:
-        return self._adj.keys()
+    def nodes(self) -> list[int]:
+        """The node table: every node in position order, which is order of
+        first mention. Read-only."""
+        return self._nodes
 
     def edges(self) -> Iterator[Edge]:
         """Each edge once, smaller endpoint first."""
-        for u, row in self._adj.items():
-            for v, w in row.items():
+        nodes = self._nodes
+        for u, row in zip(nodes, self._rows):
+            for q, w in row.items():
+                v = nodes[q]
                 if u < v:
                     yield Edge(u, v, w)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     @property
     def num_edges(self) -> int:
@@ -311,19 +314,21 @@ class Graph:
 
     # -- plumbing ---------------------------------------------------------
 
-    def adjacency(self) -> dict[int, dict[int, float]]:
-        """Internal adjacency, exposed for the centrality kernels. Read-only."""
-        return self._adj
+    def adjacency(self) -> list[dict[int, float]]:
+        """Internal rows by position, each mapping a neighbour's position to
+        the edge weight; exposed for the centrality kernels. Read-only."""
+        return self._rows
 
-    def strengths(self) -> dict[int, float]:
-        """Internal strength table, exposed for the kernels. Read-only."""
+    def strengths(self) -> list[float]:
+        """Internal strengths by position, exposed for the kernels. Read-only."""
         return self._strength
 
     def copy(self) -> Graph:
         g = Graph()
-        g._adj = {u: dict(row) for u, row in self._adj.items()}
-        g._strength = dict(self._strength)
-        g._ids = dict(self._ids)
+        g._pos = dict(self._pos)
+        g._nodes = list(self._nodes)
+        g._rows = [dict(row) for row in self._rows]
+        g._strength = list(self._strength)
         g._num_edges = self._num_edges
         g._excess = self._excess
         g._inexact = self._inexact

@@ -10,7 +10,7 @@ gathered on the post-delta graph.
 A delta is applied all or nothing by ``Graph._apply``: the removes are all
 checked before any is written, and an add or a remove that rejects the
 delta undoes the adds written before it, so a rejected delta leaves the
-graph, its row order and the map as they were.
+graph, its node table, its row order and the map as they were.
 
 The step: with the closed form of Qi et al.,
 
@@ -28,8 +28,9 @@ where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. The identity holds for
 any strength table, not only for exact sums of the weights. Both variants
 run it in two walks. The apply checks and writes the delta and, in the
-same loop, records s0 of every endpoint (its keys are the touched nodes)
-and w0 of every distinct canonical pair, None where absent. After the
+same loop, records s0 of every endpoint and w0 of every distinct pair,
+None where absent, both keyed by node position (the keys of s0 are the
+touched nodes). After the
 pair terms, one walk over the touched nodes adds each node's own term
 and, where its s changed, ``w * 2 * delta_s`` to every member of its
 post-delta row; as it goes it grows touched | N(touched), whose size is
@@ -74,13 +75,11 @@ recomputation by construction.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from lapstream.centrality import CentralityMap, Variant, evaluate_nodes, lap_cent
+from lapstream.centrality import CentralityMap, NodeValues, Variant, evaluate_nodes, lap_cent
 from lapstream.errors import DeltaError, LapstreamError
 from lapstream.graph import Graph
 
@@ -121,36 +120,36 @@ def lap_cent_add_remove(
 ) -> CentralityMap:
     """One incremental step: apply ``delta`` to ``g`` and update ``cmap`` in place.
 
-    ``cmap`` must be the batch-equivalent map of ``g`` before the delta,
-    with a value for every node of ``g``. On return it equals, node for
-    node and bit for bit, a full recomputation of the post-delta graph, and
-    its ``computed_count`` is the number of centralities brought up to date
-    (touched nodes plus their neighbors).
+    ``cmap`` must be a live map of ``g`` (one that :func:`lap_cent` or an
+    earlier step made), batch-equivalent to ``g`` before the delta. On
+    return it equals, node for node and bit for bit, a full recomputation
+    of the post-delta graph, and its ``computed_count`` is the number of
+    centralities brought up to date (touched nodes plus their neighbors).
     Both variants add the exact closed-form difference of the module
     docstring to each of them and evaluate no kernel, in two walks: the
     apply, which checks the delta and records what the step reads from
-    before it, and one walk over the touched nodes after the pair terms. A
-    weighted step on a graph whose exactness flag is set before or after
-    the delta re-evaluates the kernel on all of them instead. Copy ``cmap``
-    first to keep the previous step's values. A rejected delta, an unknown
-    variant or a kept map (see :func:`run_evolving`), whose values are
-    read-only, raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
+    before it, and one walk over the touched nodes after the pair terms.
+    Both walks index lists by node position: the graph's rows and
+    strengths, and the map's values list, which grows by a 0 for each node
+    new to the graph. A weighted step on a graph whose exactness flag is
+    set before or after the delta re-evaluates the kernel on all of them
+    instead. Copy ``cmap`` first to keep the previous step's values. A
+    rejected delta, an unknown variant, a kept map (see :func:`run_evolving`),
+    whose values are a tuple, or a map of another graph raises before ``g``
+    or ``cmap`` changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not isinstance(cmap.values, dict):
-        raise TypeError("cmap is a kept map, whose values are read-only; step a live map")
+    view = cmap.values
+    values = getattr(view, "_values", None)
+    if not isinstance(values, list) or view._nodes is not g._nodes:
+        raise TypeError("cmap is not a live map of g (a kept map is read-only); step a live map")
     weighted = variant == "weighted"
     adj = g.adjacency()
-    known = len(adj)
     s0, w0 = g._apply(delta.adds, delta.removes, variant)
-    values = cmap.values
-    if len(adj) > known:
-        # nodes are never deleted, so the nodes new to the graph are the last
-        # keys of its adjacency, in order of first mention, which is batch's
-        # key order; they start from 0
-        fresh = list(islice(reversed(adj), len(adj) - known))
-        values.update(dict.fromkeys(reversed(fresh), 0.0 if weighted else 0))
+    # nodes are never deleted, so the nodes new to the graph hold the last
+    # positions, in order of first mention; they start from 0
+    values += [0.0 if weighted else 0] * (len(adj) - len(values))
     if weighted and g._inexact:
         # the keys of s0 are the touched nodes; add their post-delta rows
         recompute = set(s0)
@@ -158,7 +157,8 @@ def lap_cent_add_remove(
             recompute.update(adj[x])
         cmap.computed_count = len(recompute)
         if recompute:
-            values.update(evaluate_nodes(g, recompute, variant))
+            for x, c in zip(recompute, evaluate_nodes(g, recompute, variant)):
+                values[x] = c
         return cmap
     # pair terms, on both ends of every pair whose weight changed
     for (u, v), a in w0.items():
@@ -237,36 +237,6 @@ def evolve(
         yield cmap, seconds
 
 
-class _StepValues(Mapping):
-    """One kept step of a run, read-only: its values in node order, over a
-    node -> position table that every step of the run shares.
-
-    A step's keys are the first ``len(values)`` keys of the table, in the
-    map's own key order.
-    """
-
-    __slots__ = ("_index", "_values")
-
-    def __init__(self, index: dict[int, int], values: tuple):
-        self._index = index
-        self._values = values
-
-    def __getitem__(self, node):
-        i = self._index[node]
-        if i >= len(self._values):
-            raise KeyError(node)
-        return self._values[i]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[int]:
-        return islice(self._index, len(self._values))
-
-    def __repr__(self) -> str:
-        return repr(dict(zip(self, self._values)))
-
-
 def run_evolving(
     initial: Graph,
     deltas: Iterable[EdgeDelta],
@@ -276,21 +246,14 @@ def run_evolving(
     """Drive a whole evolving run; ``initial`` is mutated in place.
 
     Returns one map per step, step 0 included; dynamic and batch mode
-    produce identical maps. The values of a kept map are a read-only
-    mapping with the same keys, key order and values as the step's live
-    ``dict``; the steps share one node -> position table and each keeps
-    only a tuple of its values. A delta that cannot be applied aborts with
-    :class:`DeltaError` carrying the step index.
+    produce identical maps. A kept map's values are a :class:`NodeValues`
+    view over a tuple copy of the step's values list and the graph's own
+    node table, which every step of the run shares. A delta that cannot be
+    applied aborts with :class:`DeltaError` carrying the step index.
     """
-    index: dict[int, int] = {}
     kept = []
     for cmap, _ in evolve(initial, deltas, mode, variant):
-        values = cmap.values
-        grown = len(values) - len(index)
-        if grown:
-            # nodes are never deleted and new ones are appended to the map's
-            # keys in both modes, so the nodes new to the table are its last keys
-            fresh = reversed(list(islice(reversed(values), grown)))
-            index.update(zip(fresh, range(len(index), len(values))))
-        kept.append(CentralityMap(_StepValues(index, tuple(values.values())), cmap.computed_count))
+        view = cmap.values
+        values = NodeValues(view._pos, view._nodes, tuple(view._values))
+        kept.append(CentralityMap(values, cmap.computed_count))
     return kept

@@ -4,7 +4,7 @@ across test modules."""
 import random
 from dataclasses import dataclass
 
-from lapstream.centrality import Variant, laplacian_energy
+from lapstream.centrality import NodeValues, Variant, laplacian_energy
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
 
@@ -39,12 +39,12 @@ def with_isolated(g: Graph, nodes) -> Graph:
     Each arrives on an edge that the same delta removes again: to the next
     new node, or, for a lone new node, to the graph's first node.
     """
-    adj = g.adjacency()
-    new = [x for x in dict.fromkeys(nodes) if x not in adj]
+    known = set(g.nodes())
+    new = [x for x in dict.fromkeys(nodes) if x not in known]
     pairs = list(zip(new, new[1:]))
     if len(new) == 1:
-        assert adj, "a lone node needs a node of the graph to arrive with"
-        pairs = [(new[0], next(iter(adj)))]
+        assert known, "a lone node needs a node of the graph to arrive with"
+        pairs = [(new[0], g.nodes()[0])]
     apply_delta(g, EdgeDelta(adds=pairs, removes=pairs))
     return g
 
@@ -68,7 +68,7 @@ def random_delta(
     removed: set[tuple[int, int]] = set()
     added: set[tuple[int, int]] = set()
 
-    adj = g.adjacency()
+    adj = node_rows(g)
     if edges and rng.random() < isolate_prob:
         victim = rng.choice([u for u in nodes if adj[u]])
         for j in adj[victim]:
@@ -138,14 +138,38 @@ def bits(values):
     return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}
 
 
+def view(values: dict) -> NodeValues:
+    """``values`` as a map's read-only view, over a node table of its own
+    whose order is the dict's key order."""
+    return NodeValues({v: i for i, v in enumerate(values)}, list(values), list(values.values()))
+
+
+def set_value(values: NodeValues, node: int, x) -> None:
+    """Write ``x`` as ``node``'s value under a live map's read-only view."""
+    values._values[values._pos[node]] = x
+
+
+def node_rows(g: Graph) -> dict:
+    """``g``'s rows keyed by node, ``{u: {v: w}}``, in position order."""
+    nodes = g.nodes()
+    return {u: {nodes[q]: w for q, w in row.items()} for u, row in zip(nodes, g.adjacency())}
+
+
+def node_strengths(g: Graph) -> dict:
+    """``g``'s strengths keyed by node, in position order."""
+    return dict(zip(g.nodes(), g.strengths()))
+
+
 def graph_state(g: Graph):
-    """Everything a writer sets, to compare two graphs: rows and strengths in
-    their order, floats by bits, ``num_edges`` and the id table."""
+    """Everything a writer sets, to compare two graphs: the position table
+    (node -> position in its order, and the node list), rows by position in
+    their order, strengths by position, floats by bits, and ``num_edges``."""
     return (
-        [(u, list(bits(row).items())) for u, row in g.adjacency().items()],
-        list(bits(g.strengths()).items()),
+        list(g._pos.items()),
+        list(g.nodes()),
+        [list(bits(row).items()) for row in g.adjacency()],
+        list(bits(dict(enumerate(g.strengths()))).items()),
         g.num_edges,
-        list(g._ids.items()),
     )
 
 
@@ -155,7 +179,7 @@ def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
 
     Independent of the per-node closed forms; exists to validate them.
     """
-    row = g.adjacency()[v]
+    row = node_rows(g)[v]
     reduced = g.copy()
     # isolating v == deleting v: a degree-0 node contributes nothing to energy
     apply_delta(reduced, EdgeDelta(removes=[(v, j) for j in row]))
@@ -181,9 +205,7 @@ def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
     unchanged.
     """
     s0, _ = g._apply(delta.adds, delta.removes, "weighted")
-    touched = set(s0)
-    recompute = set(touched)
-    adj = g.adjacency()
-    for x in touched:
-        recompute.update(adj[x])
+    nodes, adj = g.nodes(), g.adjacency()
+    touched = {nodes[p] for p in s0}
+    recompute = touched | {nodes[q] for p in s0 for q in adj[p]}
     return AffectedSets(touched, recompute)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from conftest import GOLDEN_DIR, TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import affected_nodes, delta_energy_oracle, random_delta, random_graph
+from genutil import affected_nodes, delta_energy_oracle, node_rows, random_delta, random_graph
 
 from lapstream.bench import bench_stream, diff_maps, emit_csv
 from lapstream.centrality import lap_cent
@@ -100,7 +100,7 @@ def randomized_runs() -> RandomizedRuns:
                 apply_delta(union, EdgeDelta(adds=delta.adds))
                 sets = affected_nodes(sim, delta)  # advances sim to this step
                 m_prime = delta.num_changes
-                max_degree = max(map(len, union.adjacency().values()))
+                max_degree = max(map(len, node_rows(union).values()))
                 bound = min(union.num_nodes, 2 * m_prime + 2 * m_prime * max_degree)
                 out.bound_rows.append(
                     (dynamic[step].computed_count, bound, len(sets.recompute))

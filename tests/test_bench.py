@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 
 from conftest import TOY_EDGES
-from genutil import graph_state
+from genutil import graph_state, set_value, view
 
 from lapstream import cli, incremental
 from lapstream.bench import (
@@ -17,6 +17,7 @@ from lapstream.bench import (
     diff_maps,
     emit_csv,
 )
+from lapstream.centrality import lap_cent
 from lapstream.cli import cli_main
 from lapstream.errors import CompareMismatchError, DeltaError
 from lapstream.graph import Edge, Graph
@@ -145,7 +146,8 @@ class TestBenchStream:
 
         def corrupted(g, delta, cmap, variant):
             step(g, delta, cmap, variant)
-            cmap.values[min(cmap.values)] += 1
+            node = min(cmap.values)
+            set_value(cmap.values, node, cmap.values[node] + 1)
             return cmap
 
         monkeypatch.setattr(incremental, "lap_cent_add_remove", corrupted)
@@ -159,7 +161,7 @@ class TestBenchStream:
 
         def nan_step(g, delta, cmap, variant):
             step(g, delta, cmap, variant)
-            cmap.values[4] = float("nan")
+            set_value(cmap.values, 4, float("nan"))
             return cmap
 
         monkeypatch.setattr(incremental, "lap_cent_add_remove", nan_step)
@@ -169,15 +171,20 @@ class TestBenchStream:
         assert err.value.node == 4
 
 
+def _diff(a: dict, b: dict):
+    """diff_maps on two views, each over a node table of its own."""
+    return diff_maps(view(a), view(b))
+
+
 class TestDiffMaps:
     def test_equal(self):
-        assert diff_maps({1: 2.0}, {1: 2.0}) is None
+        assert _diff({1: 2.0}, {1: 2.0}) is None
 
     def test_value_divergence(self):
-        assert diff_maps({1: 2.0, 2: 5.0}, {1: 2.0, 2: 6.0}) == (2, 5.0, 6.0)
+        assert _diff({1: 2.0, 2: 5.0}, {1: 2.0, 2: 6.0}) == (2, 5.0, 6.0)
 
     def test_missing_key(self):
-        assert diff_maps({1: 2.0}, {}) == (1, 2.0, None)
+        assert _diff({1: 2.0}, {}) == (1, 2.0, None)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -190,21 +197,21 @@ class TestDiffMaps:
         ],
     )
     def test_non_finite_divergence(self, a, b):
-        bad = diff_maps({0: 1.0, 1: a}, {0: 1.0, 1: b})
+        bad = _diff({0: 1.0, 1: a}, {0: 1.0, 1: b})
         assert bad is not None and bad[0] == 1
 
     def test_tiny_difference_diverges(self):
-        assert diff_maps({1: 1.0}, {1: 1.0 + 1e-12}) == (1, 1.0, 1.0 + 1e-12)
+        assert _diff({1: 1.0}, {1: 1.0 + 1e-12}) == (1, 1.0, 1.0 + 1e-12)
 
     def test_same_nan_object_diverges(self):
         nan = float("nan")
-        bad = diff_maps({1: nan}, {1: nan})
+        bad = _diff({1: nan}, {1: nan})
         assert bad is not None and bad[0] == 1
 
     def test_same_nan_object_in_equal_maps_diverges(self):
         nan = float("nan")
         a = {v: float(v) for v in range(50)}
-        bad = diff_maps({**a, 17: nan}, {**a, 17: nan})
+        bad = _diff({**a, 17: nan}, {**a, 17: nan})
         assert bad is not None and bad[0] == 17
 
     @pytest.mark.parametrize(
@@ -219,14 +226,54 @@ class TestDiffMaps:
         ids=["inf-inf", "infs-sum-to-nan", "sum-overflows", "int-float", "int-float-diverge"],
     )
     def test_equal_maps_beyond_floats(self, a, b, expected):
-        assert diff_maps(a, b) == expected
+        assert _diff(a, b) == expected
 
     def test_first_divergence_in_node_order(self):
         a = {9: 1.0, 5: 2.0, 3: 3.0, 7: 4.0}
         b = {9: 0.0, 5: 2.0, 3: 3.0, 7: 0.0}
-        assert diff_maps(a, b) == (7, 4.0, 0.0)
-        assert diff_maps(a, {**b, 9: 1.0, 1: 0.0}) == (1, None, 0.0)
-        assert diff_maps({2: 1.0, 4: 1.0}, {4: 1.0, 3: 1.0}) == (2, 1.0, None)
+        assert _diff(a, b) == (7, 4.0, 0.0)
+        assert _diff(a, {**b, 9: 1.0, 1: 0.0}) == (1, None, 0.0)
+        assert _diff({2: 1.0, 4: 1.0}, {4: 1.0, 3: 1.0}) == (2, 1.0, None)
+
+
+class TestDiffMapsOneTable:
+    """Two maps over one graph's node table, whose first-mention order runs
+    from the largest node id down, as compare's gate sees them."""
+
+    @staticmethod
+    def _maps(variant="weighted"):
+        g = Graph([(9, 8, 2.0), (8, 7), (7, 5, 3.0), (5, 3), (3, 1), (1, 9)])
+        assert g.nodes() == [9, 8, 7, 5, 3, 1]
+        return lap_cent(g, variant).values, lap_cent(g, variant).values
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_equal(self, variant):
+        a, b = self._maps(variant)
+        assert a._nodes is b._nodes and a._values is not b._values
+        assert diff_maps(a, b) is None
+
+    def test_names_the_smallest_divergent_node(self):
+        a, b = self._maps()
+        for node in (9, 5, 3):
+            set_value(b, node, b[node] + 1.0)
+        assert diff_maps(a, b) == (3, a[3], b[3])
+        assert diff_maps(b, a) == (3, b[3], a[3])
+
+    def test_shared_nan_object_diverges(self):
+        a, b = self._maps()
+        nan = float("nan")
+        for node in (8, 5):
+            set_value(a, node, nan)
+            set_value(b, node, nan)
+        assert diff_maps(a, b)[0] == 5
+
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_infinity_against_a_finite_value_diverges(self, inf):
+        a, b = self._maps()
+        set_value(a, 7, inf)
+        assert diff_maps(a, b) == (7, inf, b[7])
+        set_value(b, 7, inf)
+        assert diff_maps(a, b) is None
 
 
 # one weight kind per seed: integral weights keep the weighted step on the
@@ -370,7 +417,8 @@ class TestRunArtifacts:
 
         def corrupted(g, delta, cmap, variant):
             step(g, delta, cmap, variant)
-            cmap.values[min(cmap.values)] += 1
+            node = min(cmap.values)
+            set_value(cmap.values, node, cmap.values[node] + 1)
             return cmap
 
         monkeypatch.setattr(incremental, "lap_cent_add_remove", corrupted)

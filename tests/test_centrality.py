@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import delta_energy_oracle, graph_state, random_graph, with_isolated
+from genutil import delta_energy_oracle, graph_state, node_rows, random_graph, with_isolated
 
 from lapstream.centrality import (
     lap_cent,
@@ -77,8 +77,9 @@ class TestBatchUnweighted:
 
     def test_values_are_positive_integers(self):
         g = random_graph(random.Random(3), 40, 100)
+        rows = node_rows(g)
         for v, value in lap_cent(g, "unweighted").values.items():
-            if g.adjacency()[v]:
+            if rows[v]:
                 assert value > 0
             assert isinstance(value, int)
 
@@ -225,7 +226,7 @@ class TestLocality:
         for _ in range(20):
             g = random_graph(rng, 30, 60)
             v = rng.choice(list(g.nodes()))
-            forbidden = {v} | set(g.adjacency()[v])
+            forbidden = {v} | set(node_rows(g)[v])
             candidates = [
                 (a, b)
                 for a in g.nodes()

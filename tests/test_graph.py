@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
-from genutil import far, graph_state, with_isolated
+from genutil import far, graph_state, node_rows, node_strengths, with_isolated
 
 from lapstream.errors import (
     LapstreamError,
@@ -39,12 +39,12 @@ class TestAddEdge:
         g = Graph([(1, 2)])
         assert g.num_nodes == 2
         assert g.num_edges == 1
-        assert len(g.adjacency()[1]) == 1
+        assert len(node_rows(g)[1]) == 1
 
     def test_toy_addition(self):
         g = _add(Graph(TOY_EDGES), (4, 6))
-        assert len(g.adjacency()[4]) == 3
-        assert len(g.adjacency()[6]) == 2
+        assert len(node_rows(g)[4]) == 3
+        assert len(node_rows(g)[6]) == 2
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -54,14 +54,14 @@ class TestAddEdge:
 
     def test_auto_creates_nodes(self):
         g = Graph([(10, 20, 0.5)])
-        assert 10 in g.adjacency() and 20 in g.adjacency()
+        assert 10 in node_rows(g) and 20 in node_rows(g)
 
     def test_upsert_replaces_weight(self):
         for g in Graph([(1, 2, 1.0), (1, 2, 3.0)]), _add(Graph([(1, 2, 1.0)]), (1, 2, 3.0)):
             assert g.num_edges == 1
-            assert g.adjacency()[1][2] == 3.0
-            assert g.adjacency()[2][1] == 3.0
-            assert g.strengths()[1] == 3.0
+            assert node_rows(g)[1][2] == 3.0
+            assert node_rows(g)[2][1] == 3.0
+            assert node_strengths(g)[1] == 3.0
 
     def test_no_strict_mode(self):
         with pytest.raises(TypeError):
@@ -95,7 +95,7 @@ class TestAddEdge:
             g = Graph([(1, 2, -4.0)])
             _add(g, (2, 3, -1.0))
         assert [w.filename for w in caught] == [__file__] * 2
-        assert g.adjacency()[1][2] == -4.0
+        assert node_rows(g)[1][2] == -4.0
 
 
 class TestRemoveEdge:
@@ -103,8 +103,8 @@ class TestRemoveEdge:
         g = _remove(Graph([(1, 2)]), (1, 2))
         assert g.num_nodes == 2  # endpoints retained at degree 0
         assert g.num_edges == 0
-        assert g.adjacency()[1] == {}
-        assert g.strengths() == {1: 0.0, 2: 0.0}
+        assert node_rows(g)[1] == {}
+        assert node_strengths(g) == {1: 0.0, 2: 0.0}
 
     def test_restores_toy_graph(self):
         g = _remove(_add(Graph(TOY_EDGES), (4, 6)), (4, 6))
@@ -120,18 +120,18 @@ class TestRemoveEdge:
 
 class TestQueries:
     def test_toy_neighbors(self):
-        adj = Graph(TOY_EDGES).adjacency()
+        adj = node_rows(Graph(TOY_EDGES))
         assert set(adj[5]) == {3, 4, 6, 7}
         assert set(adj[1]) == {2}
 
     def test_isolated_neighbors_empty(self):
         g = with_isolated(Graph([(1, 2)]), [3])
-        assert g.adjacency()[3] == {}
-        assert g.strengths()[3] == 0.0
+        assert node_rows(g)[3] == {}
+        assert node_strengths(g)[3] == 0.0
         assert g.num_edges == 1
 
     def test_star_strength(self, weighted_star):
-        assert weighted_star.strengths() == {0: 5.0, 1: 2.0, 2: 3.0}
+        assert node_strengths(weighted_star) == {0: 5.0, 1: 2.0, 2: 3.0}
 
     def test_edges_canonical(self):
         g = Graph([(5, 2, 1.5)])
@@ -164,12 +164,12 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_degree_sum_is_twice_edges(self, seed):
         g = self._random_ops(seed)
-        assert sum(map(len, g.adjacency().values())) == 2 * g.num_edges
+        assert sum(map(len, node_rows(g).values())) == 2 * g.num_edges
 
     @pytest.mark.parametrize("seed", range(8))
     def test_symmetry_full_scan(self, seed):
         g = self._random_ops(seed)
-        adj = g.adjacency()
+        adj = node_rows(g)
         for u, row in adj.items():
             for v, w in row.items():
                 assert u != v
@@ -178,8 +178,9 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_strength_matches_incident_weight_sum(self, seed):
         g = self._random_ops(seed)
-        for u, row in g.adjacency().items():
-            assert g.strengths()[u] == pytest.approx(sum(row.values()), abs=1e-12)
+        strengths = node_strengths(g)
+        for u, row in node_rows(g).items():
+            assert strengths[u] == pytest.approx(sum(row.values()), abs=1e-12)
 
     def test_add_remove_roundtrip_random(self):
         rng = random.Random(99)
@@ -195,7 +196,7 @@ class TestInvariants:
             _remove(g, (u, v))
         # nodes created by the adds persist, so compare adjacency rows of
         # the original node set plus emptiness of any new ones
-        adj, adj0 = g.adjacency(), before.adjacency()
+        adj, adj0 = node_rows(g), node_rows(before)
         for u in adj0:
             assert adj[u] == adj0[u]
         for u in adj.keys() - adj0.keys():
@@ -205,15 +206,17 @@ class TestInvariants:
 
 class TestOneObjectPerNode:
     """Each node is one int object everywhere the graph and its maps keep it,
-    whatever objects its ids arrived as."""
+    whatever objects its ids arrived as, and each position one int object
+    in every row."""
 
     @staticmethod
     def _assert_own_objects(g, *maps):
-        own = {u: u for u in g.adjacency()}  # equal lookup, returns the adjacency key
-        for row in g.adjacency().values():
-            assert all(x is own[x] for x in row)
-        for keys in (g.strengths(), *maps):
+        own = {u: u for u in g.nodes()}  # equal lookup, returns the table's object
+        for keys in (g._pos, *maps):
             assert all(x is own[x] for x in keys)
+        held = {p: p for p in g._pos.values()}
+        for row in g.adjacency():
+            assert all(q is held[q] for q in row)
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_keys_are_the_graph_objects(self, variant):
@@ -320,9 +323,9 @@ class TestBulkPath:
 
         (bulk, _), (seq, _) = _recorded(lambda: run(by_loop)), _recorded(lambda: run(_add_each))
         assert bulk == seq
-        kind, message, pulled, (rows, _, num_edges, _) = bulk
+        kind, message, pulled, (_, _, rows, _, num_edges) = bulk
         assert pulled == at + 1
-        assert num_edges == sum(len(row) for _, row in rows) // 2
+        assert num_edges == sum(map(len, rows)) // 2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(kind) as raised:

@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 import warnings
@@ -13,13 +14,14 @@ from genutil import (
     far_delta,
     far_graph,
     graph_state,
+    node_rows,
     random_delta,
     random_graph,
 )
 
 from lapstream import kernels
 from lapstream.bench import bench_stream
-from lapstream.centrality import CentralityMap, lap_cent
+from lapstream.centrality import CentralityMap, lap_cent, write_centralities
 from lapstream.errors import (
     DeltaError,
     MissingEdgeError,
@@ -95,11 +97,12 @@ REJECTED_DELTAS = [
 
 def _state(g, cmap):
     """Everything a step may change: the graph in insertion order and floats by
-    bits, its id table, its running figures and the map."""
+    bits, its position table, its running figures and the map."""
     return (
         graph_state(g),
         g._excess,
         g._inexact,
+        len(cmap.values),
         list(bits(cmap.values).items()),
         cmap.computed_count,
     )
@@ -140,6 +143,37 @@ class TestRejectedDelta:
             toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
 
+    @pytest.mark.parametrize("step", [False, True])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_positions_dropped_then_reused(self, toy_graph, variant, step):
+        """New nodes, then a remove that fails: the node table, ``nodes()``
+        order, the row list and the strength list are as they were, and the
+        next delta's new nodes take the positions the rejected one dropped."""
+        g = toy_graph
+        nodes, rows, strength = g.nodes(), g.adjacency(), g.strengths()
+        table = (list(g._pos.items()), list(nodes), [list(r.items()) for r in rows], list(strength))
+        known = len(nodes)
+        cmap = lap_cent(g, variant)
+        bad = EdgeDelta(adds=[Edge(20, 21, 2.0), Edge(1, 22)], removes=[(1, 2), (21, 99)])
+        with pytest.raises(MissingEdgeError):
+            if step:
+                lap_cent_add_remove(g, bad, cmap, variant)
+            else:
+                apply_delta(g, bad)
+        assert g.nodes() is nodes and g.adjacency() is rows and g.strengths() is strength
+        assert (list(g._pos.items()), list(nodes), [list(r.items()) for r in rows], list(strength)) == table
+        assert len(cmap.values) == known and 20 not in cmap.values
+        later = EdgeDelta(adds=[Edge(1, 22), Edge(21, 20, 3.0)])
+        if step:
+            lap_cent_add_remove(g, later, cmap, variant)
+        else:
+            apply_delta(g, later)
+            cmap = lap_cent(g, variant)
+        assert nodes[known:] == [22, 21, 20]
+        assert [g._pos[x] for x in (22, 21, 20)] == [known, known + 1, known + 2]
+        assert len(rows) == len(strength) == known + 3
+        assert bits(cmap.values) == bits(lap_cent(Graph(TOY_EDGES + later.adds), variant).values)
+
     @pytest.mark.parametrize("delta", [EdgeDelta(adds=[Edge(3, 4)]), EdgeDelta()])
     @pytest.mark.parametrize("variant", ["Weighted", "bogus"])
     def test_unknown_variant_step_unchanged(self, toy_graph, delta, variant):
@@ -167,15 +201,15 @@ class TestRejectedDelta:
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_undo_restores_upsert_and_drops_new_node(self, toy_graph, variant, far):
         """An upsert of an existing edge and a new node, then a bad remove: the
-        old weight goes back in place and the node leaves rows and id table."""
+        old weight goes back in place and the node leaves rows and node table."""
         delta = EdgeDelta(adds=[Edge(3, 2, 4.0), Edge(1, 9)], removes=[(1, 6)])
         if far:
             toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, MissingEdgeError, variant)
         base = FAR if far else 0
-        assert list(toy_graph.adjacency()[base + 2].items()) == [(base + 1, 1.0), (base + 3, 1.0)]
-        assert base + 9 not in toy_graph.adjacency()
-        assert base + 9 not in toy_graph._ids
+        assert list(node_rows(toy_graph)[base + 2].items()) == [(base + 1, 1.0), (base + 3, 1.0)]
+        assert base + 9 not in node_rows(toy_graph)
+        assert base + 9 not in toy_graph._pos
 
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -515,7 +549,7 @@ class TestRunEvolving:
         assert err.value.step == 2
         assert isinstance(err.value.cause, NonFiniteWeightError)
         assert "(8, 9)" in str(err.value)
-        assert 8 not in toy_graph.adjacency()
+        assert 8 not in node_rows(toy_graph)
 
     def test_unknown_mode(self, toy_graph):
         with pytest.raises(ValueError):
@@ -582,6 +616,17 @@ class TestRunEvolving:
             lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0), (1, 3, 2.0)]), kept, variant)
         assert _state(g, kept) == before
 
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_step_rejects_a_map_of_another_graph(self, variant):
+        """A live map of a copy reads positions through the copy's node table,
+        which the step would not grow: it raises before anything changes."""
+        g = Graph([(1, 2), (2, 3)])
+        other = lap_cent(g.copy(), variant)
+        before = _state(g, other)
+        with pytest.raises(TypeError, match="not a live map of g"):
+            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0)]), other, variant)
+        assert _state(g, other) == before
+
     def test_dynamic_history_memory(self):
         """The kept history costs under 16 bytes per node per step; a whole
         dict copy per step costs about 32."""
@@ -626,6 +671,94 @@ EDGE_CASE_DELTAS = [
 ]
 
 
+def _dict_history(seed, weighted, steps=10):
+    """A random history whose ids arrive in no sorted order, some at later
+    steps, and the maps a dict-keyed reference gives at each step.
+
+    Returns ``(initial edges, deltas, reference maps)``. The reference keeps
+    its own node-keyed rows, in insertion order, so its maps are plain
+    ``dict``s in order of first mention, with the closed form's value types:
+    ints unweighted, floats weighted (integral weights keep them exact).
+    """
+    rng = random.Random(seed)
+    ids = rng.sample(range(FAR, FAR + 500), 80)
+    pool = ids[:12]
+    fresh = iter(ids[12:])
+    adj: dict[int, dict[int, float]] = {}
+
+    def weight():
+        return float(rng.randint(1, 4)) if weighted else 1.0
+
+    def add(u, v, w):
+        adj.setdefault(u, {})[v] = w
+        adj.setdefault(v, {})[u] = w
+
+    def reference():
+        if not weighted:
+            return {u: len(r) ** 2 + len(r) + 2 * sum(len(adj[j]) for j in r) for u, r in adj.items()}
+        s = {u: sum(r.values(), 0.0) for u, r in adj.items()}
+        return {u: s[u] * s[u] + sum((w * (w + 2.0 * s[j]) for j, w in r.items()), 0.0) for u, r in adj.items()}
+
+    initial = [(*rng.sample(pool, 2), weight()) for _ in range(20)]
+    for u, v, w in initial:
+        add(u, v, w)
+    maps = [reference()]
+    deltas = []
+    for _ in range(steps):
+        pool += [next(fresh) for _ in range(rng.randint(0, 4))]
+        adds = [(*rng.sample(pool, 2), weight()) for _ in range(rng.randint(1, 6))]
+        for u, v, w in adds:
+            add(u, v, w)
+        pairs = {(u, v) for u, row in adj.items() for v in row if u < v}
+        removes = rng.sample(sorted(pairs), min(len(pairs), rng.randint(0, 4)))
+        for u, v in removes:
+            del adj[u][v], adj[v][u]
+        deltas.append(EdgeDelta(adds=adds, removes=removes))
+        maps.append(reference())
+    return initial, deltas, maps
+
+
+class TestValuesActAsDict:
+    """Every map's values, live or kept, behave as the node-keyed ``dict`` of
+    the same step: key order, ``len``, ``in``, ``get``, value types, ``==``
+    both ways and the written dump."""
+
+    @staticmethod
+    def _check(values, want, later):
+        assert list(values) == list(want)
+        assert len(values) == len(want)
+        assert all(v in values for v in want)
+        assert [type(values[v]) for v in want] == [type(x) for x in want.values()]
+        assert [values.get(v) for v in want] == list(want.values())
+        missing = object()
+        for v in [*later, -1, "1", 2.5]:
+            assert v not in values
+            assert values.get(v, missing) is missing
+        assert values == want and want == values
+        assert not (values != want or want != values)
+        got, ref = io.StringIO(), io.StringIO()
+        write_centralities(CentralityMap(values, len(values)), got)
+        for v in sorted(want):
+            ref.write(f"{v},{want[v]:.12g}\n")
+        assert got.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_live_and_kept_maps(self, seed, variant):
+        initial, deltas, want = _dict_history(seed, variant == "weighted")
+        every = set(want[-1])
+        g = Graph(initial)
+        live = lap_cent(g, variant)
+        self._check(live.values, want[0], every - set(want[0]))
+        for k, delta in enumerate(deltas, start=1):
+            lap_cent_add_remove(g, delta, live, variant)
+            self._check(live.values, want[k], every - set(want[k]))
+        for mode in ("dynamic", "batch"):
+            kept = run_evolving(Graph(initial), deltas, mode, variant)
+            for k, cmap in enumerate(kept):
+                self._check(cmap.values, want[k], every - set(want[k]))
+
+
 class TestOracleEquivalence:
     """Dynamic maps must equal full batch recomputation at every step."""
 
@@ -650,7 +783,7 @@ class TestOracleEquivalence:
             union = sim.copy()
             apply_delta(union, EdgeDelta(adds=delta.adds))
             m_prime = delta.num_changes
-            max_degree = max(map(len, union.adjacency().values()))
+            max_degree = max(map(len, node_rows(union).values()))
             bound = min(union.num_nodes, 2 * m_prime + 2 * m_prime * max_degree)
             assert dynamic[step].computed_count <= bound
             apply_delta(sim, delta)
