@@ -70,7 +70,10 @@ class CentralityMap:
 
     ``values`` is a read-only :class:`NodeValues` view in every map the
     package makes, live or kept by :func:`~lapstream.incremental.run_evolving`;
-    compare mode's ``BenchResult.maps`` keep ``dict`` copies.
+    compare mode's ``BenchResult.maps`` keep ``dict`` copies. The values are
+    exact ints, unweighted and on a weighted graph whose weights are all
+    integers within +-2**53; once the graph's flag is set, a value is a float
+    wherever a float weight or strength enters it.
     """
 
     values: Mapping[int, float]
@@ -108,7 +111,7 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
             total += d * d + d
         return total
     if variant == "weighted":
-        total = 0.0
+        total = 0
         for s, row in zip(g.strengths(), adj):
             total += s * s
             for w in row.values():

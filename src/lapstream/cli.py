@@ -45,7 +45,7 @@ def _period(text: str) -> str:
     p = text.lower()
     if p in ("day", "daily", "month", "monthly"):
         return p
-    if p.startswith("count:") and p[6:].isdigit() and int(p[6:]) >= 1:
+    if p.startswith("count:") and p[6:].isascii() and p[6:].isdigit() and int(p[6:]) >= 1:
         return p
     raise argparse.ArgumentTypeError(f"expected daily, monthly or count:N, got {text!r}")
 

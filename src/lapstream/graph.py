@@ -11,9 +11,9 @@ There are two writers, the constructor ``Graph(edges)`` and every delta of
 ``Graph._apply``, the only code that checks an edge. For a delta it is also
 the only walk over the edges: it records, as it checks each one, what the
 incremental step needs from before the delta, and keeps an undo log so that
-a rejected delta leaves the graph as it was. The same loop keeps the two
-running figures that tell the weighted incremental step whether its float
-arithmetic is exact.
+a rejected delta leaves the graph as it was. The same loop stores each
+weight as an exact ``int`` where it can and keeps the flag that tells the
+weighted incremental step whether its arithmetic is exact.
 
 One node table. The graph keeps a node -> position dict, ``_pos``, and the
 nodes in position order, which is order of first mention, ``_nodes``. A node
@@ -42,9 +42,8 @@ from lapstream.errors import (
 )
 
 
-# T, the sum of |w| over the edges, up to which integral weights keep the
-# weighted incremental step exact; see the proof in ``incremental``.
-_EXACT_BOUND = 2.0**24
+# the largest magnitude of a weight stored as an int; see ``incremental``
+_INT_WEIGHT_LIMIT = 2**53
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -78,18 +77,13 @@ class Graph:
 
     Re-adding an existing edge replaces its weight (upsert).
 
-    Two running figures are kept for the weighted incremental step:
-    T, the sum of ``|w|`` over the edges, held as ``num_edges`` plus the
-    excess ``_excess`` = sum(``|w|`` - 1), which unit-weight edges leave
-    alone; and the sticky flag ``_inexact``. The flag is set the first time
-    an edge with a non-integral weight is written, or T exceeds
-    ``_EXACT_BOUND`` at any point, even partway through one call, and is
-    never cleared: strengths are running sums, so a weight that has left
-    can still leave its rounding in them. While the flag is clear every
-    weight and strength is an integer of magnitude at most T, and T is
-    exact. Both are updated only for an edge that passed its checks, a
-    rejected delta leaves them as they were (its undo puts back every
-    weight and strength it wrote), and :meth:`copy` carries them.
+    A weight that is an integer of magnitude at most 2**53 is stored as an
+    ``int`` (a missing weight as ``1``), so the strengths of a graph of such
+    weights are exact ints too. Any other finite weight is stored as a
+    ``float`` and sets the sticky flag ``_inexact``, which is never cleared:
+    strengths are running sums, so a weight that has left can still leave
+    its rounding in them. The flag is set only by an edge that passed its
+    checks, a rejected delta leaves it as it was, and :meth:`copy` carries it.
 
     :meth:`adjacency` and :meth:`strengths` are indexed by a node's position
     in the node table :meth:`nodes` (see the module docstring). A rejected
@@ -99,7 +93,7 @@ class Graph:
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_excess", "_inexact")
+    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_inexact")
 
     def __init__(self, edges: Iterable[tuple] | None = None):
         self._pos: dict[int, int] = {}
@@ -107,7 +101,6 @@ class Graph:
         self._rows: list[dict[int, float]] = []
         self._strength: list[float] = []
         self._num_edges = 0
-        self._excess = 0.0
         self._inexact = False
         if edges is not None:
             self._apply(edges, ())
@@ -126,26 +119,23 @@ class Graph:
         Each add is checked before it is written: ``u == v`` raises
         :class:`SelfLoopError`, a NaN or infinite weight or an int too large
         for a float :class:`NonFiniteWeightError`, and a negative weight warns
-        :class:`NegativeWeightWarning`. The removes are all checked, against
-        the graph with the adds in, before any is written: a pair removed
-        twice or a pair not present raises :class:`MissingEdgeError`.
+        :class:`NegativeWeightWarning`; the weight is then stored as an
+        ``int``, or as a ``float`` that sets ``_inexact`` (see :class:`Graph`).
+        The removes are all checked, against the graph with the adds in,
+        before any is written: a pair removed twice or a pair not present
+        raises :class:`MissingEdgeError`.
 
         With ``read`` None, the constructor's case, a bad add raises with the
         edges before it written.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception before the removes are written undoes the
         adds, so rows, their order, the strengths, the node table and the
-        running figures are as they were.
+        flag are as they were.
         Returns ``(s0, w0)`` in order of first mention, keyed by position: s0
         maps every endpoint to its degree ("unweighted") or strength
         ("weighted") before the call, so its keys are the touched nodes, and
         w0 every pair, smaller position first, to its weight before the call,
         None when absent. Both are empty when ``read`` is None.
-
-        A new edge never lowers T; only an upsert or a remove can. So T is
-        compared with the bound before every upsert, after the adds and
-        when the loop ends, which sees every peak, and a new edge pays for
-        the running figures only when its weight is not 1.0.
         """
         rows = self._rows
         strength = self._strength
@@ -153,9 +143,8 @@ class Graph:
         nodes = self._nodes
         where = pos.get
         isfinite = math.isfinite
-        bound = _EXACT_BOUND
+        limit = _INT_WEIGHT_LIMIT
         n0 = n = self._num_edges
-        excess0 = excess = self._excess
         inexact0 = inexact = self._inexact
         known = len(nodes)
         delta = read is not None
@@ -168,12 +157,14 @@ class Graph:
             for e in adds:
                 if len(e) == 2:
                     u, v = e
-                    w = 1.0
+                    w = 1
                 else:
                     u, v, w = e
                 if u == v:
                     raise SelfLoopError(f"self-loop on node {u}")
-                if w != 1.0:
+                if w == 1:
+                    w = 1  # 1.0 and True too, so that unit weights are ints
+                else:
                     try:
                         if not isfinite(w):
                             raise NonFiniteWeightError(
@@ -189,18 +180,23 @@ class Graph:
                             NegativeWeightWarning,
                             stacklevel=_outside_stacklevel(),
                         )
+                    if -limit <= w <= limit and not w % 1:
+                        w = int(w)
+                    else:
+                        w = float(w)
+                        inexact = True
                 p = where(u)
                 if p is None:
                     p = pos[u] = len(nodes)
                     nodes.append(u)
                     rows.append({})
-                    strength.append(0.0)
+                    strength.append(0)
                 q = where(v)
                 if q is None:
                     q = pos[v] = len(nodes)
                     nodes.append(v)
                     rows.append({})
-                    strength.append(0.0)
+                    strength.append(0)
                 row_p = rows[p]
                 row_q = rows[q]
                 old = row_p.get(q)
@@ -220,19 +216,10 @@ class Graph:
                     n += 1
                     strength[p] += w
                     strength[q] += w
-                    if w != 1.0:
-                        excess += abs(w) - 1.0
-                        if w % 1.0:
-                            inexact = True
                 else:
                     d = w - old
                     strength[p] += d
                     strength[q] += d
-                    if w % 1.0 or n + excess > bound:
-                        inexact = True
-                    excess += abs(w) - abs(old)
-            if n + excess > bound:
-                inexact = True
             removed: set[tuple[int, int]] = set()
             checked = []
             for u, v in removes:
@@ -267,7 +254,7 @@ class Graph:
                     del pos[nodes.pop()]
                     rows.pop()
                     strength.pop()
-                n, excess, inexact = n0, excess0, inexact0
+                n, inexact = n0, inexact0
             raise
         else:
             for p, q in checked:
@@ -276,12 +263,9 @@ class Graph:
                 n -= 1
                 strength[p] -= w
                 strength[q] -= w
-                if w != 1.0:
-                    excess -= abs(w) - 1.0
         finally:
             self._num_edges = n
-            self._excess = excess
-            self._inexact = inexact or n + excess > bound
+            self._inexact = inexact
         return s0, w0
 
     # -- queries ----------------------------------------------------------
@@ -330,7 +314,6 @@ class Graph:
         g._rows = [dict(row) for row in self._rows]
         g._strength = list(self._strength)
         g._num_edges = self._num_edges
-        g._excess = self._excess
         g._inexact = self._inexact
         return g
 

@@ -39,38 +39,23 @@ a bool that adds as 0 or 1, and s as the degree, so that
 ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
 difference keeps exact.
 
-Exactness of the weighted step. A weighted value is a float, so the
-difference equals a full recomputation bitwise only if no float operation
-rounds on either side. The graph keeps T, the sum of |w| over the edges,
-and a sticky flag (see :class:`Graph`); while the flag is clear every
-weight written has been integral and T has never exceeded B = 2**24.
-Every strength is then an exact integer with |s| <= T, because each
-running update of it lands on the current incident sum. For a node x let
-a = sum(|w_xj|) <= T. Every intermediate result below is an integer, and
-an integer float operation is exact while its result stays below 2**53:
+Exactness of the weighted step. The difference equals a full
+recomputation only if neither side rounds. The graph stores a weight that
+is an integer within +-2**53 as an ``int`` and any other as a ``float``
+that sets a sticky flag (see :class:`Graph`). While the flag is clear
+every weight, strength and value is an int, and int arithmetic is exact,
+so both sides compute the integer C(x) whatever the order of their sums.
+Each converts to a float: with m edges, T = sum(|w|) <= m * 2**53 bounds
+every |s|, so |C(x)| <= s^2 + 3 * T * sum(|w_xj|) <= 4*T^2 and the energy
+is at most 6*T^2, both below 6 * m^2 * 2**106 < 2**1024 for any m below
+2**457.
 
-- kernel (s^2 + sum(w_xj * (w_xj + 2 * s_j)), see :mod:`lapstream.kernels`):
-  s^2 <= T^2; 2 * s_j is within 2*T and w_xj + 2 * s_j within 3*T, so each
-  term w_xj * (w_xj + 2 * s_j) is within 3 * |w_xj| * T, and every partial
-  sum within T^2 + 3*a*T <= 4*T^2.
-- difference: let M = max(T0, T1). |C0(x)| <= 4*M^2; the own term is
-  within M^2; inside a pair term 2 * (w1 - w0) is within 4*M and its
-  product with s0(j) within 4*M^2, and the pair terms of x sum to at most
-  (a0^2 + a1^2) + 2 * (a0 + a1) * M <= 6*M^2; 2 * delta_s is within 4*M,
-  and the propagation adds at most 2 * a1 * 2*M = 4*M^2. A value plus any
-  part of its pending difference stays within 15*M^2 <= 15 * 2**48 < 2**53.
-
-B = 2**25 would allow 15 * 2**50 > 2**53, hence 2**24. So both sides
-compute the exact integer C(x), whatever the order of their sums. No sign
-of zero differs either: a sum is -0.0 only when both addends are, the
-kernel's first addend s^2 never is, and so no stored value ever is.
-
-The flag must be sticky: a fractional weight, or one above the bound, can
-leave rounding in a strength after its edge has gone, and a gate on the
-weights present alone lets such a step drift from batch. When the flag is
-set before or after the delta, the weighted step falls back to the kernel
-on every touched node and neighbor, which is bitwise equal to a full
-recomputation by construction.
+The flag must be sticky: a fractional weight, or an integral one beyond
+2**53, can leave rounding in a strength after its edge has gone, and a
+gate on the weights present alone lets such a step drift from batch. When
+the flag is set before or after the delta, the weighted step falls back
+to the kernel on every touched node and neighbor, which is bitwise equal
+to a full recomputation by construction.
 """
 
 from __future__ import annotations
@@ -149,7 +134,7 @@ def lap_cent_add_remove(
     s0, w0 = g._apply(delta.adds, delta.removes, variant)
     # nodes are never deleted, so the nodes new to the graph hold the last
     # positions, in order of first mention; they start from 0
-    values += [0.0 if weighted else 0] * (len(adj) - len(values))
+    values += [0] * (len(adj) - len(values))
     if weighted and g._inexact:
         # the keys of s0 are the touched nodes; add their post-delta rows
         recompute = set(s0)
@@ -164,8 +149,8 @@ def lap_cent_add_remove(
     for (u, v), a in w0.items():
         row = adj[u]
         if weighted:
-            a = 0.0 if a is None else a
-            b = row.get(v, 0.0)
+            a = 0 if a is None else a
+            b = row.get(v, 0)
         else:
             a, b = a is not None, v in row
         if b != a:

@@ -166,18 +166,17 @@ def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Ev
 
     ``period``: ``day``/``daily`` (UTC calendar days), ``month``/``monthly``,
     or ``count:N`` (fixed-size chunks in file order, for timestamp-free
-    data). Only periods that contain events become buckets.
+    data; N in ASCII digits, at least 1). Only periods that contain events
+    become buckets.
     """
     if not events:
         raise EmptyDatasetError("no edge events")
     p = period.lower()
     if p.startswith("count:"):
-        try:
-            size = int(p.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad period {period!r}") from None
-        if size < 1:
+        # ASCII digits only: int() alone also takes "1_000", " 2" and "\u0661"
+        if not (p[6:].isascii() and p[6:].isdigit()) or int(p[6:]) < 1:
             raise ValueError(f"bad period {period!r}")
+        size = int(p[6:])
         chunks = [events[i : i + size] for i in range(0, len(events), size)]
         return [(str(i), chunk) for i, chunk in enumerate(chunks)]
     if p in ("day", "daily"):

@@ -22,6 +22,6 @@ def weighted_values(adj, strength, nodes):
         s = strength[v]
         acc = s * s
         for j, w in adj[v].items():
-            acc += w * (w + 2.0 * strength[j])
+            acc += w * (w + 2 * strength[j])
         out.append(acc)
     return out

@@ -133,6 +133,12 @@ def far_delta(delta: EdgeDelta) -> EdgeDelta:
     )
 
 
+def stored(w):
+    """``w`` as a graph stores it: an int if it is an integer within +-2**53,
+    else a float."""
+    return int(w) if -(2**53) <= w <= 2**53 and not w % 1 else float(w)
+
+
 def bits(values):
     """Each value with its type, floats by bits: ``3.0`` and ``3`` differ."""
     return {v: (type(x), x.hex() if isinstance(x, float) else x) for v, x in values.items()}

@@ -276,9 +276,9 @@ class TestDiffMapsOneTable:
         assert diff_maps(a, b) is None
 
 
-# one weight kind per seed: integral weights keep the weighted step on the
-# closed form; the others set the graph's exactness flag (a fractional weight,
-# or T past the bound), so the weighted step takes the kernel fallback
+# one weight kind per seed: integral weights, small or large, keep the weighted
+# step on the closed form; the others are fractional and set the graph's
+# exactness flag, so the weighted step takes the kernel fallback
 WEIGHTS = {
     "integral": lambda rng: float(rng.randint(1, 5)),
     "fractional": lambda rng: rng.uniform(0.01, 5.0),
@@ -313,7 +313,7 @@ class TestExactGate:
                 g = stream.initial.copy()
                 for delta in stream.deltas:
                     apply_delta(g, delta)
-                assert g._inexact == (kind != "integral")
+                assert g._inexact == (kind not in ("integral", "large"))
                 for variant in ("unweighted", "weighted"):
                     result = bench_stream(stream, "compare", variant)
                     assert len(result.maps) == stream.num_steps == 20

@@ -274,6 +274,14 @@ class TestUsageErrors:
         assert cli_main(["run", "--input", "x.txt", *flags]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["\u0661", "\uff12", "1_000", " 2"])
+    def test_count_needs_ascii_digits(self, data_dir, size, capsys):
+        stream = str(data_dir / "toy_stream.txt")
+        assert cli_main(["run", "--input", stream, "--snapshot", "count:" + size]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "count:N" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "flags, missing",

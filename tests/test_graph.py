@@ -1,4 +1,3 @@
-import math
 import random
 import warnings
 
@@ -16,7 +15,6 @@ from lapstream.errors import (
     NonFiniteWeightError,
     SelfLoopError,
 )
-from lapstream import graph as graph_module
 from lapstream.graph import Edge, Graph
 from lapstream.centrality import lap_cent
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove
@@ -87,7 +85,7 @@ class TestAddEdge:
         with pytest.raises(NonFiniteWeightError, match=r"edge \(2, 3\)"):
             _add(g, (2, 3, weight))
         assert graph_state(g) == graph_state(before)
-        assert (g._excess, g._inexact) == (before._excess, False)
+        assert not g._inexact
 
     def test_negative_weight_warns(self):
         """Stored, with a warning that names this file, whichever writer."""
@@ -255,13 +253,13 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
-def edge_lists(draw, nodes=8):
+def edge_lists(draw, nodes=8, weights=WEIGHTS):
     """2- and 3-tuples, Edge or plain, over few nodes so pairs repeat (upserts)."""
     node = st.integers(0, nodes - 1)
     pairs = st.tuples(node, node).filter(lambda p: p[0] != p[1])
     forms = st.sampled_from(["pair", "triple", "edge"])
     out = []
-    for (u, v), w, form in draw(st.lists(st.tuples(pairs, WEIGHTS, forms), max_size=30)):
+    for (u, v), w, form in draw(st.lists(st.tuples(pairs, weights, forms), max_size=30)):
         out.append((u, v) if form == "pair" else (u, v, w) if form == "triple" else Edge(u, v, w))
     return out
 
@@ -357,40 +355,46 @@ class TestBulkPath:
         assert bulk_warnings == seq_warnings
 
 
-# -- the running figures: T and the sticky exactness flag ----------------------
+# -- the running figure: the sticky exactness flag -------------------------------
+
+# weights on both sides of 2**53, the largest magnitude stored as an int
+BIG_WEIGHTS = st.sampled_from([2.0**53, -(2**53), 2**53 + 1, 2.0**53 + 2, 2**60, 3e20, 1e7])
 
 
-def _recount(g):
-    """T recounted over the edges, and whether an edge is non-integral now."""
-    weights = [e.weight for e in g.edges()]
-    return math.fsum(abs(w) for w in weights), any(w % 1.0 for w in weights)
+def _exact(w):
+    """Whether ``w`` is an integer within +-2**53, which the graph stores as an int."""
+    return -(2**53) <= w <= 2**53 and not w % 1
 
 
 def _written(edges):
-    """Whether any of ``edges`` carries a non-integral weight."""
-    return any(len(e) == 3 and e[2] % 1.0 for e in edges)
+    """Whether any of ``edges`` carries a weight that sets the flag."""
+    return any(len(e) == 3 and not _exact(e[2]) for e in edges)
 
 
-def _check_figures(g, ever_fractional):
-    total, fractional_now = _recount(g)
-    running = g.num_edges + g._excess
-    assert g._inexact == (ever_fractional or total > graph_module._EXACT_BOUND)
-    assert g._inexact or not fractional_now
-    if g._inexact:
-        assert math.isclose(running, total, rel_tol=1e-12, abs_tol=1e-9)
-    else:
-        assert running == total  # exact while the flag is clear
+def _check_figures(g, ever_inexact):
+    assert g._inexact == ever_inexact
+    types = {type(w) for row in g.adjacency() for w in row.values()}
+    assert types <= ({int, float} if g._inexact else {int})
+    if not g._inexact:
+        # exact while the flag is clear: every strength is the int sum of its row
+        assert [(type(s), s) for s in g.strengths()] == [
+            (int, sum(row.values())) for row in g.adjacency()
+        ]
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
 class TestRunningFigures:
     @SETTINGS
-    @given(edges=edge_lists())
+    @given(edges=edge_lists(weights=st.one_of(WEIGHTS, BIG_WEIGHTS)))
     def test_constructor(self, edges):
         _check_figures(Graph(edges), _written(edges))
 
     @SETTINGS
-    @given(initial=edge_lists(), adds=edge_lists(nodes=10), data=st.data())
+    @given(
+        initial=edge_lists(weights=st.one_of(WEIGHTS, BIG_WEIGHTS)),
+        adds=edge_lists(nodes=10, weights=st.one_of(WEIGHTS, BIG_WEIGHTS)),
+        data=st.data(),
+    )
     def test_every_writer(self, initial, adds, data):
         g = Graph(initial)
         ever = _written(initial)
@@ -399,7 +403,7 @@ class TestRunningFigures:
             ever = ever or _written([e])
             _check_figures(g, ever)
         copied = g.copy()
-        assert (copied._inexact, copied._excess) == (g._inexact, g._excess)
+        assert copied._inexact == g._inexact
         _check_figures(copied, ever)
         present = sorted(e[:2] for e in g.edges())
         for u, v in data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []:
@@ -412,15 +416,27 @@ class TestRunningFigures:
         _check_figures(g, ever or _written(delta_adds))
         _check_figures(copied, ever)  # the copy is independent
 
-    def test_flag_stays_set_after_fractional_edges_leave(self):
-        g = Graph([(0, 1, 0.5), (1, 2, 2.0), (2, 3, 0.25)])
+    @pytest.mark.parametrize("weight", [0.5, 2.0**53 + 2, 2**60])
+    def test_flag_stays_set_after_inexact_edges_leave(self, weight):
+        g = Graph([(0, 1, weight), (1, 2, 2.0), (2, 3, 0.25)])
         assert g._inexact
         _remove(g, (0, 1))
-        _add(g, (2, 3, 3.0))  # the last fractional edge turns integral
-        assert not _recount(g)[1]
+        _add(g, (2, 3, 3.0))  # the last inexact edge turns integral
+        assert all(type(e.weight) is int for e in g.edges())
         assert g._inexact
-        assert g.num_edges + g._excess == 5.0
         assert g.copy()._inexact
+
+    def test_integral_weights_stay_exact_past_float_precision(self):
+        """Strengths and values pass 2**53 as exact ints, with the flag clear."""
+        big = 2**53
+        g = Graph([(0, 1, float(big)), (1, 2, big), (2, 3, -big), (3, 4, 2.0**52)])
+        _add(g, (0, 1, big - 1), (4, 5, 1.0))
+        assert not g._inexact
+        assert node_strengths(g) == {0: big - 1, 1: 2 * big - 1, 2: 0, 3: 2**52 - big, 4: 2**52 + 1, 5: 1}
+        assert all(type(s) is int for s in g.strengths())
+        values = lap_cent(g, "weighted").values
+        assert values[1] == (2 * big - 1) ** 2 + (big - 1) * (big - 1 + 2 * (big - 1)) + big * big
+        assert all(type(x) is int for x in values.values())
 
     @pytest.mark.parametrize(
         "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3), (1, 2, 10**400)]
@@ -432,30 +448,6 @@ class TestRunningFigures:
         with pytest.raises(LapstreamError):
             apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 0.5), Edge(*bad)]))
         with pytest.raises(LapstreamError):
-            g._apply([(4, 5, 7.0), bad], ())  # the edge before it is written
+            apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 2**60)], removes=[(6, 8)]))
         assert not g._inexact
-        assert g.num_edges + g._excess == 12.0
-
-    @pytest.mark.parametrize(
-        "adds, removes, end",
-        [
-            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [], 5.0),  # unit edges alone
-            ([(0, 1, 3.0), (1, 2), (2, 3), (0, 1, 1.0)], [], 3.0),  # peak before an upsert
-            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 1), (1, 2)], 3.0),  # before removes
-            ([(0, 1, 9.0), (1, 2, 1.0)], [(1, 0)], 1.0),
-        ],
-    )
-    def test_bound_seen_at_every_peak(self, monkeypatch, adds, removes, end):
-        monkeypatch.setattr(graph_module, "_EXACT_BOUND", 4.0)
-        g = Graph()
-        g._apply(adds, removes)
-        assert g._inexact
-        assert g.num_edges + g._excess == _recount(g)[0] == end
-
-    def test_bound_seen_when_a_call_raises(self, monkeypatch):
-        monkeypatch.setattr(graph_module, "_EXACT_BOUND", 2.0)
-        g = Graph()
-        with pytest.raises(SelfLoopError):
-            g._apply([(0, 1), (1, 2), (2, 3), (4, 4)], ())
-        assert g.num_edges == 3
-        assert g._inexact
+        assert node_strengths(g) == {0: 2, 1: -1, 2: -3}

@@ -97,10 +97,9 @@ REJECTED_DELTAS = [
 
 def _state(g, cmap):
     """Everything a step may change: the graph in insertion order and floats by
-    bits, its position table, its running figures and the map."""
+    bits, its position table, its exactness flag and the map."""
     return (
         graph_state(g),
-        g._excess,
         g._inexact,
         len(cmap.values),
         list(bits(cmap.values).items()),
@@ -443,7 +442,7 @@ class TestWeightedPropagation:
             full = lap_cent(g, "weighted").values
             assert cmap.values.keys() == full.keys()
             assert bits(cmap.values) == bits(full)
-            assert all(type(v) is float for v in cmap.values.values())
+            assert all(type(v) is int for v in cmap.values.values())
             assert cmap.computed_count == len(sets.recompute)
 
     def test_fractional_weight_runs_kernel_on_recompute(self, weighted_kernel_calls):
@@ -678,7 +677,7 @@ def _dict_history(seed, weighted, steps=10):
     Returns ``(initial edges, deltas, reference maps)``. The reference keeps
     its own node-keyed rows, in insertion order, so its maps are plain
     ``dict``s in order of first mention, with the closed form's value types:
-    ints unweighted, floats weighted (integral weights keep them exact).
+    ints for both variants, as the graph stores integral weights as ints.
     """
     rng = random.Random(seed)
     ids = rng.sample(range(FAR, FAR + 500), 80)
@@ -690,14 +689,14 @@ def _dict_history(seed, weighted, steps=10):
         return float(rng.randint(1, 4)) if weighted else 1.0
 
     def add(u, v, w):
-        adj.setdefault(u, {})[v] = w
-        adj.setdefault(v, {})[u] = w
+        adj.setdefault(u, {})[v] = int(w)
+        adj.setdefault(v, {})[u] = int(w)
 
     def reference():
         if not weighted:
             return {u: len(r) ** 2 + len(r) + 2 * sum(len(adj[j]) for j in r) for u, r in adj.items()}
-        s = {u: sum(r.values(), 0.0) for u, r in adj.items()}
-        return {u: s[u] * s[u] + sum((w * (w + 2.0 * s[j]) for j, w in r.items()), 0.0) for u, r in adj.items()}
+        s = {u: sum(r.values()) for u, r in adj.items()}
+        return {u: s[u] * s[u] + sum(w * (w + 2 * s[j]) for j, w in r.items()) for u, r in adj.items()}
 
     initial = [(*rng.sample(pool, 2), weight()) for _ in range(20)]
     for u, v, w in initial:

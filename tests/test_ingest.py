@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import TOY_EDGES
-from genutil import bits, graph_state, node_rows, node_strengths
+from genutil import bits, graph_state, node_rows, node_strengths, stored
 
 from lapstream.centrality import lap_cent
 from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError, SelfLoopError
@@ -252,6 +252,12 @@ class TestBucketing:
         with pytest.raises(ValueError):
             bucket_events([(1, 2, 1.0, 0)], "count:many")
 
+    @pytest.mark.parametrize("size", ["\u0661", "\uff12", "1_000", " 2", "2 ", "+2"])
+    def test_count_needs_ascii_digits(self, size):
+        """int() alone would take each of these as a count."""
+        with pytest.raises(ValueError, match="bad period"):
+            bucket_events([(1, 2, 1.0, 0)], "count:" + size)
+
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
             bucket_events([], "daily")
@@ -427,7 +433,7 @@ def _rebuilt_window(events, period, window_length, policy):
     labels = [label for label, _ in buckets]
     prev = window_state(0)
     rejected = next(((pair, labels[0]) for pair, w in prev.items() if not math.isfinite(w)), None)
-    initial = {pair: w.hex() for pair, w in prev.items()}
+    initial = bits({pair: stored(w) for pair, w in prev.items()})
     steps = []
     for k in range(1, len(buckets)):
         cur = window_state(k)
@@ -446,7 +452,7 @@ def _built_window(events, period, window_length, policy):
         stream = snapshots_cumulative(events, period, policy)
     else:
         stream = snapshots_window(events, period, window_length, policy)
-    initial = {e[:2]: e.weight.hex() for e in stream.initial.edges()}
+    initial = bits({e[:2]: e.weight for e in stream.initial.edges()})
     steps = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
     return initial, steps
 
@@ -493,7 +499,7 @@ class TestWindowOracle:
         initial, steps, _ = _rebuilt_window(events, "daily", 2, policy)
         assert _built_window(events, "daily", 2, policy) == (initial, steps)
         first = 0.1 + 0.2 if policy == "accumulate" else 0.2
-        assert initial == {(1, 2): first.hex()}
+        assert initial == bits({(1, 2): first})
         assert steps[1] == ([(1, 2, (0.3).hex()), (5, 6, (-0.7).hex())], [])
         assert steps[2] == ([], [])
 
@@ -693,9 +699,9 @@ class TestSnapshotDir:
             states.append(state)
         stream = stream_from_snapshot_dir(tmp_path)
         expected = Graph((u, v, w) for (u, v), w in states[0].items())
-        assert {e[:2]: e.weight.hex() for e in stream.initial.edges()} == {
-            pair: w.hex() for pair, w in states[0].items()
-        }
+        assert bits({e[:2]: e.weight for e in stream.initial.edges()}) == bits(
+            {pair: stored(w) for pair, w in states[0].items()}
+        )
         assert bits(node_strengths(stream.initial)) == bits(node_strengths(expected))
         built = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
         diffs = []

@@ -238,8 +238,9 @@ def test_mixed_history_leaves_exact_path_for_good(run):
         assert kernel == (fractional and changed)
 
 
-def test_bound_crossing_stays_on_kernel():
-    """T passes the bound and comes back: the flag is sticky."""
+def test_large_integral_weights_run_no_kernel():
+    """The sum of |w| passes 2**24 and comes back: integral weights stay on
+    the closed form."""
     big = 2.0**23
     g = Graph([(0, 1, 2.0), (1, 2, 3.0)])
     deltas = [
@@ -249,8 +250,48 @@ def test_bound_crossing_stays_on_kernel():
         EdgeDelta(adds=[Edge(0, 2, 5.0)], removes=[(1, 2)]),
     ]
     ran, final = _walk(g, deltas)
+    assert ran == [False, False, False, False]
+    assert not final._inexact
+    assert sum(map(abs, final.strengths())) == 2 * 11
+
+
+# integers within +-2**53, as ints and as floats, with the extremes often, so
+# that strengths pass 2**24 and 2**53
+WIDE_INTEGRAL = st.one_of(
+    st.sampled_from([2**53, -(2**53), 2.0**53, 2**53 - 1, -(2.0**52), 2**24 + 1, 0, -0.0]),
+    st.integers(-(2**53), 2**53),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@SETTINGS
+@hypothesis.given(run=evolving_runs(WIDE_INTEGRAL))
+def test_wide_integral_history_runs_no_kernel(run):
+    """Integral weights up to 2**53 in magnitude: exact ints, no kernel call
+    after step 0, and batch's values and types at every step."""
+    g, deltas = run
+    ran, final = _walk(g, deltas)
+    assert not any(ran)
+    assert not final._inexact
+    assert all(type(s) is int for s in final.strengths())
+
+
+@pytest.mark.parametrize("weight", [2.0**53 + 2, 2**60, 0.5])
+def test_inexact_weight_stays_on_kernel(weight):
+    """A weight that is not an integer within +-2**53 is stored as a float and
+    sets the flag, and the step stays on the kernel after its edge has gone."""
+    g = Graph([(0, 1, 3.0), (1, 2, 2**53), (2, 3, 2.0)])
+    deltas = [
+        EdgeDelta(adds=[Edge(2, 4, 1.0)]),
+        EdgeDelta(adds=[Edge(3, 4, weight)]),
+        EdgeDelta(removes=[(4, 3)]),
+        EdgeDelta(adds=[Edge(0, 3, 1.0)]),
+    ]
+    ran, final = _walk(g, deltas)
     assert ran == [False, True, True, True]
-    assert final.num_edges + final._excess == 11.0
+    assert final._inexact
+    assert type(final.strengths()[final._pos[3]]) is float
 
 
 def test_transient_huge_weight_within_one_delta():
