@@ -21,7 +21,7 @@ from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_ce
 from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, LapstreamError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
-from lapstream.ingest import load_edge_events
+from lapstream.ingest import count_size, load_edge_events
 
 
 class _UsageError(Exception):
@@ -45,9 +45,13 @@ def _period(text: str) -> str:
     p = text.lower()
     if p in ("day", "daily", "month", "monthly"):
         return p
-    if p.startswith("count:") and p[6:].isascii() and p[6:].isdigit() and int(p[6:]) >= 1:
-        return p
-    raise argparse.ArgumentTypeError(f"expected daily, monthly or count:N, got {text!r}")
+    try:
+        count_size(p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected daily, monthly or count:N, got {text!r}"
+        ) from None
+    return p
 
 
 def _add_stream(p):

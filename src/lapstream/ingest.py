@@ -161,6 +161,16 @@ def _month_key(ts: int) -> tuple[int, int]:
     return (dt.year, dt.month)
 
 
+def count_size(period: str) -> int:
+    """N of a ``count:N`` period; ValueError unless N is ASCII digits, at least 1."""
+    n = period[6:]
+    # ASCII digits only: int() alone also takes "1_000", " 2" and "\u0661"
+    size = int(n) if period[:6].lower() == "count:" and n.isascii() and n.isdigit() else 0
+    if size < 1:
+        raise ValueError(f"bad period {period!r}")
+    return size
+
+
 def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Event]]]:
     """Group events into ordered (label, events) buckets.
 
@@ -173,10 +183,7 @@ def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Ev
         raise EmptyDatasetError("no edge events")
     p = period.lower()
     if p.startswith("count:"):
-        # ASCII digits only: int() alone also takes "1_000", " 2" and "\u0661"
-        if not (p[6:].isascii() and p[6:].isdigit()) or int(p[6:]) < 1:
-            raise ValueError(f"bad period {period!r}")
-        size = int(p[6:])
+        size = count_size(period)
         chunks = [events[i : i + size] for i in range(0, len(events), size)]
         return [(str(i), chunk) for i, chunk in enumerate(chunks)]
     if p in ("day", "daily"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
-from genutil import far, graph_state, node_rows, node_strengths, with_isolated
+from genutil import far, graph_state, node_rows, node_strengths, stored, with_isolated
 
 from lapstream.errors import (
     LapstreamError,
@@ -361,14 +361,9 @@ class TestBulkPath:
 BIG_WEIGHTS = st.sampled_from([2.0**53, -(2**53), 2**53 + 1, 2.0**53 + 2, 2**60, 3e20, 1e7])
 
 
-def _exact(w):
-    """Whether ``w`` is an integer within +-2**53, which the graph stores as an int."""
-    return -(2**53) <= w <= 2**53 and not w % 1
-
-
 def _written(edges):
     """Whether any of ``edges`` carries a weight that sets the flag."""
-    return any(len(e) == 3 and not _exact(e[2]) for e in edges)
+    return any(len(e) == 3 and type(stored(e[2])) is float for e in edges)
 
 
 def _check_figures(g, ever_inexact):
@@ -449,5 +444,9 @@ class TestRunningFigures:
             apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 0.5), Edge(*bad)]))
         with pytest.raises(LapstreamError):
             apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 2**60)], removes=[(6, 8)]))
+        with pytest.raises(LapstreamError):
+            g._apply([(4, 5, 7.0), bad], ())  # the edge before it is written
         assert not g._inexact
-        assert node_strengths(g) == {0: 2, 1: -1, 2: -3}
+        strengths = node_strengths(g)
+        assert strengths == {0: 2, 1: -1, 2: -3, 4: 7, 5: 7}
+        assert all(type(s) is int for s in strengths.values())
