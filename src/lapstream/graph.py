@@ -9,11 +9,12 @@ centrality steps stay proportional to the size of the change.
 There are two writers, the constructor ``Graph(edges)`` and every delta of
 :mod:`lapstream.incremental`, and both go through one loop,
 ``Graph._apply``, the only code that checks an edge. For a delta it is also
-the only walk over the edges: it records, as it checks each one, what the
-incremental step needs from before the delta, and keeps an undo log so that
-a rejected delta leaves the graph as it was. The same loop stores each
-weight as an exact ``int`` where it can and keeps the flag that tells the
-weighted incremental step whether its arithmetic is exact.
+the only walk over the edges: it records, as it checks each one, the old
+strength of every endpoint, and logs every write once, old and new weight.
+The incremental step reads its pair terms from that log, and the undo
+replays it, so that a rejected delta leaves the graph as it was. The same
+loop stores each weight as an exact ``int`` where it can and keeps the flag
+that tells the weighted incremental step whether its arithmetic is exact.
 
 One node table. The graph keeps a node -> position dict, ``_pos``, and the
 nodes in position order, which is order of first mention, ``_nodes``. A node
@@ -112,7 +113,7 @@ class Graph:
         adds: Iterable[tuple],
         removes: Iterable[tuple[int, int]],
         read: str | None = None,
-    ) -> tuple[dict[int, float], dict[tuple[int, int], float | None]]:
+    ) -> tuple[dict[int, float], list[tuple[int, int, float | None, float | None]]]:
         """The one loop that checks and writes edges: upsert ``adds``, (u, v)
         or (u, v, weight), in order, then delete ``removes``.
 
@@ -121,9 +122,10 @@ class Graph:
         for a float :class:`NonFiniteWeightError`, and a negative weight warns
         :class:`NegativeWeightWarning`; the weight is then stored as an
         ``int``, or as a ``float`` that sets ``_inexact`` (see :class:`Graph`).
-        The removes are all checked, against the graph with the adds in,
-        before any is written: a pair removed twice or a pair not present
-        raises :class:`MissingEdgeError`.
+        A positive integral weight within 2**53, the common case, goes
+        straight to its ``int``. The removes are all checked, against the
+        graph with the adds in, before any is written: a pair removed twice
+        or a pair not present raises :class:`MissingEdgeError`.
 
         With ``read`` None, the constructor's case, a bad add raises with the
         edges before it written.
@@ -131,11 +133,15 @@ class Graph:
         or nothing: any exception before the removes are written undoes the
         adds, so rows, their order, the strengths, the node table and the
         flag are as they were.
-        Returns ``(s0, w0)`` in order of first mention, keyed by position: s0
-        maps every endpoint to its degree ("unweighted") or strength
-        ("weighted") before the call, so its keys are the touched nodes, and
-        w0 every pair, smaller position first, to its weight before the call,
-        None when absent. Both are empty when ``read`` is None.
+        Returns ``(s0, log)``, keyed by position. s0 maps every endpoint, in
+        order of first mention, to its degree ("unweighted") or strength
+        ("weighted") before the call, so its keys are the touched nodes. The
+        log holds one ``(p, q, old, new)`` per write: each add as it is
+        written, ``old`` None where the pair was absent, then each remove as
+        it is checked, ``old`` its weight after the adds and ``new`` None. A
+        pair written twice has two entries, so its weights run from its first
+        ``old`` to its last ``new``. The undo replays the adds of the log in
+        reverse. Both are empty when ``read`` is None.
         """
         rows = self._rows
         strength = self._strength
@@ -150,7 +156,8 @@ class Graph:
         delta = read is not None
         degrees = read == "unweighted"
         s0: dict[int, float] = {}
-        w0: dict[tuple[int, int], float | None] = {}
+        log: list[tuple[int, int, float | None, float | None]] = []
+        write = log.append
         # strengths before the call, for the undo; s0 holds them unless degrees
         was = {} if degrees else s0
         try:
@@ -164,6 +171,8 @@ class Graph:
                     raise SelfLoopError(f"self-loop on node {u}")
                 if w == 1:
                     w = 1  # 1.0 and True too, so that unit weights are ints
+                elif 0 < w <= limit and not w % 1:
+                    w = int(w)
                 else:
                     try:
                         if not isfinite(w):
@@ -201,15 +210,16 @@ class Graph:
                 row_q = rows[q]
                 old = row_p.get(q)
                 if delta:
-                    if p not in s0:
-                        s0[p] = len(row_p) if degrees else strength[p]
+                    # was and s0 have the same keys until the removes
+                    if p not in was:
                         was[p] = strength[p]
-                    if q not in s0:
-                        s0[q] = len(row_q) if degrees else strength[q]
+                        if degrees:
+                            s0[p] = len(row_p)
+                    if q not in was:
                         was[q] = strength[q]
-                    pair = (p, q) if p <= q else (q, p)
-                    if pair not in w0:
-                        w0[pair] = old
+                        if degrees:
+                            s0[q] = len(row_q)
+                    write((p, q, old, w))
                 row_p[q] = w
                 row_q[p] = w
                 if old is None:
@@ -220,28 +230,33 @@ class Graph:
                     d = w - old
                     strength[p] += d
                     strength[q] += d
-            removed: set[tuple[int, int]] = set()
-            checked = []
+            gone: dict[tuple[int, int], float] = {}
             for u, v in removes:
-                p = where(u, -1)
-                q = where(v, -1)
+                # a pair removed before is present, so the two faults exclude
+                # each other and the order of their checks is free
+                try:
+                    p = pos[u]
+                    q = pos[v]
+                    w = rows[p][q]
+                except KeyError:
+                    raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})") from None
                 pair = (p, q) if p <= q else (q, p)
-                if pair in removed:
+                if pair in gone:
                     raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
-                if p < 0 or q not in rows[p]:
-                    raise MissingEdgeError(f"cannot remove absent edge ({u}, {v})")
-                removed.add(pair)
-                checked.append(pair)
+                gone[pair] = w
                 if delta:
                     if p not in s0:
                         s0[p] = len(rows[p]) if degrees else strength[p]
                     if q not in s0:
                         s0[q] = len(rows[q]) if degrees else strength[q]
-                    if pair not in w0:
-                        w0[pair] = rows[p][q]
+                    write((p, q, w, None))
         except BaseException:
             if delta:
-                for (p, q), old in w0.items():
+                # the removes are not written yet, and a pair's writes go back
+                # newest first, to its first old weight
+                for p, q, old, new in reversed(log):
+                    if new is None:
+                        continue
                     if old is None:
                         del rows[p][q], rows[q][p]
                     else:
@@ -257,16 +272,15 @@ class Graph:
                 n, inexact = n0, inexact0
             raise
         else:
-            for p, q in checked:
-                w = rows[p].pop(q)
-                del rows[q][p]
+            for (p, q), w in gone.items():
+                del rows[p][q], rows[q][p]
                 n -= 1
                 strength[p] -= w
                 strength[q] -= w
         finally:
             self._num_edges = n
             self._inexact = inexact
-        return s0, w0
+        return s0, log
 
     # -- queries ----------------------------------------------------------
 

@@ -28,16 +28,25 @@ where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. The identity holds for
 any strength table, not only for exact sums of the weights. Both variants
 run it in two walks. The apply checks and writes the delta and, in the
-same loop, records s0 of every endpoint and w0 of every distinct pair,
-None where absent, both keyed by node position (the keys of s0 are the
-touched nodes). After the
-pair terms, one walk over the touched nodes adds each node's own term
-and, where its s changed, ``w * 2 * delta_s`` to every member of its
-post-delta row; as it goes it grows touched | N(touched), whose size is
-the step's ``computed_count``. The unweighted variant reads w as presence,
-a bool that adds as 0 or 1, and s as the degree, so that
-``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python ints, which the
-difference keeps exact.
+same loop, records s0 of every endpoint, keyed by node position (its keys
+are the touched nodes), and logs every write ``(j, k, w_old, w_new)``,
+None for absent, once: each add as it is written and each remove as it is
+checked. A pair written more than once has a term per write, and over a
+pair's writes w_0, w_1, ..., w_n they telescope to the pair term above:
+
+    sum((w_{i+1}^2 - w_i^2) + 2 * (w_{i+1} - w_i) * s0(j))
+        = (w_n^2 - w_0^2) + 2 * (w_n - w_0) * s0(j)
+
+so the step adds each log entry's term as it comes, with no second read of
+the rows. Telescoping needs exact arithmetic, the only kind this path runs
+in (see below); in the unweighted variant only a write that flips the
+pair's presence adds a term. After the pair terms, one walk
+over the touched nodes adds each node's own term and, where its s changed,
+``w * 2 * delta_s`` to every member of its post-delta row. The step's
+``computed_count`` is the size of touched | N(touched), a set built in one
+call. The unweighted variant reads w as presence, 1 or 0, and s as the
+degree, so that ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python
+ints, which the difference keeps exact.
 
 Exactness of the weighted step. The difference equals a full
 recomputation only if neither side rounds. The graph stores a weight that
@@ -112,8 +121,10 @@ def lap_cent_add_remove(
     centralities brought up to date (touched nodes plus their neighbors).
     Both variants add the exact closed-form difference of the module
     docstring to each of them and evaluate no kernel, in two walks: the
-    apply, which checks the delta and records what the step reads from
-    before it, and one walk over the touched nodes after the pair terms.
+    apply, which checks the delta, records what the step reads from before
+    it and logs every write, and one walk over the touched nodes after the
+    pair terms, which the step adds from the log, one term per write (their
+    sum over a pair's writes telescopes to the pair's term).
     Both walks index lists by node position: the graph's rows and
     strengths, and the map's values list, which grows by a 0 for each node
     new to the graph. A weighted step on a graph whose exactness flag is
@@ -131,48 +142,52 @@ def lap_cent_add_remove(
         raise TypeError("cmap is not a live map of g (a kept map is read-only); step a live map")
     weighted = variant == "weighted"
     adj = g.adjacency()
-    s0, w0 = g._apply(delta.adds, delta.removes, variant)
+    s0, log = g._apply(delta.adds, delta.removes, variant)
     # nodes are never deleted, so the nodes new to the graph hold the last
     # positions, in order of first mention; they start from 0
     values += [0] * (len(adj) - len(values))
     if weighted and g._inexact:
         # the keys of s0 are the touched nodes; add their post-delta rows
-        recompute = set(s0)
-        for x in s0:
-            recompute.update(adj[x])
+        recompute = set(s0).union(*map(adj.__getitem__, s0))
         cmap.computed_count = len(recompute)
         if recompute:
             for x, c in zip(recompute, evaluate_nodes(g, recompute, variant)):
                 values[x] = c
         return cmap
-    # pair terms, on both ends of every pair whose weight changed
-    for (u, v), a in w0.items():
-        row = adj[u]
-        if weighted:
-            a = 0 if a is None else a
-            b = row.get(v, 0)
-        else:
-            a, b = a is not None, v in row
-        if b != a:
-            dw = b - a
-            sq = b * b - a * a
-            values[u] += sq + 2 * dw * s0[v]
-            values[v] += sq + 2 * dw * s0[u]
+    # pair terms, on both ends of every write, which telescope over the
+    # writes of a pair to its term in the difference
+    if weighted:
+        for u, v, a, b in log:
+            if a is None:
+                a = 0
+            if b is None:
+                b = 0
+            if b != a:
+                dw = b - a
+                sq = b * b - a * a
+                values[u] += sq + 2 * dw * s0[v]
+                values[v] += sq + 2 * dw * s0[u]
+    else:
+        # only a write that flips the pair's presence changes it: a remove,
+        # or an add of an absent pair
+        for u, v, a, b in log:
+            if b is None:
+                values[u] -= 1 + 2 * s0[v]
+                values[v] -= 1 + 2 * s0[u]
+            elif a is None:
+                values[u] += 1 + 2 * s0[v]
+                values[v] += 1 + 2 * s0[u]
     # the own term of each touched node u, and w(x, u) * 2 * delta_s(u) for
-    # every post-delta neighbor x of u, while counting touched | N(touched)
-    recompute = set(s0)
-    grow = recompute.update
+    # every post-delta neighbor x of u
     if weighted:
         strength = g.strengths()
         for u, a in s0.items():
-            row = adj[u]
             b = strength[u]
             if b != a:
                 values[u] += b * b - a * a
                 diff = 2 * (b - a)
-                for x, w in row.items():
+                for x, w in adj[u].items():
                     values[x] += w * diff
-            grow(row)
     else:
         for u, a in s0.items():
             row = adj[u]
@@ -182,8 +197,8 @@ def lap_cent_add_remove(
                 diff = 2 * (b - a)
                 for x in row:
                     values[x] += diff
-            grow(row)
-    cmap.computed_count = len(recompute)
+    # touched | N(touched), as on the fallback path, in one call
+    cmap.computed_count = len(set(s0).union(*map(adj.__getitem__, s0)))
     return cmap
 
 

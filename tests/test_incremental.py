@@ -210,6 +210,25 @@ class TestRejectedDelta:
         assert base + 9 not in node_rows(toy_graph)
         assert base + 9 not in toy_graph._pos
 
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_undo_replays_repeated_writes(self, toy_graph, variant, far):
+        """A new pair added and upserted twice, an existing pair upserted
+        twice, then an absent remove: the undo replays the writes newest
+        first, so each pair goes back to its weight before the delta, and
+        rows in their order, typed strengths, the edge count, the node table,
+        the flag and the map are as they were."""
+        delta = EdgeDelta(
+            adds=[Edge(4, 6, 2.0), Edge(6, 4, 3), Edge(4, 6, 5.0), Edge(2, 3, 4.0), Edge(3, 2, 7)],
+            removes=[(5, 6), (1, 6)],
+        )
+        if far:
+            toy_graph, delta = far_graph(toy_graph), far_delta(delta)
+        _step_rejects_as_apply_delta(toy_graph, delta, MissingEdgeError, variant)
+        # the state compared is the toy graph's, whose weights and strengths are ints
+        assert toy_graph.num_edges == len(TOY_EDGES)
+        assert all(type(s) is int for s in toy_graph.strengths())
+
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 def test_negative_weight_warning_names_caller(variant):

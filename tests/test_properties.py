@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from genutil import affected_nodes, bits, far_delta, far_graph
+from genutil import affected_nodes, bits, far_delta, far_graph, node_rows
 
 from lapstream import kernels
 from lapstream.centrality import lap_cent
@@ -160,40 +160,44 @@ MIXED = st.one_of(INTEGRAL, FRACTIONAL)
 
 @contextlib.contextmanager
 def _kernel_calls():
-    """Record the position sets :func:`kernels.weighted_values` is called on."""
+    """Record the position sets either kernel is called on."""
     calls = []
-    real = kernels.weighted_values
+    real = kernels.unweighted_values, kernels.weighted_values
 
-    def recording(adj, strength, nodes):
-        calls.append(set(nodes))
-        return real(adj, strength, nodes)
+    def recording(kernel):
+        def call(*args):
+            calls.append(set(args[-1]))
+            return kernel(*args)
 
-    kernels.weighted_values = recording
+        return call
+
+    kernels.unweighted_values, kernels.weighted_values = map(recording, real)
     try:
         yield calls
     finally:
-        kernels.weighted_values = real
+        kernels.unweighted_values, kernels.weighted_values = real
 
 
-def _walk(g, deltas):
-    """Run the weighted dynamic step over ``deltas`` on a copy of ``g``;
-    check every step against batch bitwise and against the path the graph's
-    flag picks. Returns whether each step ran the kernel, and the graph."""
+def _walk(g, deltas, variant="weighted"):
+    """Run the dynamic step over ``deltas`` on a copy of ``g``; check every
+    step against batch bitwise, its count against :func:`affected_nodes`,
+    and its kernel calls against the path the graph's flag picks. Returns
+    whether each step ran the kernel, and the graph."""
     g = g.copy()
-    cmap = lap_cent(g, "weighted")
+    cmap = lap_cent(g, variant)
     ran = []
     for delta in deltas:
         sets = affected_nodes(g.copy(), delta)
         with _kernel_calls() as calls:
-            lap_cent_add_remove(g, delta, cmap, "weighted")
-        if g._inexact:
+            lap_cent_add_remove(g, delta, cmap, variant)
+        if variant == "weighted" and g._inexact:
             recompute = {g._pos[x] for x in sets.recompute}
             assert calls == ([recompute] if recompute else [])
         else:
             assert calls == []
         ran.append(bool(calls))
         assert cmap.computed_count == len(sets.recompute)
-        assert bits(cmap.values) == bits(lap_cent(g, "weighted").values)
+        assert bits(cmap.values) == bits(lap_cent(g, variant).values)
     return ran, g
 
 
@@ -264,17 +268,57 @@ WIDE_INTEGRAL = st.one_of(
 )
 
 
+@st.composite
+def repeating_runs(draw, weights):
+    """An evolving run, then three deltas: one that writes pairs more than
+    once (a pair new to the graph added twice with its own weights and
+    removed again, and a present pair upserted twice and removed), the empty
+    delta, and one that upserts an edge of a node and removes its every edge,
+    leaving the node isolated."""
+    g, deltas = draw(evolving_runs(weights))
+    sim = g.copy()
+    for delta in deltas:
+        apply_delta(sim, delta)
+
+    def step(delta):
+        apply_delta(sim, delta)
+        deltas.append(delta)
+
+    nodes = sim.nodes()
+    x = draw(st.sampled_from(nodes)) if nodes else 0
+    new = max(nodes, default=x) + 1
+    adds = [Edge(x, new, draw(weights)), Edge(new, x, draw(weights))]
+    removes = [(x, new)]
+    present = sorted(e[:2] for e in sim.edges())
+    if present:
+        u, v = draw(st.sampled_from(present))
+        adds += [Edge(u, v, draw(weights)), Edge(v, u, draw(weights))]
+        removes.append((v, u))
+    step(EdgeDelta(adds=adds, removes=removes))
+    step(EdgeDelta())
+    present = sorted(e[:2] for e in sim.edges())
+    if present:
+        u, v = draw(st.sampled_from(present))
+        row = node_rows(sim)[u]
+        step(EdgeDelta(adds=[Edge(v, u, draw(weights))], removes=[(j, u) for j in row]))
+    return g, deltas
+
+
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 @SETTINGS
-@hypothesis.given(run=evolving_runs(WIDE_INTEGRAL))
-def test_wide_integral_history_runs_no_kernel(run):
-    """Integral weights up to 2**53 in magnitude: exact ints, no kernel call
-    after step 0, and batch's values and types at every step."""
+@hypothesis.given(run=repeating_runs(WIDE_INTEGRAL))
+def test_wide_integral_history_runs_no_kernel(variant, run):
+    """Integral weights up to 2**53 in magnitude, pairs written more than
+    once in a delta: exact ints, no kernel call after step 0, and batch's
+    values and types and the reference count at every step."""
     g, deltas = run
-    ran, final = _walk(g, deltas)
+    ran, final = _walk(g, deltas, variant)
     assert not any(ran)
     assert not final._inexact
     assert all(type(s) is int for s in final.strengths())
+    for cmap in run_evolving(g.copy(), deltas, "dynamic", variant):
+        assert all(type(c) is int for c in cmap.values.values())
 
 
 @pytest.mark.parametrize("weight", [2.0**53 + 2, 2**60, 0.5])
