@@ -30,7 +30,6 @@ import platform
 import statistics
 import time
 
-from lapstream import KERNEL_BACKEND
 from lapstream.bench import diff_maps
 from lapstream.centrality import lap_cent
 from lapstream.incremental import apply_delta, lap_cent_add_remove
@@ -103,7 +102,7 @@ def main():
 
     print(
         f"{NODES} nodes, attach {ATTACH}, seed {SEED}, median of {ROUNDS} rounds of "
-        f"{K_STEPS} steps, backend {KERNEL_BACKEND}"
+        f"{K_STEPS} steps, {platform.python_implementation()} {platform.python_version()}"
     )
     print(
         f"{'regime':>13} {'variant':>10} {'k':>6} {'batch ms':>9} {'+apply ms':>9} "
@@ -131,7 +130,7 @@ def main():
             "seed": SEED,
             "steps": K_STEPS,
             "rounds": ROUNDS,
-            "backend": KERNEL_BACKEND,
+            "implementation": platform.python_implementation(),
             "python": platform.python_version(),
             "machine": platform.machine(),
             "nproc": os.cpu_count(),

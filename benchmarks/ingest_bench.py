@@ -9,7 +9,9 @@ on the same events. The share of events whose pair was already seen is
 printed too: a window step copies the entries of each edge it touches and
 re-sums those of an edge whose oldest entry leaves, so its cost grows with
 the window length only as far as pairs repeat. The cumulative build keeps
-no entries and folds each observation into its edge's weight.
+no entries and folds each observation into its edge's weight. The size the
+parsed events keep (``events_mb``) is ``tracemalloc``'s current size after
+one untimed parse: the list, its tuples, their weights and node ids.
 
     python benchmarks/ingest_bench.py --repeat 3 --json BENCH_ingest.json
 """
@@ -22,6 +24,7 @@ import platform
 import random
 import statistics
 import time
+import tracemalloc
 
 from lapstream.ingest import parse_edge_events, snapshots_cumulative, snapshots_window
 
@@ -51,7 +54,10 @@ def main():
     args = parser.parse_args()
 
     lines = event_lines(EVENTS, IDS, SEED)
+    tracemalloc.start()
     events = parse_edge_events(lines)
+    events_mb = tracemalloc.get_traced_memory()[0] / 1e6
+    tracemalloc.stop()
     pairs = {e[:2] if e[0] <= e[1] else (e[1], e[0]) for e in events}
     phases = [
         ("parse", lambda: parse_edge_events(lines)),
@@ -78,6 +84,7 @@ def main():
     )
     repeated = 1 - len(pairs) / len(events)
     print(f"repeated pairs: {repeated:.4%} of events")
+    print(f"parsed events keep: {events_mb:.2f} MB")
     medians = {name: statistics.median(samples[name]) for name, _ in phases}
     cumulative_s = medians["cumulative build"]
     for name, seconds in medians.items():
@@ -96,6 +103,7 @@ def main():
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "repeated_pairs": repeated,
+            "events_mb": events_mb,
             "median_s": medians,
         }
         with open(args.json, "w") as fh:

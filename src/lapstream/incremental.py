@@ -87,7 +87,8 @@ class EdgeDelta:
     them; an :class:`~lapstream.graph.Edge` still works. They are upserts:
     re-adding an existing edge replaces its weight. An edge in both lists
     nets to removal (adds are applied first). A self-loop, a non-finite
-    weight or a pair removed twice rejects the whole delta.
+    weight, or the removal of an absent pair or of one pair twice (both
+    :class:`~lapstream.errors.MissingEdgeError`) rejects the whole delta.
     """
 
     adds: list[tuple[int, int, float]] = field(default_factory=list)

@@ -22,6 +22,10 @@ Events are plain ``(u, v, weight, timestamp)`` tuples: a tuple costs no
 Python-level ``__new__``, and the cyclic garbage collector untracks one that
 holds only numbers, so a build's collections do not rescan every event. It
 never untracks an instance of a tuple subclass such as a ``NamedTuple``.
+Every mention of one node id is the same int object, and every weight equal
+to one of 1.0 to 256.0 is the same float object, so the events hold one
+object per node and per small integral weight, and so do the buckets,
+windows and deltas that pass them on.
 
 One loop, ``_build``, turns per-bucket edge weights into deltas for all
 three: a window slid over the buckets, where the cumulative stream is the
@@ -64,6 +68,11 @@ _MAX_TIMESTAMP = 253402300799
 
 _Event = tuple[int, int, float, int]  # (u, v, weight, timestamp)
 
+# the floats 1.0 to 256.0, each keyed by itself: a parsed weight equal to one
+# of them is replaced by it, so the events and deltas share one object per value
+_SMALL_WEIGHTS = {w: w for w in map(float, range(1, 257))}
+_ONE = _SMALL_WEIGHTS[1.0]  # the weight of a line without one
+
 
 @dataclass
 class SnapshotStream:
@@ -89,10 +98,15 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
     Every mention of one node id is the same int object, the first parsed
     (see :mod:`lapstream.graph` for why), so the events, and the buckets,
     windows, graphs and deltas built from them, hold one object per node.
+    Likewise every weight equal to one of 1.0 to 256.0 (``3``, ``3.0``,
+    ``3e0``) is one float object from a fixed table, so the events and
+    deltas hold one object per such weight rather than one per event; any
+    other weight, ``0`` and ``-0`` included, is the float parsed.
     """
     events: list[_Event] = []
     by_text: dict[str, int] = {}  # field text -> its node's object
     ids: dict[int, int] = {}  # node -> its object, for "7" and "07" alike
+    small_weight = _SMALL_WEIGHTS.get
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, (bytes, bytearray)):
             try:
@@ -127,7 +141,7 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
             raise ParseError(lineno, f"node ids must be non-negative: {text!r}")
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop on node {u}")
-        weight = 1.0
+        weight = _ONE
         if len(fields) >= 3:
             try:
                 weight = float(fields[2])
@@ -135,6 +149,7 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
                 raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
             if not math.isfinite(weight):
                 raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
+            weight = small_weight(weight, weight)
         if len(fields) == 4:
             try:
                 timestamp = int(fields[3])

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
 from genutil import bits, graph_state, node_rows, node_strengths, stored
@@ -13,6 +15,7 @@ from lapstream.errors import EmptyDatasetError, NonFiniteWeightError, ParseError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
 from lapstream.ingest import (
+    _SMALL_WEIGHTS,
     bucket_events,
     load_edge_events,
     parse_edge_events,
@@ -223,6 +226,59 @@ class TestParserFastPath:
         assert type(event) is tuple
         gc.collect()
         assert not gc.is_tracked(event)
+
+
+# derandomized: the same examples on every run, so the suite stays a stable gate
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# a weight text that float() reads as one of 1.0 to 256.0
+TABLED = st.integers(1, 256).flatmap(
+    lambda n: st.sampled_from([str(n), f"{n}.0", f"{n}e0", f"+{n}", f"0{n}", f"{n * 10}e-1"])
+)
+UNTABLED = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "+0", "257", "257.0", "1e3", "0.5", "256.5"]),
+    st.integers(-300, -1).map(str),
+    st.integers(0, 300).map(lambda n: f"{n}.25"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+REJECTED = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "heavy", "1..2", "0x10", "5e"])
+
+
+class TestSmallWeights:
+    """A weight equal to one of 1.0 to 256.0 is the table's float object;
+    every weight still equals a plain ``float()`` parse in value, type and
+    sign of zero."""
+
+    @SETTINGS
+    @given(st.lists(st.one_of(TABLED, UNTABLED, st.none()), min_size=1, max_size=30))
+    def test_weights_equal_float_parse(self, texts):
+        lines = [
+            f"{i} {i + 1}\n" if w is None else f"{i} {i + 1} {w} {i}\n" for i, w in enumerate(texts)
+        ]
+        events = parse_edge_events(lines)
+        tabled = set(map(id, _SMALL_WEIGHTS.values()))
+        for (u, v, weight, t), text in zip(events, texts):
+            expected = 1.0 if text is None else float(text)
+            assert (u, v, t) == (t, t + 1, t)
+            assert type(weight) is float
+            assert weight == expected
+            assert math.copysign(1.0, weight) == math.copysign(1.0, expected)
+            if expected.is_integer() and 1 <= expected <= 256:
+                assert weight is _SMALL_WEIGHTS[expected]
+            else:
+                assert id(weight) not in tabled
+
+    @SETTINGS
+    @given(st.lists(st.one_of(TABLED, UNTABLED), max_size=10), REJECTED)
+    def test_rejected_weight_has_position(self, texts, bad):
+        lines = [f"{i} {i + 1} {w} {i}\n" for i, w in enumerate(texts)]
+        lines.append(f"1 2 {bad} 0\n")
+        with pytest.raises(ParseError) as err:
+            parse_edge_events(lines)
+        assert err.value.lineno == len(lines)
+
+    def test_table_holds_1_to_256(self):
+        assert sorted(_SMALL_WEIGHTS) == [float(n) for n in range(1, 257)]
+        assert all(type(w) is float and _SMALL_WEIGHTS[w] is w for w in _SMALL_WEIGHTS)
 
 
 class TestBucketing:
