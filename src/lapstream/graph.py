@@ -293,14 +293,14 @@ class Graph:
         first mention. Read-only."""
         return self._nodes
 
-    def edges(self) -> Iterator[Edge]:
-        """Each edge once, smaller endpoint first."""
+    def edges(self) -> Iterator[tuple[int, int, float]]:
+        """Each edge once as a plain (u, v, weight) tuple, smaller endpoint first."""
         nodes = self._nodes
         for u, row in zip(nodes, self._rows):
             for q, w in row.items():
                 v = nodes[q]
                 if u < v:
-                    yield Edge(u, v, w)
+                    yield u, v, w
 
     @property
     def num_nodes(self) -> int:

@@ -76,11 +76,10 @@ _ONE = _SMALL_WEIGHTS[1.0]  # the weight of a line without one
 
 @dataclass
 class SnapshotStream:
-    """Initial graph plus the ordered deltas that replay the snapshots."""
+    """Initial graph plus the deltas that replay the snapshots; bucket_events has the labels."""
 
     initial: Graph
     deltas: list[EdgeDelta] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)  # one per step, incl. initial
 
     @property
     def num_steps(self) -> int:
@@ -307,7 +306,7 @@ def _build(
         _check_weights(adds, label)
         deltas.append(EdgeDelta(adds=adds, removes=removes))
     assert initial is not None
-    return SnapshotStream(initial, deltas, [label for label, _ in buckets])
+    return SnapshotStream(initial, deltas)
 
 
 def snapshots_cumulative(

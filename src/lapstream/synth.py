@@ -59,11 +59,11 @@ def churn_stream(
     rng = random.Random(seed)
     g = preferential_attachment_graph(num_nodes, attach, seed=seed)
     if weighted:
-        g = Graph((e.u, e.v, float(rng.randint(1, 5))) for e in g.edges())
+        g = Graph((u, v, float(rng.randint(1, 5))) for u, v, _ in g.edges())
 
     # indexed edge list: O(1) uniform pick, swap-remove, append; ``g`` itself
     # stays the initial graph
-    edge_list = [(e.u, e.v) for e in g.edges()]
+    edge_list = [(u, v) for u, v, _ in g.edges()]
     index = {pair: i for i, pair in enumerate(edge_list)}
     deltas: list[EdgeDelta] = []
     room = num_nodes * (num_nodes - 1) // 2
@@ -103,5 +103,4 @@ def churn_stream(
             if last != pair:
                 edge_list[i] = last
                 index[last] = i
-    labels = [str(i) for i in range(steps + 1)]
-    return SnapshotStream(g, deltas, labels)
+    return SnapshotStream(g, deltas)

@@ -90,8 +90,7 @@ def random_delta(
     for _ in range(rng.randint(0, 4)):
         if not edges:
             break
-        e = edges[rng.randrange(len(edges))]
-        pair = (e.u, e.v)
+        pair = edges[rng.randrange(len(edges))][:2]
         if pair in removed or pair in added:
             continue
         removed.add(pair)

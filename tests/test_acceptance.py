@@ -255,7 +255,7 @@ def _mask_timing(csv_text: str) -> bytes:
 
 
 def test_criterion_7_csv_golden():
-    stream = SnapshotStream(Graph(TOY_EDGES), [EdgeDelta(adds=[Edge(4, 6)])], ["0", "1"])
+    stream = SnapshotStream(Graph(TOY_EDGES), [EdgeDelta(adds=[Edge(4, 6)])])
     result = bench_stream(stream, "compare", "unweighted")
     ok = True
     for name, records in (("batch", result.batch), ("dynamic", result.dynamic)):

@@ -1,10 +1,12 @@
 """The package's public surface: exactly these names, each importable."""
 
+import dataclasses
 import subprocess
 from pathlib import Path
 
 import lapstream
 from lapstream.graph import Graph
+from lapstream.ingest import SnapshotStream
 
 PUBLIC = [
     "CentralityMap",
@@ -64,6 +66,17 @@ def test_graph_surface_is_pinned():
         "num_nodes",
         "strengths",
     }
+
+
+def test_edges_are_plain_tuples():
+    """The graph gives back edges in the one shape the parser and the builders emit."""
+    g = Graph([(1, 2), (3, 2, 2.5), lapstream.Edge(4, 1, 0.5)])
+    assert [type(e) for e in g.edges()] == [tuple] * 3
+    assert sorted(g.edges()) == [(1, 2, 1), (1, 4, 0.5), (2, 3, 2.5)]
+
+
+def test_snapshot_stream_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(SnapshotStream)] == ["initial", "deltas"]
 
 
 def test_every_name_resolves():

@@ -27,7 +27,7 @@ from lapstream.synth import churn_stream
 
 
 def toy_stream() -> SnapshotStream:
-    return SnapshotStream(Graph(TOY_EDGES), [EdgeDelta(adds=[Edge(4, 6)])], ["0", "1"])
+    return SnapshotStream(Graph(TOY_EDGES), [EdgeDelta(adds=[Edge(4, 6)])])
 
 
 class TestBenchStream:
@@ -62,7 +62,7 @@ class TestBenchStream:
             assert rec.cumulative_s == pytest.approx(total, abs=1e-9)
 
     def test_single_snapshot_work_parity(self):
-        stream = SnapshotStream(churn_stream(2000, 3, 0, 0, 0, seed=5).initial, [], ["0"])
+        stream = SnapshotStream(churn_stream(2000, 3, 0, 0, 0, seed=5).initial)
         result = bench_stream(stream, "compare", "unweighted")
         (batch_rec,) = result.batch
         (dyn_rec,) = result.dynamic
@@ -133,9 +133,7 @@ class TestBenchStream:
     @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
     def test_inconsistent_delta_carries_step(self, mode):
         stream = SnapshotStream(
-            Graph(TOY_EDGES),
-            [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(1, 4)])],
-            ["0", "1", "2"],
+            Graph(TOY_EDGES), [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(1, 4)])]
         )
         with pytest.raises(DeltaError) as err:
             bench_stream(stream, mode)

@@ -25,9 +25,9 @@ def dense_trace_energy(g: Graph, variant: str) -> float:
     index = {u: i for i, u in enumerate(nodes)}
     n = len(nodes)
     lap = np.zeros((n, n))
-    for e in g.edges():
-        w = 1.0 if variant == "unweighted" else e.weight
-        i, j = index[e.u], index[e.v]
+    for u, v, weight in g.edges():
+        w = 1.0 if variant == "unweighted" else weight
+        i, j = index[u], index[v]
         lap[i, j] -= w
         lap[j, i] -= w
         lap[i, i] += w
@@ -39,12 +39,12 @@ def exact_weighted_values(g: Graph) -> dict[int, Fraction]:
     """Test-only oracle: exact C(x) = s^2 + sum(w * (w + 2 * s_j)) from the edge list."""
     strength: dict[int, Fraction] = defaultdict(Fraction)
     rows: dict[int, list] = defaultdict(list)
-    for e in g.edges():
-        w = Fraction(e.weight)
-        strength[e.u] += w
-        strength[e.v] += w
-        rows[e.u].append((e.v, w))
-        rows[e.v].append((e.u, w))
+    for u, v, weight in g.edges():
+        w = Fraction(weight)
+        strength[u] += w
+        strength[v] += w
+        rows[u].append((v, w))
+        rows[v].append((u, w))
     return {
         x: s * s + sum(w * (w + 2 * strength[j]) for j, w in rows[x])
         for x, s in strength.items()
@@ -106,7 +106,7 @@ class TestBatchWeighted:
         rng = random.Random(11)
         for _ in range(10):
             base = random_graph(rng, rng.randint(5, 40), rng.randint(4, 80))
-            g = with_isolated(Graph((e.u, e.v, 1.0) for e in base.edges()), base.nodes())
+            g = with_isolated(Graph((u, v, 1.0) for u, v, _ in base.edges()), base.nodes())
             assert lap_cent(g, "weighted").values == lap_cent(g, "unweighted").values
 
     @pytest.mark.parametrize("seed", range(50))

@@ -133,7 +133,7 @@ class TestQueries:
 
     def test_edges_canonical(self):
         g = Graph([(5, 2, 1.5)])
-        assert [(e.u, e.v, e.weight) for e in g.edges()] == [(2, 5, 1.5)]
+        assert list(g.edges()) == [(2, 5, 1.5)]
 
     def test_copy_is_independent(self):
         g = Graph(TOY_EDGES)
@@ -417,7 +417,7 @@ class TestRunningFigures:
         assert g._inexact
         _remove(g, (0, 1))
         _add(g, (2, 3, 3.0))  # the last inexact edge turns integral
-        assert all(type(e.weight) is int for e in g.edges())
+        assert all(type(w) is int for _, _, w in g.edges())
         assert g._inexact
         assert g.copy()._inexact
 

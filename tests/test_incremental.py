@@ -236,7 +236,7 @@ def test_negative_weight_warning_names_caller(variant):
     events = [(1, 2, 1.0, 0), (1, 3, -1.0, 0)]
 
     def stream(g):
-        return SnapshotStream(g, [delta], ["0", "1"])
+        return SnapshotStream(g, [delta])
 
     calls = [
         lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
@@ -479,7 +479,7 @@ class TestWeightedPropagation:
 
 class TestWeightedAddRemove:
     def test_unit_weights_match_unweighted(self, toy_graph):
-        unit = Graph((e.u, e.v, 1.0) for e in toy_graph.edges())
+        unit = Graph((u, v, 1.0) for u, v, _ in toy_graph.edges())
         cmap = lap_cent(unit, "weighted")
         lap_cent_add_remove(unit, EdgeDelta(adds=[Edge(4, 6, 1.0)]), cmap, "weighted")
         assert cmap.values == {v: float(x) for v, x in TOY_STEP2.items()}

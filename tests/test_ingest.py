@@ -355,7 +355,8 @@ class TestCumulative:
         ]
         stream = snapshots_cumulative(events, "daily")
         assert stream.num_steps == 3
-        assert stream.labels == ["1970-01-01", "1970-01-02", "1970-01-04"]
+        labels = [label for label, _ in bucket_events(events, "daily")]
+        assert labels == ["1970-01-01", "1970-01-02", "1970-01-04"]
         assert [len(d.adds) for d in stream.deltas] == [2, 1]
 
     def test_reobserved_unit_edge_not_readded(self):
@@ -508,7 +509,7 @@ def _built_window(events, period, window_length, policy):
         stream = snapshots_cumulative(events, period, policy)
     else:
         stream = snapshots_window(events, period, window_length, policy)
-    initial = bits({e[:2]: e.weight for e in stream.initial.edges()})
+    initial = bits({(u, v): w for u, v, w in stream.initial.edges()})
     steps = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
     return initial, steps
 
@@ -646,17 +647,18 @@ class TestRoundTrip:
                 events.append((u, v, float(rng.randint(1, 4)), rng.randrange(6) * DAY))
         window = rng.randint(1, 4)
         stream = snapshots_window(events, "daily", window, weight_policy=policy)
+        labels = [label for label, _ in bucket_events(events, "daily")]
         g = stream.initial.copy()
         for k, delta in enumerate(stream.deltas, start=1):
             apply_delta(g, delta)
             # independently materialized target snapshot
-            sub = [e for e in events if _in_window(e, stream.labels, k, window)]
+            sub = [e for e in events if _in_window(e, labels, k, window)]
             target = snapshots_window(sub, "daily", window, weight_policy=policy)
             expected = target.initial
             for d in target.deltas:
                 apply_delta(expected, d)
-            assert {e[:2]: e.weight for e in g.edges()} == {
-                e[:2]: e.weight for e in expected.edges()
+            assert {(u, v): w for u, v, w in g.edges()} == {
+                (u, v): w for u, v, w in expected.edges()
             }
 
 
@@ -673,8 +675,8 @@ class TestSnapshotDir:
         (tmp_path / "a_first.txt").write_text("1 2\n2 3\n")
         (tmp_path / "b_second.txt").write_text("2 3\n3 4\n")
         stream = stream_from_snapshot_dir(tmp_path)
-        assert stream.labels == ["a_first.txt", "b_second.txt"]
-        assert stream.initial.num_edges == 2
+        # a_first.txt, the first name in sorted order, is the initial snapshot
+        assert list(stream.initial.edges()) == [(1, 2, 1), (2, 3, 1)]
         (delta,) = stream.deltas
         assert delta.adds == [Edge(3, 4, 1.0)]
         assert delta.removes == [(1, 2)]
@@ -686,7 +688,7 @@ class TestSnapshotDir:
     def test_centralities_over_directory_stream(self, tmp_path, toy_graph):
         toy_with_edge = Graph(TOY_EDGES + [(4, 6)])
         for name, g in (("s0.txt", toy_graph), ("s1.txt", toy_with_edge)):
-            lines = "".join(f"{e.u} {e.v}\n" for e in g.edges())
+            lines = "".join(f"{u} {v}\n" for u, v, _ in g.edges())
             (tmp_path / name).write_text(lines)
         stream = stream_from_snapshot_dir(tmp_path)
         g = stream.initial.copy()
@@ -755,7 +757,7 @@ class TestSnapshotDir:
             states.append(state)
         stream = stream_from_snapshot_dir(tmp_path)
         expected = Graph((u, v, w) for (u, v), w in states[0].items())
-        assert bits({e[:2]: e.weight for e in stream.initial.edges()}) == bits(
+        assert bits({(u, v): w for u, v, w in stream.initial.edges()}) == bits(
             {pair: stored(w) for pair, w in states[0].items()}
         )
         assert bits(node_strengths(stream.initial)) == bits(node_strengths(expected))

@@ -88,9 +88,9 @@ def test_snapshot_dir_turns_g_into_h(data):
             Path(directory, name).write_text(lines)
         stream = stream_from_snapshot_dir(directory)
     built = stream.initial
-    assert {e[:2]: e.weight for e in built.edges()} == {e[:2]: e.weight for e in g.edges()}
+    assert {(u, v): w for u, v, w in built.edges()} == {(u, v): w for u, v, w in g.edges()}
     apply_delta(built, stream.deltas[0])
-    assert {e[:2]: e.weight for e in built.edges()} == {e[:2]: e.weight for e in h.edges()}
+    assert {(u, v): w for u, v, w in built.edges()} == {(u, v): w for u, v, w in h.edges()}
     assert stream.deltas[1] == EdgeDelta()
 
 
@@ -125,11 +125,11 @@ def fractional_then_integral(draw):
     for _ in range(draw(st.integers(1, 3))):
         step(EdgeDelta(adds=edges(FRACTIONAL, min_size=1)))
     # every fractional edge leaves: removed, or re-weighted to an integer
-    fractional = sorted(e[:2] for e in sim.edges() if e.weight != int(e.weight))
+    fractional = sorted((u, v) for u, v, w in sim.edges() if w != int(w))
     reweighted = draw(st.lists(st.sampled_from(fractional), unique=True))
     removes = [p for p in fractional if p not in reweighted]
     step(EdgeDelta(adds=[Edge(u, v, draw(INTEGRAL)) for u, v in reweighted], removes=removes))
-    assert all(e.weight == int(e.weight) for e in sim.edges())
+    assert all(w == int(w) for _, _, w in sim.edges())
     for _ in range(draw(st.integers(1, 4))):
         present = sorted(e[:2] for e in sim.edges())
         removes = []
