@@ -1,9 +1,9 @@
 """Parse timestamped edge events and build snapshot streams.
 
 Input grammar, per line: optional ``#`` comments; otherwise 2 to 4 fields
-split on commas or runs of whitespace, ``u v [w] [t]`` with u, v
-non-negative decimal integers in ASCII digits (a sign and leading zeros
-allowed, no ``_`` separators), w a finite decimal real (default 1.0) and t
+split on commas or runs of whitespace, ``u v [w] [t]``, each in ASCII
+digits with no ``_`` separators (a sign and leading zeros allowed): u, v
+non-negative decimal integers, w a finite decimal real (default 1.0) and t
 a decimal integer timestamp in epoch seconds (default: the event's
 ordinal), within years 1 to 9999 UTC, the range ``datetime`` can bucket.
 
@@ -100,12 +100,14 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
     Likewise every weight equal to one of 1.0 to 256.0 (``3``, ``3.0``,
     ``3e0``) is one float object from a fixed table, so the events and
     deltas hold one object per such weight rather than one per event; any
-    other weight, ``0`` and ``-0`` included, is the float parsed.
+    other weight, ``0`` and ``-0`` included, is the float parsed. A field
+    with ``_`` or a non-ASCII character is a :class:`ParseError`, although
+    ``int()`` and ``float()`` read ``1_0`` and ``\u0661``.
     """
     events: list[_Event] = []
     by_text: dict[str, int] = {}  # field text -> its node's object
     ids: dict[int, int] = {}  # node -> its object, for "7" and "07" alike
-    small_weight = _SMALL_WEIGHTS.get
+    small_texts: dict[str, float] = {}  # text of a table weight -> the table's float
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, (bytes, bytearray)):
             try:
@@ -142,15 +144,26 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
             raise SelfLoopError(f"line {lineno}: self-loop on node {u}")
         weight = _ONE
         if len(fields) >= 3:
-            try:
-                weight = float(fields[2])
-            except ValueError:
-                raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
-            if not math.isfinite(weight):
-                raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
-            weight = small_weight(weight, weight)
+            # float() alone also takes "1_0" and "\u0661". The text of a table
+            # weight is checked once, any other text each time, so that the memo
+            # keeps only texts of the table's weights
+            weight = small_texts.get(fields[2])
+            if weight is None:
+                try:
+                    if not fields[2].isascii() or "_" in fields[2]:
+                        raise ValueError
+                    weight = float(fields[2])
+                except ValueError:
+                    raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
+                if not math.isfinite(weight):
+                    raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
+                if weight in _SMALL_WEIGHTS:
+                    weight = small_texts[fields[2]] = _SMALL_WEIGHTS[weight]
         if len(fields) == 4:
+            # nearly every timestamp text is new, so each is checked
             try:
+                if not fields[3].isascii() or "_" in fields[3]:
+                    raise ValueError
                 timestamp = int(fields[3])
             except ValueError:
                 raise ParseError(lineno, f"bad timestamp {fields[3]!r}") from None

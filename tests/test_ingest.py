@@ -68,6 +68,11 @@ class TestParser:
             "1 2 -inf 5",
             "1_000 2",
             "2 \u0661",
+            "1 2 1_0 5",
+            "1 2 \u0661 6",
+            "1 2 \uff13 7",
+            "1 2 1 1_000",
+            "1 2 1 \u0661\u0662",
         ],
     )
     def test_bad_lines_have_position(self, line):
@@ -142,16 +147,17 @@ def _regex_parse(lines):
         weight = 1.0
         if len(fields) >= 3:
             try:
+                if re.search(r"[_\x80-\U0010ffff]", fields[2]):
+                    raise ValueError
                 weight = float(fields[2])
             except ValueError:
                 raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
             if not math.isfinite(weight):
                 raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
         if len(fields) == 4:
-            try:
-                timestamp = int(fields[3])
-            except ValueError:
-                raise ParseError(lineno, f"bad timestamp {fields[3]!r}") from None
+            if not re.fullmatch(r"[+-]?[0-9]+", fields[3]):
+                raise ParseError(lineno, f"bad timestamp {fields[3]!r}")
+            timestamp = int(fields[3])
         else:
             timestamp = len(events)
         events.append((u, v, weight, timestamp))
@@ -205,6 +211,11 @@ class TestParserFastPath:
             "3 3",
             "1 2 nan",
             "1 2 2.0 soon",
+            "1 2 1_0 5",
+            "1 2 \uff13 7",
+            "1 2 1 1_000",
+            "1 2 1 \u0661\u0662",
+            "1 2 -0.5 +007",
             "1\u200b2",
             "",
             "\r\n",
@@ -240,7 +251,14 @@ UNTABLED = st.one_of(
     st.integers(0, 300).map(lambda n: f"{n}.25"),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-REJECTED = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "heavy", "1..2", "0x10", "5e"])
+REJECTED = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e999", "heavy", "1..2", "0x10", "5e"]
+    + ["1_0", "2_5.0", "1e1_0", "\u0661", "\uff13", "\u0661.5", "1\u0660"]
+)
+# a timestamp text, signed or zero-padded, and the int it reads as
+STAMPS = st.tuples(
+    st.integers(-(10**10), 10**10), st.sampled_from(["", "+"]), st.sampled_from(["", "0", "00"])
+).map(lambda d: (("-" if d[0] < 0 else d[1]) + d[2] + str(abs(d[0])), d[0]))
 
 
 class TestSmallWeights:
@@ -249,17 +267,23 @@ class TestSmallWeights:
     sign of zero."""
 
     @SETTINGS
-    @given(st.lists(st.one_of(TABLED, UNTABLED, st.none()), min_size=1, max_size=30))
-    def test_weights_equal_float_parse(self, texts):
+    @given(
+        st.lists(st.tuples(st.one_of(TABLED, UNTABLED, st.none()), STAMPS), min_size=1, max_size=30)
+    )
+    def test_weights_equal_float_parse(self, drawn):
+        # every line twice: the second sight of a table weight's text is the memo's
+        drawn = drawn * 2
         lines = [
-            f"{i} {i + 1}\n" if w is None else f"{i} {i + 1} {w} {i}\n" for i, w in enumerate(texts)
+            f"{i} {i + 1}\n" if w is None else f"{i} {i + 1} {w} {stamp}\n"
+            for i, (w, (stamp, _)) in enumerate(drawn)
         ]
         events = parse_edge_events(lines)
+        assert len(events) == len(drawn)
         tabled = set(map(id, _SMALL_WEIGHTS.values()))
-        for (u, v, weight, t), text in zip(events, texts):
+        for i, ((u, v, weight, t), (text, (_, stamp))) in enumerate(zip(events, drawn)):
             expected = 1.0 if text is None else float(text)
-            assert (u, v, t) == (t, t + 1, t)
-            assert type(weight) is float
+            assert (u, v, t) == (i, i + 1, i if text is None else stamp)
+            assert type(weight) is float and type(t) is int
             assert weight == expected
             assert math.copysign(1.0, weight) == math.copysign(1.0, expected)
             if expected.is_integer() and 1 <= expected <= 256:
