@@ -62,6 +62,7 @@ class TestParser:
             "1 2 3 4 5",
             "a b",
             "-1 2",
+            "2 -1",
             "1 2 heavy",
             "1 2 1.0 soon",
             "1 2 nan",
