@@ -71,14 +71,16 @@ def diff_maps(a: NodeValues, b: NodeValues):
 
     Values must compare equal: a NaN on either side is a divergence, even
     against the same NaN object, and so is an infinity against any other
-    value. Equal maps with the same keys in the same order, as two maps
-    over one graph's node table have, are answered in C, by comparing
-    their value sequences and a sum whose difference with itself is 0 only
-    if no value is NaN or infinite (the comparison takes a NaN object as
-    equal to itself). Otherwise the keys are walked in sorted order.
+    value. Equal maps with the same keys in the same order and the same
+    scale, as two maps over one graph's node table have, are answered in C,
+    by comparing their exact value sequences and a sum whose difference
+    with itself is 0 only if no value is NaN or infinite (the comparison
+    takes a NaN object as equal to itself). Otherwise the keys are walked in
+    sorted order.
     """
     x, y = a._values, b._values
-    if (a._nodes is b._nodes or a._nodes[: len(x)] == b._nodes[: len(y)]) and tuple(x) == tuple(y):
+    same_keys = a._nodes is b._nodes or a._nodes[: len(x)] == b._nodes[: len(y)]
+    if same_keys and a._shift == b._shift and tuple(x) == tuple(y):
         s = sum(x)
         if s - s == 0:
             return None
@@ -136,7 +138,9 @@ def bench_stream(
             bad = diff_maps(full.values, cmap.values)
             if bad is not None:
                 raise CompareMismatchError(step + 1, *bad)
-            copy = dict(zip(g.nodes(), cmap.values._values))
+            view = cmap.values
+            # what the view reads: its ints at E = 0, else their rounded quotients
+            copy = dict(view) if view._shift else dict(zip(g.nodes(), view._values))
             result.maps.append(CentralityMap(copy, cmap.computed_count))
     if mode == "batch":
         result.batch = _records(rows)

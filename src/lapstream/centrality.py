@@ -10,6 +10,11 @@ for a node v, with the sums over the neighbors j of v (Qi et al., 2012).
 Values are returned non-normalized; divide by the graph energy via
 :func:`normalize` to get values in (0, 1] (guaranteed only for
 non-negative weights).
+
+Weights and strengths are exact ints scaled by 2**E (see :mod:`lapstream.graph`),
+so weighted values and the energy are the exact ints C(v) * 2**(2E). Where
+E > 0 the public side divides them once, correctly rounded; a quotient past
+the float range raises :class:`~lapstream.errors.FloatRangeError`.
 """
 
 from __future__ import annotations
@@ -20,30 +25,49 @@ from itertools import islice
 from typing import Iterable, Iterator, Literal
 
 from lapstream import kernels
-from lapstream.errors import ZeroEnergyError
+from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Graph
 
 Variant = Literal["unweighted", "weighted"]
+
+
+def _quotient(x, over: int, node=None) -> float:
+    """``x / over``, correctly rounded to a float; past the float range,
+    :class:`FloatRangeError` naming ``node``, or the energy where it is None."""
+    try:
+        return x / over
+    except OverflowError:
+        what = "the Laplacian energy" if node is None else f"the centrality of node {node}"
+        raise FloatRangeError(f"{what} is past the float range") from None
 
 
 class NodeValues(Mapping):
     """A map's values, read-only, over a graph's node table: the keys are the
     first ``len(values)`` nodes in position order, ``values`` a list (a live
     map, which the incremental step updates and extends) or a tuple (a kept
-    step). It reads and compares as a ``dict`` of those keys and values."""
+    step), of exact values scaled by 2**(2 * shift). A value reads as itself
+    at shift 0, and as its quotient by 2**(2 * shift), correctly rounded,
+    above it. It reads and compares as a ``dict`` of those keys and values."""
 
-    __slots__ = ("_pos", "_nodes", "_values")
+    __slots__ = ("_pos", "_nodes", "_values", "_shift")
 
-    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple):
+    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple, shift=0):
         self._pos = pos
         self._nodes = nodes
         self._values = values
+        self._shift = shift
 
     def __getitem__(self, node):
         i = self._pos[node]
         if i >= len(self._values):
             raise KeyError(node)
+        if self._shift:
+            return _quotient(self._values[i], 1 << 2 * self._shift, node)
         return self._values[i]
+
+    def __contains__(self, node) -> bool:
+        i = self._pos.get(node)
+        return i is not None and i < len(self._values)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -52,7 +76,7 @@ class NodeValues(Mapping):
         return islice(self._nodes, len(self._values))
 
     def __repr__(self) -> str:
-        return repr(dict(zip(self._nodes, self._values)))
+        return repr(dict(self.items()))
 
 
 @dataclass
@@ -62,18 +86,16 @@ class CentralityMap:
     ``computed_count`` is the number of values the producing call brought
     up to date: the full node count for batch calls, and for incremental
     ones the touched nodes plus their neighbours. It counts updated values,
-    not kernel evaluations, and has the same meaning on every path: an
-    incremental step updates each of them by an exact closed-form
-    difference and evaluates no kernel, unless it is weighted and the
-    graph's exactness flag is set, when it re-evaluates the kernel on all
-    of them.
+    not kernel evaluations: an incremental step updates each of them by an
+    exact closed-form difference and evaluates no kernel.
 
     ``values`` is a read-only :class:`NodeValues` view in every map the
     package makes, live or kept by :func:`~lapstream.incremental.run_evolving`;
-    compare mode's ``BenchResult.maps`` keep ``dict`` copies. The values are
-    exact ints, unweighted and on a weighted graph whose weights are all
-    integers within +-2**53; once the graph's flag is set, a value is a float
-    wherever a float weight or strength enters it.
+    compare mode's ``BenchResult.maps`` keep ``dict`` copies of what the
+    views read. The values are exact ints, unweighted and on a weighted graph
+    of integral weights (E = 0); on a graph with a fractional weight
+    (E > 0) each is the correctly rounded float of the exact value, for
+    any history and any edge order.
     """
 
     values: Mapping[int, float]
@@ -93,7 +115,8 @@ def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> list:
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
     values = evaluate_nodes(g, range(g.num_nodes), variant)
-    return CentralityMap(NodeValues(g._pos, g._nodes, values), g.num_nodes)
+    shift = g._shift if variant == "weighted" else 0
+    return CentralityMap(NodeValues(g._pos, g._nodes, values, shift), g.num_nodes)
 
 
 def laplacian_energy(g: Graph, variant: Variant) -> float:
@@ -101,7 +124,9 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
 
     Closed forms: sum(d^2 + d) unweighted; sum(s^2) + 2*sum(w^2 over
     edges) weighted, i.e. the trace of the squared Laplacian. The two
-    agree on unit-weight graphs.
+    agree on unit-weight graphs. An int, except on a weighted graph with a
+    fractional weight (E > 0), where it is the correctly rounded float, and
+    a nonzero energy that rounds to 0.0 raises FloatRangeError.
     """
     adj = g.adjacency()
     if variant == "unweighted":
@@ -116,22 +141,32 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
             total += s * s
             for w in row.values():
                 total += w * w
+        if g._shift:
+            energy = _quotient(total, 1 << 2 * g._shift)
+            if total and not energy:
+                # normalize would read the graph as one with no edges
+                raise FloatRangeError("the Laplacian energy is below the float range")
+            return energy
         return total
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
     """Divide every value by the graph energy; values land in (0, 1] for
-    connected graphs with non-negative weights."""
+    connected graphs with non-negative weights. Each is one correctly
+    rounded division of the exact value by the exact ``energy``."""
     if energy == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
     view = cmap.values
-    normalized = NodeValues(view._pos, view._nodes, [x / energy for x in view._values])
-    return CentralityMap(normalized, cmap.computed_count)
+    num, den = energy.as_integer_ratio()
+    num <<= 2 * view._shift
+    values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]
+    return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:
     """Dump ``node,centrality`` lines, ascending node id, 12 significant digits."""
     view = cmap.values
+    over = 1 << 2 * view._shift
     for v, x in sorted(zip(view, view._values)):
-        stream.write(f"{v},{x:.12g}\n")
+        stream.write(f"{v},{_quotient(x, over, v):.12g}\n")

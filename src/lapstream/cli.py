@@ -6,7 +6,7 @@ Subcommands:
     centrality  one-shot batch centrality of a single edge-list file
     validate    delta-consistency audit of a stream: no add re-adds an edge
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error (a value past the float range too).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from lapstream import __version__
 from lapstream.bench import bench_stream, build_stream, emit_csv
 from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_centralities
-from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, LapstreamError
+from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import count_size, load_edge_events
@@ -170,16 +170,19 @@ def _cmd_run(args) -> int:
 def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None:
     """Write each step's map under ``out_dir/centralities``, replaying
     ``stream`` through the driver once more in the run's mode (compare
-    dumps the dynamic maps)."""
+    dumps the dynamic maps). A value past the float range names its step."""
     dump_dir = out_dir / "centralities"
     dump_dir.mkdir(parents=True, exist_ok=True)
     g = stream.initial.copy()
     steps = evolve(g, stream.deltas, "batch" if mode == "batch" else "dynamic", variant)
     for step, (cmap, _) in enumerate(steps, start=1):
-        if normalized:
-            cmap = normalize(cmap, laplacian_energy(g, variant))
-        with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
-            write_centralities(cmap, fh)
+        try:
+            if normalized:
+                cmap = normalize(cmap, laplacian_energy(g, variant))
+            with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
+                write_centralities(cmap, fh)
+        except FloatRangeError as exc:
+            raise FloatRangeError(f"step {step}: {exc}") from None
 
 
 def _cmd_centrality(args) -> int:

@@ -17,6 +17,10 @@ class NonFiniteWeightError(LapstreamError):
     """An edge weight is NaN or infinite."""
 
 
+class FloatRangeError(LapstreamError):
+    """A centrality, a normalized centrality or an energy is past the float range."""
+
+
 class DuplicateEdgeError(LapstreamError):
     """A delta re-adds an edge already present; reported by ``lapstream validate``."""
 

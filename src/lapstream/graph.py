@@ -13,8 +13,15 @@ the only walk over the edges: it records, as it checks each one, the old
 strength of every endpoint, and logs every write once, old and new weight.
 The incremental step reads its pair terms from that log, and the undo
 replays it, so that a rejected delta leaves the graph as it was. The same
-loop stores each weight as an exact ``int`` where it can and keeps the flag
-that tells the weighted incremental step whether its arithmetic is exact.
+loop stores every weight as an exact ``int``.
+
+Exact weights. Every finite float is a dyadic rational, num / 2**e. The
+graph keeps one scale exponent E, ``_shift``: the largest e of any weight
+written, never lowered. It stores every weight w, and every strength, as
+the exact int w * 2**E, so that sums and products of them are exact in any
+order. A weight finer than 2**-E rescales the rows, the strengths and what
+the loop has recorded, once, in O(n + m); a rejected delta undoes that too.
+At E = 0, the graph of integral weights, nothing is scaled.
 
 One node table. The graph keeps a node -> position dict, ``_pos``, and the
 nodes in position order, which is order of first mention, ``_nodes``. A node
@@ -33,6 +40,7 @@ import math
 import os
 import sys
 import warnings
+from operator import lshift, rshift
 from typing import Iterable, Iterator, NamedTuple
 
 from lapstream.errors import (
@@ -43,10 +51,21 @@ from lapstream.errors import (
 )
 
 
-# the largest magnitude of a weight stored as an int; see ``incremental``
+# the largest weight of the integral fast path: every int up to it converts to
+# a float exactly, so both paths store the float a weight converts to
 _INT_WEIGHT_LIMIT = 2**53
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _rescale(rows: list[dict[int, int]], strength: list[int], op, d: int) -> None:
+    """Shift every weight and every strength by ``d`` bits with ``op``, in place,
+    so that the rows keep their order."""
+    if d:
+        for row in rows:
+            for q, w in row.items():
+                row[q] = op(w, d)
+        strength[:] = [op(s, d) for s in strength]
 
 
 def _outside_stacklevel() -> int:
@@ -78,13 +97,10 @@ class Graph:
 
     Re-adding an existing edge replaces its weight (upsert).
 
-    A weight that is an integer of magnitude at most 2**53 is stored as an
-    ``int`` (a missing weight as ``1``), so the strengths of a graph of such
-    weights are exact ints too. Any other finite weight is stored as a
-    ``float`` and sets the sticky flag ``_inexact``, which is never cleared:
-    strengths are running sums, so a weight that has left can still leave
-    its rounding in them. The flag is set only by an edge that passed its
-    checks, a rejected delta leaves it as it was, and :meth:`copy` carries it.
+    Every weight, taken as the float it converts to, is stored as the exact
+    int weight * 2**E (a missing weight as 2**E; see the module docstring).
+    A rejected delta leaves E as it was, :meth:`copy` carries it, and
+    :meth:`edges` gives the weights back unscaled.
 
     :meth:`adjacency` and :meth:`strengths` are indexed by a node's position
     in the node table :meth:`nodes` (see the module docstring). A rejected
@@ -94,15 +110,15 @@ class Graph:
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_inexact")
+    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_shift")
 
     def __init__(self, edges: Iterable[tuple] | None = None):
         self._pos: dict[int, int] = {}
         self._nodes: list[int] = []
-        self._rows: list[dict[int, float]] = []
-        self._strength: list[float] = []
+        self._rows: list[dict[int, int]] = []
+        self._strength: list[int] = []
         self._num_edges = 0
-        self._inexact = False
+        self._shift = 0
         if edges is not None:
             self._apply(edges, ())
 
@@ -113,7 +129,7 @@ class Graph:
         adds: Iterable[tuple],
         removes: Iterable[tuple[int, int]],
         read: str | None = None,
-    ) -> tuple[dict[int, float], list[tuple[int, int, float | None, float | None]]]:
+    ) -> tuple[dict[int, int], list[tuple[int, int, int | None, int | None]]]:
         """The one loop that checks and writes edges: upsert ``adds``, (u, v)
         or (u, v, weight), in order, then delete ``removes``.
 
@@ -121,27 +137,30 @@ class Graph:
         :class:`SelfLoopError`, a NaN or infinite weight or an int too large
         for a float :class:`NonFiniteWeightError`, and a negative weight warns
         :class:`NegativeWeightWarning`; the weight is then stored as an
-        ``int``, or as a ``float`` that sets ``_inexact`` (see :class:`Graph`).
-        A positive integral weight within 2**53, the common case, goes
-        straight to its ``int``. The removes are all checked, against the
-        graph with the adds in, before any is written: a pair removed twice
-        or a pair not present raises :class:`MissingEdgeError`.
+        ``int`` scaled by 2**E (see :class:`Graph`). At E = 0 a positive
+        integral weight within 2**53, the common case, goes straight to its
+        ``int``; any other goes through ``float.as_integer_ratio``, and one
+        finer than 2**-E raises E and rescales what is written and recorded.
+        The removes are all checked, against the graph with the adds in,
+        before any is written: a pair removed twice or a pair not present
+        raises :class:`MissingEdgeError`.
 
         With ``read`` None, the constructor's case, a bad add raises with the
         edges before it written.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception before the removes are written undoes the
-        adds, so rows, their order, the strengths, the node table and the
-        flag are as they were.
+        adds and the rescale, so rows, their order, the strengths, the node
+        table and E are as they were.
         Returns ``(s0, log)``, keyed by position. s0 maps every endpoint, in
         order of first mention, to its degree ("unweighted") or strength
-        ("weighted") before the call, so its keys are the touched nodes. The
-        log holds one ``(p, q, old, new)`` per write: each add as it is
-        written, ``old`` None where the pair was absent, then each remove as
-        it is checked, ``old`` its weight after the adds and ``new`` None. A
-        pair written twice has two entries, so its weights run from its first
-        ``old`` to its last ``new``. The undo replays the adds of the log in
-        reverse. Both are empty when ``read`` is None.
+        ("weighted", at the E of the return) before the call, so its keys are
+        the touched nodes. The log holds one ``(p, q, old, new)`` per write:
+        each add as it is written, ``old`` None where the pair was absent,
+        then each remove as it is checked, ``old`` its weight after the adds
+        and ``new`` None. A pair written twice has two entries, so its
+        weights run from its first ``old`` to its last ``new``. The undo
+        replays the adds of the log in reverse. Both are empty when ``read``
+        is None.
         """
         rows = self._rows
         strength = self._strength
@@ -151,12 +170,13 @@ class Graph:
         isfinite = math.isfinite
         limit = _INT_WEIGHT_LIMIT
         n0 = n = self._num_edges
-        inexact0 = inexact = self._inexact
+        shift0 = shift = self._shift
+        one = 1 << shift
         known = len(nodes)
         delta = read is not None
         degrees = read == "unweighted"
-        s0: dict[int, float] = {}
-        log: list[tuple[int, int, float | None, float | None]] = []
+        s0: dict[int, int] = {}
+        log: list[tuple[int, int, int | None, int | None]] = []
         write = log.append
         # strengths before the call, for the undo; s0 holds them unless degrees
         was = {} if degrees else s0
@@ -170,8 +190,8 @@ class Graph:
                 if u == v:
                     raise SelfLoopError(f"self-loop on node {u}")
                 if w == 1:
-                    w = 1  # 1.0 and True too, so that unit weights are ints
-                elif 0 < w <= limit and not w % 1:
+                    w = one  # 1.0 and True too, so that unit weights are ints
+                elif not shift and 0 < w <= limit and not w % 1:
                     w = int(w)
                 else:
                     try:
@@ -189,11 +209,20 @@ class Graph:
                             NegativeWeightWarning,
                             stacklevel=_outside_stacklevel(),
                         )
-                    if -limit <= w <= limit and not w % 1:
-                        w = int(w)
-                    else:
-                        w = float(w)
-                        inexact = True
+                    # the float w is num / 2**k exactly, with den = 2**k
+                    num, den = float(w).as_integer_ratio()
+                    k = den.bit_length() - 1
+                    if k > shift:
+                        # a finer weight: everything written or recorded so far,
+                        # times 2**d, once
+                        d = k - shift
+                        _rescale(rows, strength, lshift, d)
+                        for x in was:
+                            was[x] <<= d
+                        log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]
+                        shift = k
+                        one = 1 << k
+                    w = num << (shift - k)
                 p = where(u)
                 if p is None:
                     p = pos[u] = len(nodes)
@@ -230,7 +259,7 @@ class Graph:
                     d = w - old
                     strength[p] += d
                     strength[q] += d
-            gone: dict[tuple[int, int], float] = {}
+            gone: dict[tuple[int, int], int] = {}
             for u, v in removes:
                 # a pair removed before is present, so the two faults exclude
                 # each other and the order of their checks is free
@@ -269,7 +298,10 @@ class Graph:
                     del pos[nodes.pop()]
                     rows.pop()
                     strength.pop()
-                n, inexact = n0, inexact0
+                # every weight and strength is a multiple of 2**(shift - shift0)
+                # again, so the rescale's undo is exact
+                _rescale(rows, strength, rshift, shift - shift0)
+                n, shift = n0, shift0
             raise
         else:
             for (p, q), w in gone.items():
@@ -279,7 +311,7 @@ class Graph:
                 strength[q] -= w
         finally:
             self._num_edges = n
-            self._inexact = inexact
+            self._shift = shift
         return s0, log
 
     # -- queries ----------------------------------------------------------
@@ -294,12 +326,18 @@ class Graph:
         return self._nodes
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Each edge once as a plain (u, v, weight) tuple, smaller endpoint first."""
+        """Each edge once as a plain (u, v, weight) tuple, smaller endpoint
+        first. A weight reads as it is stored at E = 0, whatever E: an ``int``
+        where it is integral, else the float it stands for."""
         nodes = self._nodes
+        shift = self._shift
+        scale = 1 << shift
         for u, row in zip(nodes, self._rows):
             for q, w in row.items():
                 v = nodes[q]
                 if u < v:
+                    if shift:
+                        w = w / scale if w % scale else w >> shift
                     yield u, v, w
 
     @property
@@ -312,13 +350,14 @@ class Graph:
 
     # -- plumbing ---------------------------------------------------------
 
-    def adjacency(self) -> list[dict[int, float]]:
+    def adjacency(self) -> list[dict[int, int]]:
         """Internal rows by position, each mapping a neighbour's position to
-        the edge weight; exposed for the centrality kernels. Read-only."""
+        the edge weight times 2**E; exposed for the kernels. Read-only."""
         return self._rows
 
-    def strengths(self) -> list[float]:
-        """Internal strengths by position, exposed for the kernels. Read-only."""
+    def strengths(self) -> list[int]:
+        """Internal strengths by position, exposed for the kernels, as exact
+        ints scaled by 2**E like the rows' weights. Read-only."""
         return self._strength
 
     def copy(self) -> Graph:
@@ -328,7 +367,7 @@ class Graph:
         g._rows = [dict(row) for row in self._rows]
         g._strength = list(self._strength)
         g._num_edges = self._num_edges
-        g._inexact = self._inexact
+        g._shift = self._shift
         return g
 
     def __repr__(self) -> str:

@@ -25,46 +25,39 @@ need evaluate no kernel. For a node x,
                     + 2 * sum(w1(x, j) * delta_s(j) for j in N1(x))
 
 where 0 and 1 mark the graph before and after the delta, an absent edge
-has w = 0 and a node new to the map starts from 0. The identity holds for
-any strength table, not only for exact sums of the weights. Both variants
-run it in two walks. The apply checks and writes the delta and, in the
-same loop, records s0 of every endpoint, keyed by node position (its keys
-are the touched nodes), and logs every write ``(j, k, w_old, w_new)``,
-None for absent, once: each add as it is written and each remove as it is
-checked. A pair written more than once has a term per write, and over a
-pair's writes w_0, w_1, ..., w_n they telescope to the pair term above:
+has w = 0 and a node new to the map starts from 0. Both variants run it in
+two walks. The apply checks and writes the delta and, in the same loop,
+records s0 of every endpoint, keyed by node position (its keys are the
+touched nodes), and logs every write ``(j, k, w_old, w_new)``, None for
+absent, once: each add as it is written and each remove as it is checked.
+A pair written more than once has a term per write, and over a pair's
+writes w_0, w_1, ..., w_n they telescope to the pair term above:
 
     sum((w_{i+1}^2 - w_i^2) + 2 * (w_{i+1} - w_i) * s0(j))
         = (w_n^2 - w_0^2) + 2 * (w_n - w_0) * s0(j)
 
 so the step adds each log entry's term as it comes, with no second read of
-the rows. Telescoping needs exact arithmetic, the only kind this path runs
-in (see below); in the unweighted variant only a write that flips the
-pair's presence adds a term. After the pair terms, one walk
-over the touched nodes adds each node's own term and, where its s changed,
+the rows; in the unweighted variant only a write that flips the pair's
+presence adds a term. After the pair terms, one walk over the touched
+nodes adds each node's own term and, where its s changed,
 ``w * 2 * delta_s`` to every member of its post-delta row. The step's
 ``computed_count`` is the size of touched | N(touched), a set built in one
 call. The unweighted variant reads w as presence, 1 or 0, and s as the
-degree, so that ``C = d^2 + d + 2 * sum(d_j)`` and its values stay Python
-ints, which the difference keeps exact.
+degree, so that ``C = d^2 + d + 2 * sum(d_j)``.
 
-Exactness of the weighted step. The difference equals a full
-recomputation only if neither side rounds. The graph stores a weight that
-is an integer within +-2**53 as an ``int`` and any other as a ``float``
-that sets a sticky flag (see :class:`Graph`). While the flag is clear
-every weight, strength and value is an int, and int arithmetic is exact,
-so both sides compute the integer C(x) whatever the order of their sums.
-Each converts to a float: with m edges, T = sum(|w|) <= m * 2**53 bounds
-every |s|, so |C(x)| <= s^2 + 3 * T * sum(|w_xj|) <= 4*T^2 and the energy
-is at most 6*T^2, both below 6 * m^2 * 2**106 < 2**1024 for any m below
-2**457.
-
-The flag must be sticky: a fractional weight, or an integral one beyond
-2**53, can leave rounding in a strength after its edge has gone, and a
-gate on the weights present alone lets such a step drift from batch. When
-the flag is set before or after the delta, the weighted step falls back
-to the kernel on every touched node and neighbor, which is bitwise equal
-to a full recomputation by construction.
+Exactness. The difference equals a full recomputation, and telescopes,
+only if neither side rounds. The graph stores every finite weight and
+strength as an exact int scaled by 2**E (see :mod:`lapstream.graph`), so
+both sides compute the exact int C(x) * 2**(2E), whatever the order of
+their sums, on any history. A delta that raises E has rescaled s0 and the
+log with the graph, so the step first scales the map's live values by
+2**(2 * delta_E) to match. The public side divides once by 2**(2E),
+correctly rounded (see :mod:`lapstream.centrality`); at E = 0 the values
+are the ints themselves, and with m edges of integral weights within
++-2**53, T = sum(|w|) <= m * 2**53 bounds every |s|, so |C(x)| <= s^2 +
+3 * T * sum(|w_xj|) <= 4*T^2 and the energy is at most 6*T^2, both below
+2**1024 for any m below 2**457. Larger weights can give values past the
+float range, which read as :class:`~lapstream.errors.FloatRangeError`.
 """
 
 from __future__ import annotations
@@ -73,7 +66,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from lapstream.centrality import CentralityMap, NodeValues, Variant, evaluate_nodes, lap_cent
+from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
 from lapstream.errors import DeltaError, LapstreamError
 from lapstream.graph import Graph
 
@@ -128,12 +121,11 @@ def lap_cent_add_remove(
     sum over a pair's writes telescopes to the pair's term).
     Both walks index lists by node position: the graph's rows and
     strengths, and the map's values list, which grows by a 0 for each node
-    new to the graph. A weighted step on a graph whose exactness flag is
-    set before or after the delta re-evaluates the kernel on all of them
-    instead. Copy ``cmap`` first to keep the previous step's values. A
-    rejected delta, an unknown variant, a kept map (see :func:`run_evolving`),
-    whose values are a tuple, or a map of another graph raises before ``g``
-    or ``cmap`` changes. Returns ``cmap``.
+    new to the graph, and which a weighted delta that raises the graph's
+    scale E shifts first. Copy ``cmap`` first to keep the previous step's
+    values. A rejected delta, an unknown variant, a kept map (see
+    :func:`run_evolving`), whose values are a tuple, or a map of another
+    graph raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
     """
     if variant not in ("unweighted", "weighted"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -147,14 +139,11 @@ def lap_cent_add_remove(
     # nodes are never deleted, so the nodes new to the graph hold the last
     # positions, in order of first mention; they start from 0
     values += [0] * (len(adj) - len(values))
-    if weighted and g._inexact:
-        # the keys of s0 are the touched nodes; add their post-delta rows
-        recompute = set(s0).union(*map(adj.__getitem__, s0))
-        cmap.computed_count = len(recompute)
-        if recompute:
-            for x, c in zip(recompute, evaluate_nodes(g, recompute, variant)):
-                values[x] = c
-        return cmap
+    if weighted and view._shift != g._shift:
+        # s0 and the log are at the graph's new scale; so are the values now
+        d = 2 * (g._shift - view._shift)
+        values[:] = [x << d for x in values]
+        view._shift = g._shift
     # pair terms, on both ends of every write, which telescope over the
     # writes of a pair to its term in the difference
     if weighted:
@@ -198,7 +187,7 @@ def lap_cent_add_remove(
                 diff = 2 * (b - a)
                 for x in row:
                     values[x] += diff
-    # touched | N(touched), as on the fallback path, in one call
+    # touched | N(touched): the keys of s0 and their post-delta rows, in one call
     cmap.computed_count = len(set(s0).union(*map(adj.__getitem__, s0)))
     return cmap
 
@@ -255,6 +244,6 @@ def run_evolving(
     kept = []
     for cmap, _ in evolve(initial, deltas, mode, variant):
         view = cmap.values
-        values = NodeValues(view._pos, view._nodes, tuple(view._values))
+        values = NodeValues(view._pos, view._nodes, tuple(view._values), view._shift)
         kept.append(CentralityMap(values, cmap.computed_count))
     return kept

@@ -3,9 +3,10 @@
 Input grammar, per line: optional ``#`` comments; otherwise 2 to 4 fields
 split on commas or runs of whitespace, ``u v [w] [t]``, each in ASCII
 digits with no ``_`` separators (a sign and leading zeros allowed): u, v
-non-negative decimal integers, w a finite decimal real (default 1.0) and t
-a decimal integer timestamp in epoch seconds (default: the event's
-ordinal), within years 1 to 9999 UTC, the range ``datetime`` can bucket.
+non-negative decimal integers, w a finite decimal real (default 1.0), zero
+only where its digits are, so that no text underflows to 0.0, and t a
+decimal integer timestamp in epoch seconds (default: the event's ordinal),
+within years 1 to 9999 UTC, the range ``datetime`` can bucket.
 
 Commas are replaced by spaces and the line is split with ``str.split()``.
 ``str.split()`` and the ``re`` module's whitespace class agree on which
@@ -102,7 +103,8 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
     deltas hold one object per such weight rather than one per event; any
     other weight, ``0`` and ``-0`` included, is the float parsed. A field
     with ``_`` or a non-ASCII character is a :class:`ParseError`, although
-    ``int()`` and ``float()`` read ``1_0`` and ``\u0661``.
+    ``int()`` and ``float()`` read ``1_0`` and ``\u0661``, and so is a
+    nonzero weight text that ``float()`` rounds to zero, such as ``1e-400``.
     """
     events: list[_Event] = []
     by_text: dict[str, int] = {}  # field text -> its node's object
@@ -157,6 +159,9 @@ def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
                     raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
                 if not math.isfinite(weight):
                     raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
+                # a zero weight must be written as one: 0, -0.0 or 0e5, not 1e-400
+                if not weight and fields[2].lower().partition("e")[0].strip("+-0."):
+                    raise ParseError(lineno, f"weight {fields[2]!r} underflows to zero")
                 if weight in _SMALL_WEIGHTS:
                     weight = small_texts[fields[2]] = _SMALL_WEIGHTS[weight]
         if len(fields) == 4:

@@ -3,6 +3,7 @@ across test modules."""
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from lapstream.centrality import NodeValues, Variant, laplacian_energy
 from lapstream.graph import Edge, Graph
@@ -133,9 +134,16 @@ def far_delta(delta: EdgeDelta) -> EdgeDelta:
 
 
 def stored(w):
-    """``w`` as a graph stores it: an int if it is an integer within +-2**53,
-    else a float."""
-    return int(w) if -(2**53) <= w <= 2**53 and not w % 1 else float(w)
+    """``w`` as :meth:`Graph.edges` gives it back, whatever the graph's scale:
+    the float it converts to, as an ``int`` where that is integral."""
+    w = float(w)
+    return int(w) if w.is_integer() else w
+
+
+def exponent(weights) -> int:
+    """The least E with every weight an integer times 2**-E: the scale a graph
+    takes from them."""
+    return max((Fraction(float(w)).denominator.bit_length() - 1 for w in weights), default=0)
 
 
 def bits(values):
@@ -168,12 +176,14 @@ def node_strengths(g: Graph) -> dict:
 def graph_state(g: Graph):
     """Everything a writer sets, to compare two graphs: the position table
     (node -> position in its order, and the node list), rows by position in
-    their order, strengths by position, floats by bits, and ``num_edges``."""
+    their order, strengths by position, both as the stored ints, the scale
+    exponent E and ``num_edges``."""
     return (
         list(g._pos.items()),
         list(g.nodes()),
         [list(bits(row).items()) for row in g.adjacency()],
         list(bits(dict(enumerate(g.strengths()))).items()),
+        g._shift,
         g.num_edges,
     )
 

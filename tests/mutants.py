@@ -58,9 +58,18 @@ MUTANTS = [
     Mutant(G, "if w < 0:", "if w < -1:", "a weight in (-1, 0) or of -1 does not warn"),
     Mutant(
         G,
-        "if -limit <= w <= limit and not w % 1:",
-        "if -limit <= w <= limit and not w % 2:",
-        "an odd integral weight off the fast path is stored as a float and sets the flag",
+        "elif not shift and 0 < w <= limit and not w % 1:",
+        "elif 0 < w <= limit and not w % 1:",
+        "an integral weight written at E > 0 is stored unscaled",
+    ),
+    Mutant(G, "w = num << (shift - k)", "w = num << shift", "a fractional weight is stored too large"),
+    Mutant(G, "_rescale(rows, strength, lshift, d)", "pass", "a finer weight leaves the rows and strengths unscaled"),
+    Mutant(G, "was[x] <<= d", "pass", "a rescale leaves s0 and the strengths kept for the undo unscaled"),
+    Mutant(
+        G,
+        "log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]",
+        "pass",
+        "a rescale leaves the write log unscaled",
     ),
     Mutant(G, "if pair in gone:", "if pair in gone and w is None:", "a pair removed twice is not refused"),
     Mutant(
@@ -76,9 +85,16 @@ MUTANTS = [
         "a rejected delta leaves its strengths written",
     ),
     Mutant(G, "del pos[nodes.pop()]", "nodes.pop()", "a rejected delta leaves its new nodes in the position table"),
-    Mutant(G, "n, inexact = n0, inexact0", "n = n0", "a rejected delta leaves the flag set"),
+    Mutant(G, "n, shift = n0, shift0", "n = n0", "a rejected delta leaves E raised"),
+    Mutant(
+        G,
+        "_rescale(rows, strength, rshift, shift - shift0)",
+        "pass",
+        "a rejected delta leaves the weights and strengths rescaled",
+    ),
     Mutant(G, "write((p, q, w, None))", "pass", "removes are missing from the write log"),
-    Mutant(G, "g._inexact = self._inexact", "pass", "copy() drops the flag"),
+    Mutant(G, "g._shift = self._shift", "pass", "copy() drops E"),
+    Mutant(G, "w = w / scale if w % scale else w >> shift", "w = w / scale", "edges() gives integral weights as floats at E > 0"),
     # the incremental step: pair terms, own terms, the walk and the count
     Mutant(
         I,
@@ -109,7 +125,13 @@ MUTANTS = [
         "cmap.computed_count = len(s0)",
         "the count leaves out the touched nodes' neighbours",
     ),
-    Mutant(I, "if weighted and g._inexact:", "if weighted and not g._inexact:", "the weighted step takes the wrong path"),
+    Mutant(
+        I,
+        "d = 2 * (g._shift - view._shift)",
+        "d = g._shift - view._shift",
+        "a delta that raises E shifts the live values by delta_E, not 2 * delta_E",
+    ),
+    Mutant(I, "view._shift = g._shift", "pass", "the live map keeps its old scale after a rescale"),
     # the kernels and the energy
     Mutant(
         K,
@@ -121,10 +143,41 @@ MUTANTS = [
     Mutant(C, "total += d * d + d", "total += d * d", "the unweighted energy drops the degree term"),
     Mutant(C, "total += w * w", "total += w", "the weighted energy drops the square of the weights"),
     Mutant(C, "if energy == 0:", "if energy is None:", "normalize divides by a zero energy"),
-    Mutant(C, "[x / energy for x in view._values]", "[x / energy / 2 for x in view._values]", "normalize halves every value"),
+    # the public side's one division by 2**(2E)
+    Mutant(
+        C,
+        "return _quotient(self._values[i], 1 << 2 * self._shift, node)",
+        "return _quotient(self._values[i], 1 << self._shift, node)",
+        "a value reads divided by 2**E, not 2**(2E)",
+    ),
+    Mutant(
+        C,
+        'shift = g._shift if variant == "weighted" else 0',
+        "shift = g._shift",
+        "unweighted values on a fractional graph read scaled down",
+    ),
+    Mutant(
+        C,
+        "return i is not None and i < len(self._values)",
+        "return i is not None",
+        "a kept map holds the nodes that came later",
+    ),
+    Mutant(C, "energy = _quotient(total, 1 << 2 * g._shift)", "energy = total", "the weighted energy reads scaled"),
+    Mutant(C, "if total and not energy:", "if total and energy is None:", "an energy that underflows reads as no edges"),
+    Mutant(C, "num <<= 2 * view._shift", "num <<= view._shift", "normalize divides by 2**E, not 2**(2E)"),
+    Mutant(C, "over = 1 << 2 * view._shift", "over = 1", "a dump writes the scaled ints"),
+    Mutant(C, "    except OverflowError:\n        what", "    except ZeroDivisionError:\n        what", "a value past the float range is an OverflowError"),
+    Mutant(C, "values = [_quotient(x * den, num, v)", "values = [_quotient(x, num, v)", "normalize drops the energy's denominator"),
     # the compare gate
     Mutant(B, "if s - s == 0:", "if True:", "the gate passes a NaN object against itself on the fast path"),
     Mutant(B, "if not x == y:", "if x is not y and not x == y:", "the gate passes a NaN object against itself on the slow path"),
+    Mutant(B, "if same_keys and a._shift == b._shift and", "if same_keys and", "the gate compares ints of two scales"),
+    Mutant(
+        B,
+        "copy = dict(view) if view._shift else dict(zip(g.nodes(), view._values))",
+        "copy = dict(zip(g.nodes(), view._values))",
+        "compare keeps the scaled ints of a fractional graph",
+    ),
     Mutant(
         B,
         "raise CompareMismatchError(step + 1, *bad)",
@@ -141,6 +194,12 @@ MUTANTS = [
     ),
     Mutant(N, "        if not math.isfinite(w):", "        if False:", "an overflowing accumulated weight names no bucket"),
     # the parser's field checks
+    Mutant(
+        N,
+        'if not weight and fields[2].lower().partition("e")[0].strip("+-0."):',
+        'if weight is None and fields[2].lower().partition("e")[0].strip("+-0."):',
+        "a weight text that underflows to zero is read",
+    ),
     Mutant(N, "if not 2 <= len(fields) <= 4:", "if not 2 <= len(fields) <= 5:", "a line of 5 fields is read"),
     Mutant(N, "if u < 0 or v < 0:", "if u < 0:", "a negative second node id is read"),
     Mutant(

@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 
 from conftest import TOY_EDGES
-from genutil import graph_state, set_value, view
+from genutil import bits, graph_state, set_value, view
 
 from lapstream import cli, incremental
 from lapstream.bench import (
@@ -83,11 +83,14 @@ class TestBenchStream:
         computed = [m.computed_count for m in result.maps]
         assert computed == [r.centralities_computed for r in result.dynamic]
 
+    @pytest.mark.parametrize("scale", [1.0, 0.1], ids=["integral", "fractional"])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
-    def test_compare_keeps_run_evolving_maps(self, variant):
+    def test_compare_keeps_run_evolving_maps(self, variant, scale):
+        """Compare keeps what run_evolving's maps read: ints at E = 0, the
+        correctly rounded floats above it."""
         rng = random.Random(3)
         events = [
-            (*rng.sample(range(60), 2), float(rng.randint(1, 5)), rng.randrange(10 * 86400))
+            (*rng.sample(range(60), 2), rng.randint(1, 5) * scale, rng.randrange(10 * 86400))
             for _ in range(300)
         ]
         events.sort(key=lambda e: e[3])
@@ -98,7 +101,7 @@ class TestBenchStream:
         assert len(maps[0].values) < len(maps[-1].values)
         assert any(d.removes for d in stream.deltas)
         for a, b in zip(kept, maps):
-            assert list(a.values.items()) == list(b.values.items())
+            assert list(bits(a.values).items()) == list(bits(b.values).items())
             assert a.computed_count == b.computed_count
 
     @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
@@ -250,6 +253,13 @@ class TestDiffMapsOneTable:
         assert a._nodes is b._nodes and a._values is not b._values
         assert diff_maps(a, b) is None
 
+    def test_the_same_ints_at_another_scale_diverge(self):
+        """A map's stored ints stand for values only with their scale."""
+        a, b = self._maps()
+        b._shift = 1
+        assert a._values == b._values
+        assert diff_maps(a, b) == (1, a[1], a[1] / 4)
+
     def test_names_the_smallest_divergent_node(self):
         a, b = self._maps()
         for node in (9, 5, 3):
@@ -274,9 +284,9 @@ class TestDiffMapsOneTable:
         assert diff_maps(a, b) is None
 
 
-# one weight kind per seed: integral weights, small or large, keep the weighted
-# step on the closed form; the others are fractional and set the graph's
-# exactness flag, so the weighted step takes the kernel fallback
+# one weight kind per seed: integral weights, small or large, keep the graph's
+# scale at E = 0; the others are fractional and raise it, so that the weighted
+# step and batch both run on exact ints scaled by 2**E
 WEIGHTS = {
     "integral": lambda rng: float(rng.randint(1, 5)),
     "fractional": lambda rng: rng.uniform(0.01, 5.0),
@@ -311,7 +321,7 @@ class TestExactGate:
                 g = stream.initial.copy()
                 for delta in stream.deltas:
                     apply_delta(g, delta)
-                assert g._inexact == (kind not in ("integral", "large"))
+                assert (g._shift > 0) == (kind not in ("integral", "large"))
                 for variant in ("unweighted", "weighted"):
                     result = bench_stream(stream, "compare", variant)
                     assert len(result.maps) == stream.num_steps == 20

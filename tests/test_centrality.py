@@ -1,3 +1,4 @@
+import io
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -14,7 +15,7 @@ from lapstream.centrality import (
     normalize,
     write_centralities,
 )
-from lapstream.errors import ZeroEnergyError
+from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Graph
 from lapstream.incremental import EdgeDelta, apply_delta
 
@@ -111,7 +112,8 @@ class TestBatchWeighted:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_within_rounding_of_exact(self, seed):
-        """Values on a freshly built graph lie within rel 2e-15 of the exact C(x)."""
+        """Every value on a freshly built graph is the exact C(x): the int
+        itself at E = 0, else its correctly rounded float."""
         rng = random.Random(seed)
         n = rng.randint(5, 60)
         weights = (
@@ -125,8 +127,65 @@ class TestBatchWeighted:
             pairs.setdefault((min(u, v), max(u, v)), rng.choice(weights)())
         g = Graph((u, v, w) for (u, v), w in pairs.items())
         values = lap_cent(g, "weighted").values
+        integral = all(w == int(w) for w in pairs.values())
+        assert (g._shift == 0) == integral
         for x, exact in exact_weighted_values(g).items():
-            assert abs(Fraction(values[x]) - exact) <= Fraction(2e-15) * abs(exact), (x, values[x])
+            want = int(exact) if integral else float(exact)
+            assert (type(values[x]), values[x]) == (type(want), want), x
+
+
+def exact_weighted_energy(g: Graph) -> Fraction:
+    """Test-only oracle: sum(s^2) + 2 * sum(w^2 over edges), exactly, from the edge list."""
+    strength: dict[int, Fraction] = defaultdict(Fraction)
+    squares = Fraction(0)
+    for u, v, weight in g.edges():
+        w = Fraction(weight)
+        strength[u] += w
+        strength[v] += w
+        squares += 2 * w * w
+    return sum(s * s for s in strength.values()) + squares
+
+
+class TestExactRounding:
+    """On fractional weights the energy and every normalized value are one
+    correctly rounded division of exact rationals."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_energy_and_normalized_values(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 30)
+        weights = [0.1, 0.375, 2.5, 1 / 3, 5e-324, 3.0]
+        pairs = {tuple(sorted(rng.sample(range(n), 2))): rng.choice(weights) for _ in range(60)}
+        g = Graph((u, v, w) for (u, v), w in pairs.items())
+        assert g._shift > 0
+        energy = laplacian_energy(g, "weighted")
+        assert energy == float(exact_weighted_energy(g))
+        assert not energy.is_integer()
+        normalized = normalize(lap_cent(g, "weighted"), energy).values
+        for x, exact in exact_weighted_values(g).items():
+            assert normalized[x] == float(exact / Fraction(energy)), x
+
+
+class TestPastTheFloatRange:
+    def test_a_value_is_a_named_error_naming_its_node(self):
+        g = Graph([(1, 2, 1e300), (2, 3, 0.5)])
+        values = lap_cent(g, "weighted").values
+        assert 1 in values and 3 in values and 4 not in values
+        assert values[3] == 1e300  # 1e300 + 0.75, correctly rounded
+        with pytest.raises(FloatRangeError, match="node 1 is past the float range"):
+            values[1]
+        with pytest.raises(FloatRangeError, match="the Laplacian energy"):
+            laplacian_energy(g, "weighted")
+        with pytest.raises(FloatRangeError, match="node 1 "):
+            write_centralities(lap_cent(Graph([(1, 2, 1e300)]), "weighted"), io.StringIO())
+
+    def test_an_energy_that_underflows_is_a_named_error(self):
+        """Subnormal weights: values round to 0.0, and so would the energy,
+        which normalize would take for a graph with no edges."""
+        g = Graph([(1, 2, 5e-324), (2, 3, 2.0**-600)])
+        assert lap_cent(g, "weighted").values == {1: 0.0, 2: 0.0, 3: 0.0}
+        with pytest.raises(FloatRangeError, match="below the float range"):
+            laplacian_energy(g, "weighted")
 
 
 class TestLaplacianEnergy:

@@ -48,6 +48,21 @@ class TestCentralityCommand:
         assert cli_main(["centrality", "--input", str(path), "--variant", "weighted"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0,64", "1,28", "2,48"]
 
+    def test_normalized_past_the_float_range(self, tmp_path, capsys):
+        """Values and energy near 4e400 are exact ints; their ratio is 1."""
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2 1e200 0\n")
+        argv = ["centrality", "--input", str(path), "--variant", "weighted", "--normalized"]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["1,1", "2,1"]
+
+    def test_value_past_the_float_range_names_the_node(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2 1e200 0\n")
+        assert cli_main(["centrality", "--input", str(path), "--variant", "weighted"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the centrality of node 1 is past the float range\n"
+
     def test_out_file(self, data_dir, tmp_path):
         target = tmp_path / "cent.csv"
         code = cli_main(
@@ -88,6 +103,27 @@ class TestCompareCommand:
         assert code == 0
         assert (tmp_path / "results" / "batch.csv").exists()
         assert (tmp_path / "results" / "dynamic.csv").exists()
+
+    def test_dump_past_the_float_range_names_step_and_node(self, tmp_path, capsys):
+        """Exact values near 1e617 pass the gate; their dump exits 2."""
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2 1e308 0\n2 3 1e308 0\n")
+        out = tmp_path / "out"
+        argv = ["compare", "--input", str(path), "--variant", "weighted", "--out", str(out)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main([*argv, "--dump-centralities"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 1: the centrality of node 1 is past the float range\n"
+
+    @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+    def test_subnormal_weights_pass_the_gate(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("1 2 5e-324 0\n2 3 0.1 86400\n1 2 1.5 86400\n3 4 -5e-324 172800\n")
+        argv = ["compare", "--input", str(path), "--variant", "weighted", "--window", "2"]
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--out", str(out), "--dump-centralities"]) == 0
+        assert (out / "centralities" / "step_0001.csv").read_text() == "1,0\n2,0\n"
 
 
 class TestRunCommand:
@@ -342,14 +378,14 @@ class TestValidateCommand:
         assert "step 1: edge (9, 1) already present" in capsys.readouterr().err
 
     @pytest.mark.parametrize("far", [False, True])
-    @pytest.mark.parametrize("flagged", [False, True])
+    @pytest.mark.parametrize("fractional", [False, True])
     @pytest.mark.parametrize("delta, culprit", AUDITED_DELTAS)
     def test_audit_reports_first_duplicate(
-        self, monkeypatch, capsys, delta, culprit, flagged, far
+        self, monkeypatch, capsys, delta, culprit, fractional, far
     ):
         """validate names the step and the first duplicate add, ahead of any
         other fault in the delta, and leaves the stream's graph as it was."""
-        g = Graph(TOY_EDGES + ([(6, 7, 0.5)] if flagged else []))
+        g = Graph(TOY_EDGES + ([(6, 7, 0.5)] if fractional else []))
         deltas = [EdgeDelta(adds=[Edge(6, 8)]), delta]
         if far:
             g, deltas = far_graph(g), [far_delta(d) for d in deltas]

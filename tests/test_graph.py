@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_EDGES
-from genutil import far, graph_state, node_rows, node_strengths, stored, with_isolated
+from genutil import (
+    bits,
+    exponent,
+    far,
+    graph_state,
+    node_rows,
+    node_strengths,
+    stored,
+    with_isolated,
+)
 
 from lapstream.errors import (
     LapstreamError,
@@ -85,7 +94,7 @@ class TestAddEdge:
         with pytest.raises(NonFiniteWeightError, match=r"edge \(2, 3\)"):
             _add(g, (2, 3, weight))
         assert graph_state(g) == graph_state(before)
-        assert not g._inexact
+        assert g._shift == 0
 
     def test_negative_weight_warns(self):
         """Stored, with a warning that names this file, whichever writer."""
@@ -321,7 +330,7 @@ class TestBulkPath:
 
         (bulk, _), (seq, _) = _recorded(lambda: run(by_loop)), _recorded(lambda: run(_add_each))
         assert bulk == seq
-        kind, message, pulled, (_, _, rows, _, num_edges) = bulk
+        kind, message, pulled, (_, _, rows, _, _, num_edges) = bulk
         assert pulled == at + 1
         assert num_edges == sum(map(len, rows)) // 2
         with warnings.catch_warnings():
@@ -355,26 +364,23 @@ class TestBulkPath:
         assert bulk_warnings == seq_warnings
 
 
-# -- the running figure: the sticky exactness flag -------------------------------
+# -- the running figure: the sticky scale exponent E ------------------------------
 
-# weights on both sides of 2**53, the largest magnitude stored as an int
+# weights on both sides of 2**53, the largest weight the integral fast path takes
 BIG_WEIGHTS = st.sampled_from([2.0**53, -(2**53), 2**53 + 1, 2.0**53 + 2, 2**60, 3e20, 1e7])
 
 
-def _written(edges):
-    """Whether any of ``edges`` carries a weight that sets the flag."""
-    return any(len(e) == 3 and type(stored(e[2])) is float for e in edges)
+def _exponent(edges):
+    return exponent(e[2] for e in edges if len(e) == 3)
 
 
-def _check_figures(g, ever_inexact):
-    assert g._inexact == ever_inexact
-    types = {type(w) for row in g.adjacency() for w in row.values()}
-    assert types <= ({int, float} if g._inexact else {int})
-    if not g._inexact:
-        # exact while the flag is clear: every strength is the int sum of its row
-        assert [(type(s), s) for s in g.strengths()] == [
-            (int, sum(row.values())) for row in g.adjacency()
-        ]
+def _check_figures(g, exponent):
+    assert g._shift == exponent
+    assert all(type(w) is int for row in g.adjacency() for w in row.values())
+    # exact: every strength is the int sum of its row
+    assert [(type(s), s) for s in g.strengths()] == [
+        (int, sum(row.values())) for row in g.adjacency()
+    ]
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
@@ -382,7 +388,7 @@ class TestRunningFigures:
     @SETTINGS
     @given(edges=edge_lists(weights=st.one_of(WEIGHTS, BIG_WEIGHTS)))
     def test_constructor(self, edges):
-        _check_figures(Graph(edges), _written(edges))
+        _check_figures(Graph(edges), _exponent(edges))
 
     @SETTINGS
     @given(
@@ -392,13 +398,13 @@ class TestRunningFigures:
     )
     def test_every_writer(self, initial, adds, data):
         g = Graph(initial)
-        ever = _written(initial)
+        ever = _exponent(initial)
         for e in adds:  # one-edge deltas, upserts included
             _add(g, e)
-            ever = ever or _written([e])
+            ever = max(ever, _exponent([e]))
             _check_figures(g, ever)
         copied = g.copy()
-        assert copied._inexact == g._inexact
+        assert copied._shift == g._shift
         _check_figures(copied, ever)
         present = sorted(e[:2] for e in g.edges())
         for u, v in data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []:
@@ -408,25 +414,38 @@ class TestRunningFigures:
         removable = sorted({e[:2] for e in g.edges()} | {tuple(sorted(e[:2])) for e in delta_adds})
         removes = data.draw(st.lists(st.sampled_from(removable), unique=True)) if removable else []
         apply_delta(g, EdgeDelta(adds=delta_adds, removes=removes))
-        _check_figures(g, ever or _written(delta_adds))
+        _check_figures(g, max(ever, _exponent(delta_adds)))
         _check_figures(copied, ever)  # the copy is independent
 
-    @pytest.mark.parametrize("weight", [0.5, 2.0**53 + 2, 2**60])
-    def test_flag_stays_set_after_inexact_edges_leave(self, weight):
-        g = Graph([(0, 1, weight), (1, 2, 2.0), (2, 3, 0.25)])
-        assert g._inexact
+    @pytest.mark.parametrize("weight, exponent", [(0.5, 1), (0.375, 3), (5e-324, 1074), (0.1, 55)])
+    def test_scale_stays_after_fractional_edges_leave(self, weight, exponent):
+        g = Graph([(0, 1, weight), (1, 2, 2.0), (2, 3, 0.5)])
+        assert g._shift == exponent
         _remove(g, (0, 1))
-        _add(g, (2, 3, 3.0))  # the last inexact edge turns integral
+        _add(g, (2, 3, 3.0))  # the last fractional edge turns integral
+        assert sorted(g.edges()) == [(1, 2, 2), (2, 3, 3)]
         assert all(type(w) is int for _, _, w in g.edges())
-        assert g._inexact
-        assert g.copy()._inexact
+        assert node_strengths(g) == {0: 0, 1: 2 << exponent, 2: 5 << exponent, 3: 3 << exponent}
+        assert g._shift == exponent
+        assert g.copy()._shift == exponent
+
+    def test_edges_read_the_same_at_any_scale(self):
+        """A weight reads as it was stored at E = 0 however fine a later weight is."""
+        weights = [1.0, 3, -2.0, 0.0, 2.0**60, 0.5, 1e308, -0.75]
+        g = Graph((0, j + 1, w) for j, w in enumerate(weights))
+        fine = g.copy()
+        _add(fine, (0, 99, 5e-324))
+        for graph in (g, fine):
+            got = {v: w for _, v, w in graph.edges() if v != 99}
+            assert bits(got) == bits({j + 1: stored(w) for j, w in enumerate(weights)})
+        assert [w for _, v, w in fine.edges() if v == 99] == [5e-324]
 
     def test_integral_weights_stay_exact_past_float_precision(self):
-        """Strengths and values pass 2**53 as exact ints, with the flag clear."""
+        """Strengths and values pass 2**53 as exact ints, at E = 0."""
         big = 2**53
         g = Graph([(0, 1, float(big)), (1, 2, big), (2, 3, -big), (3, 4, 2.0**52)])
         _add(g, (0, 1, big - 1), (4, 5, 1.0))
-        assert not g._inexact
+        assert g._shift == 0
         assert node_strengths(g) == {0: big - 1, 1: 2 * big - 1, 2: 0, 3: 2**52 - big, 4: 2**52 + 1, 5: 1}
         assert all(type(s) is int for s in g.strengths())
         values = lap_cent(g, "weighted").values
@@ -446,7 +465,7 @@ class TestRunningFigures:
             apply_delta(g, EdgeDelta(adds=[Edge(6, 7, 2**60)], removes=[(6, 8)]))
         with pytest.raises(LapstreamError):
             g._apply([(4, 5, 7.0), bad], ())  # the edge before it is written
-        assert not g._inexact
+        assert g._shift == 0
         strengths = node_strengths(g)
         assert strengths == {0: 2, 1: -1, 2: -3, 4: 7, 5: 7}
         assert all(type(s) is int for s in strengths.values())

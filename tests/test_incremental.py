@@ -96,13 +96,16 @@ REJECTED_DELTAS = [
 
 
 def _state(g, cmap):
-    """Everything a step may change: the graph in insertion order and floats by
-    bits, its position table, its exactness flag and the map."""
+    """Everything a step may change: the graph in insertion order, its
+    position table and its scale, and the map, its stored values and their
+    scale as well as what it reads."""
+    view = cmap.values
     return (
         graph_state(g),
-        g._inexact,
-        len(cmap.values),
-        list(bits(cmap.values).items()),
+        len(view),
+        list(view._values),
+        view._shift,
+        list(bits(view).items()),
         cmap.computed_count,
     )
 
@@ -188,13 +191,47 @@ class TestRejectedDelta:
     @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
-    def test_flagged_step_unchanged(self, toy_graph, delta, error, variant, far):
-        """The step rejects as apply_delta does on a flagged graph too, whose
-        weighted step takes the kernel fallback."""
+    def test_fractional_step_unchanged(self, toy_graph, delta, error, variant, far):
+        """The step rejects as apply_delta does on a graph with a fractional
+        weight too, whose values are scaled by 2**(2E)."""
         apply_delta(toy_graph, EdgeDelta(adds=[Edge(6, 7, 0.5)]))
+        assert toy_graph._shift == 1
         if far:
             toy_graph, delta = far_graph(toy_graph), far_delta(delta)
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "delta, error",
+        [
+            (EdgeDelta(adds=[Edge(3, 2, 4.0), Edge(1, 9, 5e-324), Edge(9, 2, 0.75), Edge(4, 4)]),
+             SelfLoopError),
+            (EdgeDelta(adds=[Edge(1, 9, 5e-324), Edge(5, 6, 2.5)], removes=[(5, 6), (1, 6)]),
+             MissingEdgeError),
+        ],
+        ids=["self-loop", "absent-remove"],
+    )
+    def test_rescale_undone(self, toy_graph, delta, error, variant, fractional):
+        """A subnormal weight raises E to 1074, rescaling the rows, the
+        strengths, s0 and the log, and a later change rejects the delta: E,
+        rows in their order, strengths, the node table and the map are as
+        they were."""
+        if fractional:
+            apply_delta(toy_graph, EdgeDelta(adds=[Edge(6, 7, 0.5)]))
+        shift = toy_graph._shift
+        rows = [list(r.items()) for r in toy_graph.adjacency()]
+        _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
+        assert toy_graph._shift == shift
+        assert [list(r.items()) for r in toy_graph.adjacency()] == rows
+        assert 9 not in toy_graph._pos
+        # the same delta without its fault is written at E = 1074
+        adds = delta.adds[:-1] if error is SelfLoopError else delta.adds
+        cmap = lap_cent(toy_graph, variant)
+        lap_cent_add_remove(toy_graph, EdgeDelta(adds, delta.removes[:-1]), cmap, variant)
+        assert toy_graph._shift == 1074
+        assert cmap.values._shift == (1074 if variant == "weighted" else 0)
+        assert bits(cmap.values) == bits(lap_cent(toy_graph, variant).values)
 
     @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -217,7 +254,7 @@ class TestRejectedDelta:
         twice, then an absent remove: the undo replays the writes newest
         first, so each pair goes back to its weight before the delta, and
         rows in their order, typed strengths, the edge count, the node table,
-        the flag and the map are as they were."""
+        E and the map are as they were."""
         delta = EdgeDelta(
             adds=[Edge(4, 6, 2.0), Edge(6, 4, 3), Edge(4, 6, 5.0), Edge(2, 3, 4.0), Edge(3, 2, 7)],
             removes=[(5, 6), (1, 6)],
@@ -275,11 +312,11 @@ def test_absent_remove_raises_one_message(variant):
     assert messages == ["cannot remove absent edge (1, 6)"] * len(calls)
 
 
-@pytest.mark.parametrize("weight", [2.0, 0.5], ids=["exact", "fallback"])
+@pytest.mark.parametrize("weight", [2.0, 0.5], ids=["integral", "fractional"])
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 def test_new_nodes_take_batch_key_order(variant, weight):
-    """Nodes new to the graph enter the map in batch's order on either path
-    of the weighted step, the kernel fallback included."""
+    """Nodes new to the graph enter the map in batch's order, at E = 0 and
+    above it."""
     g = Graph([(1, 2, weight)])
     cmap = lap_cent(g, variant)
     delta = EdgeDelta(adds=[Edge(100, 1), Edge(50, 2), Edge(7, 300, 3.0), Edge(33, 2)])
@@ -457,23 +494,29 @@ class TestWeightedPropagation:
             weighted_kernel_calls.clear()
             lap_cent_add_remove(g, delta, cmap, "weighted")
             assert weighted_kernel_calls == []
-            assert not g._inexact
+            assert g._shift == 0
             full = lap_cent(g, "weighted").values
             assert cmap.values.keys() == full.keys()
             assert bits(cmap.values) == bits(full)
             assert all(type(v) is int for v in cmap.values.values())
             assert cmap.computed_count == len(sets.recompute)
 
-    def test_fractional_weight_runs_kernel_on_recompute(self, weighted_kernel_calls):
+    @pytest.mark.parametrize("weight, shift", [(0.5, 1), (0.1, 55), (5e-324, 1074)])
+    def test_fractional_weight_runs_no_kernel(self, weighted_kernel_calls, weight, shift):
+        """A delta that raises E: the step shifts the live values by 2 * delta_E
+        and then adds the difference, bitwise equal to batch."""
         g = Graph(WEIGHTED_HUB_EDGES)
         cmap = lap_cent(g, "weighted")
-        delta = EdgeDelta(adds=[Edge(6, 9, 0.5)], removes=[(0, 1)])
+        values = cmap.values._values
+        delta = EdgeDelta(adds=[Edge(6, 9, weight)], removes=[(0, 1)])
         sets = affected_nodes(g.copy(), delta)
         weighted_kernel_calls.clear()
         lap_cent_add_remove(g, delta, cmap, "weighted")
-        assert weighted_kernel_calls == [sets.recompute]
-        assert g._inexact
+        assert weighted_kernel_calls == []
+        assert g._shift == cmap.values._shift == shift
+        assert cmap.values._values is values
         assert bits(cmap.values) == bits(lap_cent(g, "weighted").values)
+        assert all(type(x) is float for x in cmap.values.values())
         assert cmap.computed_count == len(sets.recompute)
 
 
@@ -514,8 +557,8 @@ class TestWeightedAddRemove:
         assert cmap.values == values
 
 
-# deltas over the toy graph that bring in new nodes, out of id order, on both
-# paths of the weighted step (the 0.5 weight sets the exactness flag)
+# deltas over the toy graph that bring in new nodes, out of id order, at E = 0
+# and above it (the 0.5 weight raises the graph's scale E to 1)
 GROWING_DELTAS = [
     EdgeDelta(adds=[Edge(100, 1), Edge(50, 2, 2.0)]),
     EdgeDelta(adds=[Edge(7, 300, 3.0)], removes=[(1, 2)]),
@@ -784,14 +827,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     @pytest.mark.parametrize("seed", range(10))
     def test_dynamic_equals_batch(self, seed, variant, far):
-        _, _, dynamic, batch, integer = _random_run(seed, variant, far=far)
+        _, _, dynamic, batch, _ = _random_run(seed, variant, far=far)
         for dyn, full in zip(dynamic, batch):
-            if variant == "unweighted" or integer:
-                assert dyn.values == full.values
-            else:
-                assert dyn.values.keys() == full.values.keys()
-                for v in full.values:
-                    assert dyn.values[v] == pytest.approx(full.values[v], rel=1e-9)
+            assert bits(dyn.values) == bits(full.values)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_work_bound(self, seed):

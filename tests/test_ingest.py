@@ -155,6 +155,8 @@ def _regex_parse(lines):
                 raise ParseError(lineno, f"bad weight {fields[2]!r}") from None
             if not math.isfinite(weight):
                 raise ParseError(lineno, f"weight must be finite, got {fields[2]!r}")
+            if weight == 0 and re.search(r"[1-9]", re.split(r"[eE]", fields[2])[0]):
+                raise ParseError(lineno, f"weight {fields[2]!r} underflows to zero")
         if len(fields) == 4:
             if not re.fullmatch(r"[+-]?[0-9]+", fields[3]):
                 raise ParseError(lineno, f"bad timestamp {fields[3]!r}")
@@ -217,6 +219,8 @@ class TestParserFastPath:
             "1 2 1 1_000",
             "1 2 1 \u0661\u0662",
             "1 2 -0.5 +007",
+            "1 2 1e-400 5",
+            "1 2 -0e-400 5",
             "1\u200b2",
             "",
             "\r\n",
@@ -248,6 +252,7 @@ TABLED = st.integers(1, 256).flatmap(
 )
 UNTABLED = st.one_of(
     st.sampled_from(["0", "-0", "0.0", "-0.0", "+0", "257", "257.0", "1e3", "0.5", "256.5"]),
+    st.sampled_from(["0e5", "-0e-400", "00.000", ".0", "5e-324", "-2.5e-324"]),
     st.integers(-300, -1).map(str),
     st.integers(0, 300).map(lambda n: f"{n}.25"),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -255,6 +260,7 @@ UNTABLED = st.one_of(
 REJECTED = st.sampled_from(
     ["nan", "-nan", "inf", "-inf", "1e999", "heavy", "1..2", "0x10", "5e"]
     + ["1_0", "2_5.0", "1e1_0", "\u0661", "\uff13", "\u0661.5", "1\u0660"]
+    + ["1e-400", "-1e-400", "2e-324", "0.00001e-320", "10E-400"]
 )
 # a timestamp text, signed or zero-padded, and the int it reads as
 STAMPS = st.tuples(
@@ -300,6 +306,20 @@ class TestSmallWeights:
         with pytest.raises(ParseError) as err:
             parse_edge_events(lines)
         assert err.value.lineno == len(lines)
+
+    @pytest.mark.parametrize("text", ["1e-400", "-1e-400", "2e-324", "0.00001e-320", "10E-400"])
+    def test_weight_that_underflows_to_zero_has_position(self, text):
+        """float() reads these as 0.0 or -0.0; the parser refuses them, as it
+        refuses a text that overflows."""
+        with pytest.raises(ParseError, match="underflows to zero") as err:
+            parse_edge_events(["1 2 1e-300 5\n", f"2 3 {text} 6\n"])
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("text", ["0", "-0", "0.0", "0e5", "-0e-400", "+00.000", ".0"])
+    def test_zero_weight_texts_parse(self, text):
+        (event,) = parse_edge_events([f"1 2 {text} 5"])
+        assert event[2] == 0
+        assert math.copysign(1.0, event[2]) == (-1.0 if text.startswith("-") else 1.0)
 
     def test_table_holds_1_to_256(self):
         assert sorted(_SMALL_WEIGHTS) == [float(n) for n in range(1, 257)]

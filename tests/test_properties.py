@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from genutil import affected_nodes, bits, far_delta, far_graph, node_rows
+from genutil import affected_nodes, bits, exponent, far_delta, far_graph, node_rows
 
 from lapstream import kernels
-from lapstream.centrality import lap_cent
+from lapstream.centrality import lap_cent, laplacian_energy
+from lapstream.errors import FloatRangeError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import stream_from_snapshot_dir
@@ -153,7 +154,7 @@ def test_weighted_history_with_fractional_residue(far, run):
         assert bits(dyn.values) == bits(full.values)
 
 
-# -- which path the weighted step takes ----------------------------------------
+# -- the weighted step runs no kernel, at any scale -------------------------------
 
 MIXED = st.one_of(INTEGRAL, FRACTIONAL)
 
@@ -179,72 +180,54 @@ def _kernel_calls():
 
 
 def _walk(g, deltas, variant="weighted"):
-    """Run the dynamic step over ``deltas`` on a copy of ``g``; check every
-    step against batch bitwise, its count against :func:`affected_nodes`,
-    and its kernel calls against the path the graph's flag picks. Returns
-    whether each step ran the kernel, and the graph."""
+    """Run the dynamic step over ``deltas`` on a copy of ``g``; check that no
+    step calls a kernel, and every step against batch bitwise and its count
+    against :func:`affected_nodes`. Returns the graph after each step."""
     g = g.copy()
     cmap = lap_cent(g, variant)
-    ran = []
+    graphs = []
     for delta in deltas:
         sets = affected_nodes(g.copy(), delta)
         with _kernel_calls() as calls:
             lap_cent_add_remove(g, delta, cmap, variant)
-        if variant == "weighted" and g._inexact:
-            recompute = {g._pos[x] for x in sets.recompute}
-            assert calls == ([recompute] if recompute else [])
-        else:
-            assert calls == []
-        ran.append(bool(calls))
+        assert calls == []
         assert cmap.computed_count == len(sets.recompute)
         assert bits(cmap.values) == bits(lap_cent(g, variant).values)
-    return ran, g
+        graphs.append(g.copy())
+    return graphs
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
 @SETTINGS
 @hypothesis.given(run=evolving_runs(INTEGRAL))
-def test_integral_history_runs_no_kernel(run):
-    """0.0, -0.0 and negative integral weights: no kernel call after step 0."""
+def test_integral_history_stays_at_scale_zero(run):
+    """0.0, -0.0 and negative integral weights: E stays 0, values stay ints."""
     g, deltas = run
-    ran, final = _walk(g, deltas)
-    assert not any(ran)
-    assert not final._inexact
+    graphs = _walk(g, deltas)
+    assert all(h._shift == 0 for h in graphs)
     with _kernel_calls() as calls:
-        run_evolving(g.copy(), deltas, "dynamic", "weighted")
+        maps = run_evolving(g.copy(), deltas, "dynamic", "weighted")
     assert calls == [set(range(g.num_nodes))]
-
-
-@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
-@SETTINGS
-@hypothesis.given(run=evolving_runs(FRACTIONAL))
-def test_fractional_history_runs_kernel(run):
-    g, deltas = run
-    ran, _ = _walk(g, deltas)
-    sim = g.copy()
-    for delta, kernel in zip(deltas, ran):
-        assert kernel == bool(affected_nodes(sim, delta).recompute)
+    assert all(type(x) is int for m in maps for x in m.values.values())
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
 @SETTINGS
 @hypothesis.given(run=evolving_runs(MIXED))
-def test_mixed_history_leaves_exact_path_for_good(run):
-    """The step runs the kernel from the first fractional weight on."""
+def test_scale_follows_the_finest_weight_written(run):
+    """E is the largest binary exponent of any weight written so far, kept
+    after that weight's edge has gone; the step follows it with no kernel."""
     g, deltas = run
-    ran, _ = _walk(g, deltas)
-    fractional = g._inexact
-    sim = g.copy()
-    for delta, kernel in zip(deltas, ran):
-        fractional = fractional or any(e.weight % 1.0 for e in delta.adds)
-        changed = bool(affected_nodes(sim, delta).recompute)
-        assert sim._inexact == fractional
-        assert kernel == (fractional and changed)
+    graphs = _walk(g, deltas)
+    ever = g._shift
+    assert ever >= exponent(w for _, _, w in g.edges())
+    for delta, h in zip(deltas, graphs):
+        ever = max(ever, exponent(e.weight for e in delta.adds))
+        assert h._shift == ever
 
 
-def test_large_integral_weights_run_no_kernel():
-    """The sum of |w| passes 2**24 and comes back: integral weights stay on
-    the closed form."""
+def test_large_integral_weights_stay_at_scale_zero():
+    """The sum of |w| passes 2**24 and comes back: integral weights keep E = 0."""
     big = 2.0**23
     g = Graph([(0, 1, 2.0), (1, 2, 3.0)])
     deltas = [
@@ -253,9 +236,8 @@ def test_large_integral_weights_run_no_kernel():
         EdgeDelta(removes=[(3, 4), (5, 4), (5, 6)]),
         EdgeDelta(adds=[Edge(0, 2, 5.0)], removes=[(1, 2)]),
     ]
-    ran, final = _walk(g, deltas)
-    assert ran == [False, False, False, False]
-    assert not final._inexact
+    final = _walk(g, deltas)[-1]
+    assert final._shift == 0
     assert sum(map(abs, final.strengths())) == 2 * 11
 
 
@@ -308,23 +290,22 @@ def repeating_runs(draw, weights):
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
 @SETTINGS
 @hypothesis.given(run=repeating_runs(WIDE_INTEGRAL))
-def test_wide_integral_history_runs_no_kernel(variant, run):
+def test_wide_integral_history_stays_exact(variant, run):
     """Integral weights up to 2**53 in magnitude, pairs written more than
-    once in a delta: exact ints, no kernel call after step 0, and batch's
-    values and types and the reference count at every step."""
+    once in a delta: exact ints at E = 0, no kernel call after step 0, and
+    batch's values and types and the reference count at every step."""
     g, deltas = run
-    ran, final = _walk(g, deltas, variant)
-    assert not any(ran)
-    assert not final._inexact
+    final = _walk(g, deltas, variant)[-1] if deltas else g
+    assert final._shift == 0
     assert all(type(s) is int for s in final.strengths())
     for cmap in run_evolving(g.copy(), deltas, "dynamic", variant):
         assert all(type(c) is int for c in cmap.values.values())
 
 
-@pytest.mark.parametrize("weight", [2.0**53 + 2, 2**60, 0.5])
-def test_inexact_weight_stays_on_kernel(weight):
-    """A weight that is not an integer within +-2**53 is stored as a float and
-    sets the flag, and the step stays on the kernel after its edge has gone."""
+@pytest.mark.parametrize("weight, shift", [(2.0**53 + 2, 0), (2**60, 0), (0.5, 1), (5e-324, 1074)])
+def test_weight_beyond_the_fast_path_runs_no_kernel(weight, shift):
+    """A weight past 2**53 or a fractional one: exact ints scaled by 2**E, and
+    the step stays on the closed form after its edge has gone."""
     g = Graph([(0, 1, 3.0), (1, 2, 2**53), (2, 3, 2.0)])
     deltas = [
         EdgeDelta(adds=[Edge(2, 4, 1.0)]),
@@ -332,10 +313,9 @@ def test_inexact_weight_stays_on_kernel(weight):
         EdgeDelta(removes=[(4, 3)]),
         EdgeDelta(adds=[Edge(0, 3, 1.0)]),
     ]
-    ran, final = _walk(g, deltas)
-    assert ran == [False, True, True, True]
-    assert final._inexact
-    assert type(final.strengths()[final._pos[3]]) is float
+    final = _walk(g, deltas)[-1]
+    assert final._shift == shift
+    assert type(final.strengths()[final._pos[3]]) is int
 
 
 def test_transient_huge_weight_within_one_delta():
@@ -346,6 +326,101 @@ def test_transient_huge_weight_within_one_delta():
         [EdgeDelta(adds=[Edge(1, 2, huge), Edge(2, 1, 4.0)])],
         [EdgeDelta(adds=[Edge(3, 9, huge)], removes=[(9, 3)])],
     ):
-        ran, final = _walk(g, deltas + [EdgeDelta(adds=[Edge(0, 3, 1.0)])])
-        assert ran == [True, True]
-        assert final._inexact
+        final = _walk(g, deltas + [EdgeDelta(adds=[Edge(0, 3, 1.0)])])[-1]
+        assert final._shift == 0
+
+
+# -- exact weighted values for every finite weight ---------------------------------
+
+# the whole finite range: subnormals, +-0.0, weights near 2**53 and 1e308
+FINITE = st.one_of(
+    st.sampled_from(
+        [5e-324, -5e-324, 2.0**-1022, 0.0, -0.0, 0.1, 1 / 3, 2.0**53 - 1, 2.0**53 + 2, 2.0**53 - 0.5]
+        + [1e308, -1e308, 1.5, 7.0]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fractional_edge_lists(draw):
+    """Unique pairs, so that any order of the list builds the same graph,
+    with fractional weights, and a permutation of the list."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+            unique_by=lambda p: frozenset(p),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    weights = st.one_of(FRACTIONAL, FINITE)
+    edges = [(u, v, draw(weights)) for u, v in pairs]
+    return edges, draw(st.permutations(edges))
+
+
+def _raw(cmap):
+    """A map's stored values keyed by node, and their scale."""
+    view = cmap.values
+    return dict(zip(view, view._values)), view._shift
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@SETTINGS
+@hypothesis.given(lists=fractional_edge_lists())
+def test_batch_is_the_same_on_every_edge_order(lists):
+    """The same edge set in another order: the same E, the same exact ints
+    and the same bits, for both variants and the energy."""
+    edges, shuffled = lists
+    g, h = Graph(edges), Graph(shuffled)
+    assert g._shift == h._shift
+    for variant in ("unweighted", "weighted"):
+        assert _raw(lap_cent(g, variant)) == _raw(lap_cent(h, variant))
+        try:
+            want = bits(lap_cent(g, variant).values)
+        except FloatRangeError:
+            continue
+        assert bits(lap_cent(h, variant).values) == want
+        assert laplacian_energy(g, variant) == laplacian_energy(h, variant)
+
+
+@pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+@SETTINGS
+@hypothesis.given(run=evolving_runs(st.one_of(FRACTIONAL, FINITE)))
+def test_finite_history_equals_batch_with_no_kernel(variant, run):
+    """Random histories over the whole finite range: dynamic equals batch in
+    its exact ints and its scale at every step, and every value reads as the
+    same float or as FloatRangeError on both sides; the kernels raise if
+    called after step 0."""
+    g, deltas = run
+    real = kernels.unweighted_values, kernels.weighted_values
+    calls = []
+
+    def once(kernel):
+        def call(*args):
+            calls.append(None)
+            if len(calls) > 1:
+                raise AssertionError("a kernel ran after step 0")
+            return kernel(*args)
+
+        return call
+
+    kernels.unweighted_values, kernels.weighted_values = map(once, real)
+    try:
+        dynamic = run_evolving(g.copy(), deltas, "dynamic", variant)
+    finally:
+        kernels.unweighted_values, kernels.weighted_values = real
+    batch = run_evolving(g.copy(), deltas, "batch", variant)
+    for dyn, full in zip(dynamic, batch):
+        assert _raw(dyn) == _raw(full)
+        for v in full.values:
+            try:
+                want = full.values[v]
+            except FloatRangeError:
+                with pytest.raises(FloatRangeError):
+                    dyn.values[v]
+                continue
+            assert bits({v: dyn.values[v]}) == bits({v: want})
