@@ -22,7 +22,7 @@ from pathlib import Path
 from time import perf_counter
 
 from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
-from lapstream.errors import CompareMismatchError, EmptyDatasetError
+from lapstream.errors import CompareMismatchError, EmptyDatasetError, FloatRangeError
 from lapstream.incremental import evolve
 from lapstream.ingest import (
     SnapshotStream,
@@ -116,8 +116,10 @@ def bench_stream(
     runs the dynamic step. Compare mode then times a :func:`lap_cent` of
     the same post-delta graph as that step's batch record, checks off the
     clock that the batch map equals the dynamic one, so no timing leaves
-    this function on a divergence, and keeps a copy of the dynamic map in
-    ``maps``. Batch and dynamic mode keep no map: ``maps`` stays empty.
+    this function on a divergence, and keeps a ``dict`` copy of what the
+    dynamic map reads in ``maps``; a value past the float range there is a
+    :class:`FloatRangeError` naming the step. Batch and dynamic mode keep
+    no map: ``maps`` stays empty.
     """
     if mode not in ("batch", "dynamic", "compare"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -138,9 +140,10 @@ def bench_stream(
             bad = diff_maps(full.values, cmap.values)
             if bad is not None:
                 raise CompareMismatchError(step + 1, *bad)
-            view = cmap.values
-            # what the view reads: its ints at E = 0, else their rounded quotients
-            copy = dict(view) if view._shift else dict(zip(g.nodes(), view._values))
+            try:
+                copy = cmap.values.as_dict()
+            except FloatRangeError as exc:
+                raise FloatRangeError(f"step {step + 1}: {exc}") from None
             result.maps.append(CentralityMap(copy, cmap.computed_count))
     if mode == "batch":
         result.batch = _records(rows)

@@ -78,6 +78,12 @@ class NodeValues(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
+    def as_dict(self) -> dict:
+        """A ``dict`` of what the view reads; at shift 0 it is built in C."""
+        if self._shift:
+            return dict(self.items())
+        return dict(zip(self, self._values))
+
 
 @dataclass
 class CentralityMap:
@@ -91,11 +97,11 @@ class CentralityMap:
 
     ``values`` is a read-only :class:`NodeValues` view in every map the
     package makes, live or kept by :func:`~lapstream.incremental.run_evolving`;
-    compare mode's ``BenchResult.maps`` keep ``dict`` copies of what the
-    views read. The values are exact ints, unweighted and on a weighted graph
+    compare mode's ``BenchResult.maps`` keep :meth:`NodeValues.as_dict`
+    copies. The values are exact ints, unweighted and on a weighted graph
     of integral weights (E = 0); on a graph with a fractional weight
-    (E > 0) each is the correctly rounded float of the exact value, for
-    any history and any edge order.
+    (E > 0) each reads as the correctly rounded float of the exact value,
+    for any history and any edge order.
     """
 
     values: Mapping[int, float]
@@ -119,54 +125,68 @@ def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     return CentralityMap(NodeValues(g._pos, g._nodes, values, shift), g.num_nodes)
 
 
-def laplacian_energy(g: Graph, variant: Variant) -> float:
-    """Graph Laplacian energy (sum of squared Laplacian eigenvalues).
-
-    Closed forms: sum(d^2 + d) unweighted; sum(s^2) + 2*sum(w^2 over
-    edges) weighted, i.e. the trace of the squared Laplacian. The two
-    agree on unit-weight graphs. An int, except on a weighted graph with a
-    fractional weight (E > 0), where it is the correctly rounded float, and
-    a nonzero energy that rounds to 0.0 raises FloatRangeError.
-    """
+def _energy(g: Graph, variant: Variant) -> tuple[int, int]:
+    """The exact Laplacian energy as ``(num, den)``: ``den`` is 2**(2E) on
+    the weighted variant and 1 on the unweighted one."""
     adj = g.adjacency()
     if variant == "unweighted":
         total = 0
         for row in adj:
             d = len(row)
             total += d * d + d
-        return total
+        return total, 1
     if variant == "weighted":
         total = 0
         for s, row in zip(g.strengths(), adj):
             total += s * s
             for w in row.values():
                 total += w * w
-        if g._shift:
-            energy = _quotient(total, 1 << 2 * g._shift)
-            if total and not energy:
-                # normalize would read the graph as one with no edges
-                raise FloatRangeError("the Laplacian energy is below the float range")
-            return energy
-        return total
+        return total, 1 << 2 * g._shift
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
-    """Divide every value by the graph energy; values land in (0, 1] for
-    connected graphs with non-negative weights. Each is one correctly
-    rounded division of the exact value by the exact ``energy``."""
-    if energy == 0:
+def laplacian_energy(g: Graph, variant: Variant) -> float:
+    """Graph Laplacian energy (sum of squared Laplacian eigenvalues).
+
+    Closed forms: sum(d^2 + d) unweighted; sum(s^2) + 2*sum(w^2 over
+    edges) weighted, i.e. the trace of the squared Laplacian. The two
+    agree on unit-weight graphs. An int, except on a weighted graph with a
+    fractional weight (E > 0), where it is the correctly rounded float.
+    """
+    num, den = _energy(g, variant)
+    return num if den == 1 else _quotient(num, den)
+
+
+def _divide(cmap: CentralityMap, num: int, den: int) -> CentralityMap:
+    """``cmap`` over the energy ``num / den``, each value one correctly
+    rounded quotient of exact ints."""
+    if num == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
     view = cmap.values
-    num, den = energy.as_integer_ratio()
     num <<= 2 * view._shift
     values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]
     return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
 
 
+def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
+    """Divide every value by the graph energy; values land in (0, 1] for
+    connected graphs with non-negative weights. Each is one correctly
+    rounded division of the exact value by the exact ``energy``; where E > 0
+    the float :func:`laplacian_energy` gives is itself rounded, and
+    :func:`normalize_exact` divides by the energy before that rounding."""
+    return _divide(cmap, *energy.as_integer_ratio())
+
+
+def normalize_exact(cmap: CentralityMap, g: Graph, variant: Variant) -> CentralityMap:
+    """``normalize(cmap, laplacian_energy(g, variant))`` without rounding the
+    energy first, for ``cmap`` a map of ``g``: each value is the correctly
+    rounded ratio of two exact values, even where the energy alone is past
+    the float range or below it."""
+    return _divide(cmap, *_energy(g, variant))
+
+
 def write_centralities(cmap: CentralityMap, stream) -> None:
     """Dump ``node,centrality`` lines, ascending node id, 12 significant digits."""
-    view = cmap.values
-    over = 1 << 2 * view._shift
-    for v, x in sorted(zip(view, view._values)):
-        stream.write(f"{v},{_quotient(x, over, v):.12g}\n")
+    for v, x in sorted(cmap.values.items()):
+        # an int past the float range is a FloatRangeError here
+        stream.write(f"{v},{_quotient(x, 1, v):.12g}\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from lapstream import __version__
 from lapstream.bench import bench_stream, build_stream, emit_csv
-from lapstream.centrality import lap_cent, laplacian_energy, normalize, write_centralities
+from lapstream.centrality import lap_cent, normalize_exact, write_centralities
 from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
@@ -178,7 +178,7 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
     for step, (cmap, _) in enumerate(steps, start=1):
         try:
             if normalized:
-                cmap = normalize(cmap, laplacian_energy(g, variant))
+                cmap = normalize_exact(cmap, g, variant)
             with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
                 write_centralities(cmap, fh)
         except FloatRangeError as exc:
@@ -192,7 +192,7 @@ def _cmd_centrality(args) -> int:
     g = Graph(e[:3] for e in events)
     cmap = lap_cent(g, args.variant)
     if args.normalized:
-        cmap = normalize(cmap, laplacian_energy(g, args.variant))
+        cmap = normalize_exact(cmap, g, args.variant)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             write_centralities(cmap, fh)

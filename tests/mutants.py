@@ -8,12 +8,9 @@ is never edited. It fails if a mutant survives, or if a mutant's text does
 not occur exactly once in its file, so a refactor cannot leave a mutant
 pointing at code that is gone.
 
-Run it from anywhere (pytest does not collect it)::
+Run it from anywhere (pytest does not collect it), two copies at a time::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py 3 7        # mutants 3 and 7 only
-    python tests/mutants.py --jobs 2   # two copies at a time
-    python tests/mutants.py --list
+    python tests/mutants.py
 
 A mutant that no test kills gets a new test, not a removal. An equivalent
 mutant, one that no input can tell from the program, is left out of the
@@ -22,7 +19,6 @@ list.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -34,6 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+JOBS = 2  # copies tested at a time
 
 
 class Mutant(NamedTuple):
@@ -142,7 +139,7 @@ MUTANTS = [
     Mutant(K, "acc += w * (w + 2 * strength[j])", "acc += w * (w + strength[j])", "the weighted kernel halves the neighbour term"),
     Mutant(C, "total += d * d + d", "total += d * d", "the unweighted energy drops the degree term"),
     Mutant(C, "total += w * w", "total += w", "the weighted energy drops the square of the weights"),
-    Mutant(C, "if energy == 0:", "if energy is None:", "normalize divides by a zero energy"),
+    Mutant(C, "if num == 0:", "if num is None:", "normalize divides by a zero energy"),
     # the public side's one division by 2**(2E)
     Mutant(
         C,
@@ -162,10 +159,20 @@ MUTANTS = [
         "return i is not None",
         "a kept map holds the nodes that came later",
     ),
-    Mutant(C, "energy = _quotient(total, 1 << 2 * g._shift)", "energy = total", "the weighted energy reads scaled"),
-    Mutant(C, "if total and not energy:", "if total and energy is None:", "an energy that underflows reads as no edges"),
+    Mutant(C, "return num if den == 1 else _quotient(num, den)", "return num", "the weighted energy reads scaled"),
+    Mutant(
+        C,
+        "return _divide(cmap, *_energy(g, variant))",
+        "return normalize(cmap, laplacian_energy(g, variant))",
+        "--normalized divides by the rounded energy, which can overflow or underflow",
+    ),
     Mutant(C, "num <<= 2 * view._shift", "num <<= view._shift", "normalize divides by 2**E, not 2**(2E)"),
-    Mutant(C, "over = 1 << 2 * view._shift", "over = 1", "a dump writes the scaled ints"),
+    Mutant(
+        C,
+        'stream.write(f"{v},{_quotient(x, 1, v):.12g}\\n")',
+        'stream.write(f"{v},{x:.12g}\\n")',
+        "a dump of an int past the float range is an OverflowError",
+    ),
     Mutant(C, "    except OverflowError:\n        what", "    except ZeroDivisionError:\n        what", "a value past the float range is an OverflowError"),
     Mutant(C, "values = [_quotient(x * den, num, v)", "values = [_quotient(x, num, v)", "normalize drops the energy's denominator"),
     # the compare gate
@@ -174,9 +181,21 @@ MUTANTS = [
     Mutant(B, "if same_keys and a._shift == b._shift and", "if same_keys and", "the gate compares ints of two scales"),
     Mutant(
         B,
-        "copy = dict(view) if view._shift else dict(zip(g.nodes(), view._values))",
-        "copy = dict(zip(g.nodes(), view._values))",
+        "copy = cmap.values.as_dict()",
+        "copy = dict(zip(cmap.values, cmap.values._values))",
         "compare keeps the scaled ints of a fractional graph",
+    ),
+    Mutant(
+        C,
+        "        if self._shift:\n            return dict(self.items())",
+        "        if False:\n            return dict(self.items())",
+        "a dict copy holds the scaled ints of a fractional graph",
+    ),
+    Mutant(
+        B,
+        'raise FloatRangeError(f"step {step + 1}: {exc}") from None',
+        "raise",
+        "compare's copy names no step for a value past the float range",
     ),
     Mutant(
         B,
@@ -246,9 +265,9 @@ def check_texts(mutants) -> list[str]:
     return problems
 
 
-def run(k: int, m: Mutant) -> tuple[int, bool, float, str]:
+def run(k: int, m: Mutant) -> tuple[int, bool, float]:
     """Apply mutant ``k`` to a fresh copy and run the tests on it; returns
-    ``(k, killed, seconds, last output line)``."""
+    ``(k, killed, seconds)``."""
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix=f"mutant{k}-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
@@ -262,36 +281,25 @@ def run(k: int, m: Mutant) -> tuple[int, bool, float, str]:
             cwd=tmp,
             env=env,
             capture_output=True,
-            text=True,
         )
-    lines = proc.stdout.strip().splitlines()
-    return k, proc.returncode != 0, time.perf_counter() - t0, lines[-1] if lines else ""
+    return k, proc.returncode != 0, time.perf_counter() - t0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("which", nargs="*", type=int, help="mutant numbers (default: all)")
-    parser.add_argument("--jobs", type=int, default=1, help="copies tested at a time")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    chosen = [(k, MUTANTS[k]) for k in args.which] if args.which else list(enumerate(MUTANTS))
-    if args.list:
-        for k, m in chosen:
-            print(f"{k:3d} {m.path}: {m.breaks}")
-        return 0
-    problems = check_texts(chosen)
+def main() -> int:
+    mutants = list(enumerate(MUTANTS))
+    problems = check_texts(mutants)
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
     t0 = time.perf_counter()
     survivors = []
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        for k, killed, seconds, last in pool.map(lambda km: run(*km), chosen):
+    with ThreadPoolExecutor(JOBS) as pool:
+        for k, killed, seconds in pool.map(lambda km: run(*km), mutants):
             m = MUTANTS[k]
             print(f"{k:3d} {'killed  ' if killed else 'SURVIVED'} {seconds:5.1f}s {m.path}: {m.breaks}", flush=True)
             if not killed:
                 survivors.append(k)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in {time.perf_counter() - t0:.0f}s")
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed in {time.perf_counter() - t0:.0f}s")
     if survivors:
         print(f"survivors: {' '.join(map(str, survivors))}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ from lapstream.centrality import (
     lap_cent,
     laplacian_energy,
     normalize,
+    normalize_exact,
     write_centralities,
 )
 from lapstream.errors import FloatRangeError, ZeroEnergyError
@@ -161,9 +162,13 @@ class TestExactRounding:
         energy = laplacian_energy(g, "weighted")
         assert energy == float(exact_weighted_energy(g))
         assert not energy.is_integer()
-        normalized = normalize(lap_cent(g, "weighted"), energy).values
+        cmap = lap_cent(g, "weighted")
+        normalized = normalize(cmap, energy).values
+        exactly = normalize_exact(cmap, g, "weighted").values
+        exact_energy = exact_weighted_energy(g)
         for x, exact in exact_weighted_values(g).items():
             assert normalized[x] == float(exact / Fraction(energy)), x
+            assert exactly[x] == float(exact / exact_energy), x
 
 
 class TestPastTheFloatRange:
@@ -179,13 +184,29 @@ class TestPastTheFloatRange:
         with pytest.raises(FloatRangeError, match="node 1 "):
             write_centralities(lap_cent(Graph([(1, 2, 1e300)]), "weighted"), io.StringIO())
 
-    def test_an_energy_that_underflows_is_a_named_error(self):
-        """Subnormal weights: values round to 0.0, and so would the energy,
-        which normalize would take for a graph with no edges."""
+    def test_an_energy_below_the_float_range_rounds_to_zero(self):
+        """Subnormal weights: values and the energy round to 0.0, and the
+        exact energy still normalizes every value."""
         g = Graph([(1, 2, 5e-324), (2, 3, 2.0**-600)])
-        assert lap_cent(g, "weighted").values == {1: 0.0, 2: 0.0, 3: 0.0}
-        with pytest.raises(FloatRangeError, match="below the float range"):
+        cmap = lap_cent(g, "weighted")
+        assert cmap.values == {1: 0.0, 2: 0.0, 3: 0.0}
+        assert laplacian_energy(g, "weighted") == 0.0
+        with pytest.raises(ZeroEnergyError):
+            normalize(cmap, 0.0)
+        exact_energy = exact_weighted_energy(g)
+        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
+        assert normalize_exact(cmap, g, "weighted").values == want
+
+    def test_normalize_exact_past_the_float_range(self):
+        """An energy near 4e400 with a fractional edge: the ratios are near 1."""
+        g = Graph([(1, 2, 1e200), (2, 3, 0.5)])
+        cmap = lap_cent(g, "weighted")
+        with pytest.raises(FloatRangeError, match="the Laplacian energy"):
             laplacian_energy(g, "weighted")
+        exact_energy = exact_weighted_energy(g)
+        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
+        assert normalize_exact(cmap, g, "weighted").values == want
+        assert want[1] == want[2] == 1.0 and 0 < want[3] < 1e-200
 
 
 class TestLaplacianEnergy:

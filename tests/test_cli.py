@@ -56,6 +56,22 @@ class TestCentralityCommand:
         assert cli_main(argv) == 0
         assert capsys.readouterr().out.splitlines() == ["1,1", "2,1"]
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("1 2 1e200 0\n2 3 0.5 0\n", ["1,1", "2,1", "3,2.5e-201"]),
+            ("1 2 5e-324 0\n", ["1,1", "2,1"]),
+        ],
+    )
+    def test_normalized_by_the_exact_energy(self, tmp_path, capsys, text, want):
+        """An energy past the float range or below it, at E > 0: each value
+        is divided by the exact energy, not by its rounded float."""
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        argv = ["centrality", "--input", str(path), "--variant", "weighted", "--normalized"]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_value_past_the_float_range_names_the_node(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("1 2 1e200 0\n")
@@ -113,6 +129,17 @@ class TestCompareCommand:
         assert cli_main(argv) == 0
         capsys.readouterr()
         assert cli_main([*argv, "--dump-centralities"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 1: the centrality of node 1 is past the float range\n"
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-centralities"]])
+    def test_fractional_past_the_float_range_names_step_and_node(self, tmp_path, capsys, dump):
+        """At E > 0 compare's kept copies read the rounded values, so a value
+        past the float range is an error there already, naming its step."""
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2 1e308 0\n2 3 1e308 0\n3 4 0.5 0\n")
+        argv = ["compare", "--input", str(path), "--variant", "weighted", "--out", str(tmp_path / "out")]
+        assert cli_main([*argv, *dump]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: step 1: the centrality of node 1 is past the float range\n"
 
