@@ -17,12 +17,13 @@ mode that keeps a map per step.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
 from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
-from lapstream.errors import CompareMismatchError, EmptyDatasetError, FloatRangeError
+from lapstream.errors import CompareMismatchError, EmptyDatasetError
 from lapstream.incremental import evolve
 from lapstream.ingest import (
     SnapshotStream,
@@ -116,10 +117,12 @@ def bench_stream(
     runs the dynamic step. Compare mode then times a :func:`lap_cent` of
     the same post-delta graph as that step's batch record, checks off the
     clock that the batch map equals the dynamic one, so no timing leaves
-    this function on a divergence, and keeps a ``dict`` copy of what the
-    dynamic map reads in ``maps``; a value past the float range there is a
-    :class:`FloatRangeError` naming the step. Batch and dynamic mode keep
-    no map: ``maps`` stays empty.
+    this function on a divergence, and keeps the dynamic map in ``maps`` as
+    :func:`run_evolving` keeps it, one tuple per step (see
+    :meth:`NodeValues.copy`), behind an empty ``dict`` that takes any
+    write, so a kept map reads as a ``dict`` and can be written like one
+    without a ``dict`` per step. Batch and dynamic mode keep no map:
+    ``maps`` stays empty.
     """
     if mode not in ("batch", "dynamic", "compare"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -140,11 +143,8 @@ def bench_stream(
             bad = diff_maps(full.values, cmap.values)
             if bad is not None:
                 raise CompareMismatchError(step + 1, *bad)
-            try:
-                copy = cmap.values.as_dict()
-            except FloatRangeError as exc:
-                raise FloatRangeError(f"step {step + 1}: {exc}") from None
-            result.maps.append(CentralityMap(copy, cmap.computed_count))
+            kept = ChainMap({}, cmap.values.copy())
+            result.maps.append(CentralityMap(kept, cmap.computed_count))
     if mode == "batch":
         result.batch = _records(rows)
     else:

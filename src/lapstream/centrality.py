@@ -78,11 +78,10 @@ class NodeValues(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
-    def as_dict(self) -> dict:
-        """A ``dict`` of what the view reads; at shift 0 it is built in C."""
-        if self._shift:
-            return dict(self.items())
-        return dict(zip(self, self._values))
+    def copy(self) -> NodeValues:
+        """A kept copy: the values as a tuple, over the same node table and
+        scale, which reads as this view reads now whatever later steps do."""
+        return NodeValues(self._pos, self._nodes, tuple(self._values), self._shift)
 
 
 @dataclass
@@ -96,9 +95,10 @@ class CentralityMap:
     exact closed-form difference and evaluates no kernel.
 
     ``values`` is a read-only :class:`NodeValues` view in every map the
-    package makes, live or kept by :func:`~lapstream.incremental.run_evolving`;
-    compare mode's ``BenchResult.maps`` keep :meth:`NodeValues.as_dict`
-    copies. The values are exact ints, unweighted and on a weighted graph
+    package makes, live or a :meth:`NodeValues.copy` kept by
+    :func:`~lapstream.incremental.run_evolving`; compare mode's
+    ``BenchResult.maps`` put the same copy behind a ``ChainMap`` front. The
+    values are exact ints, unweighted and on a weighted graph
     of integral weights (E = 0); on a graph with a fractional weight
     (E > 0) each reads as the correctly rounded float of the exact value,
     for any history and any edge order.

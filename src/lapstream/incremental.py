@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
+from lapstream.centrality import CentralityMap, Variant, lap_cent
 from lapstream.errors import DeltaError, LapstreamError
 from lapstream.graph import Graph
 
@@ -236,14 +236,12 @@ def run_evolving(
     """Drive a whole evolving run; ``initial`` is mutated in place.
 
     Returns one map per step, step 0 included; dynamic and batch mode
-    produce identical maps. A kept map's values are a :class:`NodeValues`
-    view over a tuple copy of the step's values list and the graph's own
-    node table, which every step of the run shares. A delta that cannot be
+    produce identical maps. A kept map's values are the step's
+    :meth:`~lapstream.centrality.NodeValues.copy`, a tuple over the graph's
+    own node table, which every step of the run shares. A delta that cannot be
     applied aborts with :class:`DeltaError` carrying the step index.
     """
     kept = []
     for cmap, _ in evolve(initial, deltas, mode, variant):
-        view = cmap.values
-        values = NodeValues(view._pos, view._nodes, tuple(view._values), view._shift)
-        kept.append(CentralityMap(values, cmap.computed_count))
+        kept.append(CentralityMap(cmap.values.copy(), cmap.computed_count))
     return kept

@@ -180,22 +180,17 @@ MUTANTS = [
     Mutant(B, "if not x == y:", "if x is not y and not x == y:", "the gate passes a NaN object against itself on the slow path"),
     Mutant(B, "if same_keys and a._shift == b._shift and", "if same_keys and", "the gate compares ints of two scales"),
     Mutant(
-        B,
-        "copy = cmap.values.as_dict()",
-        "copy = dict(zip(cmap.values, cmap.values._values))",
-        "compare keeps the scaled ints of a fractional graph",
-    ),
-    Mutant(
         C,
-        "        if self._shift:\n            return dict(self.items())",
-        "        if False:\n            return dict(self.items())",
-        "a dict copy holds the scaled ints of a fractional graph",
+        "tuple(self._values), self._shift)",
+        "tuple(self._values))",
+        "a kept copy reads the scaled ints of a fractional graph",
     ),
+    Mutant(B, "ChainMap({}, cmap.values.copy())", "ChainMap({}, cmap.values)", "compare keeps the live map, which later steps change"),
     Mutant(
-        B,
-        'raise FloatRangeError(f"step {step + 1}: {exc}") from None',
-        "raise",
-        "compare's copy names no step for a value past the float range",
+        I,
+        "CentralityMap(cmap.values.copy(), cmap.computed_count)",
+        "CentralityMap(cmap.values, cmap.computed_count)",
+        "run_evolving keeps the live map, which later steps change",
     ),
     Mutant(
         B,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from operator import attrgetter
 
@@ -82,6 +83,31 @@ class TestBenchStream:
         assert len({id(m.values) for m in result.maps}) == stream.num_steps
         computed = [m.computed_count for m in result.maps]
         assert computed == [r.centralities_computed for r in result.dynamic]
+
+    def test_compare_maps_take_writes(self):
+        """A write to a kept map changes that map's reading only."""
+        stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
+        kept = bench_stream(stream, "compare", "unweighted").maps
+        maps = run_evolving(stream.initial.copy(), stream.deltas, "dynamic")
+        last = kept[-1].values
+        node = next(iter(last))
+        last[node] = -1
+        assert last[node] == -1
+        assert dict(last) == {**maps[-1].values, node: -1}
+        assert [dict(m.values) for m in kept[:-1]] == [dict(m.values) for m in maps[:-1]]
+
+    def test_compare_maps_memory(self):
+        """Compare keeps its maps as run_evolving does, under 16 bytes per
+        node per step; a dict copy per step costs about 32."""
+        stream = churn_stream(5000, 4, 30, 5, 5, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            maps = bench_stream(stream, "compare", "unweighted").maps
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / sum(len(m.values) for m in maps) < 16
 
     @pytest.mark.parametrize("scale", [1.0, 0.1], ids=["integral", "fractional"])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])

@@ -120,26 +120,21 @@ class TestCompareCommand:
         assert (tmp_path / "results" / "batch.csv").exists()
         assert (tmp_path / "results" / "dynamic.csv").exists()
 
-    def test_dump_past_the_float_range_names_step_and_node(self, tmp_path, capsys):
-        """Exact values near 1e617 pass the gate; their dump exits 2."""
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2 1e308 0\n2 3 1e308 0\n", "1 2 1e308 0\n2 3 1e308 0\n3 4 0.5 0\n"],
+        ids=["integral", "fractional"],
+    )
+    def test_dump_past_the_float_range_names_step_and_node(self, tmp_path, capsys, text):
+        """Exact values near 1e617 pass the gate, and compare keeps them exact,
+        at E = 0 and above it; their dump exits 2, naming step and node."""
         path = tmp_path / "huge.txt"
-        path.write_text("1 2 1e308 0\n2 3 1e308 0\n")
+        path.write_text(text)
         out = tmp_path / "out"
         argv = ["compare", "--input", str(path), "--variant", "weighted", "--out", str(out)]
         assert cli_main(argv) == 0
         capsys.readouterr()
         assert cli_main([*argv, "--dump-centralities"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: step 1: the centrality of node 1 is past the float range\n"
-
-    @pytest.mark.parametrize("dump", [[], ["--dump-centralities"]])
-    def test_fractional_past_the_float_range_names_step_and_node(self, tmp_path, capsys, dump):
-        """At E > 0 compare's kept copies read the rounded values, so a value
-        past the float range is an error there already, naming its step."""
-        path = tmp_path / "huge.txt"
-        path.write_text("1 2 1e308 0\n2 3 1e308 0\n3 4 0.5 0\n")
-        argv = ["compare", "--input", str(path), "--variant", "weighted", "--out", str(tmp_path / "out")]
-        assert cli_main([*argv, *dump]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: step 1: the centrality of node 1 is past the float range\n"
 

@@ -642,6 +642,18 @@ class TestRunEvolving:
             assert list(dynamic[k].values.items()) == list(batch[k].values.items())
 
     @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    def test_kept_maps_read_the_rounded_values(self, mode):
+        """A kept map of a fractional graph (E > 0) reads its step's correctly
+        rounded floats, as a batch map of that step's graph reads them."""
+        deltas = [EdgeDelta(adds=[(4, 6, 0.1)]), EdgeDelta(adds=[(1, 8, 2.5)]), EdgeDelta(removes=[(4, 6)])]
+        maps = run_evolving(Graph(TOY_EDGES), deltas, mode, "weighted")
+        sim = Graph(TOY_EDGES)
+        for cmap, delta in zip(maps[1:], deltas):
+            apply_delta(sim, delta)
+            assert list(bits(cmap.values).items()) == list(bits(lap_cent(sim, "weighted").values).items())
+        assert any(isinstance(x, float) for x in maps[-1].values.values())
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_node_added_later_is_absent_before(self, mode, variant):
         deltas = [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(adds=[Edge(1, 8)])]
