@@ -157,32 +157,18 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
     return num if den == 1 else _quotient(num, den)
 
 
-def _divide(cmap: CentralityMap, num: int, den: int) -> CentralityMap:
-    """``cmap`` over the energy ``num / den``, each value one correctly
-    rounded quotient of exact ints."""
+def normalize(cmap: CentralityMap, g: Graph, variant: Variant) -> CentralityMap:
+    """Divide every value of ``cmap``, a map of ``g``, by the graph's Laplacian
+    energy; values land in (0, 1] for connected graphs with non-negative
+    weights. Each is the correctly rounded ratio of two exact values, even
+    where the energy alone is past the float range or below it."""
+    num, den = _energy(g, variant)
     if num == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
     view = cmap.values
     num <<= 2 * view._shift
     values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]
     return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
-
-
-def normalize(cmap: CentralityMap, energy: float) -> CentralityMap:
-    """Divide every value by the graph energy; values land in (0, 1] for
-    connected graphs with non-negative weights. Each is one correctly
-    rounded division of the exact value by the exact ``energy``; where E > 0
-    the float :func:`laplacian_energy` gives is itself rounded, and
-    :func:`normalize_exact` divides by the energy before that rounding."""
-    return _divide(cmap, *energy.as_integer_ratio())
-
-
-def normalize_exact(cmap: CentralityMap, g: Graph, variant: Variant) -> CentralityMap:
-    """``normalize(cmap, laplacian_energy(g, variant))`` without rounding the
-    energy first, for ``cmap`` a map of ``g``: each value is the correctly
-    rounded ratio of two exact values, even where the energy alone is past
-    the float range or below it."""
-    return _divide(cmap, *_energy(g, variant))
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:

@@ -11,9 +11,10 @@ There are two writers, the constructor ``Graph(edges)`` and every delta of
 ``Graph._apply``, the only code that checks an edge. For a delta it is also
 the only walk over the edges: it records, as it checks each one, the old
 strength of every endpoint, and logs every write once, old and new weight.
-The incremental step reads its pair terms from that log, and the undo
-replays it, so that a rejected delta leaves the graph as it was. The same
-loop stores every weight as an exact ``int``.
+The incremental step reads its pair terms from that log. The undo of a
+rejected delta reads nothing else: it replays the log newest first, putting
+back each old weight and taking each write's change off both strengths. The
+same loop stores every weight as an exact ``int``.
 
 Exact weights. Every finite float is a dyadic rational, num / 2**e. The
 graph keeps one scale exponent E, ``_shift``: the largest e of any weight
@@ -70,8 +71,8 @@ def _rescale(rows: list[dict[int, int]], strength: list[int], op, d: int) -> Non
 
 def _outside_stacklevel() -> int:
     """The ``stacklevel`` at which a warning raised by this function's caller
-    names the first frame outside the package, whichever public function it
-    was reached through."""
+    names the first frame outside the package, whichever public function
+    led to it."""
     frame = sys._getframe(1)
     level = 1
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
@@ -99,7 +100,7 @@ class Graph:
 
     Every weight, taken as the float it converts to, is stored as the exact
     int weight * 2**E (a missing weight as 2**E; see the module docstring).
-    A rejected delta leaves E as it was, :meth:`copy` carries it, and
+    A rejected delta leaves E unchanged, :meth:`copy` carries it, and
     :meth:`edges` gives the weights back unscaled.
 
     :meth:`adjacency` and :meth:`strengths` are indexed by a node's position
@@ -155,12 +156,13 @@ class Graph:
         order of first mention, to its degree ("unweighted") or strength
         ("weighted", at the E of the return) before the call, so its keys are
         the touched nodes. The log holds one ``(p, q, old, new)`` per write:
-        each add as it is written, ``old`` None where the pair was absent,
-        then each remove as it is checked, ``old`` its weight after the adds
-        and ``new`` None. A pair written twice has two entries, so its
-        weights run from its first ``old`` to its last ``new``. The undo
-        replays the adds of the log in reverse. Both are empty when ``read``
-        is None.
+        each add as it is written, ``old`` None for an absent pair, then each
+        remove as it is checked, ``old`` its weight after the adds and
+        ``new`` None. A pair written twice has two entries, so its weights
+        run from its first ``old`` to its last ``new``. The undo replays the
+        adds of the log newest first, each one's weight and its change to
+        both strengths, so s0 is the only per-node record. Both are empty
+        when ``read`` is None.
         """
         rows = self._rows
         strength = self._strength
@@ -178,8 +180,6 @@ class Graph:
         s0: dict[int, int] = {}
         log: list[tuple[int, int, int | None, int | None]] = []
         write = log.append
-        # strengths before the call, for the undo; s0 holds them unless degrees
-        was = {} if degrees else s0
         try:
             for e in adds:
                 if len(e) == 2:
@@ -217,8 +217,9 @@ class Graph:
                         # times 2**d, once
                         d = k - shift
                         _rescale(rows, strength, lshift, d)
-                        for x in was:
-                            was[x] <<= d
+                        if not degrees:
+                            for x in s0:
+                                s0[x] <<= d
                         log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]
                         shift = k
                         one = 1 << k
@@ -239,15 +240,10 @@ class Graph:
                 row_q = rows[q]
                 old = row_p.get(q)
                 if delta:
-                    # was and s0 have the same keys until the removes
-                    if p not in was:
-                        was[p] = strength[p]
-                        if degrees:
-                            s0[p] = len(row_p)
-                    if q not in was:
-                        was[q] = strength[q]
-                        if degrees:
-                            s0[q] = len(row_q)
+                    if p not in s0:
+                        s0[p] = len(row_p) if degrees else strength[p]
+                    if q not in s0:
+                        s0[q] = len(row_q) if degrees else strength[q]
                     write((p, q, old, w))
                 row_p[q] = w
                 row_q[p] = w
@@ -282,16 +278,18 @@ class Graph:
         except BaseException:
             if delta:
                 # the removes are not written yet, and a pair's writes go back
-                # newest first, to its first old weight
+                # newest first, to its first old weight, and take their change
+                # off both strengths
                 for p, q, old, new in reversed(log):
                     if new is None:
                         continue
                     if old is None:
                         del rows[p][q], rows[q][p]
+                        old = 0
                     else:
                         rows[p][q] = rows[q][p] = old
-                for p, s in was.items():
-                    strength[p] = s
+                    strength[p] -= new - old
+                    strength[q] -= new - old
                 # nodes are never deleted, so those new to the graph hold the
                 # last positions
                 for _ in range(len(nodes) - known):

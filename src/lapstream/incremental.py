@@ -26,10 +26,11 @@ need evaluate no kernel. For a node x,
 
 where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. Both variants run it in
-two walks. The apply checks and writes the delta and, in the same loop,
-records s0 of every endpoint, keyed by node position (its keys are the
-touched nodes), and logs every write ``(j, k, w_old, w_new)``, None for
-absent, once: each add as it is written and each remove as it is checked.
+one skeleton of two walks. The apply checks and writes the delta and, in
+the same loop, records s0 of every endpoint, keyed by node position (its
+keys are the touched nodes), and logs every write ``(j, k, w_old, w_new)``,
+None for absent, once: each add as it is written and each remove as it is
+checked.
 A pair written more than once has a term per write, and over a pair's
 writes w_0, w_1, ..., w_n they telescope to the pair term above:
 
@@ -37,13 +38,14 @@ writes w_0, w_1, ..., w_n they telescope to the pair term above:
         = (w_n^2 - w_0^2) + 2 * (w_n - w_0) * s0(j)
 
 so the step adds each log entry's term as it comes, with no second read of
-the rows; in the unweighted variant only a write that flips the pair's
-presence adds a term. After the pair terms, one walk over the touched
-nodes adds each node's own term and, where its s changed,
-``w * 2 * delta_s`` to every member of its post-delta row. The step's
-``computed_count`` is the size of touched | N(touched), a set built in one
-call. The unweighted variant reads w as presence, 1 or 0, and s as the
-degree, so that ``C = d^2 + d + 2 * sum(d_j)``.
+the rows. After the pair terms, one walk over the touched nodes adds each
+node's own term and, where its s changed, ``w * 2 * delta_s`` to every
+member of its post-delta row. The step's ``computed_count`` is the size of
+touched | N(touched), a set built in one call. The variants differ only in
+how they read w and s: the unweighted one reads w as presence, 1 or 0
+(so only a write that flips it adds a pair term), and s as the degree, so
+that ``C = d^2 + d + 2 * sum(d_j)``. One skeleton, two inner loops: only
+the walk along a row is written twice, with and without the weight.
 
 Exactness. The difference equals a full recomputation, and telescopes,
 only if neither side rounds. The graph stores every finite weight and
@@ -114,11 +116,13 @@ def lap_cent_add_remove(
     of the post-delta graph, and its ``computed_count`` is the number of
     centralities brought up to date (touched nodes plus their neighbors).
     Both variants add the exact closed-form difference of the module
-    docstring to each of them and evaluate no kernel, in two walks: the
-    apply, which checks the delta, records what the step reads from before
-    it and logs every write, and one walk over the touched nodes after the
-    pair terms, which the step adds from the log, one term per write (their
-    sum over a pair's writes telescopes to the pair's term).
+    docstring to each of them and evaluate no kernel, in one skeleton of two
+    walks: the apply, which checks the delta, records what the step reads
+    from before it and logs every write, and one walk over the touched nodes
+    after the pair terms, which one loop adds from the log, one term per
+    write (their sum over a pair's writes telescopes to the pair's term).
+    The variant decides how a write's weights and a node's s are read, and
+    which of two inner loops walks a row.
     Both walks index lists by node position: the graph's rows and
     strengths, and the map's values list, which grows by a 0 for each node
     new to the graph, and which a weighted delta that raises the graph's
@@ -145,46 +149,33 @@ def lap_cent_add_remove(
         values[:] = [x << d for x in values]
         view._shift = g._shift
     # pair terms, on both ends of every write, which telescope over the
-    # writes of a pair to its term in the difference
-    if weighted:
-        for u, v, a, b in log:
-            if a is None:
-                a = 0
-            if b is None:
-                b = 0
-            if b != a:
-                dw = b - a
-                sq = b * b - a * a
-                values[u] += sq + 2 * dw * s0[v]
-                values[v] += sq + 2 * dw * s0[u]
-    else:
-        # only a write that flips the pair's presence changes it: a remove,
-        # or an add of an absent pair
-        for u, v, a, b in log:
-            if b is None:
-                values[u] -= 1 + 2 * s0[v]
-                values[v] -= 1 + 2 * s0[u]
-            elif a is None:
-                values[u] += 1 + 2 * s0[v]
-                values[v] += 1 + 2 * s0[u]
+    # writes of a pair to its term in the difference; the unweighted variant
+    # reads a weight as presence, so only a write that flips it adds a term
+    for u, v, a, b in log:
+        if weighted:
+            a = a or 0
+            b = b or 0
+        else:
+            a = a is not None
+            b = b is not None
+        if b != a:
+            dw = b - a
+            sq = b * b - a * a
+            values[u] += sq + 2 * dw * s0[v]
+            values[v] += sq + 2 * dw * s0[u]
     # the own term of each touched node u, and w(x, u) * 2 * delta_s(u) for
-    # every post-delta neighbor x of u
-    if weighted:
-        strength = g.strengths()
-        for u, a in s0.items():
-            b = strength[u]
-            if b != a:
-                values[u] += b * b - a * a
-                diff = 2 * (b - a)
-                for x, w in adj[u].items():
+    # every post-delta neighbor x of u; s is the degree when unweighted
+    strength = g.strengths()
+    for u, a in s0.items():
+        row = adj[u]
+        b = strength[u] if weighted else len(row)
+        if b != a:
+            values[u] += b * b - a * a
+            diff = 2 * (b - a)
+            if weighted:
+                for x, w in row.items():
                     values[x] += w * diff
-    else:
-        for u, a in s0.items():
-            row = adj[u]
-            b = len(row)
-            if b != a:
-                values[u] += b * b - a * a
-                diff = 2 * (b - a)
+            else:
                 for x in row:
                     values[x] += diff
     # touched | N(touched): the keys of s0 and their post-delta rows, in one call

@@ -61,7 +61,7 @@ MUTANTS = [
     ),
     Mutant(G, "w = num << (shift - k)", "w = num << shift", "a fractional weight is stored too large"),
     Mutant(G, "_rescale(rows, strength, lshift, d)", "pass", "a finer weight leaves the rows and strengths unscaled"),
-    Mutant(G, "was[x] <<= d", "pass", "a rescale leaves s0 and the strengths kept for the undo unscaled"),
+    Mutant(G, "s0[x] <<= d", "pass", "a rescale leaves the strengths in s0 unscaled"),
     Mutant(
         G,
         "log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]",
@@ -75,10 +75,11 @@ MUTANTS = [
         "rows[p][q] = old",
         "a rejected delta's upsert is undone on one side of the pair only",
     ),
+    Mutant(G, "strength[q] -= new - old", "pass", "a rejected delta leaves the second end's strength written"),
     Mutant(
         G,
-        "for p, s in was.items():\n                    strength[p] = s",
-        "for p, s in was.items():\n                    pass",
+        "strength[p] -= new - old\n                    strength[q] -= new - old",
+        "pass",
         "a rejected delta leaves its strengths written",
     ),
     Mutant(G, "del pos[nodes.pop()]", "nodes.pop()", "a rejected delta leaves its new nodes in the position table"),
@@ -97,23 +98,17 @@ MUTANTS = [
         I,
         "values[u] += sq + 2 * dw * s0[v]",
         "values[u] += sq + 2 * dw * s0[u]",
-        "the weighted pair term reads the wrong end's strength",
+        "the pair term reads the wrong end's strength",
     ),
+    Mutant(I, "b = b is not None", "b = True", "an unweighted remove adds no pair term"),
+    Mutant(I, "a = a is not None", "a = False", "an unweighted upsert of a present pair adds a pair term"),
     Mutant(
         I,
-        "values[u] -= 1 + 2 * s0[v]",
-        "values[u] -= 1 + 2 * s0[u]",
-        "the unweighted remove term reads the wrong end's degree",
+        "a = a is not None\n            b = b is not None",
+        "a = a or 0\n            b = b or 0",
+        "the unweighted pair terms read the weights, not presence",
     ),
-    Mutant(
-        I,
-        "values[u] += 1 + 2 * s0[v]",
-        "values[u] += 1 + 2 * s0[u]",
-        "the unweighted add term reads the wrong end's degree",
-    ),
-    Mutant(I, "values[u] += b * b - a * a\n                diff = 2 * (b - a)\n                for x, w in adj[u].items():",
-           "values[u] += b * b + a * a\n                diff = 2 * (b - a)\n                for x, w in adj[u].items():",
-           "the weighted own term has the wrong sign"),
+    Mutant(I, "values[u] += b * b - a * a", "values[u] += b * b + a * a", "the own term has the wrong sign"),
     Mutant(I, "values[x] += w * diff", "values[x] += diff", "the weighted walk drops the edge weight"),
     Mutant(I, "values[x] += diff\n", "values[x] += diff // 2\n", "the unweighted walk adds half the change"),
     Mutant(
@@ -162,9 +157,9 @@ MUTANTS = [
     Mutant(C, "return num if den == 1 else _quotient(num, den)", "return num", "the weighted energy reads scaled"),
     Mutant(
         C,
-        "return _divide(cmap, *_energy(g, variant))",
-        "return normalize(cmap, laplacian_energy(g, variant))",
-        "--normalized divides by the rounded energy, which can overflow or underflow",
+        "num, den = _energy(g, variant)\n    if num == 0:",
+        "num, den = laplacian_energy(g, variant).as_integer_ratio()\n    if num == 0:",
+        "normalize divides by the rounded energy, which can overflow or underflow",
     ),
     Mutant(C, "num <<= 2 * view._shift", "num <<= view._shift", "normalize divides by 2**E, not 2**(2E)"),
     Mutant(

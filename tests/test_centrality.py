@@ -13,7 +13,6 @@ from lapstream.centrality import (
     lap_cent,
     laplacian_energy,
     normalize,
-    normalize_exact,
     write_centralities,
 )
 from lapstream.errors import FloatRangeError, ZeroEnergyError
@@ -162,13 +161,10 @@ class TestExactRounding:
         energy = laplacian_energy(g, "weighted")
         assert energy == float(exact_weighted_energy(g))
         assert not energy.is_integer()
-        cmap = lap_cent(g, "weighted")
-        normalized = normalize(cmap, energy).values
-        exactly = normalize_exact(cmap, g, "weighted").values
+        normalized = normalize(lap_cent(g, "weighted"), g, "weighted").values
         exact_energy = exact_weighted_energy(g)
         for x, exact in exact_weighted_values(g).items():
-            assert normalized[x] == float(exact / Fraction(energy)), x
-            assert exactly[x] == float(exact / exact_energy), x
+            assert normalized[x] == float(exact / exact_energy), x
 
 
 class TestPastTheFloatRange:
@@ -186,18 +182,20 @@ class TestPastTheFloatRange:
 
     def test_an_energy_below_the_float_range_rounds_to_zero(self):
         """Subnormal weights: values and the energy round to 0.0, and the
-        exact energy still normalizes every value."""
+        exact energy still normalizes every value; only a graph with no
+        edges has no energy to divide by."""
         g = Graph([(1, 2, 5e-324), (2, 3, 2.0**-600)])
         cmap = lap_cent(g, "weighted")
         assert cmap.values == {1: 0.0, 2: 0.0, 3: 0.0}
         assert laplacian_energy(g, "weighted") == 0.0
-        with pytest.raises(ZeroEnergyError):
-            normalize(cmap, 0.0)
         exact_energy = exact_weighted_energy(g)
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize_exact(cmap, g, "weighted").values == want
+        assert normalize(cmap, g, "weighted").values == want
+        empty = with_isolated(Graph(), [1, 2])
+        with pytest.raises(ZeroEnergyError):
+            normalize(lap_cent(empty, "weighted"), empty, "weighted")
 
-    def test_normalize_exact_past_the_float_range(self):
+    def test_normalize_past_the_float_range(self):
         """An energy near 4e400 with a fractional edge: the ratios are near 1."""
         g = Graph([(1, 2, 1e200), (2, 3, 0.5)])
         cmap = lap_cent(g, "weighted")
@@ -205,7 +203,7 @@ class TestPastTheFloatRange:
             laplacian_energy(g, "weighted")
         exact_energy = exact_weighted_energy(g)
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize_exact(cmap, g, "weighted").values == want
+        assert normalize(cmap, g, "weighted").values == want
         assert want[1] == want[2] == 1.0 and 0 < want[3] < 1e-200
 
 
@@ -237,21 +235,21 @@ class TestLaplacianEnergy:
 class TestNormalize:
     def test_toy_node_5(self):
         g = Graph(TOY_EDGES)
-        normalized = normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
+        normalized = normalize(lap_cent(g, "unweighted"), g, "unweighted")
         assert normalized.values[5] == pytest.approx(34 / 48)
 
     def test_round_trip(self):
         g = Graph(TOY_EDGES)
         c = lap_cent(g, "unweighted")
         e = laplacian_energy(g, "unweighted")
-        back = {v: x * e for v, x in normalize(c, e).values.items()}
+        back = {v: x * e for v, x in normalize(c, g, "unweighted").values.items()}
         for v in c.values:
             assert back[v] == pytest.approx(c.values[v], abs=1e-12)
 
     def test_zero_energy(self):
         g = with_isolated(Graph(), [1, 2])
         with pytest.raises(ZeroEnergyError):
-            normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
+            normalize(lap_cent(g, "unweighted"), g, "unweighted")
 
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)
@@ -263,7 +261,7 @@ class TestNormalize:
                 if u != v:
                     path.append((u, v))
             g = Graph(path)
-            c = normalize(lap_cent(g, "unweighted"), laplacian_energy(g, "unweighted"))
+            c = normalize(lap_cent(g, "unweighted"), g, "unweighted")
             assert all(0.0 < x <= 1.0 for x in c.values.values())
 
 
@@ -343,8 +341,6 @@ class TestExecution:
         import io
 
         buf = io.StringIO()
-        normalized = normalize(
-            lap_cent(toy_graph, "unweighted"), laplacian_energy(toy_graph, "unweighted")
-        )
+        normalized = normalize(lap_cent(toy_graph, "unweighted"), toy_graph, "unweighted")
         write_centralities(normalized, buf)
         assert "5,0.708333333333\n" in buf.getvalue()  # 34/48 at 12 digits

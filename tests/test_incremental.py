@@ -209,14 +209,18 @@ class TestRejectedDelta:
              SelfLoopError),
             (EdgeDelta(adds=[Edge(1, 9, 5e-324), Edge(5, 6, 2.5)], removes=[(5, 6), (1, 6)]),
              MissingEdgeError),
+            (EdgeDelta(adds=[Edge(3, 2, 4.0), Edge(1, 9, 5e-324), Edge(2, 3, 0.75), Edge(4, 4)]),
+             SelfLoopError),
         ],
-        ids=["self-loop", "absent-remove"],
+        ids=["self-loop", "absent-remove", "pair-rewritten-across-rescale"],
     )
     def test_rescale_undone(self, toy_graph, delta, error, variant, fractional):
         """A subnormal weight raises E to 1074, rescaling the rows, the
         strengths, s0 and the log, and a later change rejects the delta: E,
         rows in their order, strengths, the node table and the map are as
-        they were."""
+        they were. The undo takes each write's change off the strengths from
+        the rescaled log, also for a pair written before and after the
+        rescale."""
         if fractional:
             apply_delta(toy_graph, EdgeDelta(adds=[Edge(6, 7, 0.5)]))
         shift = toy_graph._shift
