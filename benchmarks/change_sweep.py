@@ -67,7 +67,7 @@ def sweep_row(regime, variant, k):
                 seconds["batch_e2e"] = t2 - t0
             else:
                 t0 = time.perf_counter()
-                lap_cent_add_remove(dyn_g, delta, cmap, variant)
+                lap_cent_add_remove(dyn_g, delta, cmap)
                 seconds["dynamic"] = time.perf_counter() - t0
         bad = diff_maps(full.values, cmap.values)
         if bad is not None:

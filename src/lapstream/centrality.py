@@ -45,13 +45,15 @@ class NodeValues(Mapping):
     """A map's values, read-only, over a graph's node table: the keys are the
     first ``len(values)`` nodes in position order, ``values`` a list (a live
     map, which the incremental step updates and extends) or a tuple (a kept
-    step), of exact values scaled by 2**(2 * shift). A value reads as itself
-    at shift 0, and as its quotient by 2**(2 * shift), correctly rounded,
-    above it. It reads and compares as a ``dict`` of those keys and values."""
+    step or a normalized map), of exact values scaled by 2**(2 * shift): E
+    on a weighted map, None (no weight scale, so the map's variant) on an
+    unweighted or a normalized one. A value reads as itself at shift None or
+    0, and as its quotient by 2**(2 * shift), correctly rounded, above it.
+    It reads and compares as a ``dict`` of those keys and values."""
 
     __slots__ = ("_pos", "_nodes", "_values", "_shift")
 
-    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple, shift=0):
+    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple, shift=None):
         self._pos = pos
         self._nodes = nodes
         self._values = values
@@ -97,11 +99,12 @@ class CentralityMap:
     ``values`` is a read-only :class:`NodeValues` view in every map the
     package makes, live or a :meth:`NodeValues.copy` kept by
     :func:`~lapstream.incremental.run_evolving`; compare mode's
-    ``BenchResult.maps`` put the same copy behind a ``ChainMap`` front. The
-    values are exact ints, unweighted and on a weighted graph
-    of integral weights (E = 0); on a graph with a fractional weight
-    (E > 0) each reads as the correctly rounded float of the exact value,
-    for any history and any edge order.
+    ``BenchResult.maps`` put the same copy behind a ``ChainMap`` front. Each
+    keeps the variant :func:`lap_cent` made the map with, which the step
+    and :func:`normalize` read from it. The values are exact ints,
+    unweighted and on a weighted graph of integral weights (E = 0); on a
+    graph with a fractional weight (E > 0) each reads as the correctly
+    rounded float of the exact value, for any history and any edge order.
     """
 
     values: Mapping[int, float]
@@ -121,7 +124,7 @@ def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> list:
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
     values = evaluate_nodes(g, range(g.num_nodes), variant)
-    shift = g._shift if variant == "weighted" else 0
+    shift = g._shift if variant == "weighted" else None
     return CentralityMap(NodeValues(g._pos, g._nodes, values, shift), g.num_nodes)
 
 
@@ -157,17 +160,18 @@ def laplacian_energy(g: Graph, variant: Variant) -> float:
     return num if den == 1 else _quotient(num, den)
 
 
-def normalize(cmap: CentralityMap, g: Graph, variant: Variant) -> CentralityMap:
+def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
     """Divide every value of ``cmap``, a map of ``g``, by the graph's Laplacian
-    energy; values land in (0, 1] for connected graphs with non-negative
-    weights. Each is the correctly rounded ratio of two exact values, even
+    energy of the map's variant; values land in (0, 1] for connected graphs
+    with non-negative weights, as a tuple, which the incremental step
+    refuses. Each is the correctly rounded ratio of two exact values, even
     where the energy alone is past the float range or below it."""
-    num, den = _energy(g, variant)
+    view = cmap.values
+    num, den = _energy(g, "unweighted" if view._shift is None else "weighted")
     if num == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
-    view = cmap.values
-    num <<= 2 * view._shift
-    values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]
+    num <<= 2 * (view._shift or 0)
+    values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))
     return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
 
 

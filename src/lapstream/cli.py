@@ -178,7 +178,7 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
     for step, (cmap, _) in enumerate(steps, start=1):
         try:
             if normalized:
-                cmap = normalize(cmap, g, variant)
+                cmap = normalize(cmap, g)
             with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
                 write_centralities(cmap, fh)
         except FloatRangeError as exc:
@@ -192,7 +192,7 @@ def _cmd_centrality(args) -> int:
     g = Graph(e[:3] for e in events)
     cmap = lap_cent(g, args.variant)
     if args.normalized:
-        cmap = normalize(cmap, g, args.variant)
+        cmap = normalize(cmap, g)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             write_centralities(cmap, fh)

@@ -26,7 +26,8 @@ need evaluate no kernel. For a node x,
 
 where 0 and 1 mark the graph before and after the delta, an absent edge
 has w = 0 and a node new to the map starts from 0. Both variants run it in
-one skeleton of two walks. The apply checks and writes the delta and, in
+one skeleton of two walks; the map carries its variant (an unweighted
+map's scale is None). The apply checks and writes the delta and, in
 the same loop, records s0 of every endpoint, keyed by node position (its
 keys are the touched nodes), and logs every write ``(j, k, w_old, w_new)``,
 None for absent, once: each add as it is written and each remove as it is
@@ -102,12 +103,7 @@ def apply_delta(g: Graph, delta: EdgeDelta) -> None:
     g._apply(delta.adds, delta.removes, "weighted")
 
 
-def lap_cent_add_remove(
-    g: Graph,
-    delta: EdgeDelta,
-    cmap: CentralityMap,
-    variant: Variant,
-) -> CentralityMap:
+def lap_cent_add_remove(g: Graph, delta: EdgeDelta, cmap: CentralityMap) -> CentralityMap:
     """One incremental step: apply ``delta`` to ``g`` and update ``cmap`` in place.
 
     ``cmap`` must be a live map of ``g`` (one that :func:`lap_cent` or an
@@ -121,25 +117,24 @@ def lap_cent_add_remove(
     from before it and logs every write, and one walk over the touched nodes
     after the pair terms, which one loop adds from the log, one term per
     write (their sum over a pair's writes telescopes to the pair's term).
-    The variant decides how a write's weights and a node's s are read, and
-    which of two inner loops walks a row.
+    The map's variant, the one :func:`lap_cent` made it with, decides how a
+    write's weights and a node's s are read, and which of two inner loops
+    walks a row.
     Both walks index lists by node position: the graph's rows and
     strengths, and the map's values list, which grows by a 0 for each node
     new to the graph, and which a weighted delta that raises the graph's
     scale E shifts first. Copy ``cmap`` first to keep the previous step's
-    values. A rejected delta, an unknown variant, a kept map (see
-    :func:`run_evolving`), whose values are a tuple, or a map of another
-    graph raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
+    values. A rejected delta, a kept map (see :func:`run_evolving`) or a
+    normalized one, whose values are a tuple, or a map of another graph
+    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
     """
-    if variant not in ("unweighted", "weighted"):
-        raise ValueError(f"unknown variant {variant!r}")
     view = cmap.values
     values = getattr(view, "_values", None)
     if not isinstance(values, list) or view._nodes is not g._nodes:
-        raise TypeError("cmap is not a live map of g (a kept map is read-only); step a live map")
-    weighted = variant == "weighted"
+        raise TypeError("cmap is not a live map of g (a kept or normalized map is read-only); step a live map")
+    weighted = view._shift is not None
     adj = g.adjacency()
-    s0, log = g._apply(delta.adds, delta.removes, variant)
+    s0, log = g._apply(delta.adds, delta.removes, "weighted" if weighted else "unweighted")
     # nodes are never deleted, so the nodes new to the graph hold the last
     # positions, in order of first mention; they start from 0
     values += [0] * (len(adj) - len(values))
@@ -207,7 +202,7 @@ def evolve(
         try:
             if mode == "dynamic":
                 t0 = perf_counter()
-                lap_cent_add_remove(g, delta, cmap, variant)
+                lap_cent_add_remove(g, delta, cmap)
             else:
                 apply_delta(g, delta)
                 t0 = perf_counter()

@@ -2,9 +2,9 @@
 
 Each mutant is one exact text in one file of ``src`` or ``tests``, its
 replacement, and a line on what the change breaks. For each mutant the
-script copies ``src`` and ``tests`` to a temporary directory, applies the
-change there and runs ``pytest -x -q tests`` on the copy; the working tree
-is never edited. It fails if a mutant survives, or if a mutant's text does
+script copies ``src``, ``tests`` and ``benchmarks`` (which a test loads)
+to a temporary directory, applies the change there and runs
+``pytest -x -q tests`` on the copy; the working tree is never edited. It fails if a mutant survives, or if a mutant's text does
 not occur exactly once in its file, so a refactor cannot leave a mutant
 pointing at code that is gone.
 
@@ -124,6 +124,7 @@ MUTANTS = [
         "a delta that raises E shifts the live values by delta_E, not 2 * delta_E",
     ),
     Mutant(I, "view._shift = g._shift", "pass", "the live map keeps its old scale after a rescale"),
+    Mutant(I, "weighted = view._shift is not None", "weighted = view._shift is None", "a map is stepped as the other variant"),
     # the kernels and the energy
     Mutant(
         K,
@@ -144,9 +145,15 @@ MUTANTS = [
     ),
     Mutant(
         C,
-        'shift = g._shift if variant == "weighted" else 0',
+        'shift = g._shift if variant == "weighted" else None',
         "shift = g._shift",
         "unweighted values on a fractional graph read scaled down",
+    ),
+    Mutant(
+        C,
+        'shift = g._shift if variant == "weighted" else None',
+        'shift = g._shift if variant == "weighted" else 0',
+        "an unweighted map is stepped and normalized as a weighted one",
     ),
     Mutant(
         C,
@@ -157,11 +164,12 @@ MUTANTS = [
     Mutant(C, "return num if den == 1 else _quotient(num, den)", "return num", "the weighted energy reads scaled"),
     Mutant(
         C,
-        "num, den = _energy(g, variant)\n    if num == 0:",
-        "num, den = laplacian_energy(g, variant).as_integer_ratio()\n    if num == 0:",
+        'num, den = _energy(g, "unweighted" if view._shift is None else "weighted")\n    if num == 0:',
+        'num, den = laplacian_energy(g, "unweighted" if view._shift is None else "weighted").as_integer_ratio()\n'
+        "    if num == 0:",
         "normalize divides by the rounded energy, which can overflow or underflow",
     ),
-    Mutant(C, "num <<= 2 * view._shift", "num <<= view._shift", "normalize divides by 2**E, not 2**(2E)"),
+    Mutant(C, "num <<= 2 * (view._shift or 0)", "num <<= view._shift or 0", "normalize divides by 2**E, not 2**(2E)"),
     Mutant(
         C,
         'stream.write(f"{v},{_quotient(x, 1, v):.12g}\\n")',
@@ -169,7 +177,13 @@ MUTANTS = [
         "a dump of an int past the float range is an OverflowError",
     ),
     Mutant(C, "    except OverflowError:\n        what", "    except ZeroDivisionError:\n        what", "a value past the float range is an OverflowError"),
-    Mutant(C, "values = [_quotient(x * den, num, v)", "values = [_quotient(x, num, v)", "normalize drops the energy's denominator"),
+    Mutant(C, "_quotient(x * den, num, v) for", "_quotient(x, num, v) for", "normalize drops the energy's denominator"),
+    Mutant(
+        C,
+        "values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))",
+        "values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]",
+        "a normalized map can be stepped as a live one",
+    ),
     # the compare gate
     Mutant(B, "if s - s == 0:", "if True:", "the gate passes a NaN object against itself on the fast path"),
     Mutant(B, "if not x == y:", "if x is not y and not x == y:", "the gate passes a NaN object against itself on the slow path"),
@@ -261,7 +275,7 @@ def run(k: int, m: Mutant) -> tuple[int, bool, float]:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix=f"mutant{k}-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "benchmarks"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=ignore)
         target = Path(tmp) / m.path
         target.write_text(target.read_text().replace(m.text, m.replacement))

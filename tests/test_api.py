@@ -55,7 +55,8 @@ def test_all_is_pinned():
 
 
 def test_graph_surface_is_pinned():
-    """Graph's public members are the ones the package itself uses."""
+    """Graph's public members are pinned: the package itself uses every one
+    but ``nodes()``, which the tests read."""
     assert {n for n in dir(Graph) if not n.startswith("_")} == {
         "adjacency",
         "copy",

@@ -171,8 +171,8 @@ class TestBenchStream:
     def test_compare_gate_aborts_on_divergence(self, monkeypatch):
         step = incremental.lap_cent_add_remove
 
-        def corrupted(g, delta, cmap, variant):
-            step(g, delta, cmap, variant)
+        def corrupted(g, delta, cmap):
+            step(g, delta, cmap)
             node = min(cmap.values)
             set_value(cmap.values, node, cmap.values[node] + 1)
             return cmap
@@ -186,8 +186,8 @@ class TestBenchStream:
     def test_compare_gate_catches_nan(self, monkeypatch):
         step = incremental.lap_cent_add_remove
 
-        def nan_step(g, delta, cmap, variant):
-            step(g, delta, cmap, variant)
+        def nan_step(g, delta, cmap):
+            step(g, delta, cmap)
             set_value(cmap.values, 4, float("nan"))
             return cmap
 
@@ -449,8 +449,8 @@ class TestRunArtifacts:
     def test_failed_gate_writes_no_dump(self, data_dir, tmp_path, monkeypatch, capsys):
         step = incremental.lap_cent_add_remove
 
-        def corrupted(g, delta, cmap, variant):
-            step(g, delta, cmap, variant)
+        def corrupted(g, delta, cmap):
+            step(g, delta, cmap)
             node = min(cmap.values)
             set_value(cmap.values, node, cmap.values[node] + 1)
             return cmap

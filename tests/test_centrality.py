@@ -161,7 +161,7 @@ class TestExactRounding:
         energy = laplacian_energy(g, "weighted")
         assert energy == float(exact_weighted_energy(g))
         assert not energy.is_integer()
-        normalized = normalize(lap_cent(g, "weighted"), g, "weighted").values
+        normalized = normalize(lap_cent(g, "weighted"), g).values
         exact_energy = exact_weighted_energy(g)
         for x, exact in exact_weighted_values(g).items():
             assert normalized[x] == float(exact / exact_energy), x
@@ -190,10 +190,10 @@ class TestPastTheFloatRange:
         assert laplacian_energy(g, "weighted") == 0.0
         exact_energy = exact_weighted_energy(g)
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize(cmap, g, "weighted").values == want
+        assert normalize(cmap, g).values == want
         empty = with_isolated(Graph(), [1, 2])
         with pytest.raises(ZeroEnergyError):
-            normalize(lap_cent(empty, "weighted"), empty, "weighted")
+            normalize(lap_cent(empty, "weighted"), empty)
 
     def test_normalize_past_the_float_range(self):
         """An energy near 4e400 with a fractional edge: the ratios are near 1."""
@@ -203,7 +203,7 @@ class TestPastTheFloatRange:
             laplacian_energy(g, "weighted")
         exact_energy = exact_weighted_energy(g)
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize(cmap, g, "weighted").values == want
+        assert normalize(cmap, g).values == want
         assert want[1] == want[2] == 1.0 and 0 < want[3] < 1e-200
 
 
@@ -232,24 +232,43 @@ class TestLaplacianEnergy:
         )
 
 
+@pytest.mark.parametrize("compute", [lap_cent, laplacian_energy])
+def test_unknown_variant(compute):
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        compute(Graph(TOY_EDGES), "bogus")
+
+
 class TestNormalize:
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_reads_the_variant_from_the_map(self, variant):
+        """A map divides by the energy of the variant it was made with; a
+        third argument is a TypeError."""
+        g = Graph([(1, 2, 3.0), (2, 3, 5.0)])
+        cmap = lap_cent(g, variant)
+        energy = laplacian_energy(g, variant)
+        normalized = normalize(cmap, g).values
+        assert normalized == {v: x / energy for v, x in cmap.values.items()}
+        assert all(0.0 < x <= 1.0 for x in normalized.values())
+        with pytest.raises(TypeError):
+            normalize(cmap, g, variant)
+
     def test_toy_node_5(self):
         g = Graph(TOY_EDGES)
-        normalized = normalize(lap_cent(g, "unweighted"), g, "unweighted")
+        normalized = normalize(lap_cent(g, "unweighted"), g)
         assert normalized.values[5] == pytest.approx(34 / 48)
 
     def test_round_trip(self):
         g = Graph(TOY_EDGES)
         c = lap_cent(g, "unweighted")
         e = laplacian_energy(g, "unweighted")
-        back = {v: x * e for v, x in normalize(c, g, "unweighted").values.items()}
+        back = {v: x * e for v, x in normalize(c, g).values.items()}
         for v in c.values:
             assert back[v] == pytest.approx(c.values[v], abs=1e-12)
 
     def test_zero_energy(self):
         g = with_isolated(Graph(), [1, 2])
         with pytest.raises(ZeroEnergyError):
-            normalize(lap_cent(g, "unweighted"), g, "unweighted")
+            normalize(lap_cent(g, "unweighted"), g)
 
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)
@@ -261,7 +280,7 @@ class TestNormalize:
                 if u != v:
                     path.append((u, v))
             g = Graph(path)
-            c = normalize(lap_cent(g, "unweighted"), g, "unweighted")
+            c = normalize(lap_cent(g, "unweighted"), g)
             assert all(0.0 < x <= 1.0 for x in c.values.values())
 
 
@@ -341,6 +360,6 @@ class TestExecution:
         import io
 
         buf = io.StringIO()
-        normalized = normalize(lap_cent(toy_graph, "unweighted"), toy_graph, "unweighted")
+        normalized = normalize(lap_cent(toy_graph, "unweighted"), toy_graph)
         write_centralities(normalized, buf)
         assert "5,0.708333333333\n" in buf.getvalue()  # 34/48 at 12 digits

@@ -246,7 +246,7 @@ class TestOneObjectPerNode:
             adds=[Edge(far(50), far(4)), Edge(far(70), far(5), 5.0), Edge(far(3), far(70))],
             removes=[(far(2), far(1)), (far(60), far(2))],
         )
-        lap_cent_add_remove(h, delta, cmap, variant)
+        lap_cent_add_remove(h, delta, cmap)
         self._assert_own_objects(h, cmap.values)
         assert cmap.values == lap_cent(h, variant).values
 

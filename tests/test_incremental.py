@@ -21,7 +21,7 @@ from genutil import (
 
 from lapstream import kernels
 from lapstream.bench import bench_stream
-from lapstream.centrality import CentralityMap, lap_cent, write_centralities
+from lapstream.centrality import CentralityMap, lap_cent, normalize, write_centralities
 from lapstream.errors import (
     DeltaError,
     MissingEdgeError,
@@ -117,7 +117,7 @@ def _step_rejects_as_apply_delta(g, delta, error, variant):
     cmap = lap_cent(g, variant)
     before = _state(g, cmap)
     with pytest.raises(error) as stepped:
-        lap_cent_add_remove(g, delta, cmap, variant)
+        lap_cent_add_remove(g, delta, cmap)
     assert str(stepped.value) == str(applied.value)
     assert _state(g, cmap) == before
 
@@ -159,7 +159,7 @@ class TestRejectedDelta:
         bad = EdgeDelta(adds=[Edge(20, 21, 2.0), Edge(1, 22)], removes=[(1, 2), (21, 99)])
         with pytest.raises(MissingEdgeError):
             if step:
-                lap_cent_add_remove(g, bad, cmap, variant)
+                lap_cent_add_remove(g, bad, cmap)
             else:
                 apply_delta(g, bad)
         assert g.nodes() is nodes and g.adjacency() is rows and g.strengths() is strength
@@ -167,7 +167,7 @@ class TestRejectedDelta:
         assert len(cmap.values) == known and 20 not in cmap.values
         later = EdgeDelta(adds=[Edge(1, 22), Edge(21, 20, 3.0)])
         if step:
-            lap_cent_add_remove(g, later, cmap, variant)
+            lap_cent_add_remove(g, later, cmap)
         else:
             apply_delta(g, later)
             cmap = lap_cent(g, variant)
@@ -177,16 +177,15 @@ class TestRejectedDelta:
         assert bits(cmap.values) == bits(lap_cent(Graph(TOY_EDGES + later.adds), variant).values)
 
     @pytest.mark.parametrize("delta", [EdgeDelta(adds=[Edge(3, 4)]), EdgeDelta()])
-    @pytest.mark.parametrize("variant", ["Weighted", "bogus"])
-    def test_unknown_variant_step_unchanged(self, toy_graph, delta, variant):
-        before = toy_graph.copy()
-        prev = lap_cent(toy_graph, "weighted")
-        values = dict(prev.values)
-        with pytest.raises(ValueError, match="unknown variant"):
-            lap_cent_add_remove(toy_graph, delta, prev, variant)
-        assert graph_state(toy_graph) == graph_state(before)
-        assert prev.values == values
-        assert prev.computed_count == toy_graph.num_nodes
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_variant_argument_refused(self, toy_graph, delta, variant):
+        """The map carries its variant: a fourth argument is a TypeError,
+        and the graph and the map are as they were."""
+        cmap = lap_cent(toy_graph, variant)
+        before = _state(toy_graph, cmap)
+        with pytest.raises(TypeError):
+            lap_cent_add_remove(toy_graph, delta, cmap, variant)
+        assert _state(toy_graph, cmap) == before
 
     @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize("delta, error", REJECTED_DELTAS)
@@ -232,9 +231,9 @@ class TestRejectedDelta:
         # the same delta without its fault is written at E = 1074
         adds = delta.adds[:-1] if error is SelfLoopError else delta.adds
         cmap = lap_cent(toy_graph, variant)
-        lap_cent_add_remove(toy_graph, EdgeDelta(adds, delta.removes[:-1]), cmap, variant)
+        lap_cent_add_remove(toy_graph, EdgeDelta(adds, delta.removes[:-1]), cmap)
         assert toy_graph._shift == 1074
-        assert cmap.values._shift == (1074 if variant == "weighted" else 0)
+        assert cmap.values._shift == (1074 if variant == "weighted" else None)
         assert bits(cmap.values) == bits(lap_cent(toy_graph, variant).values)
 
     @pytest.mark.parametrize("far", [False, True])
@@ -280,7 +279,7 @@ def test_negative_weight_warning_names_caller(variant):
         return SnapshotStream(g, [delta])
 
     calls = [
-        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
+        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant)),
         lambda g: run_evolving(g, [delta], "dynamic", variant),
         lambda g: run_evolving(g, [delta], "batch", variant),
         lambda g: apply_delta(g, delta),
@@ -306,7 +305,7 @@ def test_absent_remove_raises_one_message(variant):
     calls = [
         lambda g: apply_delta(g, delta),
         lambda g: affected_nodes(g, delta),
-        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant), variant),
+        lambda g: lap_cent_add_remove(g, delta, lap_cent(g, variant)),
     ]
     messages = []
     for call in calls:
@@ -324,7 +323,7 @@ def test_new_nodes_take_batch_key_order(variant, weight):
     g = Graph([(1, 2, weight)])
     cmap = lap_cent(g, variant)
     delta = EdgeDelta(adds=[Edge(100, 1), Edge(50, 2), Edge(7, 300, 3.0), Edge(33, 2)])
-    lap_cent_add_remove(g, delta, cmap, variant)
+    lap_cent_add_remove(g, delta, cmap)
     assert list(cmap.values) == list(lap_cent(g, variant).values)
     assert list(cmap.values) == [1, 2, 100, 50, 7, 300, 33]
 
@@ -333,7 +332,7 @@ class TestAddRemove:
     def test_toy_step(self, toy_graph):
         cmap = lap_cent(toy_graph, "unweighted")
         assert cmap.values == TOY_STEP1
-        lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), cmap, "unweighted")
+        lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), cmap)
         assert cmap.values == TOY_STEP2
         assert cmap.computed_count == 4
         assert toy_graph.has_edge(4, 6)
@@ -341,14 +340,14 @@ class TestAddRemove:
     def test_empty_delta_returns_prev_values(self, toy_graph):
         prev = lap_cent(toy_graph, "unweighted")
         values = dict(prev.values)
-        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(), prev, "unweighted")
+        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(), prev)
         assert cmap.computed_count == 0
         assert cmap.values == values
 
     def test_in_place_updates_prev(self, toy_graph):
         prev = lap_cent(toy_graph, "unweighted")
         values = prev.values
-        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev, "unweighted")
+        cmap = lap_cent_add_remove(toy_graph, EdgeDelta(adds=[Edge(4, 6)]), prev)
         assert cmap is prev
         assert prev.values is values
         assert prev.values == TOY_STEP2
@@ -358,21 +357,21 @@ class TestAddRemove:
         g = random_graph(rng, 50, 120)
         cmap = lap_cent(g, "unweighted")
         delta = random_delta(rng, g)
-        lap_cent_add_remove(g, delta, cmap, "unweighted")
+        lap_cent_add_remove(g, delta, cmap)
         assert cmap.values == lap_cent(g, "unweighted").values
         assert cmap.computed_count <= g.num_nodes
 
     def test_new_nodes_get_entries(self):
         g = Graph([(1, 2)])
         cmap = lap_cent(g, "unweighted")
-        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(8, 9)]), cmap, "unweighted")
+        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(8, 9)]), cmap)
         assert cmap.values[8] == 4
         assert cmap.values[9] == 4
 
     def test_isolated_nodes_keep_zero_entries(self):
         g = Graph([(1, 2), (2, 3)])
         cmap = lap_cent(g, "unweighted")
-        lap_cent_add_remove(g, EdgeDelta(removes=[(1, 2), (2, 3)]), cmap, "unweighted")
+        lap_cent_add_remove(g, EdgeDelta(removes=[(1, 2), (2, 3)]), cmap)
         assert cmap.values == {1: 0, 2: 0, 3: 0}
 
 
@@ -415,7 +414,7 @@ class TestUnweightedPropagation:
             return {}
 
         monkeypatch.setattr(kernels, "unweighted_values", recording)
-        lap_cent_add_remove(g, delta, cmap, "unweighted")
+        lap_cent_add_remove(g, delta, cmap)
         monkeypatch.undo()
         assert calls == []
         assert cmap.computed_count == len(sets.recompute)
@@ -427,7 +426,7 @@ class TestUnweightedPropagation:
         cmap = lap_cent(g, "unweighted")
         for delta in deltas:
             sets = affected_nodes(g.copy(), delta)
-            lap_cent_add_remove(g, delta, cmap, "unweighted")
+            lap_cent_add_remove(g, delta, cmap)
             full = lap_cent(g, "unweighted").values
             assert cmap.values.keys() == full.keys()
             assert cmap.values == full
@@ -496,7 +495,7 @@ class TestWeightedPropagation:
         for delta in deltas:
             sets = affected_nodes(g.copy(), delta)
             weighted_kernel_calls.clear()
-            lap_cent_add_remove(g, delta, cmap, "weighted")
+            lap_cent_add_remove(g, delta, cmap)
             assert weighted_kernel_calls == []
             assert g._shift == 0
             full = lap_cent(g, "weighted").values
@@ -515,7 +514,7 @@ class TestWeightedPropagation:
         delta = EdgeDelta(adds=[Edge(6, 9, weight)], removes=[(0, 1)])
         sets = affected_nodes(g.copy(), delta)
         weighted_kernel_calls.clear()
-        lap_cent_add_remove(g, delta, cmap, "weighted")
+        lap_cent_add_remove(g, delta, cmap)
         assert weighted_kernel_calls == []
         assert g._shift == cmap.values._shift == shift
         assert cmap.values._values is values
@@ -528,26 +527,34 @@ class TestWeightedAddRemove:
     def test_unit_weights_match_unweighted(self, toy_graph):
         unit = Graph((u, v, 1.0) for u, v, _ in toy_graph.edges())
         cmap = lap_cent(unit, "weighted")
-        lap_cent_add_remove(unit, EdgeDelta(adds=[Edge(4, 6, 1.0)]), cmap, "weighted")
+        lap_cent_add_remove(unit, EdgeDelta(adds=[Edge(4, 6, 1.0)]), cmap)
         assert cmap.values == {v: float(x) for v, x in TOY_STEP2.items()}
         assert cmap.computed_count == 4
+
+    def test_the_map_carries_its_variant(self):
+        """A weighted map steps as weighted, with no variant to pass."""
+        g = Graph([(1, 2, 3.0), (2, 3, 5.0)])
+        cmap = lap_cent(g, "weighted")
+        lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 2.0)]), cmap)
+        assert cmap.values == {1: 66, 2: 186, 3: 166, 4: 36}
+        assert bits(cmap.values) == bits(lap_cent(g, "weighted").values)
 
     def test_star_to_triangle(self, weighted_star):
         cmap = lap_cent(weighted_star, "weighted")
         delta = EdgeDelta(adds=[Edge(1, 2, 1.0)])
-        lap_cent_add_remove(weighted_star, delta, cmap, "weighted")
+        lap_cent_add_remove(weighted_star, delta, cmap)
         assert cmap.values == lap_cent(weighted_star, "weighted").values
 
     def test_weight_upsert_recomputes_neighborhood(self):
         g = Graph([(0, 1, 2.0), (1, 2, 1.0)])
         cmap = lap_cent(g, "weighted")
-        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(0, 1, 5.0)]), cmap, "weighted")
+        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(0, 1, 5.0)]), cmap)
         assert cmap.values == lap_cent(g, "weighted").values
         assert cmap.computed_count == 3  # 0, 1 and 1's neighbor 2
 
     def test_weighted_removal(self, weighted_star):
         cmap = lap_cent(weighted_star, "weighted")
-        lap_cent_add_remove(weighted_star, EdgeDelta(removes=[(0, 1)]), cmap, "weighted")
+        lap_cent_add_remove(weighted_star, EdgeDelta(removes=[(0, 1)]), cmap)
         # remaining graph: 0-2 with weight 3, node 1 isolated
         assert cmap.values == {0: 36.0, 1: 0.0, 2: 36.0}
         assert cmap.computed_count == 3
@@ -556,7 +563,7 @@ class TestWeightedAddRemove:
     def test_empty_delta(self, weighted_star):
         cmap = lap_cent(weighted_star, "weighted")
         values = dict(cmap.values)
-        lap_cent_add_remove(weighted_star, EdgeDelta(), cmap, "weighted")
+        lap_cent_add_remove(weighted_star, EdgeDelta(), cmap)
         assert cmap.computed_count == 0
         assert cmap.values == values
 
@@ -690,8 +697,19 @@ class TestRunEvolving:
         kept = run_evolving(g, [], mode, variant)[0]
         before = _state(g, kept)
         with pytest.raises(TypeError, match="read-only"):
-            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0), (1, 3, 2.0)]), kept, variant)
+            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0), (1, 3, 2.0)]), kept)
         assert _state(g, kept) == before
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_step_rejects_a_normalized_map(self, variant):
+        """A normalized map's values are a tuple: stepping it raises before
+        the graph or the map changes."""
+        g = Graph([(1, 2), (2, 3)])
+        normalized = normalize(lap_cent(g, variant), g)
+        before = _state(g, normalized)
+        with pytest.raises(TypeError, match="normalized map is read-only"):
+            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0)]), normalized)
+        assert _state(g, normalized) == before
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_step_rejects_a_map_of_another_graph(self, variant):
@@ -701,7 +719,7 @@ class TestRunEvolving:
         other = lap_cent(g.copy(), variant)
         before = _state(g, other)
         with pytest.raises(TypeError, match="not a live map of g"):
-            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0)]), other, variant)
+            lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0)]), other)
         assert _state(g, other) == before
 
     def test_dynamic_history_memory(self):
@@ -828,7 +846,7 @@ class TestValuesActAsDict:
         live = lap_cent(g, variant)
         self._check(live.values, want[0], every - set(want[0]))
         for k, delta in enumerate(deltas, start=1):
-            lap_cent_add_remove(g, delta, live, variant)
+            lap_cent_add_remove(g, delta, live)
             self._check(live.values, want[k], every - set(want[k]))
         for mode in ("dynamic", "batch"):
             kept = run_evolving(Graph(initial), deltas, mode, variant)
@@ -881,7 +899,7 @@ class TestOracleEquivalence:
             if keep_history:
                 history.append(CentralityMap(dict(cmap.values), cmap.computed_count))
             sets = affected_nodes(toy_graph.copy(), delta)
-            assert lap_cent_add_remove(toy_graph, delta, cmap, variant) is cmap
+            assert lap_cent_add_remove(toy_graph, delta, cmap) is cmap
             assert cmap.values == lap_cent(toy_graph, variant).values
             assert cmap.computed_count == len(sets.recompute)
         if keep_history:

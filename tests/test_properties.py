@@ -189,7 +189,7 @@ def _walk(g, deltas, variant="weighted"):
     for delta in deltas:
         sets = affected_nodes(g.copy(), delta)
         with _kernel_calls() as calls:
-            lap_cent_add_remove(g, delta, cmap, variant)
+            lap_cent_add_remove(g, delta, cmap)
         assert calls == []
         assert cmap.computed_count == len(sets.recompute)
         assert bits(cmap.values) == bits(lap_cent(g, variant).values)
