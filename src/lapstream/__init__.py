@@ -9,7 +9,7 @@ warning; the other errors live in :mod:`lapstream.errors`.
 """
 
 from lapstream.bench import bench_stream, emit_csv
-from lapstream.centrality import CentralityMap, lap_cent, laplacian_energy, normalize
+from lapstream.centrality import CentralityMap, lap_cent, normalize
 from lapstream.errors import (
     CompareMismatchError,
     DeltaError,
@@ -50,7 +50,6 @@ __all__ = [
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",
-    "laplacian_energy",
     "load_edge_events",
     "normalize",
     "parse_edge_events",

@@ -1,4 +1,4 @@
-"""Batch Laplacian centrality and Laplacian energy.
+"""Batch Laplacian centrality and its normalization by the Laplacian energy.
 
 A node's Laplacian centrality is the drop in graph Laplacian energy caused
 by deleting the node and its incident edges. The per-node closed forms are
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 from lapstream import kernels
 from lapstream.errors import FloatRangeError, ZeroEnergyError
@@ -31,14 +31,13 @@ from lapstream.graph import Graph
 Variant = Literal["unweighted", "weighted"]
 
 
-def _quotient(x, over: int, node=None) -> float:
+def _quotient(x, over: int, node) -> float:
     """``x / over``, correctly rounded to a float; past the float range,
-    :class:`FloatRangeError` naming ``node``, or the energy where it is None."""
+    :class:`FloatRangeError` naming ``node``."""
     try:
         return x / over
     except OverflowError:
-        what = "the Laplacian energy" if node is None else f"the centrality of node {node}"
-        raise FloatRangeError(f"{what} is past the float range") from None
+        raise FloatRangeError(f"the centrality of node {node} is past the float range") from None
 
 
 class NodeValues(Mapping):
@@ -111,65 +110,46 @@ class CentralityMap:
     computed_count: int
 
 
-def evaluate_nodes(g: Graph, nodes: Iterable[int], variant: Variant) -> list:
-    """Values of the per-node kernel for the positions ``nodes``, in order."""
-    adj = g.adjacency()
-    if variant == "weighted":
-        return kernels.weighted_values(adj, g.strengths(), nodes)
-    if variant == "unweighted":
-        return kernels.unweighted_values(adj, nodes)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
-    values = evaluate_nodes(g, range(g.num_nodes), variant)
-    shift = g._shift if variant == "weighted" else None
+    adj, nodes = g.adjacency(), range(g.num_nodes)
+    if variant == "weighted":
+        values, shift = kernels.weighted_values(adj, g.strengths(), nodes), g._shift
+    elif variant == "unweighted":
+        values, shift = kernels.unweighted_values(adj, nodes), None
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
     return CentralityMap(NodeValues(g._pos, g._nodes, values, shift), g.num_nodes)
 
 
-def _energy(g: Graph, variant: Variant) -> tuple[int, int]:
-    """The exact Laplacian energy as ``(num, den)``: ``den`` is 2**(2E) on
-    the weighted variant and 1 on the unweighted one."""
+def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
+    """Divide every value of ``cmap`` by the Laplacian energy of ``g``, the
+    trace of its squared Laplacian, in the map's variant: sum(d^2 + d)
+    unweighted, sum(s^2) + 2*sum(w^2 over edges) weighted. A map of another
+    graph is a :class:`TypeError`; a kept map is normalized against the
+    graph of its own step, so before a later step changes ``g``. Values
+    land in (0, 1] for connected graphs with non-negative weights, as a
+    tuple, which the incremental step refuses. Each is the correctly
+    rounded ratio of two exact values, even where the energy alone is past
+    the float range or below it."""
+    view = cmap.values
+    if view._nodes is not g._nodes:
+        raise TypeError("cmap is not a map of g; normalize a map against its own graph")
+    # the exact energy is num / den, den = 2**(2E) on a weighted graph
     adj = g.adjacency()
-    if variant == "unweighted":
-        total = 0
+    num, den = 0, 1
+    if view._shift is None:
         for row in adj:
             d = len(row)
-            total += d * d + d
-        return total, 1
-    if variant == "weighted":
-        total = 0
+            num += d * d + d
+    else:
         for s, row in zip(g.strengths(), adj):
-            total += s * s
+            num += s * s
             for w in row.values():
-                total += w * w
-        return total, 1 << 2 * g._shift
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def laplacian_energy(g: Graph, variant: Variant) -> float:
-    """Graph Laplacian energy (sum of squared Laplacian eigenvalues).
-
-    Closed forms: sum(d^2 + d) unweighted; sum(s^2) + 2*sum(w^2 over
-    edges) weighted, i.e. the trace of the squared Laplacian. The two
-    agree on unit-weight graphs. An int, except on a weighted graph with a
-    fractional weight (E > 0), where it is the correctly rounded float.
-    """
-    num, den = _energy(g, variant)
-    return num if den == 1 else _quotient(num, den)
-
-
-def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
-    """Divide every value of ``cmap``, a map of ``g``, by the graph's Laplacian
-    energy of the map's variant; values land in (0, 1] for connected graphs
-    with non-negative weights, as a tuple, which the incremental step
-    refuses. Each is the correctly rounded ratio of two exact values, even
-    where the energy alone is past the float range or below it."""
-    view = cmap.values
-    num, den = _energy(g, "unweighted" if view._shift is None else "weighted")
+                num += w * w
+        den = 1 << 2 * g._shift
     if num == 0:
-        raise ZeroEnergyError("graph has zero Laplacian energy (no edges)")
+        raise ZeroEnergyError("graph has zero Laplacian energy")
     num <<= 2 * (view._shift or 0)
     values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))
     return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)

@@ -18,7 +18,7 @@ from pathlib import Path
 from lapstream import __version__
 from lapstream.bench import bench_stream, build_stream, emit_csv
 from lapstream.centrality import lap_cent, normalize, write_centralities
-from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError
+from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError, ZeroEnergyError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import count_size, load_edge_events
@@ -170,7 +170,8 @@ def _cmd_run(args) -> int:
 def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None:
     """Write each step's map under ``out_dir/centralities``, replaying
     ``stream`` through the driver once more in the run's mode (compare
-    dumps the dynamic maps). A value past the float range names its step."""
+    dumps the dynamic maps). A value past the float range, or a graph of
+    zero energy when normalized, names its step."""
     dump_dir = out_dir / "centralities"
     dump_dir.mkdir(parents=True, exist_ok=True)
     g = stream.initial.copy()
@@ -181,8 +182,8 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
                 cmap = normalize(cmap, g)
             with open(dump_dir / f"step_{step:04d}.csv", "w", newline="\n") as fh:
                 write_centralities(cmap, fh)
-        except FloatRangeError as exc:
-            raise FloatRangeError(f"step {step}: {exc}") from None
+        except (FloatRangeError, ZeroEnergyError) as exc:
+            raise type(exc)(f"step {step}: {exc}") from None
 
 
 def _cmd_centrality(args) -> int:

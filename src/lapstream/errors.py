@@ -18,7 +18,7 @@ class NonFiniteWeightError(LapstreamError):
 
 
 class FloatRangeError(LapstreamError):
-    """A centrality, a normalized centrality or an energy is past the float range."""
+    """A centrality or a normalized centrality is past the float range."""
 
 
 class DuplicateEdgeError(LapstreamError):

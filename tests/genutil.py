@@ -2,10 +2,11 @@
 across test modules."""
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from lapstream.centrality import NodeValues, Variant, laplacian_energy
+from lapstream.centrality import NodeValues, Variant
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
 
@@ -188,17 +189,33 @@ def graph_state(g: Graph):
     )
 
 
-def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
-    """Centrality of ``v`` computed the definitional way: delete the node,
-    re-evaluate the energy, return the drop. ``KeyError`` if ``g`` lacks ``v``.
+def edge_energy(edges, variant: Variant) -> float:
+    """Laplacian energy of an edge list: sum(s^2) + 2 * sum(w^2) over the
+    edges, every w read as 1 when unweighted. Exact on int weights."""
+    strength: dict[int, float] = defaultdict(int)
+    squares = 0
+    for u, v, w in edges:
+        if variant == "unweighted":
+            w = 1
+        strength[u] += w
+        strength[v] += w
+        squares += w * w
+    return sum(s * s for s in strength.values()) + 2 * squares
 
-    Independent of the per-node closed forms; exists to validate them.
+
+def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
+    """Centrality of ``v`` computed the definitional way: the energy of
+    ``g.edges()`` less that of the edges that do not touch ``v``.
+    ``KeyError`` if ``g`` lacks ``v``.
+
+    Independent of the library's closed forms; exists to validate them.
     """
-    row = node_rows(g)[v]
-    reduced = g.copy()
-    # isolating v == deleting v: a degree-0 node contributes nothing to energy
-    apply_delta(reduced, EdgeDelta(removes=[(v, j) for j in row]))
-    return laplacian_energy(g, variant) - laplacian_energy(reduced, variant)
+    if v not in g.nodes():
+        raise KeyError(v)
+    edges = list(g.edges())
+    # deleting v == dropping its edges: a degree-0 node adds nothing to the energy
+    kept = [e for e in edges if v not in e[:2]]
+    return edge_energy(edges, variant) - edge_energy(kept, variant)
 
 
 @dataclass

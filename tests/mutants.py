@@ -133,8 +133,8 @@ MUTANTS = [
         "the unweighted kernel drops the own-degree term",
     ),
     Mutant(K, "acc += w * (w + 2 * strength[j])", "acc += w * (w + strength[j])", "the weighted kernel halves the neighbour term"),
-    Mutant(C, "total += d * d + d", "total += d * d", "the unweighted energy drops the degree term"),
-    Mutant(C, "total += w * w", "total += w", "the weighted energy drops the square of the weights"),
+    Mutant(C, "num += d * d + d", "num += d * d", "the unweighted energy drops the degree term"),
+    Mutant(C, "num += w * w", "num += w", "the weighted energy drops the square of the weights"),
     Mutant(C, "if num == 0:", "if num is None:", "normalize divides by a zero energy"),
     # the public side's one division by 2**(2E)
     Mutant(
@@ -145,14 +145,14 @@ MUTANTS = [
     ),
     Mutant(
         C,
-        'shift = g._shift if variant == "weighted" else None',
-        "shift = g._shift",
+        "values, shift = kernels.unweighted_values(adj, nodes), None",
+        "values, shift = kernels.unweighted_values(adj, nodes), g._shift",
         "unweighted values on a fractional graph read scaled down",
     ),
     Mutant(
         C,
-        'shift = g._shift if variant == "weighted" else None',
-        'shift = g._shift if variant == "weighted" else 0',
+        "values, shift = kernels.unweighted_values(adj, nodes), None",
+        "values, shift = kernels.unweighted_values(adj, nodes), 0",
         "an unweighted map is stepped and normalized as a weighted one",
     ),
     Mutant(
@@ -161,14 +161,14 @@ MUTANTS = [
         "return i is not None",
         "a kept map holds the nodes that came later",
     ),
-    Mutant(C, "return num if den == 1 else _quotient(num, den)", "return num", "the weighted energy reads scaled"),
+    Mutant(C, "den = 1 << 2 * g._shift", "den = 1 << g._shift", "the energy is read divided by 2**E, not 2**(2E)"),
     Mutant(
         C,
-        'num, den = _energy(g, "unweighted" if view._shift is None else "weighted")\n    if num == 0:',
-        'num, den = laplacian_energy(g, "unweighted" if view._shift is None else "weighted").as_integer_ratio()\n'
-        "    if num == 0:",
+        "    if num == 0:\n        raise ZeroEnergyError",
+        "    num, den = (num / den).as_integer_ratio()\n    if num == 0:\n        raise ZeroEnergyError",
         "normalize divides by the rounded energy, which can overflow or underflow",
     ),
+    Mutant(C, "if view._nodes is not g._nodes:", "if False:", "normalize divides a map of another graph by this one's energy"),
     Mutant(C, "num <<= 2 * (view._shift or 0)", "num <<= view._shift or 0", "normalize divides by 2**E, not 2**(2E)"),
     Mutant(
         C,
@@ -176,7 +176,12 @@ MUTANTS = [
         'stream.write(f"{v},{x:.12g}\\n")',
         "a dump of an int past the float range is an OverflowError",
     ),
-    Mutant(C, "    except OverflowError:\n        what", "    except ZeroDivisionError:\n        what", "a value past the float range is an OverflowError"),
+    Mutant(
+        C,
+        "    except OverflowError:\n        raise FloatRangeError",
+        "    except ZeroDivisionError:\n        raise FloatRangeError",
+        "a value past the float range is an OverflowError",
+    ),
     Mutant(C, "_quotient(x * den, num, v) for", "_quotient(x, num, v) for", "normalize drops the energy's denominator"),
     Mutant(
         C,
@@ -237,7 +242,7 @@ MUTANTS = [
         "if not _MIN_TIMESTAMP <= timestamp:",
         "a timestamp past year 9999 is read",
     ),
-    # the CLI's exit codes
+    # the CLI's exit codes and messages
     Mutant(
         L,
         'print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
@@ -249,6 +254,12 @@ MUTANTS = [
         "    except LapstreamError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n        return 2",
         "    except LapstreamError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n        return 1",
         "a data error exits 1",
+    ),
+    Mutant(
+        L,
+        "except (FloatRangeError, ZeroEnergyError) as exc:",
+        "except FloatRangeError as exc:",
+        "a dump of a graph of zero energy does not name its step",
     ),
     Mutant(
         L,

@@ -25,7 +25,6 @@ PUBLIC = [
     "emit_csv",
     "lap_cent",
     "lap_cent_add_remove",
-    "laplacian_energy",
     "load_edge_events",
     "normalize",
     "parse_edge_events",

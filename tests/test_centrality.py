@@ -9,12 +9,7 @@ import pytest
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
 from genutil import delta_energy_oracle, graph_state, node_rows, random_graph, with_isolated
 
-from lapstream.centrality import (
-    lap_cent,
-    laplacian_energy,
-    normalize,
-    write_centralities,
-)
+from lapstream.centrality import lap_cent, normalize, write_centralities
 from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Graph
 from lapstream.incremental import EdgeDelta, apply_delta
@@ -147,8 +142,8 @@ def exact_weighted_energy(g: Graph) -> Fraction:
 
 
 class TestExactRounding:
-    """On fractional weights the energy and every normalized value are one
-    correctly rounded division of exact rationals."""
+    """On fractional weights every normalized value is one correctly rounded
+    division of exact rationals: the value by the exact energy."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_energy_and_normalized_values(self, seed):
@@ -158,11 +153,9 @@ class TestExactRounding:
         pairs = {tuple(sorted(rng.sample(range(n), 2))): rng.choice(weights) for _ in range(60)}
         g = Graph((u, v, w) for (u, v), w in pairs.items())
         assert g._shift > 0
-        energy = laplacian_energy(g, "weighted")
-        assert energy == float(exact_weighted_energy(g))
-        assert not energy.is_integer()
-        normalized = normalize(lap_cent(g, "weighted"), g).values
         exact_energy = exact_weighted_energy(g)
+        assert exact_energy.denominator > 1
+        normalized = normalize(lap_cent(g, "weighted"), g).values
         for x, exact in exact_weighted_values(g).items():
             assert normalized[x] == float(exact / exact_energy), x
 
@@ -175,8 +168,12 @@ class TestPastTheFloatRange:
         assert values[3] == 1e300  # 1e300 + 0.75, correctly rounded
         with pytest.raises(FloatRangeError, match="node 1 is past the float range"):
             values[1]
-        with pytest.raises(FloatRangeError, match="the Laplacian energy"):
-            laplacian_energy(g, "weighted")
+        # the energy is past the float range too, and each ratio is not
+        exact_energy = exact_weighted_energy(g)
+        with pytest.raises(OverflowError):
+            float(exact_energy)
+        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
+        assert normalize(lap_cent(g, "weighted"), g).values == want
         with pytest.raises(FloatRangeError, match="node 1 "):
             write_centralities(lap_cent(Graph([(1, 2, 1e300)]), "weighted"), io.StringIO())
 
@@ -187,8 +184,8 @@ class TestPastTheFloatRange:
         g = Graph([(1, 2, 5e-324), (2, 3, 2.0**-600)])
         cmap = lap_cent(g, "weighted")
         assert cmap.values == {1: 0.0, 2: 0.0, 3: 0.0}
-        assert laplacian_energy(g, "weighted") == 0.0
         exact_energy = exact_weighted_energy(g)
+        assert float(exact_energy) == 0.0
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
         assert normalize(cmap, g).values == want
         empty = with_isolated(Graph(), [1, 2])
@@ -199,43 +196,59 @@ class TestPastTheFloatRange:
         """An energy near 4e400 with a fractional edge: the ratios are near 1."""
         g = Graph([(1, 2, 1e200), (2, 3, 0.5)])
         cmap = lap_cent(g, "weighted")
-        with pytest.raises(FloatRangeError, match="the Laplacian energy"):
-            laplacian_energy(g, "weighted")
         exact_energy = exact_weighted_energy(g)
+        with pytest.raises(OverflowError):
+            float(exact_energy)
         want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
         assert normalize(cmap, g).values == want
         assert want[1] == want[2] == 1.0 and 0 < want[3] < 1e-200
 
 
+def assert_normalized_by(g: Graph, variant: str, energy) -> None:
+    """``normalize`` divides each of ``g``'s values by ``energy``, an int."""
+    cmap = lap_cent(g, variant)
+    assert normalize(cmap, g).values == {v: x / energy for v, x in cmap.values.items()}
+
+
 class TestLaplacianEnergy:
+    """The energy ``normalize`` divides by, against the oracles."""
+
     def test_toy_unweighted(self):
-        assert laplacian_energy(Graph(TOY_EDGES), "unweighted") == 48
+        g = Graph(TOY_EDGES)
+        assert dense_trace_energy(g, "unweighted") == 48
+        assert_normalized_by(g, "unweighted", 48)
 
     def test_single_edge(self):
-        assert laplacian_energy(Graph([(1, 2)]), "unweighted") == 4
-        assert laplacian_energy(Graph([(1, 2)]), "weighted") == 4.0
+        g = Graph([(1, 2)])
+        assert_normalized_by(g, "unweighted", 4)
+        assert_normalized_by(g, "weighted", 4)
 
-    def test_empty(self):
-        assert laplacian_energy(Graph(), "unweighted") == 0
-        assert laplacian_energy(Graph(), "weighted") == 0.0
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_empty(self, variant):
+        g = Graph()
+        with pytest.raises(ZeroEnergyError):
+            normalize(lap_cent(g, variant), g)
 
     def test_weighted_star(self, weighted_star):
-        assert laplacian_energy(weighted_star, "weighted") == 64.0
+        assert dense_trace_energy(weighted_star, "weighted") == 64
+        assert_normalized_by(weighted_star, "weighted", 64)
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_trace(self, seed, variant):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(2, 30), rng.randint(1, 60), integer_weights=False)
-        assert laplacian_energy(g, variant) == pytest.approx(
-            dense_trace_energy(g, variant), rel=1e-9
-        )
+        cmap = lap_cent(g, variant)
+        energy = dense_trace_energy(g, variant)
+        normalized = normalize(cmap, g).values
+        for v, x in cmap.values.items():
+            assert normalized[v] == pytest.approx(x / energy, rel=1e-9)
 
 
-@pytest.mark.parametrize("compute", [lap_cent, laplacian_energy])
-def test_unknown_variant(compute):
+def test_unknown_variant():
+    g = Graph(TOY_EDGES)
     with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-        compute(Graph(TOY_EDGES), "bogus")
+        lap_cent(g, "bogus")
 
 
 class TestNormalize:
@@ -245,7 +258,7 @@ class TestNormalize:
         third argument is a TypeError."""
         g = Graph([(1, 2, 3.0), (2, 3, 5.0)])
         cmap = lap_cent(g, variant)
-        energy = laplacian_energy(g, variant)
+        energy = dense_trace_energy(g, variant)
         normalized = normalize(cmap, g).values
         assert normalized == {v: x / energy for v, x in cmap.values.items()}
         assert all(0.0 < x <= 1.0 for x in normalized.values())
@@ -260,7 +273,7 @@ class TestNormalize:
     def test_round_trip(self):
         g = Graph(TOY_EDGES)
         c = lap_cent(g, "unweighted")
-        e = laplacian_energy(g, "unweighted")
+        e = dense_trace_energy(g, "unweighted")
         back = {v: x * e for v, x in normalize(c, g).values.items()}
         for v in c.values:
             assert back[v] == pytest.approx(c.values[v], abs=1e-12)
@@ -269,6 +282,23 @@ class TestNormalize:
         g = with_isolated(Graph(), [1, 2])
         with pytest.raises(ZeroEnergyError):
             normalize(lap_cent(g, "unweighted"), g)
+
+    def test_zero_energy_of_zero_weights(self):
+        """Edges that all weigh 0 have zero energy as weighted, not unweighted."""
+        g = Graph([(1, 2, 0.0), (2, 3, 0.0)])
+        with pytest.raises(ZeroEnergyError, match="^graph has zero Laplacian energy$"):
+            normalize(lap_cent(g, "weighted"), g)
+        assert_normalized_by(g, "unweighted", 10)
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_refuses_a_map_of_another_graph(self, variant):
+        """A map is normalized against its own graph only; a copy of it or
+        another graph is a TypeError, raised before any value is computed."""
+        g = Graph([(1, 2), (2, 3), (3, 4), (4, 5)])
+        cmap = lap_cent(g, variant)
+        for other in (Graph([(1, 2)]), g.copy(), with_isolated(Graph(), [1, 2, 3, 4, 5])):
+            with pytest.raises(TypeError, match="not a map of g"):
+                normalize(cmap, other)
 
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)

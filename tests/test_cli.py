@@ -164,6 +164,18 @@ class TestRunCommand:
         assert rows[1].endswith(",")
         assert rows[2].split(",")[5] == "4"
 
+    def test_dump_of_zero_energy_names_its_step(self, tmp_path, capsys):
+        """An edge reweighted to 0 leaves the weighted graph no energy: the
+        normalized dump exits 2 at that step, naming it."""
+        path = tmp_path / "zero.txt"
+        path.write_text("1 2 5 0\n1 2 0 86400\n")
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(path), "--variant", "weighted", "--out", str(out)]
+        assert cli_main([*argv, "--dump-centralities", "--normalized"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 2: graph has zero Laplacian energy\n"
+        assert (out / "centralities" / "step_0001.csv").read_text() == "1,1\n2,1\n"
+
     def test_missing_input_is_data_error(self, capsys):
         code = cli_main(["run", "--input", "missing.txt"])
         assert code == 2

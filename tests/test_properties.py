@@ -9,8 +9,8 @@ import pytest
 from genutil import affected_nodes, bits, exponent, far_delta, far_graph, node_rows
 
 from lapstream import kernels
-from lapstream.centrality import lap_cent, laplacian_energy
-from lapstream.errors import FloatRangeError
+from lapstream.centrality import lap_cent, normalize
+from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
 from lapstream.ingest import stream_from_snapshot_dir
@@ -361,6 +361,14 @@ def fractional_edge_lists(draw):
     return edges, draw(st.permutations(edges))
 
 
+def _bits_or_error(read, g):
+    """``bits(read(g))``, or the type of the error it raises."""
+    try:
+        return bits(read(g))
+    except (FloatRangeError, ZeroEnergyError) as exc:
+        return type(exc)
+
+
 def _raw(cmap):
     """A map's stored values keyed by node, and their scale."""
     view = cmap.values
@@ -372,18 +380,15 @@ def _raw(cmap):
 @hypothesis.given(lists=fractional_edge_lists())
 def test_batch_is_the_same_on_every_edge_order(lists):
     """The same edge set in another order: the same E, the same exact ints
-    and the same bits, for both variants and the energy."""
+    and the same bits, or the same error, for both variants, as they are
+    and normalized."""
     edges, shuffled = lists
     g, h = Graph(edges), Graph(shuffled)
     assert g._shift == h._shift
     for variant in ("unweighted", "weighted"):
         assert _raw(lap_cent(g, variant)) == _raw(lap_cent(h, variant))
-        try:
-            want = bits(lap_cent(g, variant).values)
-        except FloatRangeError:
-            continue
-        assert bits(lap_cent(h, variant).values) == want
-        assert laplacian_energy(g, variant) == laplacian_energy(h, variant)
+        for read in (lambda k: lap_cent(k, variant).values, lambda k: normalize(lap_cent(k, variant), k).values):
+            assert _bits_or_error(read, g) == _bits_or_error(read, h)
 
 
 @pytest.mark.filterwarnings("ignore::lapstream.errors.NegativeWeightWarning")

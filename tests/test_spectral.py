@@ -1,8 +1,8 @@
 """Closed forms against the spectrum: a node's centrality is the drop in
 sum(lambda^2) over the Laplacian's eigenvalues when the node is isolated.
 
-Unlike ``genutil.delta_energy_oracle``, which evaluates the energy by the same
-closed forms it checks, this computes the eigenvalues of the dense
+Unlike ``genutil.delta_energy_oracle``, which sums the energy's trace form
+sum(s^2) + 2 * sum(w^2) over the edge list, this computes the eigenvalues of the dense
 Laplacian. networkx's ``laplacian_centrality``, an implementation of Qi et
 al. that shares no code with lapstream, is a third check.
 """
