@@ -19,19 +19,12 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 
 from lapstream.centrality import CentralityMap, NodeValues, Variant, lap_cent
-from lapstream.errors import CompareMismatchError, EmptyDatasetError
+from lapstream.errors import CompareMismatchError
 from lapstream.incremental import evolve
-from lapstream.ingest import (
-    SnapshotStream,
-    load_edge_events,
-    snapshots_cumulative,
-    snapshots_window,
-    stream_from_snapshot_dir,
-)
+from lapstream.ingest import SnapshotStream
 
 CSV_HEADER = (
     "step,num_nodes,num_edges,added_edges,removed_edges,"
@@ -59,12 +52,6 @@ class BenchResult:
     batch: list[BenchRecord] | None = None
     dynamic: list[BenchRecord] | None = None
     maps: list[CentralityMap] = field(default_factory=list)  # compare mode only
-
-    @property
-    def records(self) -> list[BenchRecord]:
-        primary = self.dynamic if self.dynamic is not None else self.batch
-        assert primary is not None
-        return primary
 
 
 def diff_maps(a: NodeValues, b: NodeValues):
@@ -168,21 +155,3 @@ def emit_csv(records: list[BenchRecord]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def build_stream(
-    path: str | Path,
-    snapshot: str = "daily",
-    window: int | None = None,
-    weight_policy: str = "overwrite",
-) -> SnapshotStream:
-    """The stream of an event file or a snapshot directory: cumulative, or
-    sliding-window when ``window`` (in periods) is given."""
-    path = Path(path)
-    if path.is_dir():
-        return stream_from_snapshot_dir(path)
-    events = load_edge_events(path)
-    if not events:
-        raise EmptyDatasetError(f"no edge events in {path}")
-    if window is not None:
-        return snapshots_window(events, snapshot, window, weight_policy)
-    return snapshots_cumulative(events, snapshot, weight_policy)

@@ -48,15 +48,21 @@ class NodeValues(Mapping):
     on a weighted map, None (no weight scale, so the map's variant) on an
     unweighted or a normalized one. A value reads as itself at shift None or
     0, and as its quotient by 2**(2 * shift), correctly rounded, above it.
-    It reads and compares as a ``dict`` of those keys and values."""
+    It reads and compares as a ``dict`` of those keys and values.
+    ``version`` is the graph version the values match (see
+    :class:`~lapstream.graph.Graph`), which the step and :func:`normalize`
+    check."""
 
-    __slots__ = ("_pos", "_nodes", "_values", "_shift")
+    __slots__ = ("_pos", "_nodes", "_values", "_shift", "_version")
 
-    def __init__(self, pos: dict[int, int], nodes: list[int], values: list | tuple, shift=None):
+    def __init__(
+        self, pos: dict[int, int], nodes: list[int], values: list | tuple, shift=None, version=None
+    ):
         self._pos = pos
         self._nodes = nodes
         self._values = values
         self._shift = shift
+        self._version = version
 
     def __getitem__(self, node):
         i = self._pos[node]
@@ -80,9 +86,10 @@ class NodeValues(Mapping):
         return repr(dict(self.items()))
 
     def copy(self) -> NodeValues:
-        """A kept copy: the values as a tuple, over the same node table and
-        scale, which reads as this view reads now whatever later steps do."""
-        return NodeValues(self._pos, self._nodes, tuple(self._values), self._shift)
+        """A kept copy: the values as a tuple, over the same node table, scale
+        and version, which reads as this view reads now whatever later steps
+        do."""
+        return NodeValues(self._pos, self._nodes, tuple(self._values), self._shift, self._version)
 
 
 @dataclass
@@ -100,10 +107,13 @@ class CentralityMap:
     :func:`~lapstream.incremental.run_evolving`; compare mode's
     ``BenchResult.maps`` put the same copy behind a ``ChainMap`` front. Each
     keeps the variant :func:`lap_cent` made the map with, which the step
-    and :func:`normalize` read from it. The values are exact ints,
-    unweighted and on a weighted graph of integral weights (E = 0); on a
-    graph with a fractional weight (E > 0) each reads as the correctly
-    rounded float of the exact value, for any history and any edge order.
+    and :func:`normalize` read from it, and the version of the graph state
+    it matches: both refuse a map of another state, so a kept map, or a
+    live one that missed a delta, is stale once its graph has changed. The
+    values are exact ints, unweighted and on a weighted graph of integral
+    weights (E = 0); on a graph with a fractional weight (E > 0) each reads
+    as the correctly rounded float of the exact value, for any history and
+    any edge order.
     """
 
     values: Mapping[int, float]
@@ -112,38 +122,38 @@ class CentralityMap:
 
 def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
     """Batch centrality of every node, on degrees or on weighted degrees."""
-    adj, nodes = g.adjacency(), range(g.num_nodes)
+    adj, nodes = g._rows, range(g.num_nodes)
     if variant == "weighted":
-        values, shift = kernels.weighted_values(adj, g.strengths(), nodes), g._shift
+        values, shift = kernels.weighted_values(adj, g._strength, nodes), g._shift
     elif variant == "unweighted":
         values, shift = kernels.unweighted_values(adj, nodes), None
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return CentralityMap(NodeValues(g._pos, g._nodes, values, shift), g.num_nodes)
+    return CentralityMap(NodeValues(g._pos, g._nodes, values, shift, g._version), g.num_nodes)
 
 
 def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
     """Divide every value of ``cmap`` by the Laplacian energy of ``g``, the
     trace of its squared Laplacian, in the map's variant: sum(d^2 + d)
     unweighted, sum(s^2) + 2*sum(w^2 over edges) weighted. A map of another
-    graph is a :class:`TypeError`; a kept map is normalized against the
-    graph of its own step, so before a later step changes ``g``. Values
-    land in (0, 1] for connected graphs with non-negative weights, as a
-    tuple, which the incremental step refuses. Each is the correctly
-    rounded ratio of two exact values, even where the energy alone is past
-    the float range or below it."""
+    graph, or of another state of ``g``, is a :class:`TypeError`: a kept map
+    is normalized against the graph of its own step, so before a later step
+    changes ``g``. Values land in (0, 1] for connected graphs with
+    non-negative weights, as a tuple, which the incremental step refuses.
+    Each is the correctly rounded ratio of two exact values, even where the
+    energy alone is past the float range or below it."""
     view = cmap.values
-    if view._nodes is not g._nodes:
-        raise TypeError("cmap is not a map of g; normalize a map against its own graph")
+    if getattr(view, "_nodes", None) is not g._nodes or view._version != g._version:
+        raise TypeError("cmap is not a map of g as it is now; normalize a map against its own graph state")
     # the exact energy is num / den, den = 2**(2E) on a weighted graph
-    adj = g.adjacency()
+    adj = g._rows
     num, den = 0, 1
     if view._shift is None:
         for row in adj:
             d = len(row)
             num += d * d + d
     else:
-        for s, row in zip(g.strengths(), adj):
+        for s, row in zip(g._strength, adj):
             num += s * s
             for w in row.values():
                 num += w * w
@@ -152,7 +162,7 @@ def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
         raise ZeroEnergyError("graph has zero Laplacian energy")
     num <<= 2 * (view._shift or 0)
     values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))
-    return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
+    return CentralityMap(NodeValues(view._pos, view._nodes, values, None, view._version), cmap.computed_count)
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:

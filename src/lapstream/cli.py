@@ -16,12 +16,18 @@ import sys
 from pathlib import Path
 
 from lapstream import __version__
-from lapstream.bench import bench_stream, build_stream, emit_csv
+from lapstream.bench import bench_stream, emit_csv
 from lapstream.centrality import lap_cent, normalize, write_centralities
 from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError, ZeroEnergyError
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
-from lapstream.ingest import count_size, load_edge_events
+from lapstream.ingest import (
+    count_size,
+    load_edge_events,
+    snapshots_cumulative,
+    snapshots_window,
+    stream_from_snapshot_dir,
+)
 
 
 class _UsageError(Exception):
@@ -123,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report(result, out_dir) -> None:
+    records = result.dynamic or result.batch
     if out_dir is None:
-        sys.stdout.write(emit_csv(result.records))
+        sys.stdout.write(emit_csv(records))
     else:
         print(f"wrote results to {out_dir}", file=sys.stderr)
-    records = result.records
     total = records[-1].cumulative_s
     line = f"{result.mode}/{result.variant}: {len(records)} steps, cumulative {total:.3f}s"
     if result.mode == "compare":
@@ -137,14 +143,32 @@ def _report(result, out_dir) -> None:
     print(line, file=sys.stderr)
 
 
+def _events(path):
+    """The edge events of ``path``; a file without any is a data error."""
+    events = load_edge_events(path)
+    if not events:
+        raise EmptyDatasetError(f"no edge events in {path}")
+    return events
+
+
 def _stream(args):
-    """The stream of ``--input``. The flags only an event file uses are absent
-    unless given, so a snapshot directory can refuse them."""
-    given = {k: getattr(args, k) for k in ("snapshot", "window", "weight_policy") if k in args}
-    if given and Path(args.input).is_dir():
-        flags = ", ".join("--" + k.replace("_", "-") for k in given)
-        raise _UsageError(f"{flags} would do nothing on a snapshot directory")
-    return build_stream(args.input, **given)
+    """The stream of ``--input``: a snapshot directory's, or an event file's,
+    cumulative, or sliding-window with ``--window`` (in periods). The flags
+    only an event file uses are absent unless given, so a snapshot directory
+    can refuse them."""
+    path = Path(args.input)
+    if path.is_dir():
+        given = [k for k in ("snapshot", "window", "weight_policy") if k in args]
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise _UsageError(f"{flags} would do nothing on a snapshot directory")
+        return stream_from_snapshot_dir(path)
+    events = _events(path)
+    snapshot = getattr(args, "snapshot", "daily")
+    weight_policy = getattr(args, "weight_policy", "overwrite")
+    if "window" in args:
+        return snapshots_window(events, snapshot, args.window, weight_policy)
+    return snapshots_cumulative(events, snapshot, weight_policy)
 
 
 def _cmd_run(args) -> int:
@@ -187,10 +211,7 @@ def _dump_centralities(stream, mode, variant, normalized, out_dir: Path) -> None
 
 
 def _cmd_centrality(args) -> int:
-    events = load_edge_events(args.input)
-    if not events:
-        raise EmptyDatasetError(f"no edge events in {args.input}")
-    g = Graph(e[:3] for e in events)
+    g = Graph(e[:3] for e in _events(args.input))
     cmap = lap_cent(g, args.variant)
     if args.normalized:
         cmap = normalize(cmap, g)

@@ -103,15 +103,22 @@ class Graph:
     A rejected delta leaves E unchanged, :meth:`copy` carries it, and
     :meth:`edges` gives the weights back unscaled.
 
-    :meth:`adjacency` and :meth:`strengths` are indexed by a node's position
-    in the node table :meth:`nodes` (see the module docstring). A rejected
+    The rows, ``_rows``, and the strengths, ``_strength``, are slots indexed
+    by a node's position in the node table ``_nodes`` (see the module
+    docstring), which the kernels and the step read directly. A rejected
     delta drops the positions it created; :meth:`copy` carries the table.
+
+    The version, ``_version``, counts the writes that succeeded: one for
+    the constructor's edges and one per applied delta. A rejected delta
+    leaves it, and :meth:`copy` carries it. A centrality map records the
+    version it matches, so that the step and
+    :func:`~lapstream.centrality.normalize` refuse a stale map.
 
     A Graph is single-writer: no internal locking, safe to hand between
     threads, safe to read concurrently once mutation has stopped.
     """
 
-    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_shift")
+    __slots__ = ("_pos", "_nodes", "_rows", "_strength", "_num_edges", "_shift", "_version")
 
     def __init__(self, edges: Iterable[tuple] | None = None):
         self._pos: dict[int, int] = {}
@@ -120,6 +127,7 @@ class Graph:
         self._strength: list[int] = []
         self._num_edges = 0
         self._shift = 0
+        self._version = 0
         if edges is not None:
             self._apply(edges, ())
 
@@ -151,7 +159,8 @@ class Graph:
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception before the removes are written undoes the
         adds and the rescale, so rows, their order, the strengths, the node
-        table and E are as they were.
+        table, E and the version are as they were; only a call that returns
+        raises the version by one.
         Returns ``(s0, log)``, keyed by position. s0 maps every endpoint, in
         order of first mention, to its degree ("unweighted") or strength
         ("weighted", at the E of the return) before the call, so its keys are
@@ -307,6 +316,7 @@ class Graph:
                 n -= 1
                 strength[p] -= w
                 strength[q] -= w
+            self._version += 1
         finally:
             self._num_edges = n
             self._shift = shift
@@ -317,11 +327,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         p = self._pos.get(u)
         return p is not None and self._pos.get(v) in self._rows[p]
-
-    def nodes(self) -> list[int]:
-        """The node table: every node in position order, which is order of
-        first mention. Read-only."""
-        return self._nodes
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Each edge once as a plain (u, v, weight) tuple, smaller endpoint
@@ -346,18 +351,6 @@ class Graph:
     def num_edges(self) -> int:
         return self._num_edges
 
-    # -- plumbing ---------------------------------------------------------
-
-    def adjacency(self) -> list[dict[int, int]]:
-        """Internal rows by position, each mapping a neighbour's position to
-        the edge weight times 2**E; exposed for the kernels. Read-only."""
-        return self._rows
-
-    def strengths(self) -> list[int]:
-        """Internal strengths by position, exposed for the kernels, as exact
-        ints scaled by 2**E like the rows' weights. Read-only."""
-        return self._strength
-
     def copy(self) -> Graph:
         g = Graph()
         g._pos = dict(self._pos)
@@ -366,6 +359,7 @@ class Graph:
         g._strength = list(self._strength)
         g._num_edges = self._num_edges
         g._shift = self._shift
+        g._version = self._version
         return g
 
     def __repr__(self) -> str:

@@ -125,16 +125,21 @@ def lap_cent_add_remove(g: Graph, delta: EdgeDelta, cmap: CentralityMap) -> Cent
     new to the graph, and which a weighted delta that raises the graph's
     scale E shifts first. Copy ``cmap`` first to keep the previous step's
     values. A rejected delta, a kept map (see :func:`run_evolving`) or a
-    normalized one, whose values are a tuple, or a map of another graph
-    raises before ``g`` or ``cmap`` changes. Returns ``cmap``.
+    normalized one, whose values are a tuple, a map of another graph, or a
+    stale one, which missed a delta applied to ``g`` (its version is not the
+    graph's), raises before ``g`` or ``cmap`` changes. Returns ``cmap``,
+    stamped with the graph's new version.
     """
     view = cmap.values
     values = getattr(view, "_values", None)
-    if not isinstance(values, list) or view._nodes is not g._nodes:
-        raise TypeError("cmap is not a live map of g (a kept or normalized map is read-only); step a live map")
+    if not isinstance(values, list) or view._nodes is not g._nodes or view._version != g._version:
+        raise TypeError(
+            "cmap is not a live map of g as it is now (a kept or normalized map is read-only); step a live map"
+        )
     weighted = view._shift is not None
-    adj = g.adjacency()
+    adj = g._rows
     s0, log = g._apply(delta.adds, delta.removes, "weighted" if weighted else "unweighted")
+    view._version = g._version
     # nodes are never deleted, so the nodes new to the graph hold the last
     # positions, in order of first mention; they start from 0
     values += [0] * (len(adj) - len(values))
@@ -160,7 +165,7 @@ def lap_cent_add_remove(g: Graph, delta: EdgeDelta, cmap: CentralityMap) -> Cent
             values[v] += sq + 2 * dw * s0[u]
     # the own term of each touched node u, and w(x, u) * 2 * delta_s(u) for
     # every post-delta neighbor x of u; s is the degree when unweighted
-    strength = g.strengths()
+    strength = g._strength
     for u, a in s0.items():
         row = adj[u]
         b = strength[u] if weighted else len(row)

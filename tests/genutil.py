@@ -41,12 +41,12 @@ def with_isolated(g: Graph, nodes) -> Graph:
     Each arrives on an edge that the same delta removes again: to the next
     new node, or, for a lone new node, to the graph's first node.
     """
-    known = set(g.nodes())
+    known = set(g._nodes)
     new = [x for x in dict.fromkeys(nodes) if x not in known]
     pairs = list(zip(new, new[1:]))
     if len(new) == 1:
         assert known, "a lone node needs a node of the graph to arrive with"
-        pairs = [(new[0], g.nodes()[0])]
+        pairs = [(new[0], g._nodes[0])]
     apply_delta(g, EdgeDelta(adds=pairs, removes=pairs))
     return g
 
@@ -63,7 +63,7 @@ def random_delta(
     occasionally nets an added edge out again via a same-delta removal.
     ``g`` is not modified.
     """
-    nodes = list(g.nodes())
+    nodes = list(g._nodes)
     edges = list(g.edges())
     adds: list[Edge] = []
     removes: list[tuple[int, int]] = []
@@ -121,7 +121,7 @@ def far(x: int) -> int:
 
 def far_graph(g: Graph) -> Graph:
     """``g`` with every node id moved by :func:`far`, each mention its own object."""
-    h = with_isolated(Graph(), [far(u) for u in g.nodes()])
+    h = with_isolated(Graph(), [far(u) for u in g._nodes])
     apply_delta(h, EdgeDelta(adds=[(far(u), far(v), w) for u, v, w in g.edges()]))
     return h
 
@@ -165,13 +165,13 @@ def set_value(values: NodeValues, node: int, x) -> None:
 
 def node_rows(g: Graph) -> dict:
     """``g``'s rows keyed by node, ``{u: {v: w}}``, in position order."""
-    nodes = g.nodes()
-    return {u: {nodes[q]: w for q, w in row.items()} for u, row in zip(nodes, g.adjacency())}
+    nodes = g._nodes
+    return {u: {nodes[q]: w for q, w in row.items()} for u, row in zip(nodes, g._rows)}
 
 
 def node_strengths(g: Graph) -> dict:
     """``g``'s strengths keyed by node, in position order."""
-    return dict(zip(g.nodes(), g.strengths()))
+    return dict(zip(g._nodes, g._strength))
 
 
 def graph_state(g: Graph):
@@ -181,9 +181,9 @@ def graph_state(g: Graph):
     exponent E and ``num_edges``."""
     return (
         list(g._pos.items()),
-        list(g.nodes()),
-        [list(bits(row).items()) for row in g.adjacency()],
-        list(bits(dict(enumerate(g.strengths()))).items()),
+        list(g._nodes),
+        [list(bits(row).items()) for row in g._rows],
+        list(bits(dict(enumerate(g._strength))).items()),
         g._shift,
         g.num_edges,
     )
@@ -210,7 +210,7 @@ def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
 
     Independent of the library's closed forms; exists to validate them.
     """
-    if v not in g.nodes():
+    if v not in g._nodes:
         raise KeyError(v)
     edges = list(g.edges())
     # deleting v == dropping its edges: a degree-0 node adds nothing to the energy
@@ -237,7 +237,7 @@ def affected_nodes(g: Graph, delta: EdgeDelta) -> AffectedSets:
     unchanged.
     """
     s0, _ = g._apply(delta.adds, delta.removes, "weighted")
-    nodes, adj = g.nodes(), g.adjacency()
+    nodes, adj = g._nodes, g._rows
     touched = {nodes[p] for p in s0}
     recompute = touched | {nodes[q] for p in s0 for q in adj[p]}
     return AffectedSets(touched, recompute)

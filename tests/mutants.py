@@ -92,6 +92,13 @@ MUTANTS = [
     ),
     Mutant(G, "write((p, q, w, None))", "pass", "removes are missing from the write log"),
     Mutant(G, "g._shift = self._shift", "pass", "copy() drops E"),
+    Mutant(G, "self._version += 1", "pass", "an applied delta leaves the version, so a map that missed it steps"),
+    Mutant(
+        G,
+        "            self._version += 1\n        finally:\n",
+        "        finally:\n            self._version += 1\n",
+        "a rejected delta raises the version",
+    ),
     Mutant(G, "w = w / scale if w % scale else w >> shift", "w = w / scale", "edges() gives integral weights as floats at E > 0"),
     # the incremental step: pair terms, own terms, the walk and the count
     Mutant(
@@ -125,6 +132,8 @@ MUTANTS = [
     ),
     Mutant(I, "view._shift = g._shift", "pass", "the live map keeps its old scale after a rescale"),
     Mutant(I, "weighted = view._shift is not None", "weighted = view._shift is None", "a map is stepped as the other variant"),
+    Mutant(I, " or view._version != g._version:", ":", "the step takes a live map that missed a delta"),
+    Mutant(I, "view._version = g._version", "pass", "a stepped map keeps the version before its delta"),
     # the kernels and the energy
     Mutant(
         K,
@@ -168,7 +177,13 @@ MUTANTS = [
         "    num, den = (num / den).as_integer_ratio()\n    if num == 0:\n        raise ZeroEnergyError",
         "normalize divides by the rounded energy, which can overflow or underflow",
     ),
-    Mutant(C, "if view._nodes is not g._nodes:", "if False:", "normalize divides a map of another graph by this one's energy"),
+    Mutant(
+        C,
+        'getattr(view, "_nodes", None) is not g._nodes or ',
+        "",
+        "normalize divides a map of another graph by this one's energy",
+    ),
+    Mutant(C, " or view._version != g._version:", ":", "normalize divides a kept map by the energy of a later step"),
     Mutant(C, "num <<= 2 * (view._shift or 0)", "num <<= view._shift or 0", "normalize divides by 2**E, not 2**(2E)"),
     Mutant(
         C,
@@ -195,9 +210,15 @@ MUTANTS = [
     Mutant(B, "if same_keys and a._shift == b._shift and", "if same_keys and", "the gate compares ints of two scales"),
     Mutant(
         C,
-        "tuple(self._values), self._shift)",
-        "tuple(self._values))",
+        "tuple(self._values), self._shift, self._version)",
+        "tuple(self._values), None, self._version)",
         "a kept copy reads the scaled ints of a fractional graph",
+    ),
+    Mutant(
+        C,
+        "tuple(self._values), self._shift, self._version)",
+        "tuple(self._values), self._shift)",
+        "a kept copy drops its version, so it cannot be normalized at its own step",
     ),
     Mutant(B, "ChainMap({}, cmap.values.copy())", "ChainMap({}, cmap.values)", "compare keeps the live map, which later steps change"),
     Mutant(

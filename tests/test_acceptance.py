@@ -149,7 +149,7 @@ def test_criterion_3_energy_drop_oracle():
         g = random_graph(rng, n, rng.randint(2, 3 * n), integer)
         for variant in ("unweighted", "weighted"):
             values = lap_cent(g, variant).values
-            for v in g.nodes():
+            for v in g._nodes:
                 oracle = delta_energy_oracle(g, v, variant)
                 if variant == "unweighted" or integer:
                     assert values[v] == oracle, (i, variant, v)

@@ -5,6 +5,7 @@ import subprocess
 from pathlib import Path
 
 import lapstream
+from lapstream import kernels
 from lapstream.graph import Graph
 from lapstream.ingest import SnapshotStream
 
@@ -54,17 +55,14 @@ def test_all_is_pinned():
 
 
 def test_graph_surface_is_pinned():
-    """Graph's public members are pinned: the package itself uses every one
-    but ``nodes()``, which the tests read."""
+    """Graph's public members are pinned, the ones a user of the package calls;
+    the kernels and the step read the graph's slots."""
     assert {n for n in dir(Graph) if not n.startswith("_")} == {
-        "adjacency",
         "copy",
         "edges",
         "has_edge",
-        "nodes",
         "num_edges",
         "num_nodes",
-        "strengths",
     }
 
 
@@ -86,6 +84,21 @@ def test_every_name_resolves():
 
 def test_benchmark_names_present():
     assert set(BENCHMARK_NAMES) <= set(lapstream.__all__)
+
+
+def test_kernels_read_their_last_argument_as_the_node_list():
+    """perfbench/tracer.py counts a kernel call's nodes and entries from its
+    last argument, so a kernel evaluates exactly the positions it is given.
+    ROADMAP item 1a makes the tracer read the rows instead, and deletes this
+    pin along with that read."""
+    g = Graph([(1, 2, 3.0), (2, 3), (3, 4, 0.5), (4, 1)])
+    rows, strength = g._rows, g._strength
+    every = range(g.num_nodes)
+    unweighted = kernels.unweighted_values(rows, every)
+    weighted = kernels.weighted_values(rows, strength, every)
+    for p in every:
+        assert kernels.unweighted_values(rows, [p]) == [unweighted[p]]
+        assert kernels.weighted_values(rows, strength, [p]) == [weighted[p]]
 
 
 def test_kernel_backend_is_python():

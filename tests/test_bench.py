@@ -14,7 +14,6 @@ from lapstream.bench import (
     CSV_HEADER,
     BenchRecord,
     bench_stream,
-    build_stream,
     diff_maps,
     emit_csv,
 )
@@ -270,7 +269,7 @@ class TestDiffMapsOneTable:
     @staticmethod
     def _maps(variant="weighted"):
         g = Graph([(9, 8, 2.0), (8, 7), (7, 5, 3.0), (5, 3), (3, 1), (1, 9)])
-        assert g.nodes() == [9, 8, 7, 5, 3, 1]
+        assert g._nodes == [9, 8, 7, 5, 3, 1]
         return lap_cent(g, variant).values, lap_cent(g, variant).values
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -383,29 +382,6 @@ class TestEmitCsv:
         result = bench_stream(toy_stream(), "compare", "unweighted")
         rows = emit_csv(result.dynamic).splitlines()
         assert rows[2].split(",")[:6] == ["2", "7", "8", "1", "0", "4"]
-
-
-class TestBuildStream:
-    def test_from_event_file(self, data_dir):
-        stream = build_stream(data_dir / "toy_stream.txt", snapshot="count:7")
-        assert stream.initial.num_edges == 7
-        assert len(stream.deltas) == 1
-
-    def test_window_selects_dynamic_semantics(self, tmp_path):
-        path = tmp_path / "events.txt"
-        path.write_text("1 2 1.0 0\n3 4 1.0 86400\n")
-        stream = build_stream(path, snapshot="daily", window=1)
-        assert stream.deltas[0].removes == [(1, 2)]
-
-    def test_from_directory(self, tmp_path):
-        (tmp_path / "00.txt").write_text("1 2\n")
-        (tmp_path / "01.txt").write_text("1 2\n2 3\n")
-        stream = build_stream(tmp_path)
-        assert len(stream.deltas) == 1
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            build_stream(tmp_path / "missing.txt")
 
 
 def _run(data_dir, out_dir, command, *flags):

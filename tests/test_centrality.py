@@ -9,15 +9,17 @@ import pytest
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
 from genutil import delta_energy_oracle, graph_state, node_rows, random_graph, with_isolated
 
+from lapstream.bench import bench_stream
 from lapstream.centrality import lap_cent, normalize, write_centralities
 from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Graph
 from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.ingest import SnapshotStream
 
 
 def dense_trace_energy(g: Graph, variant: str) -> float:
     """Independent energy oracle: trace of the squared dense Laplacian."""
-    nodes = sorted(g.nodes())
+    nodes = sorted(g._nodes)
     index = {u: i for i, u in enumerate(nodes)}
     n = len(nodes)
     lap = np.zeros((n, n))
@@ -102,7 +104,7 @@ class TestBatchWeighted:
         rng = random.Random(11)
         for _ in range(10):
             base = random_graph(rng, rng.randint(5, 40), rng.randint(4, 80))
-            g = with_isolated(Graph((u, v, 1.0) for u, v, _ in base.edges()), base.nodes())
+            g = with_isolated(Graph((u, v, 1.0) for u, v, _ in base.edges()), base._nodes)
             assert lap_cent(g, "weighted").values == lap_cent(g, "unweighted").values
 
     @pytest.mark.parametrize("seed", range(50))
@@ -300,6 +302,17 @@ class TestNormalize:
             with pytest.raises(TypeError, match="not a map of g"):
                 normalize(cmap, other)
 
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_refuses_a_compare_kept_map(self, variant):
+        """Compare mode keeps each step's map behind a ``ChainMap`` front,
+        which is no map of a graph: a TypeError, not an AttributeError."""
+        stream = SnapshotStream(Graph([(1, 2), (2, 3)]), [EdgeDelta(adds=[(3, 4)])])
+        kept = bench_stream(stream, "compare", variant).maps[-1]
+        g = stream.initial.copy()
+        apply_delta(g, stream.deltas[0])
+        with pytest.raises(TypeError, match="not a map of g"):
+            normalize(kept, g)
+
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -339,7 +352,7 @@ class TestDeletionOracle:
         integer = seed % 2 == 0
         g = random_graph(rng, rng.randint(3, 60), rng.randint(2, 150), integer)
         values = lap_cent(g, variant).values
-        for v in g.nodes():
+        for v in g._nodes:
             oracle = delta_energy_oracle(g, v, variant)
             if variant == "unweighted" or integer:
                 assert values[v] == oracle
@@ -352,12 +365,12 @@ class TestLocality:
         rng = random.Random(21)
         for _ in range(20):
             g = random_graph(rng, 30, 60)
-            v = rng.choice(list(g.nodes()))
+            v = rng.choice(list(g._nodes))
             forbidden = {v} | set(node_rows(g)[v])
             candidates = [
                 (a, b)
-                for a in g.nodes()
-                for b in g.nodes()
+                for a in g._nodes
+                for b in g._nodes
                 if a < b and a not in forbidden and b not in forbidden
             ]
             if not candidates:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import TOY_EDGES
 from genutil import far_delta, far_graph, graph_state
 
+import lapstream
 from lapstream import cli
 from lapstream.bench import CSV_HEADER
 from lapstream.cli import cli_main
@@ -23,6 +29,34 @@ AUDITED_DELTAS = [
     (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), None),
     (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 2), (2, 1)]), None),
 ]
+
+
+def _stream(*argv):
+    """The stream ``validate`` would read from these flags."""
+    return cli._stream(cli.build_parser().parse_args(["validate", *map(str, argv)]))
+
+
+class TestStream:
+    def test_from_event_file(self, data_dir):
+        stream = _stream("--input", data_dir / "toy_stream.txt", "--snapshot", "count:7")
+        assert stream.initial.num_edges == 7
+        assert len(stream.deltas) == 1
+
+    def test_window_selects_dynamic_semantics(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("1 2 1.0 0\n3 4 1.0 86400\n")
+        stream = _stream("--input", path, "--snapshot", "daily", "--window", 1)
+        assert stream.deltas[0].removes == [(1, 2)]
+
+    def test_from_directory(self, tmp_path):
+        (tmp_path / "00.txt").write_text("1 2\n")
+        (tmp_path / "01.txt").write_text("1 2\n2 3\n")
+        stream = _stream("--input", tmp_path)
+        assert len(stream.deltas) == 1
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(OSError):
+            _stream("--input", tmp_path / "missing.txt")
 
 
 class TestCentralityCommand:
@@ -406,7 +440,7 @@ class TestValidateCommand:
     def test_pair_added_twice_in_one_delta(self, monkeypatch, capsys):
         # no builder emits such a delta, so hand one to the command
         stream = SnapshotStream(Graph([(1, 2)]), [EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)])])
-        monkeypatch.setattr(cli, "build_stream", lambda path: stream)
+        monkeypatch.setattr(cli, "_stream", lambda args: stream)
         code = cli_main(["validate", "--input", "unused.txt"])
         assert code == 2
         assert "step 1: edge (9, 1) already present" in capsys.readouterr().err
@@ -434,7 +468,7 @@ class TestValidateCommand:
             message = f"edge ({u}, {v}) already present"
         before = g.copy()
         stream = SnapshotStream(g, deltas)
-        monkeypatch.setattr(cli, "build_stream", lambda path: stream)
+        monkeypatch.setattr(cli, "_stream", lambda args: stream)
         assert cli_main(["validate", "--input", "unused.txt"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"inconsistent delta at step 2: {message}\n"
@@ -448,3 +482,12 @@ class TestVersion:
             cli_main(["--version"])
         assert exc.value.code == 0
         assert "lapstream" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        """``python -m lapstream.cli`` runs the module's ``__main__`` lines."""
+        src = str(Path(lapstream.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapstream.cli", "--version"], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"lapstream {lapstream.__version__}\n", "")

@@ -152,6 +152,36 @@ class TestQueries:
         assert graph_state(g) != graph_state(h)
 
 
+class TestVersion:
+    """Each write that succeeds raises the version by one, so a map can tell
+    the state it holds; a rejected delta leaves it, and a copy carries it."""
+
+    def test_applied_delta_raises_it(self):
+        assert Graph()._version == 0
+        g = Graph(TOY_EDGES)
+        v = g._version
+        apply_delta(g, EdgeDelta(adds=[(1, 9)]))
+        assert g._version == v + 1
+        assert g.copy()._version == g._version
+
+    @pytest.mark.parametrize("step", [False, True])
+    def test_rejected_delta_leaves_it(self, step):
+        """A fractional weight raises E before the remove rejects the delta:
+        the undo puts the version back with the scale."""
+        g = Graph(TOY_EDGES)
+        cmap = lap_cent(g, "weighted")
+        v = g._version
+        with pytest.raises(MissingEdgeError):
+            bad = EdgeDelta(adds=[(1, 9, 0.5)], removes=[(1, 99)])
+            if step:
+                lap_cent_add_remove(g, bad, cmap)
+            else:
+                apply_delta(g, bad)
+        assert g._version == cmap.values._version == v
+        lap_cent_add_remove(g, EdgeDelta(adds=[(1, 9, 0.5)]), cmap)
+        assert g._version == cmap.values._version == v + 1
+
+
 class TestInvariants:
     """Randomized one-edge deltas preserve the structural invariants."""
 
@@ -218,11 +248,11 @@ class TestOneObjectPerNode:
 
     @staticmethod
     def _assert_own_objects(g, *maps):
-        own = {u: u for u in g.nodes()}  # equal lookup, returns the table's object
+        own = {u: u for u in g._nodes}  # equal lookup, returns the table's object
         for keys in (g._pos, *maps):
             assert all(x is own[x] for x in keys)
         held = {p: p for p in g._pos.values()}
-        for row in g.adjacency():
+        for row in g._rows:
             assert all(q is held[q] for q in row)
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -376,10 +406,10 @@ def _exponent(edges):
 
 def _check_figures(g, exponent):
     assert g._shift == exponent
-    assert all(type(w) is int for row in g.adjacency() for w in row.values())
+    assert all(type(w) is int for row in g._rows for w in row.values())
     # exact: every strength is the int sum of its row
-    assert [(type(s), s) for s in g.strengths()] == [
-        (int, sum(row.values())) for row in g.adjacency()
+    assert [(type(s), s) for s in g._strength] == [
+        (int, sum(row.values())) for row in g._rows
     ]
 
 
@@ -447,7 +477,7 @@ class TestRunningFigures:
         _add(g, (0, 1, big - 1), (4, 5, 1.0))
         assert g._shift == 0
         assert node_strengths(g) == {0: big - 1, 1: 2 * big - 1, 2: 0, 3: 2**52 - big, 4: 2**52 + 1, 5: 1}
-        assert all(type(s) is int for s in g.strengths())
+        assert all(type(s) is int for s in g._strength)
         values = lap_cent(g, "weighted").values
         assert values[1] == (2 * big - 1) ** 2 + (big - 1) * (big - 1 + 2 * (big - 1)) + big * big
         assert all(type(x) is int for x in values.values())

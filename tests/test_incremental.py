@@ -30,7 +30,7 @@ from lapstream.errors import (
     SelfLoopError,
 )
 from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
+from lapstream.incremental import EdgeDelta, apply_delta, evolve, lap_cent_add_remove, run_evolving
 from lapstream.ingest import SnapshotStream, snapshots_cumulative, snapshots_window
 from lapstream.synth import churn_stream
 
@@ -76,7 +76,7 @@ class TestAffectedNodes:
             work = g.copy()
             sets = affected_nodes(work, random_delta(rng, g))
             assert sets.touched <= sets.recompute
-            assert sets.recompute <= set(work.nodes())
+            assert sets.recompute <= set(work._nodes)
 
 
 # each delta is rejected only by a change listed after one that would apply
@@ -97,14 +97,16 @@ REJECTED_DELTAS = [
 
 def _state(g, cmap):
     """Everything a step may change: the graph in insertion order, its
-    position table and its scale, and the map, its stored values and their
-    scale as well as what it reads."""
+    position table, its scale and its version, and the map, its stored values
+    and their scale as well as what it reads, and its version."""
     view = cmap.values
     return (
         graph_state(g),
+        g._version,
         len(view),
         list(view._values),
         view._shift,
+        view._version,
         list(bits(view).items()),
         cmap.computed_count,
     )
@@ -148,11 +150,11 @@ class TestRejectedDelta:
     @pytest.mark.parametrize("step", [False, True])
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     def test_positions_dropped_then_reused(self, toy_graph, variant, step):
-        """New nodes, then a remove that fails: the node table, ``nodes()``
-        order, the row list and the strength list are as they were, and the
+        """New nodes, then a remove that fails: the node table, its order,
+        the row list and the strength list are as they were, and the
         next delta's new nodes take the positions the rejected one dropped."""
         g = toy_graph
-        nodes, rows, strength = g.nodes(), g.adjacency(), g.strengths()
+        nodes, rows, strength = g._nodes, g._rows, g._strength
         table = (list(g._pos.items()), list(nodes), [list(r.items()) for r in rows], list(strength))
         known = len(nodes)
         cmap = lap_cent(g, variant)
@@ -162,7 +164,7 @@ class TestRejectedDelta:
                 lap_cent_add_remove(g, bad, cmap)
             else:
                 apply_delta(g, bad)
-        assert g.nodes() is nodes and g.adjacency() is rows and g.strengths() is strength
+        assert g._nodes is nodes and g._rows is rows and g._strength is strength
         assert (list(g._pos.items()), list(nodes), [list(r.items()) for r in rows], list(strength)) == table
         assert len(cmap.values) == known and 20 not in cmap.values
         later = EdgeDelta(adds=[Edge(1, 22), Edge(21, 20, 3.0)])
@@ -223,10 +225,10 @@ class TestRejectedDelta:
         if fractional:
             apply_delta(toy_graph, EdgeDelta(adds=[Edge(6, 7, 0.5)]))
         shift = toy_graph._shift
-        rows = [list(r.items()) for r in toy_graph.adjacency()]
+        rows = [list(r.items()) for r in toy_graph._rows]
         _step_rejects_as_apply_delta(toy_graph, delta, error, variant)
         assert toy_graph._shift == shift
-        assert [list(r.items()) for r in toy_graph.adjacency()] == rows
+        assert [list(r.items()) for r in toy_graph._rows] == rows
         assert 9 not in toy_graph._pos
         # the same delta without its fault is written at E = 1074
         adds = delta.adds[:-1] if error is SelfLoopError else delta.adds
@@ -267,7 +269,7 @@ class TestRejectedDelta:
         _step_rejects_as_apply_delta(toy_graph, delta, MissingEdgeError, variant)
         # the state compared is the toy graph's, whose weights and strengths are ints
         assert toy_graph.num_edges == len(TOY_EDGES)
-        assert all(type(s) is int for s in toy_graph.strengths())
+        assert all(type(s) is int for s in toy_graph._strength)
 
 
 @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
@@ -649,7 +651,7 @@ class TestRunEvolving:
         for k in range(len(GROWING_DELTAS) + 1):
             if k:
                 apply_delta(sim, GROWING_DELTAS[k - 1])
-            assert list(dynamic[k].values) == list(batch[k].values) == list(sim.nodes())
+            assert list(dynamic[k].values) == list(batch[k].values) == list(sim._nodes)
             assert list(dynamic[k].values.items()) == list(batch[k].values.items())
 
     @pytest.mark.parametrize("mode", ["dynamic", "batch"])
@@ -721,6 +723,59 @@ class TestRunEvolving:
         with pytest.raises(TypeError, match="not a live map of g"):
             lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4, 1.0)]), other)
         assert _state(g, other) == before
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_step_rejects_a_map_that_missed_a_delta(self, variant):
+        """A live map shares the node table of every state of its graph, but
+        it holds one state: stepped past a delta it missed, it would give
+        {1: 14, 2: 12, 3: 8, 4: 8} where batch gives 14 for every node. It
+        raises before anything changes, and a map of the current state steps."""
+        g = Graph([(1, 2), (2, 3)])
+        stale = lap_cent(g, variant)
+        apply_delta(g, EdgeDelta(adds=[(3, 4)]))
+        delta = EdgeDelta(adds=[(1, 4)])
+        before = _state(g, stale)
+        with pytest.raises(TypeError, match="not a live map of g as it is now"):
+            lap_cent_add_remove(g, delta, stale)
+        assert _state(g, stale) == before
+        live = lap_cent_add_remove(g, delta, lap_cent(g, variant))
+        assert live.values == lap_cent(g, variant).values == {1: 14, 2: 14, 3: 14, 4: 14}
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_kept_map_normalizes_against_its_own_step(self, mode, variant):
+        """Read during an evolve run, each step's kept map normalizes against
+        the graph as that step left it, as a batch map of a copy does; the
+        kept map of the step before is refused, before any value is read."""
+        g = Graph([(1, 2), (2, 3)])
+        deltas = [EdgeDelta(adds=[(3, 4, 2.0)]), EdgeDelta(adds=[(1, 3)], removes=[(1, 2)])]
+        previous = None
+        for cmap, _ in evolve(g, deltas, mode, variant):
+            kept = CentralityMap(cmap.values.copy(), cmap.computed_count)
+            h = g.copy()
+            assert normalize(kept, g).values == normalize(lap_cent(h, variant), h).values
+            if previous is not None:
+                state = graph_state(g)
+                with pytest.raises(TypeError, match="not a map of g as it is now"):
+                    normalize(previous, g)
+                assert graph_state(g) == state
+            previous = kept
+
+    @pytest.mark.parametrize("mode", ["dynamic", "batch"])
+    def test_kept_map_of_step_0_is_refused_at_step_1(self, mode):
+        """normalize(run_evolving(...)[0], g) once gave step 0's values over
+        the final energy, {1: 0.2308, 2: 0.3846, 3: 0.2308}, where step 0's
+        own graph gives {1: 0.6, 2: 1.0, 3: 0.6}."""
+        g = Graph([(1, 2), (2, 3)])
+        own = normalize(lap_cent(g, "unweighted"), g).values
+        assert own == {1: 0.6, 2: 1.0, 3: 0.6}
+        maps = run_evolving(g, [EdgeDelta(adds=[(3, 4), (1, 3)])], mode)
+        kept = maps[0]
+        state, values = graph_state(g), list(kept.values.items())
+        with pytest.raises(TypeError, match="not a map of g as it is now"):
+            normalize(kept, g)
+        assert graph_state(g) == state and list(kept.values.items()) == values
+        assert normalize(maps[-1], g).values == normalize(lap_cent(g, "unweighted"), g).values
 
     def test_dynamic_history_memory(self):
         """The kept history costs under 16 bytes per node per step; a whole

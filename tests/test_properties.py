@@ -238,7 +238,7 @@ def test_large_integral_weights_stay_at_scale_zero():
     ]
     final = _walk(g, deltas)[-1]
     assert final._shift == 0
-    assert sum(map(abs, final.strengths())) == 2 * 11
+    assert sum(map(abs, final._strength)) == 2 * 11
 
 
 # integers within +-2**53, as ints and as floats, with the extremes often, so
@@ -266,7 +266,7 @@ def repeating_runs(draw, weights):
         apply_delta(sim, delta)
         deltas.append(delta)
 
-    nodes = sim.nodes()
+    nodes = sim._nodes
     x = draw(st.sampled_from(nodes)) if nodes else 0
     new = max(nodes, default=x) + 1
     adds = [Edge(x, new, draw(weights)), Edge(new, x, draw(weights))]
@@ -297,7 +297,7 @@ def test_wide_integral_history_stays_exact(variant, run):
     g, deltas = run
     final = _walk(g, deltas, variant)[-1] if deltas else g
     assert final._shift == 0
-    assert all(type(s) is int for s in final.strengths())
+    assert all(type(s) is int for s in final._strength)
     for cmap in run_evolving(g.copy(), deltas, "dynamic", variant):
         assert all(type(c) is int for c in cmap.values.values())
 
@@ -315,7 +315,7 @@ def test_weight_beyond_the_fast_path_runs_no_kernel(weight, shift):
     ]
     final = _walk(g, deltas)[-1]
     assert final._shift == shift
-    assert type(final.strengths()[final._pos[3]]) is int
+    assert type(final._strength[final._pos[3]]) is int
 
 
 def test_transient_huge_weight_within_one_delta():
