@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from lapstream import __version__
@@ -22,8 +23,8 @@ from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeEr
 from lapstream.graph import Graph
 from lapstream.incremental import apply_delta, evolve
 from lapstream.ingest import (
-    count_size,
     load_edge_events,
+    period_key,
     snapshots_cumulative,
     snapshots_window,
     stream_from_snapshot_dir,
@@ -48,16 +49,11 @@ def _positive_int(text: str) -> int:
 
 
 def _period(text: str) -> str:
-    p = text.lower()
-    if p in ("day", "daily", "month", "monthly"):
-        return p
     try:
-        count_size(p)
+        period_key(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected daily, monthly or count:N, got {text!r}"
-        ) from None
-    return p
+        raise argparse.ArgumentTypeError(f"expected daily, monthly or count:N, got {text!r}") from None
+    return text
 
 
 def _add_stream(p):
@@ -246,20 +242,24 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # no frame: under ``python -m`` the first one outside the package is the interpreter's
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except LapstreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (LapstreamError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

@@ -17,7 +17,8 @@ Two evaluation regimes are supported: cumulative streams (edges only ever
 added, bucketed by period) and sliding-window streams (an edge stays
 active for the last ``window_length`` buckets it was observed in, so
 deltas carry removals too). A directory of snapshot files is a third
-source: one bucket per file.
+source: one bucket per file. :func:`period_key` alone reads a period
+name, for :func:`bucket_events` and for the CLI's ``--snapshot``.
 
 Events are plain ``(u, v, weight, timestamp)`` tuples: a tuple costs no
 Python-level ``__new__``, and the cyclic garbage collector untracks one that
@@ -40,11 +41,13 @@ every step.
 Fold identity: ``state`` always holds that weight, so for an edge whose
 oldest entry did not leave this step the new weight is ``old + x``
 (accumulate) or ``x`` (overwrite), bitwise the sum a rebuild would take.
-Only an edge whose oldest entry leaves is derived again from its entries.
-Those are kept per edge in bucket order as a tuple, which drops out of the
-cyclic garbage collector's scans where a list would not, and only when the
-window is shorter than the stream: a covering window never loses an
-entry, so it keeps none, and a cumulative build costs O(1) per
+A step walks the entering bucket (a new edge, an appended entry, or
+the fold), then the leaving one: it drops the oldest entry, and removes
+the edge if none is left or else derives its weight again from its
+entries. Those are kept per edge in bucket order as a tuple, which drops
+out of the cyclic garbage collector's scans where a list would not, and
+only when the window is shorter than the stream: a covering window never
+loses an entry, so it keeps none, and a cumulative build costs O(1) per
 observation. A shorter window also pays, for each edge a step touches,
 the copy of that edge's tuple, and under ``accumulate`` the re-sum of an
 edge whose oldest entry leaves: O(entries in the window) each.
@@ -193,42 +196,42 @@ def _month_key(ts: int) -> tuple[int, int]:
     return (dt.year, dt.month)
 
 
-def count_size(period: str) -> int:
-    """N of a ``count:N`` period; ValueError unless N is ASCII digits, at least 1."""
-    n = period[6:]
+def period_key(period: str):
+    """The bucket key and label of ``period``: ``key(i, e)`` of the i-th
+    event ``e``, and ``label(k)`` of a key. ValueError names an unknown
+    period, or a ``count:N`` whose N is not ASCII digits, at least 1."""
+    p = period.lower()
+    if p in ("day", "daily"):
+        day = lambda k: datetime.fromtimestamp(k * 86400, tz=timezone.utc).date().isoformat()
+        return lambda i, e: e[3] // 86400, day
+    if p in ("month", "monthly"):
+        return lambda i, e: _month_key(e[3]), lambda k: f"{k[0]:04d}-{k[1]:02d}"
+    if not p.startswith("count:"):
+        raise ValueError(f"unknown period {period!r}")
+    n = p[6:]
     # ASCII digits only: int() alone also takes "1_000", " 2" and "\u0661"
-    size = int(n) if period[:6].lower() == "count:" and n.isascii() and n.isdigit() else 0
+    size = int(n) if n.isascii() and n.isdigit() else 0
     if size < 1:
         raise ValueError(f"bad period {period!r}")
-    return size
+    return lambda i, e: i // size, str
 
 
 def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Event]]]:
     """Group events into ordered (label, events) buckets.
 
     ``period``: ``day``/``daily`` (UTC calendar days), ``month``/``monthly``,
-    or ``count:N`` (fixed-size chunks in file order, for timestamp-free
-    data; N in ASCII digits, at least 1). Only periods that contain events
-    become buckets.
+    or ``count:N`` (chunks of N events in file order, for timestamp-free
+    data; N in ASCII digits, at least 1), in any case; :func:`period_key`
+    reads it. One loop keys every event, a ``count:N`` event by its
+    position ``i // N``, and the buckets come in key order. Only periods
+    that contain events become buckets.
     """
     if not events:
         raise EmptyDatasetError("no edge events")
-    p = period.lower()
-    if p.startswith("count:"):
-        size = count_size(period)
-        chunks = [events[i : i + size] for i in range(0, len(events), size)]
-        return [(str(i), chunk) for i, chunk in enumerate(chunks)]
-    if p in ("day", "daily"):
-        key = lambda e: e[3] // 86400
-        label = lambda k: datetime.fromtimestamp(k * 86400, tz=timezone.utc).date().isoformat()
-    elif p in ("month", "monthly"):
-        key = lambda e: _month_key(e[3])
-        label = lambda k: f"{k[0]:04d}-{k[1]:02d}"
-    else:
-        raise ValueError(f"unknown period {period!r}")
+    key, label = period_key(period)
     grouped: dict = {}
-    for e in events:
-        grouped.setdefault(key(e), []).append(e)
+    for i, e in enumerate(events):
+        grouped.setdefault(key(i, e), []).append(e)
     return [(label(k), grouped[k]) for k in sorted(grouped)]
 
 
@@ -276,16 +279,6 @@ def _build(
             window.append(entering)
         adds: list[tuple[int, int, float]] = []
         removes: list[tuple[int, int]] = []
-        changed: list[tuple[int, int]] = []  # pairs staying in the window, entries changed
-        for pair in leaving:
-            entries = history[pair] = history[pair][1:]
-            if pair in entering:
-                continue  # re-derived once its new entry is in
-            if entries:
-                changed.append(pair)
-            else:
-                del history[pair], state[pair]
-                removes.append(pair)
         for pair, x in entering.items():
             old = state.get(pair)
             if old is None:
@@ -297,14 +290,17 @@ def _build(
             if windowed:
                 history[pair] += (x,)
                 if pair in leaving:
-                    changed.append(pair)
-                    continue
+                    continue  # derived again below, once its oldest entry is gone
             w = old + x if accumulate else x  # the fold identity
             if w != old:
                 adds.append((pair[0], pair[1], w))
             state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal
-        for pair in changed:
-            entries = history[pair]
+        for pair in leaving:
+            entries = history[pair] = history[pair][1:]
+            if not entries:
+                del history[pair], state[pair]
+                removes.append(pair)
+                continue
             if accumulate:
                 w = entries[0]
                 for x in entries[1:]:

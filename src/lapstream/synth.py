@@ -1,8 +1,9 @@
 """Synthetic preferential-attachment graphs and evolving streams.
 
-Used by the benchmark suite to produce desk-scale workloads with a known
-shape: a scale-free base graph and per-step churn that is a small fraction
-of the edge count. Fully deterministic under a seed.
+Used by the tests and by ``benchmarks/change_sweep.py`` to produce
+desk-scale workloads with a known shape: a scale-free base graph and
+per-step churn that is a small fraction of the edge count. Fully
+deterministic under a seed.
 """
 
 from __future__ import annotations

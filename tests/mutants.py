@@ -3,10 +3,13 @@
 Each mutant is one exact text in one file of ``src`` or ``tests``, its
 replacement, and a line on what the change breaks. For each mutant the
 script copies ``src``, ``tests`` and ``benchmarks`` (which a test loads)
-to a temporary directory, applies the change there and runs
-``pytest -x -q tests`` on the copy; the working tree is never edited. It fails if a mutant survives, or if a mutant's text does
-not occur exactly once in its file, so a refactor cannot leave a mutant
-pointing at code that is gone.
+to a temporary directory and applies the change there; the working tree
+is never edited. On the copy it runs ``pytest -x -q`` on the mutated
+module's own test file, ``tests/test_<stem>.py``, where there is one, and
+on the whole of ``tests`` only if that file passes (a line says so). A
+mutant is killed when the last run fails. The gate fails if a mutant
+survives, or if a mutant's text does not occur exactly once in its file,
+so a refactor cannot leave a mutant pointing at code that is gone.
 
 Run it from anywhere (pytest does not collect it), two copies at a time::
 
@@ -241,6 +244,8 @@ MUTANTS = [
         "entries = history[pair] = history[pair][:-1]",
         "the window drops the newest entry of a leaving edge, not its oldest",
     ),
+    Mutant(N, "removes.append(pair)", "pass", "an edge with no entry left in the window stays"),
+    Mutant(N, "return lambda i, e: i // size, str", "return lambda i, e: i // (size + 1), str", "count:N buckets hold N + 1 events"),
     Mutant(N, "        if not math.isfinite(w):", "        if False:", "an overflowing accumulated weight names no bucket"),
     # the parser's field checks
     Mutant(
@@ -266,16 +271,18 @@ MUTANTS = [
     # the CLI's exit codes and messages
     Mutant(
         L,
-        'print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
-        'print(f"usage error: {exc}", file=sys.stderr)\n        return 2',
+        'print(f"usage error: {exc}", file=sys.stderr)\n            return 1',
+        'print(f"usage error: {exc}", file=sys.stderr)\n            return 2',
         "a usage error exits 2",
     ),
     Mutant(
         L,
-        "    except LapstreamError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n        return 2",
-        "    except LapstreamError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n        return 1",
+        'except (LapstreamError, OSError) as exc:\n            print(f"error: {exc}", file=sys.stderr)\n            return 2',
+        'except (LapstreamError, OSError) as exc:\n            print(f"error: {exc}", file=sys.stderr)\n            return 1',
         "a data error exits 1",
     ),
+    Mutant(L, "period_key(text)", 'period_key(text.replace("_", ""))', "--snapshot takes a count bucket_events refuses"),
+    Mutant(L, "warnings.showwarning = _warning", "pass", "a warning names the frame it is attributed to"),
     Mutant(
         L,
         "except (FloatRangeError, ZeroEnergyError) as exc:",
@@ -301,10 +308,11 @@ def check_texts(mutants) -> list[str]:
     return problems
 
 
-def run(k: int, m: Mutant) -> tuple[int, bool, float]:
-    """Apply mutant ``k`` to a fresh copy and run the tests on it; returns
-    ``(k, killed, seconds)``."""
+def run(k: int, m: Mutant) -> tuple[int, bool, bool, float]:
+    """Apply mutant ``k`` to a fresh copy and run the tests on it, its own
+    file first; returns ``(k, killed, whole suite run, seconds)``."""
     t0 = time.perf_counter()
+    own = f"tests/test_{Path(m.path).stem}.py"
     with tempfile.TemporaryDirectory(prefix=f"mutant{k}-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
         for part in ("src", "tests", "benchmarks"):
@@ -312,13 +320,15 @@ def run(k: int, m: Mutant) -> tuple[int, bool, float]:
         target = Path(tmp) / m.path
         target.write_text(target.read_text().replace(m.text, m.replacement))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"],
-            cwd=tmp,
-            env=env,
-            capture_output=True,
-        )
-    return k, proc.returncode != 0, time.perf_counter() - t0
+
+        def fails(path: str) -> bool:
+            """True when the tests under ``path`` fail on the copy."""
+            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", path]
+            return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode != 0
+
+        own_killed = (Path(tmp) / own).exists() and fails(own)
+        killed = own_killed or fails("tests")
+    return k, killed, not own_killed, time.perf_counter() - t0
 
 
 def main() -> int:
@@ -330,9 +340,11 @@ def main() -> int:
     t0 = time.perf_counter()
     survivors = []
     with ThreadPoolExecutor(JOBS) as pool:
-        for k, killed, seconds in pool.map(lambda km: run(*km), mutants):
+        for k, killed, whole, seconds in pool.map(lambda km: run(*km), mutants):
             m = MUTANTS[k]
             print(f"{k:3d} {'killed  ' if killed else 'SURVIVED'} {seconds:5.1f}s {m.path}: {m.breaks}", flush=True)
+            if whole:
+                print(f"    mutant {k} needed the whole suite", flush=True)
             if not killed:
                 survivors.append(k)
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed in {time.perf_counter() - t0:.0f}s")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from lapstream.cli import cli_main
 from lapstream.errors import LapstreamError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta
-from lapstream.ingest import SnapshotStream
+from lapstream.ingest import SnapshotStream, bucket_events
 
 # deltas validate rejects on the toy graph, each with the index of the add its
 # duplicate audit reports, or None where the audit passes and apply_delta's own
@@ -29,6 +30,10 @@ AUDITED_DELTAS = [
     (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), None),
     (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 2), (2, 1)]), None),
 ]
+
+# a delta of the second window adds (3, 4) at weight -5e-324
+NEGATIVE_WEIGHT = "1 2 5e-324 0\n2 3 0.1 86400\n1 2 1.5 86400\n3 4 -5e-324 172800\n"
+NEGATIVE_WEIGHT_ARGV = ["compare", "--variant", "weighted", "--window", "2", "--input"]
 
 
 def _stream(*argv):
@@ -378,6 +383,35 @@ class TestUsageErrors:
         assert cli_main(["run", "--input", "x.txt", *flags]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "period, ok",
+        [
+            ("daily", True),
+            ("DAILY", True),
+            ("Month", True),
+            ("count:1", True),
+            ("Count:3", True),
+            ("weekly", False),
+            ("count:0", False),
+            ("count:+2", False),
+            ("count:1_0", False),
+            ("count:\u0663", False),
+        ],
+    )
+    def test_snapshot_takes_what_bucket_events_takes(self, period, ok):
+        """--snapshot and bucket_events read a period with one grammar."""
+        try:
+            bucket_events([(1, 2, 1.0, 0)], period)
+            taken = True
+        except ValueError:
+            taken = False
+        try:
+            cli.build_parser().parse_args(["validate", "--input", "x.txt", "--snapshot", period])
+            parsed = True
+        except cli._UsageError:
+            parsed = False
+        assert (taken, parsed) == (ok, ok)
+
     @pytest.mark.parametrize("size", ["\u0661", "\uff12", "1_000", " 2"])
     def test_count_needs_ascii_digits(self, data_dir, size, capsys):
         stream = str(data_dir / "toy_stream.txt")
@@ -491,3 +525,34 @@ class TestVersion:
             [sys.executable, "-m", "lapstream.cli", "--version"], env=env, capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"lapstream {lapstream.__version__}\n", "")
+
+
+class TestWarnings:
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        """A warning prints as ``warning: <message>``, naming no frame, and
+        the warnings module is as it was afterwards."""
+        path = tmp_path / "negative.txt"
+        path.write_text(NEGATIVE_WEIGHT)
+        show = warnings.showwarning
+        assert cli_main([*NEGATIVE_WEIGHT_ARGV, str(path)]) == 0
+        assert warnings.showwarning is show
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: negative weight -5e-324 on edge (3, 4)"
+        assert not any("NegativeWeightWarning" in line for line in err)
+
+    def test_module_entry_point_names_no_interpreter_frame(self, tmp_path):
+        """Under ``python -m`` the first frame outside the package is the
+        interpreter's; the line names none."""
+        path = tmp_path / "negative.txt"
+        path.write_text(NEGATIVE_WEIGHT)
+        src = str(Path(lapstream.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapstream.cli", *NEGATIVE_WEIGHT_ARGV, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[0] == "warning: negative weight -5e-324 on edge (3, 4)"
+        assert "<frozen" not in proc.stderr

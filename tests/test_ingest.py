@@ -344,14 +344,14 @@ class TestBucketing:
         assert [label for label, _ in buckets] == ["1970-01", "1970-02"]
 
     def test_unknown_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown period 'weekly'"):
             bucket_events([(1, 2, 1.0, 0)], "weekly")
 
     def test_bad_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad period 'count:0'"):
             bucket_events([(1, 2, 1.0, 0)], "count:0")
-        with pytest.raises(ValueError):
-            bucket_events([(1, 2, 1.0, 0)], "count:many")
+        with pytest.raises(ValueError, match="bad period 'Count:many'"):
+            bucket_events([(1, 2, 1.0, 0)], "Count:many")
 
     @pytest.mark.parametrize("size", ["\u0661", "\uff12", "1_000", " 2", "2 ", "+2"])
     def test_count_needs_ascii_digits(self, size):
