@@ -51,7 +51,7 @@ class NodeValues(Mapping):
     It reads and compares as a ``dict`` of those keys and values.
     ``version`` is the graph version the values match (see
     :class:`~lapstream.graph.Graph`), which the step and :func:`normalize`
-    check."""
+    check; a normalized map matches no state of its graph and holds None."""
 
     __slots__ = ("_pos", "_nodes", "_values", "_shift", "_version")
 
@@ -109,7 +109,8 @@ class CentralityMap:
     keeps the variant :func:`lap_cent` made the map with, which the step
     and :func:`normalize` read from it, and the version of the graph state
     it matches: both refuse a map of another state, so a kept map, or a
-    live one that missed a delta, is stale once its graph has changed. The
+    live one that missed a delta, is stale once its graph has changed, and
+    a normalized map, which holds no version, is refused by both. The
     values are exact ints, unweighted and on a weighted graph of integral
     weights (E = 0); on a graph with a fractional weight (E > 0) each reads
     as the correctly rounded float of the exact value, for any history and
@@ -134,35 +135,27 @@ def lap_cent(g: Graph, variant: Variant) -> CentralityMap:
 
 def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
     """Divide every value of ``cmap`` by the Laplacian energy of ``g``, the
-    trace of its squared Laplacian, in the map's variant: sum(d^2 + d)
-    unweighted, sum(s^2) + 2*sum(w^2 over edges) weighted. A map of another
-    graph, or of another state of ``g``, is a :class:`TypeError`: a kept map
-    is normalized against the graph of its own step, so before a later step
-    changes ``g``. Values land in (0, 1] for connected graphs with
-    non-negative weights, as a tuple, which the incremental step refuses.
-    Each is the correctly rounded ratio of two exact values, even where the
-    energy alone is past the float range or below it."""
+    trace of its squared Laplacian, in the map's variant. The map holds that
+    energy: summed over all nodes x, the closed form's term 2*sum(w_xj * s_j)
+    regroups as 2*sum(s^2), so E = sum(s^2) + sum(w^2 over rows) is
+    sum(C) - 2*sum(s^2), with s the degree and w = 1 unweighted; values and
+    strengths carry one scale, which cancels. A map of another graph, or of
+    another state of ``g``, is a :class:`TypeError`: a kept map is normalized
+    against the graph of its own step, so before a later step changes ``g``.
+    The result holds no version, as it is no state of ``g``: normalizing it
+    again, or stepping it, is a TypeError too. Values land in (0, 1] for
+    connected graphs with non-negative weights, as a tuple. Each is the
+    correctly rounded ratio of two exact values, even where the energy alone
+    is past the float range or below it."""
     view = cmap.values
     if getattr(view, "_nodes", None) is not g._nodes or view._version != g._version:
         raise TypeError("cmap is not a map of g as it is now; normalize a map against its own graph state")
-    # the exact energy is num / den, den = 2**(2E) on a weighted graph
-    adj = g._rows
-    num, den = 0, 1
-    if view._shift is None:
-        for row in adj:
-            d = len(row)
-            num += d * d + d
-    else:
-        for s, row in zip(g._strength, adj):
-            num += s * s
-            for w in row.values():
-                num += w * w
-        den = 1 << 2 * g._shift
+    s = map(len, g._rows) if view._shift is None else g._strength
+    num = sum(view._values) - 2 * sum(x * x for x in s)
     if num == 0:
         raise ZeroEnergyError("graph has zero Laplacian energy")
-    num <<= 2 * (view._shift or 0)
-    values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))
-    return CentralityMap(NodeValues(view._pos, view._nodes, values, None, view._version), cmap.computed_count)
+    values = tuple(_quotient(x, num, v) for v, x in zip(view, view._values))
+    return CentralityMap(NodeValues(view._pos, view._nodes, values), cmap.computed_count)
 
 
 def write_centralities(cmap: CentralityMap, stream) -> None:

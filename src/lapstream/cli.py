@@ -42,9 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # ASCII digits only, as count:N and every event field are read
+    value = int(text) if text.isascii() and text.isdigit() else 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError("must be >= 1, in ASCII digits")
     return value
 
 

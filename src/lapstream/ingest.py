@@ -56,6 +56,7 @@ edge whose oldest entry leaves: O(entries in the window) each.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -342,10 +343,12 @@ def snapshots_window(
 ) -> SnapshotStream:
     """Full-dynamic regime: snapshot k holds the edges observed in the last
     ``window_length`` buckets; edges sliding out of the window become
-    removals. A window covering every bucket is the cumulative stream.
+    removals. A window covering every bucket is the cumulative stream. A
+    ``window_length`` that is no int is a TypeError, one below 1 a ValueError.
     """
     _check_policy(weight_policy)
-    if window_length < 1:
+    # a length that is no int, 2.5 say, would never fill the window
+    if operator.index(window_length) < 1:
         raise ValueError("window_length must be >= 1")
     return _build(bucket_events(events, period), window_length, weight_policy)
 

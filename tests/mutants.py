@@ -145,8 +145,18 @@ MUTANTS = [
         "the unweighted kernel drops the own-degree term",
     ),
     Mutant(K, "acc += w * (w + 2 * strength[j])", "acc += w * (w + strength[j])", "the weighted kernel halves the neighbour term"),
-    Mutant(C, "num += d * d + d", "num += d * d", "the unweighted energy drops the degree term"),
-    Mutant(C, "num += w * w", "num += w", "the weighted energy drops the square of the weights"),
+    Mutant(
+        C,
+        "num = sum(view._values) - 2 * sum(x * x for x in s)",
+        "num = sum(view._values)",
+        "normalize divides by the sum of the values, not the energy",
+    ),
+    Mutant(
+        C,
+        "if view._shift is None else g._strength",
+        "if not view._shift else g._strength",
+        "a weighted map of integral weights subtracts squared degrees, not strengths",
+    ),
     Mutant(C, "if num == 0:", "if num is None:", "normalize divides by a zero energy"),
     # the public side's one division by 2**(2E)
     Mutant(
@@ -173,12 +183,12 @@ MUTANTS = [
         "return i is not None",
         "a kept map holds the nodes that came later",
     ),
-    Mutant(C, "den = 1 << 2 * g._shift", "den = 1 << g._shift", "the energy is read divided by 2**E, not 2**(2E)"),
+    Mutant(C, "- 2 * sum(x * x for x in s)", "- sum(x * x for x in s)", "the energy keeps one sum(s^2) too many"),
     Mutant(
         C,
         "    if num == 0:\n        raise ZeroEnergyError",
-        "    num, den = (num / den).as_integer_ratio()\n    if num == 0:\n        raise ZeroEnergyError",
-        "normalize divides by the rounded energy, which can overflow or underflow",
+        "    num = float(num)\n    if num == 0:\n        raise ZeroEnergyError",
+        "normalize divides by the energy rounded to a float, which can overflow",
     ),
     Mutant(
         C,
@@ -187,7 +197,7 @@ MUTANTS = [
         "normalize divides a map of another graph by this one's energy",
     ),
     Mutant(C, " or view._version != g._version:", ":", "normalize divides a kept map by the energy of a later step"),
-    Mutant(C, "num <<= 2 * (view._shift or 0)", "num <<= view._shift or 0", "normalize divides by 2**E, not 2**(2E)"),
+    Mutant(C, "sum(x * x for x in s)", "sum(s)", "the energy subtracts sum(s), not sum(s^2)"),
     Mutant(
         C,
         'stream.write(f"{v},{_quotient(x, 1, v):.12g}\\n")',
@@ -200,11 +210,18 @@ MUTANTS = [
         "    except ZeroDivisionError:\n        raise FloatRangeError",
         "a value past the float range is an OverflowError",
     ),
-    Mutant(C, "_quotient(x * den, num, v) for", "_quotient(x, num, v) for", "normalize drops the energy's denominator"),
     Mutant(
         C,
-        "values = tuple(_quotient(x * den, num, v) for v, x in zip(view, view._values))",
-        "values = [_quotient(x * den, num, v) for v, x in zip(view, view._values)]",
+        "s = map(len, g._rows) if view._shift is None else g._strength",
+        "s = g._strength",
+        "an unweighted map's energy subtracts squared strengths, not degrees",
+    ),
+    Mutant(
+        C,
+        "values = tuple(_quotient(x, num, v) for v, x in zip(view, view._values))\n"
+        "    return CentralityMap(NodeValues(view._pos, view._nodes, values),",
+        "values = [_quotient(x, num, v) for v, x in zip(view, view._values)]\n"
+        "    return CentralityMap(NodeValues(view._pos, view._nodes, values, None, view._version),",
         "a normalized map can be stepped as a live one",
     ),
     # the compare gate
@@ -294,6 +311,25 @@ MUTANTS = [
         'print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)\n            return 2',
         'print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)\n            return 0',
         "validate exits 0 on an inconsistent stream",
+    ),
+    # a normalized map's version, and the window length read as an int
+    Mutant(
+        C,
+        "NodeValues(view._pos, view._nodes, values), cmap.computed_count)",
+        "NodeValues(view._pos, view._nodes, values, None, view._version), cmap.computed_count)",
+        "a normalized map keeps its version, so it is normalized again",
+    ),
+    Mutant(
+        N,
+        "if operator.index(window_length) < 1:",
+        "if window_length < 1:",
+        "a fractional window never fills, so it gives the cumulative stream",
+    ),
+    Mutant(
+        L,
+        "value = int(text) if text.isascii() and text.isdigit() else 0",
+        "value = int(text)",
+        "--window takes 1_0, a non-ASCII digit and spaces",
     ),
 ]
 

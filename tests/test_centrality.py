@@ -10,10 +10,10 @@ from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
 from genutil import delta_energy_oracle, graph_state, node_rows, random_graph, with_isolated
 
 from lapstream.bench import bench_stream
-from lapstream.centrality import lap_cent, normalize, write_centralities
+from lapstream.centrality import CentralityMap, lap_cent, normalize, write_centralities
 from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Graph
-from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove
 from lapstream.ingest import SnapshotStream
 
 
@@ -312,6 +312,19 @@ class TestNormalize:
         apply_delta(g, stream.deltas[0])
         with pytest.raises(TypeError, match="not a map of g"):
             normalize(kept, g)
+
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_refuses_a_normalized_map(self, variant):
+        """A normalized map is no state of its graph: normalizing it again is
+        a TypeError, as stepping it is, and so is normalizing its copy."""
+        g = Graph([(1, 2, 3.0), (2, 3, 0.5)])
+        normalized = normalize(lap_cent(g, variant), g)
+        for cmap in (normalized, CentralityMap(normalized.values.copy(), 3)):
+            with pytest.raises(TypeError, match="not a map of g"):
+                normalize(cmap, g)
+            with pytest.raises(TypeError, match="not a live map of g"):
+                lap_cent_add_remove(g, EdgeDelta(adds=[(3, 4)]), cmap)
+        assert graph_state(g) == graph_state(Graph([(1, 2, 3.0), (2, 3, 0.5)]))
 
     def test_range_on_connected_graphs(self):
         rng = random.Random(5)

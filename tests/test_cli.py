@@ -376,6 +376,10 @@ class TestUsageErrors:
         [
             ["--snapshot", "weekly"],
             ["--window", "-2"],
+            # --window reads ASCII digits, as count:N does
+            ["--window", "1_0"],
+            ["--window", "\u0662"],
+            ["--window", " 2"],
             ["--snapshot", "count:0"],
         ],
     )

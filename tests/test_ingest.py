@@ -489,6 +489,15 @@ class TestWindow:
         with pytest.raises(ValueError):
             snapshots_window([(1, 2, 1.0, 0)], "daily", window_length=0)
 
+    @pytest.mark.parametrize("length", [2.5, 2.0])
+    def test_window_length_must_be_an_int(self, length):
+        """A length that is no int is refused; 2.5 never filled the window,
+        so its stream was the cumulative one, with no removes."""
+        events = [(1, 2, 1.0, 0), (3, 4, 1.0, DAY), (5, 6, 1.0, 2 * DAY), (7, 8, 1.0, 3 * DAY)]
+        assert snapshots_window(events, "daily", 2).deltas[-1].removes == [(3, 4)]
+        with pytest.raises(TypeError):
+            snapshots_window(events, "daily", length)
+
     def test_covering_window_equals_cumulative(self):
         rng = random.Random(8)
         events = [
