@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Literal
 
@@ -82,7 +83,14 @@ class NodeValues(Mapping):
         return islice(self._pos, len(self._values))
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        # a value past the float range prints as the exact Fraction it reads as
+        shown = {}
+        for v, x in zip(self, self._values):
+            try:
+                shown[v] = self[v]
+            except FloatRangeError:
+                shown[v] = Fraction(x, 1 << 2 * self._shift)
+        return repr(shown)
 
     def copy(self) -> NodeValues:
         """A kept copy: the values as a tuple, over the same node table, scale

@@ -13,8 +13,9 @@ the only walk over the edges: it records, as it checks each one, the old
 strength of every endpoint, and logs every write once, old and new weight.
 The incremental step reads its pair terms from that log. The undo of a
 rejected delta reads nothing else: it replays the log newest first, putting
-back each old weight and taking each write's change off both strengths. The
-same loop stores every weight as an exact ``int``.
+back what was there whether or not each write was made, and reads each
+endpoint's strength off its row. The same loop stores every weight as an
+exact ``int``.
 
 Exact weights. Every finite float is a dyadic rational, num / 2**e. The
 graph keeps one scale exponent E, ``_shift``: the largest e of any weight
@@ -110,12 +111,11 @@ class Graph:
     delta drops the positions it created; :meth:`copy` carries the table.
 
     The state stamp, ``_version``, is a fresh ``object()`` made at
-    construction and at each write that succeeds: the constructor's edges
-    and each applied delta. A rejected delta leaves it, and :meth:`copy`
-    makes its own, so no two states share one. A centrality map holds the
-    stamp of the state it matches, and the step and
-    :func:`~lapstream.centrality.normalize` refuse a map whose stamp is not
-    the graph's, by one identity test.
+    construction and renewed before a delta's first write; only an undo that
+    runs to its end gives the old one back, and :meth:`copy` makes its own,
+    so no two states share one. A centrality map holds the stamp of the
+    state it matches, and the step and :func:`~lapstream.centrality.normalize`
+    refuse a map whose stamp is not the graph's, by one identity test.
 
     A Graph is single-writer: no internal locking, safe to hand between
     threads, safe to read concurrently once mutation has stopped.
@@ -159,10 +159,13 @@ class Graph:
         With ``read`` None, the constructor's case, a bad add raises with the
         edges before it written.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
-        or nothing: any exception before the removes are written undoes the
-        adds and the rescale, so rows, their order, the strengths, the node
-        table, E and the stamp are as they were; only a call that returns
-        gives the graph a new stamp.
+        or nothing: any exception undoes the writes and the rescale, so rows,
+        the strengths, the node table, E and, as the undo's last step, the
+        stamp are as they were; a call that an interrupt cuts short where no
+        undo runs to its end keeps the stamp it took before its first write.
+        A check raises before any remove is written, so it keeps the rows'
+        order; a cut-short commit of the removes puts its pairs back at the
+        ends of their rows.
         Returns ``(s0, log)``, keyed by position. s0 maps every endpoint, in
         order of first mention, to its degree ("unweighted") or strength
         ("weighted", at the E of the return) before the call, so its keys are
@@ -171,9 +174,8 @@ class Graph:
         remove as it is checked, ``old`` its weight after the adds and
         ``new`` None. A pair written twice has two entries, so its weights
         run from its first ``old`` to its last ``new``. The undo replays the
-        adds of the log newest first, each one's weight and its change to
-        both strengths, so s0 is the only per-node record. Both are empty
-        when ``read`` is None.
+        log newest first, then sums the rows of s0's keys into their
+        strengths. Both are empty when ``read`` is None.
         """
         rows = self._rows
         strength = self._strength
@@ -190,6 +192,7 @@ class Graph:
         s0: dict[int, int] = {}
         log: list[tuple[int, int, int | None, int | None]] = []
         write = log.append
+        stamp, self._version = self._version, object()
         try:
             for e in adds:
                 if len(e) == 2:
@@ -283,39 +286,35 @@ class Graph:
                     if q not in s0:
                         s0[q] = len(rows[q]) if degrees else strength[q]
                     write((p, q, w, None))
-        except BaseException:
-            if delta:
-                # the removes are not written yet, and a pair's writes go back
-                # newest first, to its first old weight, and take their change
-                # off both strengths
-                for p, q, old, new in reversed(log):
-                    if new is None:
-                        continue
-                    if old is None:
-                        del rows[p][q], rows[q][p]
-                        old = 0
-                    else:
-                        rows[p][q] = rows[q][p] = old
-                    strength[p] -= new - old
-                    strength[q] -= new - old
-                # nodes are never deleted, so those new to the graph hold the
-                # last positions, and are the newest keys of pos
-                for _ in range(len(rows) - known):
-                    pos.popitem()
-                    rows.pop()
-                    strength.pop()
-                # every weight and strength is a multiple of 2**(shift - shift0)
-                # again, so the rescale's undo is exact
-                _rescale(rows, strength, rshift, shift - shift0)
-                n, shift = n0, shift0
-            raise
-        else:
             for (p, q), w in gone.items():
                 del rows[p][q], rows[q][p]
                 n -= 1
                 strength[p] -= w
                 strength[q] -= w
-            self._version = object()
+        except BaseException:
+            if delta:
+                # a pair's writes go back newest first, to its first old
+                # weight, whether each was made or not; the strengths are then
+                # read off the rows, as s0 holds every endpoint written
+                for p, q, old, _ in reversed(log):
+                    if old is None:
+                        rows[p].pop(q, None)
+                        rows[q].pop(p, None)
+                    else:
+                        rows[p][q] = rows[q][p] = old
+                for x in s0:
+                    strength[x] = sum(rows[x].values())
+                # nodes are never deleted, so those new to the graph hold the
+                # last positions, and are the newest keys of pos
+                del rows[known:], strength[known:]
+                while len(pos) > known:
+                    pos.popitem()
+                # every weight and strength is a multiple of 2**(shift - shift0)
+                # again, so the rescale's undo is exact
+                _rescale(rows, strength, rshift, shift - shift0)
+                n, shift = n0, shift0
+                self._version = stamp
+            raise
         finally:
             self._num_edges = n
             self._shift = shift

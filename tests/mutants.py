@@ -78,14 +78,9 @@ MUTANTS = [
         "rows[p][q] = old",
         "a rejected delta's upsert is undone on one side of the pair only",
     ),
-    Mutant(G, "strength[q] -= new - old", "pass", "a rejected delta leaves the second end's strength written"),
-    Mutant(
-        G,
-        "strength[p] -= new - old\n                    strength[q] -= new - old",
-        "pass",
-        "a rejected delta leaves its strengths written",
-    ),
-    Mutant(G, "pos.popitem()", "pass", "a rejected delta leaves its new nodes in the position table"),
+    Mutant(G, "strength[x] = sum(rows[x].values())", "pass", "a rejected delta leaves its strengths written"),
+    Mutant(G, "self._version = stamp", "pass", "a rejected delta renews the stamp"),
+    Mutant(G, "pos.popitem()", "break", "a rejected delta leaves its new nodes in the position table"),
     Mutant(G, "n, shift = n0, shift0", "n = n0", "a rejected delta leaves E raised"),
     Mutant(
         G,
@@ -103,15 +98,15 @@ MUTANTS = [
     ),
     Mutant(
         G,
-        "self._version = object()\n        finally:",
-        "pass\n        finally:",
+        "stamp, self._version = self._version, object()",
+        "stamp = self._version",
         "an applied delta leaves the stamp, so a map that missed it steps",
     ),
     Mutant(
         G,
-        "            self._version = object()\n        finally:\n",
-        "        finally:\n            self._version = object()\n",
-        "a rejected delta renews the stamp",
+        "for p, q, old, _ in reversed(log):",
+        "for p, q, old, _ in log:",
+        "the undo replays the log oldest first, so a pair written twice ends at its second old weight",
     ),
     Mutant(G, "w = w / scale if w % scale else w >> shift", "w = w / scale", "edges() gives integral weights as floats at E > 0"),
     # the incremental step: pair terms, own terms, the walk and the count
@@ -360,6 +355,20 @@ MUTANTS = [
         "value = int(text) if text.isascii() and text.isdigit() else 0",
         "value = int(text)",
         "--window takes 1_0, a non-ASCII digit and spaces",
+    ),
+    # the undo of a delta, rejected or cut short
+    Mutant(G, "rows[q].pop(p, None)", "pass", "a rejected delta leaves a new pair on its second end"),
+    Mutant(
+        G,
+        "del rows[known:], strength[known:]",
+        "del rows[known:]",
+        "a rejected delta leaves the strengths of its new nodes",
+    ),
+    Mutant(
+        G,
+        "rows[p].pop(q, None)\n                        rows[q].pop(p, None)",
+        "del rows[p][q], rows[q][p]",
+        "an undo that meets a logged add not yet written raises KeyError and leaves the delta half applied",
     ),
 ]
 

@@ -180,6 +180,20 @@ class TestPastTheFloatRange:
         with pytest.raises(FloatRangeError, match="node 1 "):
             write_centralities(lap_cent(Graph([(1, 2, 1e300)]), "weighted"), io.StringIO())
 
+    def test_repr_prints_a_value_past_the_float_range_exactly(self):
+        """A value that reads as FloatRangeError prints as its exact Fraction,
+        so a failure message can show the map; the others print as they read."""
+        g = Graph([(1, 2, 1e200), (2, 3, 0.5)])
+        values = lap_cent(g, "weighted").values
+        with pytest.raises(FloatRangeError):
+            values[1]
+        exact = exact_weighted_values(g)
+        shown = eval(repr(values), {"Fraction": Fraction})
+        assert shown == {1: exact[1], 2: exact[2], 3: values[3]}
+        assert type(shown[1]) is Fraction and type(shown[3]) is float
+        toy = lap_cent(Graph(TOY_EDGES), "unweighted").values
+        assert repr(toy) == repr(dict(toy.items())) and dict(toy) == TOY_STEP1
+
     def test_an_energy_below_the_float_range_rounds_to_zero(self):
         """Subnormal weights: values and the energy round to 0.0, and the
         exact energy still normalizes every value; only a graph with no
