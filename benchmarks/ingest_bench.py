@@ -77,7 +77,7 @@ def main():
             out = fn()
             samples[name].append(time.perf_counter() - t0)
             del out
-    buckets = snapshots_cumulative(events, "daily", POLICY).num_steps
+    buckets = len(snapshots_cumulative(events, "daily", POLICY).deltas) + 1
     print(
         f"workload: {len(events)} events, {IDS} ids, {buckets} daily buckets, "
         f"policy {POLICY}, median of {args.repeat}"

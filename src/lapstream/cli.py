@@ -4,7 +4,6 @@ Subcommands:
     run         benchmark one algorithm (batch or dynamic) over a stream
     compare     run both algorithms, cross-check results, report speedups
     centrality  one-shot batch centrality of a single edge-list file
-    validate    delta-consistency audit of a stream: no add re-adds an edge
 
 Exit codes: 0 success, 1 usage error, 2 data error (a value past the float range too).
 """
@@ -19,9 +18,9 @@ from pathlib import Path
 from lapstream import __version__
 from lapstream.bench import bench_stream, emit_csv
 from lapstream.centrality import lap_cent, normalize, write_centralities
-from lapstream.errors import DuplicateEdgeError, EmptyDatasetError, FloatRangeError, LapstreamError, ZeroEnergyError
+from lapstream.errors import EmptyDatasetError, FloatRangeError, LapstreamError, ZeroEnergyError
 from lapstream.graph import Graph
-from lapstream.incremental import apply_delta, evolve
+from lapstream.incremental import evolve
 from lapstream.ingest import (
     load_edge_events,
     period_key,
@@ -57,7 +56,7 @@ def _period(text: str) -> str:
     return text
 
 
-def _add_stream(p):
+def _add_run_flags(p):
     p.add_argument("--input", required=True, help="edge-event file or snapshot directory")
     p.add_argument(
         "--snapshot",
@@ -79,9 +78,6 @@ def _add_stream(p):
         default=argparse.SUPPRESS,
         help="how re-observed edge weights combine (default: overwrite)",
     )
-
-
-def _add_bench(p):
     p.add_argument("--variant", choices=("unweighted", "weighted"), default="unweighted")
     p.add_argument(
         "--normalized",
@@ -103,13 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="benchmark one algorithm over a stream")
     p_run.add_argument("--mode", choices=("batch", "dynamic"), default="dynamic")
-    _add_stream(p_run)
-    _add_bench(p_run)
+    _add_run_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="batch vs dynamic with speedup per step")
-    _add_stream(p_cmp)
-    _add_bench(p_cmp)
+    _add_run_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_run, mode="compare")
 
     p_cent = sub.add_parser("centrality", help="batch centrality of one edge-list file")
@@ -118,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cent.add_argument("--normalized", action="store_true")
     p_cent.add_argument("--out", metavar="FILE", default=None)
     p_cent.set_defaults(func=_cmd_centrality)
-
-    p_val = sub.add_parser("validate", help="audit a stream's delta consistency")
-    _add_stream(p_val)
-    p_val.set_defaults(func=_cmd_validate)
     return parser
 
 
@@ -217,29 +207,6 @@ def _cmd_centrality(args) -> int:
             write_centralities(cmap, fh)
     else:
         write_centralities(cmap, sys.stdout)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    stream = _stream(args)
-    g = stream.initial.copy()
-    for step, delta in enumerate(stream.deltas, start=1):
-        added = set()
-        try:
-            # a consistent stream never re-adds an edge, an upsert included
-            for u, v, _ in delta.adds:
-                pair = (u, v) if u <= v else (v, u)
-                if pair in added or g.has_edge(u, v):
-                    raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-                added.add(pair)
-            apply_delta(g, delta)
-        except LapstreamError as exc:
-            print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)
-            return 2
-    print(
-        f"ok: {stream.num_steps} steps, final graph "
-        f"{g.num_nodes} nodes / {g.num_edges} edges"
-    )
     return 0
 
 

@@ -21,10 +21,6 @@ class FloatRangeError(LapstreamError):
     """A centrality is past the float range."""
 
 
-class DuplicateEdgeError(LapstreamError):
-    """A delta re-adds an edge already present; reported by ``lapstream validate``."""
-
-
 class ZeroEnergyError(LapstreamError):
     """Normalization requested on a graph with zero Laplacian energy."""
 

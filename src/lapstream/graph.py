@@ -22,8 +22,10 @@ graph keeps one scale exponent E, ``_shift``: the largest e of any weight
 written, never lowered. It stores every weight w, and every strength, as
 the exact int w * 2**E, so that sums and products of them are exact in any
 order. A weight finer than 2**-E rescales the rows, the strengths and what
-the loop has recorded, once, in O(n + m); a rejected delta undoes that too.
-At E = 0, the graph of integral weights, nothing is scaled.
+the loop has recorded, in O(n + m), and stores them with the new E in one
+statement, so that an interrupt finds the rows at the E the undo reads; a
+rejected delta undoes the rescale too. At E = 0, the graph of integral
+weights, nothing is scaled.
 
 One node table. The graph keeps one node -> position dict, ``_pos``, whose
 keys are in position order, which is order of first mention: a new node
@@ -43,7 +45,6 @@ import math
 import os
 import sys
 import warnings
-from operator import lshift, rshift
 from typing import Iterable, Iterator, NamedTuple
 
 from lapstream.errors import (
@@ -61,14 +62,14 @@ _INT_WEIGHT_LIMIT = 2**53
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _rescale(rows: list[dict[int, int]], strength: list[int], op, d: int) -> None:
-    """Shift every weight and every strength by ``d`` bits with ``op``, in place,
-    so that the rows keep their order."""
+def _unscale(rows: list[dict[int, int]], strength: list[int], d: int) -> None:
+    """Shift every weight and every strength ``d`` bits right, in place, so
+    that the rows keep their order."""
     if d:
         for row in rows:
             for q, w in row.items():
-                row[q] = op(w, d)
-        strength[:] = [op(s, d) for s in strength]
+                row[q] = w >> d
+        strength[:] = [s >> d for s in strength]
 
 
 def _outside_stacklevel() -> int:
@@ -151,13 +152,15 @@ class Graph:
         ``int`` scaled by 2**E (see :class:`Graph`). At E = 0 a positive
         integral weight within 2**53, the common case, goes straight to its
         ``int``; any other goes through ``float.as_integer_ratio``, and one
-        finer than 2**-E raises E and rescales what is written and recorded.
+        finer than 2**-E raises E, storing what is written and recorded,
+        rescaled, with it in one statement.
         The removes are all checked, against the graph with the adds in,
         before any is written: a pair removed twice or a pair not present
         raises :class:`MissingEdgeError`.
 
-        With ``read`` None, the constructor's case, a bad add raises with the
-        edges before it written.
+        The edge count and E are stored once, as the last line of the writes:
+        with ``read`` None, the constructor's case, a bad add raises with the
+        edges before it written and counted.
         With ``read`` "unweighted" or "weighted" the call applies a delta, all
         or nothing: any exception undoes the writes and the rescale, so rows,
         the strengths, the node table, E and, as the undo's last step, the
@@ -183,7 +186,7 @@ class Graph:
         where = pos.get
         isfinite = math.isfinite
         limit = _INT_WEIGHT_LIMIT
-        n0 = n = self._num_edges
+        n = self._num_edges
         shift0 = shift = self._shift
         one = 1 << shift
         known = len(rows)
@@ -227,14 +230,19 @@ class Graph:
                     k = den.bit_length() - 1
                     if k > shift:
                         # a finer weight: everything written or recorded so far,
-                        # times 2**d, once
+                        # times 2**d, stored with E in one statement, so that an
+                        # interrupt finds the rows at the E the undo reads; s0
+                        # may lag, as the undo reads only its keys
                         d = k - shift
-                        _rescale(rows, strength, lshift, d)
+                        rows[:], strength[:], log[:], shift = (
+                            [{q: x << d for q, x in row.items()} for row in rows],
+                            [s << d for s in strength],
+                            [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log],
+                            k,
+                        )
                         if not degrees:
                             for x in s0:
                                 s0[x] <<= d
-                        log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]
-                        shift = k
                         one = 1 << k
                     w = num << (shift - k)
                 p = where(u)
@@ -291,6 +299,7 @@ class Graph:
                 n -= 1
                 strength[p] -= w
                 strength[q] -= w
+            self._num_edges, self._shift = n, shift
         except BaseException:
             if delta:
                 # a pair's writes go back newest first, to its first old
@@ -311,20 +320,14 @@ class Graph:
                     pos.popitem()
                 # every weight and strength is a multiple of 2**(shift - shift0)
                 # again, so the rescale's undo is exact
-                _rescale(rows, strength, rshift, shift - shift0)
-                n, shift = n0, shift0
+                _unscale(rows, strength, shift - shift0)
                 self._version = stamp
+            else:
+                self._num_edges, self._shift = n, shift
             raise
-        finally:
-            self._num_edges = n
-            self._shift = shift
         return s0, log
 
     # -- queries ----------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        p = self._pos.get(u)
-        return p is not None and self._pos.get(v) in self._rows[p]
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Each edge once as a plain (u, v, weight) tuple, smaller endpoint

@@ -86,10 +86,6 @@ class SnapshotStream:
     initial: Graph
     deltas: list[EdgeDelta] = field(default_factory=list)
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.deltas) + 1
-
 
 def parse_edge_events(lines: Iterable[str | bytes]) -> list[_Event]:
     """Parse edge-event lines; every non-comment line yields an event or a

@@ -1,8 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from lapstream.graph import Graph
+
+# for tests/mutants.py, which reads only whether the tests fail: a failing
+# example fails the run as found, unshrunk
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"

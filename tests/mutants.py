@@ -7,9 +7,15 @@ to a temporary directory and applies the change there; the working tree
 is never edited. On the copy it runs ``pytest -x -q`` on the mutated
 module's own test file, ``tests/test_<stem>.py``, where there is one, and
 on the whole of ``tests`` only if that file passes (a line says so). A
-mutant is killed when the last run fails. The gate fails if a mutant
-survives, or if a mutant's text does not occur exactly once in its file,
-so a refactor cannot leave a mutant pointing at code that is gone.
+mutant is killed when the last run fails, or when a run takes more than
+``TIMEOUT_FACTOR`` times as long as the same tests unmutated, and at least
+``MIN_TIMEOUT`` seconds: the run's process group is then killed and a line
+says the mutant timed out, so a mutant that makes a loop endless cannot
+hang the gate. To know those times, the gate first runs each test file
+once on an unmutated copy; it fails if one of them fails there. The gate
+fails if a mutant survives, or if a mutant's text does not occur exactly
+once in its file, so a refactor cannot leave a mutant pointing at code
+that is gone.
 
 Run it from anywhere (pytest does not collect it), two copies at a time::
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,6 +41,15 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2  # copies tested at a time
+# a mutant's pytest run is stopped, and its mutant counted as killed, past this
+# many times the unmutated run of the same tests, and never before MIN_TIMEOUT s
+TIMEOUT_FACTOR = 5
+MIN_TIMEOUT = 60
+# pytest's search of the installed packages for plugins cost each run about
+# 0.8 s on a 2-core VM, so it is turned off and the one plugin the tests use
+# is loaded by name; the "mutants" profile (tests/conftest.py) does not shrink
+# a failing example, as the gate reads only whether the tests fail
+HYPOTHESIS = ["-p", "hypothesis.extra.pytestplugin", "--hypothesis-seed=0", "--hypothesis-profile=mutants"]
 
 
 class Mutant(NamedTuple):
@@ -63,12 +79,18 @@ MUTANTS = [
         "an integral weight written at E > 0 is stored unscaled",
     ),
     Mutant(G, "w = num << (shift - k)", "w = num << shift", "a fractional weight is stored too large"),
-    Mutant(G, "_rescale(rows, strength, lshift, d)", "pass", "a finer weight leaves the rows and strengths unscaled"),
+    Mutant(
+        G,
+        "[{q: x << d for q, x in row.items()} for row in rows],",
+        "list(rows),",
+        "a finer weight leaves the rows unscaled",
+    ),
+    Mutant(G, "[s << d for s in strength],", "list(strength),", "a finer weight leaves the strengths unscaled"),
     Mutant(G, "s0[x] <<= d", "pass", "a rescale leaves the strengths in s0 unscaled"),
     Mutant(
         G,
-        "log[:] = [(p, q, a if a is None else a << d, b << d) for p, q, a, b in log]",
-        "pass",
+        "[(p, q, a if a is None else a << d, b << d) for p, q, a, b in log],",
+        "list(log),",
         "a rescale leaves the write log unscaled",
     ),
     Mutant(G, "if pair in gone:", "if pair in gone and w is None:", "a pair removed twice is not refused"),
@@ -80,11 +102,28 @@ MUTANTS = [
     ),
     Mutant(G, "strength[x] = sum(rows[x].values())", "pass", "a rejected delta leaves its strengths written"),
     Mutant(G, "self._version = stamp", "pass", "a rejected delta renews the stamp"),
-    Mutant(G, "pos.popitem()", "break", "a rejected delta leaves its new nodes in the position table"),
-    Mutant(G, "n, shift = n0, shift0", "n = n0", "a rejected delta leaves E raised"),
+    Mutant(G, "pos.popitem()", "pass", "a rejected delta that made a node never ends"),
     Mutant(
         G,
-        "_rescale(rows, strength, rshift, shift - shift0)",
+        "strength[q] -= w\n            self._num_edges, self._shift = n, shift",
+        "strength[q] -= w\n            self._num_edges = n",
+        "a delta that raises E leaves the graph's E as it was",
+    ),
+    Mutant(
+        G,
+        "else:\n                self._num_edges, self._shift = n, shift",
+        "else:\n                pass",
+        "a constructor that meets a bad edge leaves the edges before it uncounted",
+    ),
+    Mutant(
+        G,
+        "            else:\n                self._num_edges, self._shift = n, shift",
+        "            self._num_edges, self._shift = n, shift",
+        "a rejected delta leaves E raised",
+    ),
+    Mutant(
+        G,
+        "_unscale(rows, strength, shift - shift0)",
         "pass",
         "a rejected delta leaves the weights and strengths rescaled",
     ),
@@ -331,12 +370,6 @@ MUTANTS = [
         "except FloatRangeError as exc:",
         "a dump of a graph of zero energy does not name its step",
     ),
-    Mutant(
-        L,
-        'print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)\n            return 2',
-        'print(f"inconsistent delta at step {step}: {exc}", file=sys.stderr)\n            return 0',
-        "validate exits 0 on an inconsistent stream",
-    ),
     # a normalized map's stamp, and the window length read as an int
     Mutant(
         C,
@@ -383,27 +416,58 @@ def check_texts(mutants) -> list[str]:
     return problems
 
 
-def run(k: int, m: Mutant) -> tuple[int, bool, bool, float]:
+def copy(tmp: str, m: Mutant | None = None) -> None:
+    """Copy ``src``, ``tests`` and ``benchmarks`` to ``tmp``, with mutant
+    ``m`` applied where it is given."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests", "benchmarks"):
+        shutil.copytree(ROOT / part, Path(tmp) / part, ignore=ignore)
+    if m is not None:
+        target = Path(tmp) / m.path
+        target.write_text(target.read_text().replace(m.text, m.replacement))
+
+
+def fails(tmp: str, path: str, timeout: float | None) -> bool | None:
+    """True when the tests under ``path`` fail on the copy at ``tmp``, None
+    when they run past ``timeout`` seconds. The run has its own process
+    group, which is killed on a timeout before this returns."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *HYPOTHESIS, path]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    out = subprocess.DEVNULL
+    proc = subprocess.Popen(cmd, cwd=tmp, env=env, stdout=out, stderr=out, start_new_session=True)
+    try:
+        return proc.wait(timeout) != 0
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        if proc.returncode is None:  # timed out, or the gate itself was interrupted
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def timed(path: str) -> tuple[str, float, bool]:
+    """Run the test file ``path`` once on an unmutated copy; returns
+    ``(path, seconds, failed)``."""
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        copy(tmp)
+        t0 = time.perf_counter()
+        failed = fails(tmp, path, None)
+        return path, time.perf_counter() - t0, failed
+
+
+def run(k: int, m: Mutant, limits: dict[str, float]) -> tuple[int, bool | None, bool, float]:
     """Apply mutant ``k`` to a fresh copy and run the tests on it, its own
-    file first; returns ``(k, killed, whole suite run, seconds)``."""
+    file first, each run within its time limit; returns ``(k, outcome, whole
+    suite run, seconds)``, the outcome as :func:`fails` gives it."""
     t0 = time.perf_counter()
     own = f"tests/test_{Path(m.path).stem}.py"
     with tempfile.TemporaryDirectory(prefix=f"mutant{k}-") as tmp:
-        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-        for part in ("src", "tests", "benchmarks"):
-            shutil.copytree(ROOT / part, Path(tmp) / part, ignore=ignore)
-        target = Path(tmp) / m.path
-        target.write_text(target.read_text().replace(m.text, m.replacement))
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-
-        def fails(path: str) -> bool:
-            """True when the tests under ``path`` fail on the copy."""
-            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", path]
-            return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode != 0
-
-        own_killed = (Path(tmp) / own).exists() and fails(own)
-        killed = own_killed or fails("tests")
-    return k, killed, not own_killed, time.perf_counter() - t0
+        copy(tmp, m)
+        outcome = (Path(tmp) / own).exists() and fails(tmp, own, limits[own])
+        whole = outcome is False
+        if whole:
+            outcome = fails(tmp, "tests", limits["tests"])
+    return k, outcome, whole, time.perf_counter() - t0
 
 
 def main() -> int:
@@ -413,13 +477,26 @@ def main() -> int:
         print("\n".join(problems), file=sys.stderr)
         return 1
     t0 = time.perf_counter()
+    files = sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py"))
+    with ThreadPoolExecutor(JOBS) as pool:
+        runs = list(pool.map(timed, files))
+    broken = [path for path, _, failed in runs if failed]
+    if broken:
+        print(f"the unmutated tests fail: {' '.join(broken)}", file=sys.stderr)
+        return 1
+    limits = {path: max(MIN_TIMEOUT, TIMEOUT_FACTOR * seconds) for path, seconds, _ in runs}
+    limits["tests"] = max(MIN_TIMEOUT, TIMEOUT_FACTOR * sum(seconds for _, seconds, _ in runs))
+    print(f"unmutated test files timed in {time.perf_counter() - t0:.0f}s", flush=True)
     survivors = []
     with ThreadPoolExecutor(JOBS) as pool:
-        for k, killed, whole, seconds in pool.map(lambda km: run(*km), mutants):
+        for k, outcome, whole, seconds in pool.map(lambda km: run(*km, limits), mutants):
             m = MUTANTS[k]
+            killed = outcome is not False
             print(f"{k:3d} {'killed  ' if killed else 'SURVIVED'} {seconds:5.1f}s {m.path}: {m.breaks}", flush=True)
             if whole:
                 print(f"    mutant {k} needed the whole suite", flush=True)
+            if outcome is None:
+                print(f"    mutant {k} timed out", flush=True)
             if not killed:
                 survivors.append(k)
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed in {time.perf_counter() - t0:.0f}s")

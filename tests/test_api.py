@@ -60,7 +60,6 @@ def test_graph_surface_is_pinned():
     assert {n for n in dir(Graph) if not n.startswith("_")} == {
         "copy",
         "edges",
-        "has_edge",
         "num_edges",
         "num_nodes",
     }

@@ -51,7 +51,7 @@ class TestBenchStream:
         # both records of a step describe the same post-delta graph and delta
         sizes = attrgetter("step", "num_nodes", "num_edges", "added_edges", "removed_edges")
         assert list(map(sizes, result.batch)) == list(map(sizes, result.dynamic))
-        assert len(result.batch) == stream.num_steps
+        assert len(result.batch) == len(stream.deltas) + 1
 
     def test_cumulative_is_prefix_sum(self):
         stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
@@ -78,8 +78,9 @@ class TestBenchStream:
     def test_compare_keeps_one_map_per_step(self):
         stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=3, seed=1)
         result = bench_stream(stream, "compare", "unweighted")
-        assert len(result.maps) == stream.num_steps
-        assert len({id(m.values) for m in result.maps}) == stream.num_steps
+        steps = len(stream.deltas) + 1
+        assert len(result.maps) == steps
+        assert len({id(m.values) for m in result.maps}) == steps
         computed = [m.computed_count for m in result.maps]
         assert computed == [r.centralities_computed for r in result.dynamic]
 
@@ -122,7 +123,7 @@ class TestBenchStream:
         stream = snapshots_window(events, "daily", 3, "accumulate")
         kept = bench_stream(stream, "compare", variant).maps
         maps = run_evolving(stream.initial.copy(), stream.deltas, "dynamic", variant)
-        assert len(kept) == len(maps) == stream.num_steps
+        assert len(kept) == len(maps) == len(stream.deltas) + 1
         assert len(maps[0].values) < len(maps[-1].values)
         assert any(d.removes for d in stream.deltas)
         for a, b in zip(kept, maps):
@@ -349,7 +350,7 @@ class TestExactGate:
                 assert (g._shift > 0) == (kind not in ("integral", "large"))
                 for variant in ("unweighted", "weighted"):
                     result = bench_stream(stream, "compare", variant)
-                    assert len(result.maps) == stream.num_steps == 20
+                    assert len(result.maps) == len(stream.deltas) + 1 == 20
         assert any(d.removes for d in streams[1].deltas)
 
 

@@ -445,7 +445,8 @@ class TestLocality:
         for _ in range(20):
             g = random_graph(rng, 30, 60)
             v = rng.choice(list(g._pos))
-            forbidden = {v} | set(node_rows(g)[v])
+            rows = node_rows(g)
+            forbidden = {v} | set(rows[v])
             candidates = [
                 (a, b)
                 for a in g._pos
@@ -456,7 +457,7 @@ class TestLocality:
                 continue
             a, b = rng.choice(candidates)
             before = lap_cent(g, "unweighted").values[v]
-            if g.has_edge(a, b):
+            if b in rows[a]:
                 apply_delta(g, EdgeDelta(removes=[(a, b)]))
             else:
                 apply_delta(g, EdgeDelta(adds=[(a, b)]))

@@ -6,30 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TOY_EDGES
-from genutil import far_delta, far_graph, graph_state
-
 import lapstream
 from lapstream import cli
 from lapstream.bench import CSV_HEADER
 from lapstream.cli import cli_main
-from lapstream.errors import LapstreamError
-from lapstream.graph import Edge, Graph
-from lapstream.incremental import EdgeDelta, apply_delta
-from lapstream.ingest import SnapshotStream, bucket_events
-
-# deltas validate rejects on the toy graph, each with the index of the add its
-# duplicate audit reports, or None where the audit passes and apply_delta's own
-# check rejects; the audit runs over every add before any is applied
-AUDITED_DELTAS = [
-    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]), 1),
-    (EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]), 1),
-    (EdgeDelta(adds=[Edge(2, 1), Edge(3, 3)]), 0),
-    (EdgeDelta(adds=[Edge(9, 1), Edge(1, 9), Edge(2, 8, 10**400)]), 1),
-    (EdgeDelta(adds=[Edge(3, 2)], removes=[(1, 6)]), 0),
-    (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), None),
-    (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 2), (2, 1)]), None),
-]
+from lapstream.ingest import bucket_events
 
 # a delta of the second window adds (3, 4) at weight -5e-324
 NEGATIVE_WEIGHT = "1 2 5e-324 0\n2 3 0.1 86400\n1 2 1.5 86400\n3 4 -5e-324 172800\n"
@@ -37,8 +18,8 @@ NEGATIVE_WEIGHT_ARGV = ["compare", "--variant", "weighted", "--window", "2", "--
 
 
 def _stream(*argv):
-    """The stream ``validate`` would read from these flags."""
-    return cli._stream(cli.build_parser().parse_args(["validate", *map(str, argv)]))
+    """The stream ``run`` would read from these flags."""
+    return cli._stream(cli.build_parser().parse_args(["run", *map(str, argv)]))
 
 
 class TestStream:
@@ -235,7 +216,7 @@ class TestRunCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "compare", "validate", "centrality"])
+    @pytest.mark.parametrize("command", ["run", "compare", "centrality"])
     def test_empty_dataset_is_data_error(self, tmp_path, capsys, command):
         empty = tmp_path / "only_comments.txt"
         empty.write_text("# nothing here\n")
@@ -330,22 +311,14 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_strict_flag_is_gone(self, data_dir, capsys, command):
         stream = str(data_dir / "toy_stream.txt")
         code = cli_main([command, "--input", stream, "--snapshot", "count:7", "--strict"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_validate_takes_no_variant(self, data_dir, capsys):
-        stream = str(data_dir / "toy_stream.txt")
-        code = cli_main(
-            ["validate", "--input", stream, "--snapshot", "count:7", "--variant", "weighted"]
-        )
-        assert code == 1
-        assert "usage error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "flags",
         [
@@ -368,8 +341,9 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert cli_main(["run"]) == 1
 
-    def test_unknown_subcommand(self, capsys):
-        assert cli_main(["explode"]) == 1
+    @pytest.mark.parametrize("command", ["explode", "validate"])
+    def test_unknown_subcommand(self, capsys, command):
+        assert cli_main([command]) == 1
 
     @pytest.mark.parametrize(
         "flags",
@@ -410,7 +384,7 @@ class TestUsageErrors:
         except ValueError:
             taken = False
         try:
-            cli.build_parser().parse_args(["validate", "--input", "x.txt", "--snapshot", period])
+            cli.build_parser().parse_args(["run", "--input", "x.txt", "--snapshot", period])
             parsed = True
         except cli._UsageError:
             parsed = False
@@ -442,76 +416,6 @@ class TestUsageErrors:
         assert "usage error" in err
         assert f"needs {missing}" in err
         assert not (tmp_path / "out").exists()
-
-
-class TestValidateCommand:
-    def test_consistent_stream(self, data_dir, capsys):
-        code = cli_main(
-            ["validate", "--input", str(data_dir / "toy_stream.txt"), "--snapshot", "count:7"]
-        )
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_upsert_flagged_in_strict_audit(self, tmp_path, capsys):
-        path = tmp_path / "events.txt"
-        path.write_text("1 2 1.0 0\n1 2 5.0 86400\n")
-        code = cli_main(["validate", "--input", str(path), "--snapshot", "daily"])
-        assert code == 2
-        assert "step 1" in capsys.readouterr().err
-
-    def test_consistent_snapshot_dir_passes(self, tmp_path, capsys):
-        # the second snapshot removes (1, 2) and adds (2, 3)
-        (tmp_path / "a.txt").write_text("1 2\n")
-        (tmp_path / "b.txt").write_text("2 3\n")
-        code = cli_main(["validate", "--input", str(tmp_path)])
-        assert code == 0
-        assert "ok: 2 steps" in capsys.readouterr().out
-
-    def test_reweighted_snapshot_dir_fails(self, tmp_path, capsys):
-        # the second snapshot re-weights (1, 2), an upsert of a present edge
-        (tmp_path / "a.txt").write_text("1 2 1.0\n2 3\n")
-        (tmp_path / "b.txt").write_text("1 2 5.0\n2 3\n")
-        code = cli_main(["validate", "--input", str(tmp_path)])
-        assert code == 2
-        assert "step 1: edge (1, 2) already present" in capsys.readouterr().err
-
-    def test_pair_added_twice_in_one_delta(self, monkeypatch, capsys):
-        # no builder emits such a delta, so hand one to the command
-        stream = SnapshotStream(Graph([(1, 2)]), [EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)])])
-        monkeypatch.setattr(cli, "_stream", lambda args: stream)
-        code = cli_main(["validate", "--input", "unused.txt"])
-        assert code == 2
-        assert "step 1: edge (9, 1) already present" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("far", [False, True])
-    @pytest.mark.parametrize("fractional", [False, True])
-    @pytest.mark.parametrize("delta, culprit", AUDITED_DELTAS)
-    def test_audit_reports_first_duplicate(
-        self, monkeypatch, capsys, delta, culprit, fractional, far
-    ):
-        """validate names the step and the first duplicate add, ahead of any
-        other fault in the delta, and leaves the stream's graph as it was."""
-        g = Graph(TOY_EDGES + ([(6, 7, 0.5)] if fractional else []))
-        deltas = [EdgeDelta(adds=[Edge(6, 8)]), delta]
-        if far:
-            g, deltas = far_graph(g), [far_delta(d) for d in deltas]
-        if culprit is None:
-            after = g.copy()
-            apply_delta(after, deltas[0])
-            with pytest.raises(LapstreamError) as raised:
-                apply_delta(after, deltas[1])
-            message = str(raised.value)
-        else:
-            u, v, _ = deltas[1].adds[culprit]
-            message = f"edge ({u}, {v}) already present"
-        before = g.copy()
-        stream = SnapshotStream(g, deltas)
-        monkeypatch.setattr(cli, "_stream", lambda args: stream)
-        assert cli_main(["validate", "--input", "unused.txt"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"inconsistent delta at step 2: {message}\n"
-        assert captured.out == ""
-        assert graph_state(stream.initial) == graph_state(before)
 
 
 class TestVersion:

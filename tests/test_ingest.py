@@ -388,7 +388,7 @@ class TestCumulative:
     def test_single_bucket(self):
         events = parse_edge_events(["1 2", "2 3"])
         stream = snapshots_cumulative(events, "count:10")
-        assert stream.num_steps == 1
+        assert stream.deltas == []
         assert stream.initial.num_edges == 2
 
     def test_daily_buckets(self):
@@ -399,7 +399,7 @@ class TestCumulative:
             (4, 5, 1.0, 3 * DAY),
         ]
         stream = snapshots_cumulative(events, "daily")
-        assert stream.num_steps == 3
+        assert len(stream.deltas) == 2
         labels = [label for label, _ in bucket_events(events, "daily")]
         assert labels == ["1970-01-01", "1970-01-02", "1970-01-04"]
         assert [len(d.adds) for d in stream.deltas] == [2, 1]
