@@ -6,11 +6,29 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TOY_EDGES
+from genutil import far_delta, far_graph, graph_state
+
 import lapstream
 from lapstream import cli
 from lapstream.bench import CSV_HEADER
 from lapstream.cli import cli_main
-from lapstream.ingest import bucket_events
+from lapstream.errors import LapstreamError
+from lapstream.graph import Edge, Graph
+from lapstream.incremental import EdgeDelta, apply_delta
+from lapstream.ingest import SnapshotStream, bucket_events
+
+# second deltas of a stream on the toy graph, each with whether apply_delta
+# takes it: a re-add of a present edge is an upsert, so the first two apply
+SECOND_DELTAS = [
+    (EdgeDelta(adds=[Edge(1, 9), Edge(2, 1)]), True),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(9, 1)]), True),
+    (EdgeDelta(adds=[Edge(2, 1), Edge(3, 3)]), False),
+    (EdgeDelta(adds=[Edge(9, 1), Edge(1, 9), Edge(2, 8, 10**400)]), False),
+    (EdgeDelta(adds=[Edge(3, 2)], removes=[(1, 6)]), False),
+    (EdgeDelta(adds=[Edge(1, 9), Edge(3, 3)]), False),
+    (EdgeDelta(adds=[Edge(1, 9)], removes=[(1, 2), (2, 1)]), False),
+]
 
 # a delta of the second window adds (3, 4) at weight -5e-324
 NEGATIVE_WEIGHT = "1 2 5e-324 0\n2 3 0.1 86400\n1 2 1.5 86400\n3 4 -5e-324 172800\n"
@@ -416,6 +434,45 @@ class TestUsageErrors:
         assert "usage error" in err
         assert f"needs {missing}" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestSecondDelta:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("far", [False, True])
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("delta, applies", SECOND_DELTAS)
+    def test_step_of_a_rejected_delta(
+        self, monkeypatch, capsys, delta, applies, fractional, far, command
+    ):
+        """run and compare take an upsert, and report a delta apply_delta
+        rejects with its step and apply_delta's own message, with nothing on
+        stdout; either way the stream's graph is left as it was."""
+        g = Graph(TOY_EDGES + ([(6, 7, 0.5)] if fractional else []))
+        deltas = [EdgeDelta(adds=[Edge(6, 8)]), delta]
+        if far:
+            g, deltas = far_graph(g), [far_delta(d) for d in deltas]
+        after = g.copy()
+        apply_delta(after, deltas[0])
+        try:
+            apply_delta(after, deltas[1])
+            message = None
+        except LapstreamError as exc:
+            message = str(exc)
+        assert (message is None) == applies
+        before = g.copy()
+        stream = SnapshotStream(g, deltas)
+        monkeypatch.setattr(cli, "_stream", lambda args: stream)
+        code = cli_main([command, "--input", "unused.txt", "--variant", "weighted"])
+        captured = capsys.readouterr()
+        if applies:
+            assert code == 0
+            assert captured.out.splitlines()[0] == CSV_HEADER
+            assert len(captured.out.splitlines()) == 4
+        else:
+            assert code == 2
+            assert captured.err == f"error: delta at step 2: {message}\n"
+            assert captured.out == ""
+        assert graph_state(stream.initial) == graph_state(before)
 
 
 class TestVersion:
