@@ -52,6 +52,8 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--json", metavar="PATH", help="also write the medians as JSON to PATH")
     args = parser.parse_args()
+    if args.repeat < 1:  # a median needs one run
+        parser.error(f"argument --repeat: must be at least 1, not {args.repeat}")
 
     lines = event_lines(EVENTS, IDS, SEED)
     tracemalloc.start()

@@ -38,7 +38,10 @@ class EmptyDatasetError(LapstreamError):
 
 
 class DeltaError(LapstreamError):
-    """A delta could not be applied; aborts an evolving run."""
+    """A delta could not be applied; aborts an evolving run. ``step`` is k for
+    the k-th delta: the index of the map it would have made in
+    :func:`~lapstream.incremental.run_evolving`'s list, one less than that
+    map's CSV ``step`` and its ``step_NNNN.csv`` dump."""
 
     def __init__(self, step, cause):
         super().__init__(f"delta at step {step}: {cause}")

@@ -12,10 +12,11 @@ There are two writers, the constructor ``Graph(edges)`` and every delta of
 the only walk over the edges: it records, as it checks each one, the old
 strength of every endpoint, and logs every write once, old and new weight.
 The incremental step reads its pair terms from that log. The undo of a
-rejected delta reads nothing else: it replays the log newest first, putting
-back what was there whether or not each write was made, and reads each
-endpoint's strength off its row. The same loop stores every weight as an
-exact ``int``.
+failed call reads nothing else: it replays the log newest first, putting
+back what was there whether or not each write was made, reads each
+endpoint's strength off its row and drops the nodes the call made, every
+node for the constructor. The same loop stores every weight as an exact
+``int``.
 
 Exact weights. Every finite float is a dyadic rational, num / 2**e. The
 graph keeps one scale exponent E, ``_shift``: the largest e of any weight
@@ -94,10 +95,10 @@ class Graph:
     """Undirected weighted graph with O(1) amortized edge add/remove.
 
     ``Graph(edges)`` builds the graph from (u, v) or (u, v, weight) tuples
-    in one pass, checking and warning on each edge as a delta does; the
-    edges may come from any iterable, a generator included. After that it
-    changes only through deltas: :func:`lapstream.incremental.apply_delta`
-    and the incremental step.
+    in one pass, checking and warning on each edge as a delta does (a bad
+    edge raises, leaving no graph); the edges may come from any iterable,
+    a generator included. After that it changes only through deltas:
+    :func:`lapstream.incremental.apply_delta` and the incremental step.
 
     Re-adding an existing edge replaces its weight (upsert).
 
@@ -158,14 +159,13 @@ class Graph:
         before any is written: a pair removed twice or a pair not present
         raises :class:`MissingEdgeError`.
 
-        The edge count and E are stored once, as the last line of the writes:
-        with ``read`` None, the constructor's case, a bad add raises with the
-        edges before it written and counted.
-        With ``read`` "unweighted" or "weighted" the call applies a delta, all
-        or nothing: any exception undoes the writes and the rescale, so rows,
-        the strengths, the node table, E and, as the undo's last step, the
-        stamp are as they were; a call that an interrupt cuts short where no
-        undo runs to its end keeps the stamp it took before its first write.
+        The call is all or nothing: any exception undoes the writes and the
+        rescale, so the rows, the strengths, the node table, the edge count,
+        E and, last, the stamp are as they were; a call that an interrupt cuts
+        short where no undo runs to its end keeps the stamp it took before its
+        first write. ``read`` "unweighted" or "weighted" applies a delta; None
+        is the constructor's call on an empty graph, which the undo leaves
+        empty.
         A check raises before any remove is written, so it keeps the rows'
         order; a cut-short commit of the removes puts its pairs back at the
         ends of their rows.
@@ -176,9 +176,8 @@ class Graph:
         each add as it is written, ``old`` None for an absent pair, then each
         remove as it is checked, ``old`` its weight after the adds and
         ``new`` None. A pair written twice has two entries, so its weights
-        run from its first ``old`` to its last ``new``. The undo replays the
-        log newest first, then sums the rows of s0's keys into their
-        strengths. Both are empty when ``read`` is None.
+        run from its first ``old`` to its last ``new``, and the undo replays
+        the log newest first. Both are empty when ``read`` is None.
         """
         rows = self._rows
         strength = self._strength
@@ -288,12 +287,11 @@ class Graph:
                 if pair in gone:
                     raise MissingEdgeError(f"cannot remove edge ({u}, {v}) twice")
                 gone[pair] = w
-                if delta:
-                    if p not in s0:
-                        s0[p] = len(rows[p]) if degrees else strength[p]
-                    if q not in s0:
-                        s0[q] = len(rows[q]) if degrees else strength[q]
-                    write((p, q, w, None))
+                if p not in s0:
+                    s0[p] = len(rows[p]) if degrees else strength[p]
+                if q not in s0:
+                    s0[q] = len(rows[q]) if degrees else strength[q]
+                write((p, q, w, None))
             for (p, q), w in gone.items():
                 del rows[p][q], rows[q][p]
                 n -= 1
@@ -301,29 +299,26 @@ class Graph:
                 strength[q] -= w
             self._num_edges, self._shift = n, shift
         except BaseException:
-            if delta:
-                # a pair's writes go back newest first, to its first old
-                # weight, whether each was made or not; the strengths are then
-                # read off the rows, as s0 holds every endpoint written
-                for p, q, old, _ in reversed(log):
-                    if old is None:
-                        rows[p].pop(q, None)
-                        rows[q].pop(p, None)
-                    else:
-                        rows[p][q] = rows[q][p] = old
-                for x in s0:
-                    strength[x] = sum(rows[x].values())
-                # nodes are never deleted, so those new to the graph hold the
-                # last positions, and are the newest keys of pos
-                del rows[known:], strength[known:]
-                while len(pos) > known:
-                    pos.popitem()
-                # every weight and strength is a multiple of 2**(shift - shift0)
-                # again, so the rescale's undo is exact
-                _unscale(rows, strength, shift - shift0)
-                self._version = stamp
-            else:
-                self._num_edges, self._shift = n, shift
+            # a pair's writes go back newest first, to its first old weight,
+            # whether each was made or not; the strengths are then read off
+            # the rows, as s0 holds every endpoint written
+            for p, q, old, _ in reversed(log):
+                if old is None:
+                    rows[p].pop(q, None)
+                    rows[q].pop(p, None)
+                else:
+                    rows[p][q] = rows[q][p] = old
+            for x in s0:
+                strength[x] = sum(rows[x].values())
+            # nodes are never deleted, so those new to the graph hold the
+            # last positions, and are the newest keys of pos
+            del rows[known:], strength[known:]
+            while len(pos) > known:
+                pos.popitem()
+            # every weight and strength is a multiple of 2**(shift - shift0)
+            # again, so the rescale's undo is exact
+            _unscale(rows, strength, shift - shift0)
+            self._version = stamp
             raise
         return s0, log
 

@@ -197,8 +197,8 @@ def evolve(
     Step 0 is a full computation on ``g``. Dynamic mode updates one map in
     place, so a yielded map holds its step only until the next one is asked
     for, and the clock covers the whole step. Batch mode applies each delta
-    off the clock and times only the full recomputation. A delta that cannot
-    be applied aborts with :class:`DeltaError` carrying the step index.
+    off the clock and times only the full recomputation. The k-th delta, if
+    it cannot be applied, aborts with :class:`DeltaError` of ``step`` k.
     """
     if mode not in ("batch", "dynamic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -231,8 +231,8 @@ def run_evolving(
     Returns one map per step, step 0 included; dynamic and batch mode
     produce identical maps. A kept map's values are the step's
     :meth:`~lapstream.centrality.NodeValues.copy`, a tuple over the graph's
-    own node table, which every step of the run shares. A delta that cannot be
-    applied aborts with :class:`DeltaError` carrying the step index.
+    own node table, which every step of the run shares. A k-th delta that
+    fails aborts with :class:`DeltaError` of ``step`` k, its map's index here.
     """
     kept = []
     for cmap, _ in evolve(initial, deltas, mode, variant):

@@ -111,14 +111,8 @@ MUTANTS = [
     ),
     Mutant(
         G,
-        "else:\n                self._num_edges, self._shift = n, shift",
-        "else:\n                pass",
-        "a constructor that meets a bad edge leaves the edges before it uncounted",
-    ),
-    Mutant(
-        G,
-        "            else:\n                self._num_edges, self._shift = n, shift",
-        "            self._num_edges, self._shift = n, shift",
+        "self._version = stamp\n            raise",
+        "self._version = stamp\n            self._num_edges, self._shift = n, shift\n            raise",
         "a rejected delta leaves E raised",
     ),
     Mutant(
@@ -399,7 +393,7 @@ MUTANTS = [
     ),
     Mutant(
         G,
-        "rows[p].pop(q, None)\n                        rows[q].pop(p, None)",
+        "rows[p].pop(q, None)\n                    rows[q].pop(p, None)",
         "del rows[p][q], rows[q][p]",
         "an undo that meets a logged add not yet written raises KeyError and leaves the delta half applied",
     ),
