@@ -313,7 +313,7 @@ class Graph:
             # nodes are never deleted, so those new to the graph hold the
             # last positions, and are the newest keys of pos
             del rows[known:], strength[known:]
-            while len(pos) > known:
+            for _ in range(len(pos) - known):
                 pos.popitem()
             # every weight and strength is a multiple of 2**(shift - shift0)
             # again, so the rescale's undo is exact
