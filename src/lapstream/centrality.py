@@ -8,8 +8,8 @@ by deleting the node and its incident edges. The per-node closed forms are
 
 for a node v, with the sums over the neighbors j of v (Qi et al., 2012).
 Values are returned non-normalized; divide by the graph energy via
-:func:`normalize` to get values in (0, 1] (guaranteed only for
-non-negative weights).
+:func:`normalize` to get values in [0, 1] for non-negative weights and in
+[-2, 1] for any.
 
 Weights and strengths are exact ints scaled by 2**E (see :mod:`lapstream.graph`),
 so weighted values and the energy are the exact ints C(v) * 2**(2E). Where
@@ -150,10 +150,12 @@ def normalize(cmap: CentralityMap, g: Graph) -> CentralityMap:
     another state of ``g``, is a :class:`TypeError`: a kept map is normalized
     against the graph of its own step, so before a later step changes ``g``.
     The result holds no stamp, as it is no state of ``g``: normalizing it
-    again, or stepping it, is a TypeError too. Values land in (0, 1] for
-    connected graphs with non-negative weights, and in [-2, 1] for any, as a
-    tuple. Each is the correctly rounded ratio of two exact values, even
-    where the energy alone is past the float range or below it."""
+    again, or stepping it, is a TypeError too. Values land in [0, 1] for
+    non-negative weights, and in [-2, 1] for any, as a tuple: a node reads
+    0.0 where it is isolated, where its edges all weigh 0, or where its ratio
+    rounds below the smallest float, on a connected graph too. Each is the
+    correctly rounded ratio of two exact values, even where the energy alone
+    is past the float range or below it."""
     view = cmap.values
     if getattr(view, "_version", None) is not g._version:
         raise TypeError("cmap is not a map of g as it is now; normalize a map against its own graph state")

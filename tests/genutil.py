@@ -188,33 +188,43 @@ def graph_state(g: Graph):
     )
 
 
-def edge_energy(edges, variant: Variant) -> float:
-    """Laplacian energy of an edge list: sum(s^2) + 2 * sum(w^2) over the
-    edges, every w read as 1 when unweighted. Exact on int weights."""
-    strength: dict[int, float] = defaultdict(int)
-    squares = 0
-    for u, v, w in edges:
-        if variant == "unweighted":
-            w = 1
-        strength[u] += w
-        strength[v] += w
-        squares += w * w
-    return sum(s * s for s in strength.values()) + 2 * squares
+def deletion_oracle(nodes, edges, variant: Variant) -> tuple[dict, Fraction]:
+    """Each node's centrality the definitional way, keyed in the order of
+    ``nodes``, and the energy: E(edges) - E(edges not touching the node),
+    and E(edges), with E = sum(s^2) + 2 * sum(w^2) and every w read as 1
+    when unweighted. Deleting a node is dropping its edges: a degree-0 node
+    adds nothing to the energy.
 
-
-def delta_energy_oracle(g: Graph, v: int, variant: Variant) -> float:
-    """Centrality of ``v`` computed the definitional way: the energy of
-    ``g.edges()`` less that of the edges that do not touch ``v``.
-    ``KeyError`` if ``g`` lacks ``v``.
-
-    Independent of the library's closed forms; exists to validate them.
+    Shares no closed form with the library, and is exact: every weight, a
+    dyadic float, is scaled to an int by the largest denominator among them,
+    as :func:`exponent` reads it, and each result is a ``Fraction``.
     """
-    if v not in g._pos:
-        raise KeyError(v)
-    edges = list(g.edges())
-    # deleting v == dropping its edges: a degree-0 node adds nothing to the energy
-    kept = [e for e in edges if v not in e[:2]]
-    return edge_energy(edges, variant) - edge_energy(kept, variant)
+    edges = [(u, v, 1 if variant == "unweighted" else w) for u, v, w in edges]
+    k = exponent(w for _, _, w in edges)
+    edges = [(u, v, int(Fraction(w) * (1 << k))) for u, v, w in edges]
+
+    def energy(edges) -> int:
+        strength: dict[int, int] = defaultdict(int)
+        squares = 0
+        for u, v, w in edges:
+            strength[u] += w
+            strength[v] += w
+            squares += w * w
+        return sum(s * s for s in strength.values()) + 2 * squares
+
+    full = energy(edges)
+    drops = {x: Fraction(full - energy([e for e in edges if x not in e[:2]]), 4**k) for x in nodes}
+    return drops, Fraction(full, 4**k)
+
+
+def reading(x: Fraction, integral: bool):
+    """What a map reads for the exact value ``x``: the int itself where
+    ``integral`` (unweighted, or weighted at scale E = 0), else its correctly
+    rounded float."""
+    if integral:
+        assert x.denominator == 1, x
+        return int(x)
+    return float(x)
 
 
 @dataclass

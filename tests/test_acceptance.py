@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from conftest import GOLDEN_DIR, TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import affected_nodes, delta_energy_oracle, node_rows, random_delta, random_graph
+from genutil import affected_nodes, bits, deletion_oracle, node_rows, random_delta, random_graph, reading
 
 from lapstream.bench import bench_stream, diff_maps, emit_csv
 from lapstream.centrality import lap_cent
@@ -141,31 +141,24 @@ def test_criterion_4_work_bound(randomized_runs):
 def test_criterion_3_energy_drop_oracle():
     t0 = time.perf_counter()
     checked = 0
-    worst = 0.0
     for i in range(100):
         rng = random.Random(7000 + i)
         integer = i % 2 == 0
         n = rng.randint(3, 100)
         g = random_graph(rng, n, rng.randint(2, 3 * n), integer)
         for variant in ("unweighted", "weighted"):
-            values = lap_cent(g, variant).values
-            for v in g._pos:
-                oracle = delta_energy_oracle(g, v, variant)
-                if variant == "unweighted" or integer:
-                    assert values[v] == oracle, (i, variant, v)
-                else:
-                    scale = max(1.0, abs(oracle))
-                    err = abs(values[v] - oracle) / scale
-                    worst = max(worst, err)
-                    assert err <= 1e-9, (i, variant, v, err)
-                checked += 1
+            drops, _ = deletion_oracle(g._pos, g.edges(), variant)
+            integral = variant == "unweighted" or integer
+            want = {v: reading(x, integral) for v, x in drops.items()}
+            assert bits(lap_cent(g, variant).values) == bits(want), (i, variant)
+            checked += len(want)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30.0
     _verdict(
         "3 energy-drop oracle",
         ok,
-        f"{checked} node values on 100 graphs, worst rel err {worst:.2e}, "
-        f"{elapsed:.1f}s < 30s",
+        f"{checked} node values on 100 graphs, each the exact drop as the int "
+        f"itself or its correctly rounded float, {elapsed:.1f}s < 30s",
     )
 
 

@@ -59,7 +59,7 @@ class TestBenchStream:
         total = 0.0
         for rec in result.dynamic:
             total += rec.elapsed_s
-            assert rec.cumulative_s == pytest.approx(total, abs=1e-9)
+            assert rec.cumulative_s == total
 
     def test_single_snapshot_work_parity(self):
         stream = SnapshotStream(churn_stream(2000, 3, 0, 0, 0, seed=5).initial)

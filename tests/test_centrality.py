@@ -1,14 +1,12 @@
 import io
 import random
 import warnings
-from collections import defaultdict
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import TOY_EDGES, TOY_STEP1, TOY_STEP2
-from genutil import bits, delta_energy_oracle, graph_state, node_rows, random_graph, with_isolated
+from genutil import bits, deletion_oracle, graph_state, node_rows, random_graph, reading, with_isolated
 
 from lapstream.bench import bench_stream
 from lapstream.centrality import CentralityMap, lap_cent, normalize, write_centralities
@@ -18,36 +16,15 @@ from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove
 from lapstream.ingest import SnapshotStream
 
 
-def dense_trace_energy(g: Graph, variant: str) -> float:
-    """Independent energy oracle: trace of the squared dense Laplacian."""
-    nodes = sorted(g._pos)
-    index = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    lap = np.zeros((n, n))
-    for u, v, weight in g.edges():
-        w = 1.0 if variant == "unweighted" else weight
-        i, j = index[u], index[v]
-        lap[i, j] -= w
-        lap[j, i] -= w
-        lap[i, i] += w
-        lap[j, j] += w
-    return float(np.trace(lap @ lap))
+def oracle(g: Graph, variant: str) -> tuple[dict, Fraction]:
+    """The exact drop of each of ``g``'s nodes, in position order, and the energy."""
+    return deletion_oracle(g._pos, g.edges(), variant)
 
 
-def exact_weighted_values(g: Graph) -> dict[int, Fraction]:
-    """Test-only oracle: exact C(x) = s^2 + sum(w * (w + 2 * s_j)) from the edge list."""
-    strength: dict[int, Fraction] = defaultdict(Fraction)
-    rows: dict[int, list] = defaultdict(list)
-    for u, v, weight in g.edges():
-        w = Fraction(weight)
-        strength[u] += w
-        strength[v] += w
-        rows[u].append((v, w))
-        rows[v].append((u, w))
-    return {
-        x: s * s + sum(w * (w + 2 * strength[j]) for j, w in rows[x])
-        for x, s in strength.items()
-    }
+def oracle_normalized(g: Graph, variant: str) -> dict:
+    """Each node's drop over the energy, correctly rounded: what ``normalize`` reads."""
+    drops, energy = oracle(g, variant)
+    return {x: float(c / energy) for x, c in drops.items()}
 
 
 class TestBatchUnweighted:
@@ -94,8 +71,7 @@ class TestBatchWeighted:
         # center 64, leaves 28 and 48, all confirmed by the deletion oracle
         values = lap_cent(weighted_star, "weighted").values
         assert values == {0: 64.0, 1: 28.0, 2: 48.0}
-        for v in (0, 1, 2):
-            assert values[v] == delta_energy_oracle(weighted_star, v, "weighted")
+        assert values == oracle(weighted_star, "weighted")[0]
 
     def test_isolated_node(self):
         g = with_isolated(Graph(), [5, 6])
@@ -127,21 +103,8 @@ class TestBatchWeighted:
         values = lap_cent(g, "weighted").values
         integral = all(w == int(w) for w in pairs.values())
         assert (g._shift == 0) == integral
-        for x, exact in exact_weighted_values(g).items():
-            want = int(exact) if integral else float(exact)
-            assert (type(values[x]), values[x]) == (type(want), want), x
-
-
-def exact_weighted_energy(g: Graph) -> Fraction:
-    """Test-only oracle: sum(s^2) + 2 * sum(w^2 over edges), exactly, from the edge list."""
-    strength: dict[int, Fraction] = defaultdict(Fraction)
-    squares = Fraction(0)
-    for u, v, weight in g.edges():
-        w = Fraction(weight)
-        strength[u] += w
-        strength[v] += w
-        squares += 2 * w * w
-    return sum(s * s for s in strength.values()) + squares
+        drops, _ = oracle(g, "weighted")
+        assert bits(values) == bits({x: reading(c, integral) for x, c in drops.items()})
 
 
 class TestExactRounding:
@@ -156,11 +119,8 @@ class TestExactRounding:
         pairs = {tuple(sorted(rng.sample(range(n), 2))): rng.choice(weights) for _ in range(60)}
         g = Graph((u, v, w) for (u, v), w in pairs.items())
         assert g._shift > 0
-        exact_energy = exact_weighted_energy(g)
-        assert exact_energy.denominator > 1
-        normalized = normalize(lap_cent(g, "weighted"), g).values
-        for x, exact in exact_weighted_values(g).items():
-            assert normalized[x] == float(exact / exact_energy), x
+        assert oracle(g, "weighted")[1].denominator > 1
+        assert normalize(lap_cent(g, "weighted"), g).values == oracle_normalized(g, "weighted")
 
 
 class TestPastTheFloatRange:
@@ -172,11 +132,9 @@ class TestPastTheFloatRange:
         with pytest.raises(FloatRangeError, match="node 1 is past the float range"):
             values[1]
         # the energy is past the float range too, and each ratio is not
-        exact_energy = exact_weighted_energy(g)
         with pytest.raises(OverflowError):
-            float(exact_energy)
-        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize(lap_cent(g, "weighted"), g).values == want
+            float(oracle(g, "weighted")[1])
+        assert normalize(lap_cent(g, "weighted"), g).values == oracle_normalized(g, "weighted")
         with pytest.raises(FloatRangeError, match="node 1 "):
             write_centralities(lap_cent(Graph([(1, 2, 1e300)]), "weighted"), io.StringIO())
 
@@ -187,7 +145,7 @@ class TestPastTheFloatRange:
         values = lap_cent(g, "weighted").values
         with pytest.raises(FloatRangeError):
             values[1]
-        exact = exact_weighted_values(g)
+        exact, _ = oracle(g, "weighted")
         shown = eval(repr(values), {"Fraction": Fraction})
         assert shown == {1: exact[1], 2: exact[2], 3: values[3]}
         assert type(shown[1]) is Fraction and type(shown[3]) is float
@@ -201,10 +159,8 @@ class TestPastTheFloatRange:
         g = Graph([(1, 2, 5e-324), (2, 3, 2.0**-600)])
         cmap = lap_cent(g, "weighted")
         assert cmap.values == {1: 0.0, 2: 0.0, 3: 0.0}
-        exact_energy = exact_weighted_energy(g)
-        assert float(exact_energy) == 0.0
-        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
-        assert normalize(cmap, g).values == want
+        assert float(oracle(g, "weighted")[1]) == 0.0
+        assert normalize(cmap, g).values == oracle_normalized(g, "weighted")
         empty = with_isolated(Graph(), [1, 2])
         with pytest.raises(ZeroEnergyError):
             normalize(lap_cent(empty, "weighted"), empty)
@@ -213,10 +169,9 @@ class TestPastTheFloatRange:
         """An energy near 4e400 with a fractional edge: the ratios are near 1."""
         g = Graph([(1, 2, 1e200), (2, 3, 0.5)])
         cmap = lap_cent(g, "weighted")
-        exact_energy = exact_weighted_energy(g)
         with pytest.raises(OverflowError):
-            float(exact_energy)
-        want = {x: float(c / exact_energy) for x, c in exact_weighted_values(g).items()}
+            float(oracle(g, "weighted")[1])
+        want = oracle_normalized(g, "weighted")
         assert normalize(cmap, g).values == want
         assert want[1] == want[2] == 1.0 and 0 < want[3] < 1e-200
 
@@ -228,11 +183,11 @@ def assert_normalized_by(g: Graph, variant: str, energy) -> None:
 
 
 class TestLaplacianEnergy:
-    """The energy ``normalize`` divides by, against the oracles."""
+    """The energy ``normalize`` divides by, against the deletion oracle's."""
 
     def test_toy_unweighted(self):
         g = Graph(TOY_EDGES)
-        assert dense_trace_energy(g, "unweighted") == 48
+        assert oracle(g, "unweighted")[1] == 48
         assert_normalized_by(g, "unweighted", 48)
 
     def test_single_edge(self):
@@ -247,19 +202,15 @@ class TestLaplacianEnergy:
             normalize(lap_cent(g, variant), g)
 
     def test_weighted_star(self, weighted_star):
-        assert dense_trace_energy(weighted_star, "weighted") == 64
+        assert oracle(weighted_star, "weighted")[1] == 64
         assert_normalized_by(weighted_star, "weighted", 64)
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_trace(self, seed, variant):
+    def test_matches_the_oracle(self, seed, variant):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(2, 30), rng.randint(1, 60), integer_weights=False)
-        cmap = lap_cent(g, variant)
-        energy = dense_trace_energy(g, variant)
-        normalized = normalize(cmap, g).values
-        for v, x in cmap.values.items():
-            assert normalized[v] == pytest.approx(x / energy, rel=1e-9)
+        assert normalize(lap_cent(g, variant), g).values == oracle_normalized(g, variant)
 
 
 def test_unknown_variant():
@@ -275,9 +226,8 @@ class TestNormalize:
         third argument is a TypeError."""
         g = Graph([(1, 2, 3.0), (2, 3, 5.0)])
         cmap = lap_cent(g, variant)
-        energy = dense_trace_energy(g, variant)
         normalized = normalize(cmap, g).values
-        assert normalized == {v: x / energy for v, x in cmap.values.items()}
+        assert normalized == oracle_normalized(g, variant)
         assert all(0.0 < x <= 1.0 for x in normalized.values())
         with pytest.raises(TypeError):
             normalize(cmap, g, variant)
@@ -285,12 +235,12 @@ class TestNormalize:
     def test_toy_node_5(self):
         g = Graph(TOY_EDGES)
         normalized = normalize(lap_cent(g, "unweighted"), g)
-        assert normalized.values[5] == pytest.approx(34 / 48)
+        assert normalized.values[5] == 34 / 48
 
     def test_round_trip(self):
         g = Graph(TOY_EDGES)
         c = lap_cent(g, "unweighted")
-        e = dense_trace_energy(g, "unweighted")
+        _, e = oracle(g, "unweighted")
         back = {v: x * e for v, x in normalize(c, g).values.items()}
         for v in c.values:
             assert back[v] == pytest.approx(c.values[v], abs=1e-12)
@@ -364,6 +314,20 @@ class TestNormalize:
             c = normalize(lap_cent(g, "unweighted"), g)
             assert all(0.0 < x <= 1.0 for x in c.values.values())
 
+    @pytest.mark.parametrize(
+        "edges, isolated",
+        [([(1, 2, 5.0), (2, 3, 0.0)], []), ([(1, 2, 1e200), (2, 3, 1e-200)], []), ([(1, 2, 5.0)], [3])],
+        ids=["zero-weight edge", "ratio below the float range", "isolated node"],
+    )
+    def test_a_node_can_normalize_to_zero(self, edges, isolated):
+        """Non-negative weights give [0, 1], not (0, 1]: node 3 reads 0.0 on
+        a connected graph too, where its drop is 0 or its ratio rounds below
+        the smallest float."""
+        g = with_isolated(Graph(edges), isolated)
+        normalized = normalize(lap_cent(g, "weighted"), g).values
+        assert normalized == oracle_normalized(g, "weighted")
+        assert normalized[3] == 0.0 and all(0.0 <= x <= 1.0 for x in normalized.values())
+
     def test_range_with_any_weights(self):
         """With negative weights a value can be negative, but a normalized
         one stays within [-2, 1], so it is never past the float range."""
@@ -408,35 +372,34 @@ class TestKeptCopy:
 
 class TestDeletionOracle:
     def test_toy_node_5(self):
-        assert delta_energy_oracle(Graph(TOY_EDGES), 5, "unweighted") == 34
+        assert oracle(Graph(TOY_EDGES), "unweighted")[0][5] == 34
 
     def test_isolated_node(self):
         g = with_isolated(Graph([(1, 2)]), [7])
-        assert delta_energy_oracle(g, 7, "unweighted") == 0
+        assert oracle(g, "unweighted")[0][7] == 0
 
-    def test_unknown_node(self):
-        with pytest.raises(KeyError):
-            delta_energy_oracle(Graph([(1, 2)]), 3, "unweighted")
+    def test_keys_are_the_node_list(self):
+        """One drop per listed node, in the list's order; an unlisted one is absent."""
+        drops, energy = deletion_oracle([3, 1, 2], [(1, 2, 0.25)], "weighted")
+        assert list(drops.items()) == [(3, 0), (1, Fraction(1, 4)), (2, Fraction(1, 4))]
+        assert energy == Fraction(1, 4) and 4 not in drops
 
     def test_does_not_mutate(self, toy_graph):
         before = toy_graph.copy()
-        delta_energy_oracle(toy_graph, 5, "unweighted")
+        oracle(toy_graph, "unweighted")
         assert graph_state(toy_graph) == graph_state(before)
 
     @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
     @pytest.mark.parametrize("seed", range(10))
     def test_formula_matches_oracle(self, seed, variant):
-        """The per-node closed forms equal the definitional energy drop."""
+        """The per-node closed forms equal the definitional energy drop, as
+        the int itself or its correctly rounded float."""
         rng = random.Random(seed)
         integer = seed % 2 == 0
         g = random_graph(rng, rng.randint(3, 60), rng.randint(2, 150), integer)
-        values = lap_cent(g, variant).values
-        for v in g._pos:
-            oracle = delta_energy_oracle(g, v, variant)
-            if variant == "unweighted" or integer:
-                assert values[v] == oracle
-            else:
-                assert values[v] == pytest.approx(oracle, rel=1e-9)
+        drops, _ = oracle(g, variant)
+        integral = variant == "unweighted" or integer
+        assert bits(lap_cent(g, variant).values) == bits({v: reading(x, integral) for v, x in drops.items()})
 
 
 class TestLocality:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from conftest import TOY_EDGES
 from genutil import (
     bits,
+    deletion_oracle,
     exponent,
     far,
     graph_state,
     node_rows,
     node_strengths,
+    reading,
     stored,
     with_isolated,
 )
@@ -425,7 +427,7 @@ class TestInvariants:
         g = self._random_ops(seed)
         strengths = node_strengths(g)
         for u, row in node_rows(g).items():
-            assert strengths[u] == pytest.approx(sum(row.values()), abs=1e-12)
+            assert strengths[u] == sum(row.values())
 
     def test_add_remove_roundtrip_random(self):
         rng = random.Random(99)
@@ -683,9 +685,8 @@ class TestRunningFigures:
         assert g._shift == 0
         assert node_strengths(g) == {0: big - 1, 1: 2 * big - 1, 2: 0, 3: 2**52 - big, 4: 2**52 + 1, 5: 1}
         assert all(type(s) is int for s in g._strength)
-        values = lap_cent(g, "weighted").values
-        assert values[1] == (2 * big - 1) ** 2 + (big - 1) * (big - 1 + 2 * (big - 1)) + big * big
-        assert all(type(x) is int for x in values.values())
+        drops, _ = deletion_oracle(g._pos, g.edges(), "weighted")
+        assert bits(lap_cent(g, "weighted").values) == bits({v: reading(x, True) for v, x in drops.items()})
 
     @pytest.mark.parametrize(
         "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3), (1, 2, 10**400)]

@@ -11,12 +11,14 @@ from genutil import (
     AffectedSets,
     affected_nodes,
     bits,
+    deletion_oracle,
     far_delta,
     far_graph,
     graph_state,
     node_rows,
     random_delta,
     random_graph,
+    reading,
 )
 
 from lapstream import kernels
@@ -850,8 +852,9 @@ def _dict_history(seed, weighted, steps=10):
 
     Returns ``(initial edges, deltas, reference maps)``. The reference keeps
     its own node-keyed rows, in insertion order, so its maps are plain
-    ``dict``s in order of first mention, with the closed form's value types:
-    ints for both variants, as the graph stores integral weights as ints.
+    ``dict``s in order of first mention, of the deletion oracle's values over
+    those rows' edges: ints for both variants, as the graph stores integral
+    weights as ints.
     """
     rng = random.Random(seed)
     ids = rng.sample(range(FAR, FAR + 500), 80)
@@ -867,10 +870,9 @@ def _dict_history(seed, weighted, steps=10):
         adj.setdefault(v, {})[u] = int(w)
 
     def reference():
-        if not weighted:
-            return {u: len(r) ** 2 + len(r) + 2 * sum(len(adj[j]) for j in r) for u, r in adj.items()}
-        s = {u: sum(r.values()) for u, r in adj.items()}
-        return {u: s[u] * s[u] + sum(w * (w + 2 * s[j]) for j, w in r.items()) for u, r in adj.items()}
+        edges = [(u, v, w) for u, row in adj.items() for v, w in row.items() if u < v]
+        drops, _ = deletion_oracle(adj, edges, "weighted" if weighted else "unweighted")
+        return {u: reading(x, True) for u, x in drops.items()}
 
     initial = [(*rng.sample(pool, 2), weight()) for _ in range(20)]
     for u, v, w in initial:
