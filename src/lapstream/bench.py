@@ -115,9 +115,16 @@ def bench_stream(
         raise ValueError(f"unknown mode {mode!r}")
     result = BenchResult(mode=mode, variant=variant)
     sizes = [(stream.initial.num_edges, 0)]
-    sizes += [(len(d.adds), len(d.removes)) for d in stream.deltas]
+
+    def pulled(deltas):
+        # each step's sizes, off the clock as the driver pulls its delta, so
+        # that ``stream.deltas`` is read once and may be an iterator
+        for d in deltas:
+            sizes.append((len(d.adds), len(d.removes)))
+            yield d
+
     g = stream.initial.copy()
-    steps = evolve(g, stream.deltas, "batch" if mode == "batch" else "dynamic", variant)
+    steps = evolve(g, pulled(stream.deltas), "batch" if mode == "batch" else "dynamic", variant)
     rows = []
     batch_rows = []
     for step, (cmap, seconds) in enumerate(steps):

@@ -64,4 +64,5 @@ class CompareMismatchError(LapstreamError):
 
 
 class NegativeWeightWarning(UserWarning):
-    """Edge stored with a negative weight; normalization bounds no longer hold."""
+    """Edge stored with a negative weight: a normalized value then lies in
+    [-2, 1], not [0, 1]."""

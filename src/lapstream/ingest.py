@@ -32,29 +32,33 @@ windows and deltas that pass them on.
 One loop, ``_build``, turns per-bucket edge weights into deltas for all
 three: a window slid over the buckets, where the cumulative stream is the
 window covering every bucket and a snapshot directory the window of one
-bucket under ``overwrite``. An edge's weight is the last of its per-bucket
-weights in the window under ``overwrite``, and their sum left to right
-under ``accumulate``. That is the order a full rebuild of the window adds
-them in, so the weights are bitwise the same as rebuilding every bucket at
-every step.
+bucket under ``overwrite``. An edge's weight is the left fold of its
+per-bucket weights in the window: the last under ``overwrite``, and their
+sum left to right under ``accumulate``. That is the order a full rebuild
+of the window adds them in, so the weights are bitwise the same as
+rebuilding every bucket at every step.
 
-Fold identity: ``state`` always holds that weight, so for an edge whose
-oldest entry did not leave this step the new weight is ``old + x``
-(accumulate) or ``x`` (overwrite), bitwise the sum a rebuild would take.
-A step walks the entering bucket (a new edge, an appended entry, or
-the fold), then the leaving one: it drops the oldest entry, and removes
-the edge if none is left or else derives its weight again from its
-entries. Those are kept per edge in bucket order as a tuple, which drops
-out of the cyclic garbage collector's scans where a list would not, and
-only when the window is shorter than the stream: a covering window never
-loses an entry, so it keeps none, and a cumulative build costs O(1) per
-observation. A shorter window also pays, for each edge a step touches,
-the copy of that edge's tuple, and under ``accumulate`` the re-sum of an
-edge whose oldest entry leaves: O(entries in the window) each.
+Fold identity: ``state`` always holds that fold, so an entering weight x
+gives ``old + x`` (accumulate) or ``x`` (overwrite), and a new edge folds
+from nothing to ``x``: one rule per observation. A step walks the entering
+bucket, appending x to its edge's entries and folding it in, then the
+leaving one: it drops the oldest entry, and removes the edge if none is
+left or else folds its entries again, by ``functools.reduce`` with
+``operator.add`` (``sum()`` starts from the int 0, so it turns a lone
+``-0.0`` into ``0.0``) or by taking the last. An edge in both buckets is
+folded once, in the leaving walk. The entries are kept per edge in bucket
+order as a tuple, which drops out of the cyclic garbage collector's scans
+where a list would not, and only when the window is shorter than the
+stream: a covering window never loses an entry, so it keeps none, and a
+cumulative build costs O(1) per observation. A shorter window also pays,
+for each edge a step touches, the copy of that edge's tuple, and under
+``accumulate`` the re-fold of an edge whose oldest entry leaves:
+O(entries in the window) each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import deque
@@ -213,7 +217,7 @@ def period_key(period: str):
     return lambda i, e: i // size, str
 
 
-def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Event]]]:
+def bucket_events(events: Iterable[_Event], period: str) -> list[tuple[str, list[_Event]]]:
     """Group events into ordered (label, events) buckets.
 
     ``period``: ``day``/``daily`` (UTC calendar days), ``month``/``monthly``,
@@ -221,14 +225,16 @@ def bucket_events(events: list[_Event], period: str) -> list[tuple[str, list[_Ev
     data; N in ASCII digits, at least 1), in any case; :func:`period_key`
     reads it. One loop keys every event, a ``count:N`` event by its
     position ``i // N``, and the buckets come in key order. Only periods
-    that contain events become buckets.
+    that contain events become buckets. ``events`` is read once, so it may
+    be an iterator; none at all is an :class:`EmptyDatasetError`, checked
+    after the period.
     """
-    if not events:
-        raise EmptyDatasetError("no edge events")
     key, label = period_key(period)
     grouped: dict = {}
     for i, e in enumerate(events):
         grouped.setdefault(key(i, e), []).append(e)
+    if not grouped:
+        raise EmptyDatasetError("no edge events")
     return [(label(k), grouped[k]) for k in sorted(grouped)]
 
 
@@ -277,18 +283,12 @@ def _build(
         adds: list[tuple[int, int, float]] = []
         removes: list[tuple[int, int]] = []
         for pair, x in entering.items():
-            old = state.get(pair)
-            if old is None:
-                state[pair] = x
-                if windowed:
-                    history[pair] = (x,)
-                adds.append((pair[0], pair[1], x))
-                continue
             if windowed:
-                history[pair] += (x,)
+                history[pair] = history.get(pair, ()) + (x,)
                 if pair in leaving:
-                    continue  # derived again below, once its oldest entry is gone
-            w = old + x if accumulate else x  # the fold identity
+                    continue  # folded again below, once its oldest entry is gone
+            old = state.get(pair)
+            w = old + x if accumulate and old is not None else x  # the fold, from nothing if new
             if w != old:
                 adds.append((pair[0], pair[1], w))
             state[pair] = w  # also when ==, as a rebuild would: 0.0 and -0.0 compare equal
@@ -298,12 +298,7 @@ def _build(
                 del history[pair], state[pair]
                 removes.append(pair)
                 continue
-            if accumulate:
-                w = entries[0]
-                for x in entries[1:]:
-                    w += x
-            else:
-                w = entries[-1]
+            w = functools.reduce(operator.add, entries) if accumulate else entries[-1]
             if state[pair] != w:
                 adds.append((pair[0], pair[1], w))
             state[pair] = w
@@ -321,7 +316,7 @@ def _build(
 
 
 def snapshots_cumulative(
-    events: list[_Event], period: str, weight_policy: str = "overwrite"
+    events: Iterable[_Event], period: str, weight_policy: str = "overwrite"
 ) -> SnapshotStream:
     """Incremental regime: each delta only adds the edges first seen (or,
     for weighted data, re-weighted) in its bucket; removes stay empty.
@@ -332,7 +327,7 @@ def snapshots_cumulative(
 
 
 def snapshots_window(
-    events: list[_Event],
+    events: Iterable[_Event],
     period: str,
     window_length: int,
     weight_policy: str = "overwrite",

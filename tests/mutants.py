@@ -17,7 +17,7 @@ cannot leave a mutant pointing at code that is gone. ``tests/test_mutants.py``
 checks the list itself in the tier-1 suite.
 
 Run it from anywhere (pytest does not collect it), two copies at a time
-(98 mutants in about 60 s on a 2-core VM)::
+(105 mutants in about 100 s on a 2-core VM)::
 
     python tests/mutants.py
 
@@ -312,7 +312,25 @@ MUTANTS = [
         "a mismatch names the step before it",
     ),
     # the stream builder
-    Mutant(N, "w = old + x if accumulate else x", "w = x", "accumulate keeps only the newest weight"),
+    Mutant(N, "w = old + x if accumulate and old is not None else x", "w = x", "accumulate keeps only the newest weight"),
+    Mutant(
+        N,
+        "history.get(pair, ()) + (x,)",
+        "(x,)",
+        "a re-observed edge keeps only its newest entry, so it leaves the window early",
+    ),
+    Mutant(
+        N,
+        "functools.reduce(operator.add, entries)",
+        "entries[-1]",
+        "accumulate re-derives a leaving edge's weight as its newest entry",
+    ),
+    Mutant(
+        N,
+        "functools.reduce(operator.add, entries)",
+        "sum(entries)",
+        "the re-sum starts from the int 0, so a lone -0.0 entry reads 0.0",
+    ),
     Mutant(
         N,
         "entries = history[pair] = history[pair][1:]",
@@ -402,7 +420,7 @@ MUTANTS = [
     Mutant(N, "if u == v:", "if u == v and u is None:", "the parser reads a self-loop"),
     Mutant(N, 'if policy not in ("overwrite", "accumulate"):', "if False:", "an unknown weight policy is taken"),
     Mutant(N, "if not files:", "if False:", "an empty snapshot directory gives a stream"),
-    Mutant(N, "if not events:", "if False:", "bucket_events takes no events"),
+    Mutant(N, "if not grouped:", "if False:", "bucket_events takes no events"),
     Mutant(B, 'if mode not in ("batch", "dynamic", "compare"):', "if False:", "bench_stream takes an unknown mode"),
     Mutant(I, 'if mode not in ("batch", "dynamic"):', "if False:", "evolve takes an unknown mode"),
     Mutant(C, "if i >= len(self._values):", "if i > len(self._values):", "a kept map reads the first node that came later"),
@@ -415,6 +433,21 @@ MUTANTS = [
     Mutant(L, "if args.dump_centralities and args.out is None:", "if False:", "--dump-centralities is taken without --out"),
     Mutant(L, "if given:", "if False:", "a snapshot directory takes the flags only an event file uses"),
     Mutant(G, "level += 1", "pass", "a warning names a frame inside the package"),
+    # the edge count and the strengths of a write, and the clocks the harness reads
+    Mutant(G, "n += 1", "pass", "a new edge is not counted"),
+    Mutant(G, "d = w - old", "d = w", "an upsert adds its new weight without taking off the old"),
+    Mutant(
+        I,
+        "                apply_delta(g, delta)\n                t0 = perf_counter()\n",
+        "                t0 = perf_counter()\n                apply_delta(g, delta)\n",
+        "batch mode times the delta's apply with its recomputation",
+    ),
+    Mutant(
+        L,
+        "sum(r.speedup for r in records) / len(records)",
+        "max(r.speedup for r in records)",
+        "compare's summary prints the largest speedup, not the mean",
+    ),
 ]
 
 

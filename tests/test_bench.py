@@ -149,6 +149,21 @@ class TestBenchStream:
         bench_stream(stream, mode, "unweighted")
         assert calls == ["copy"] + ["apply"] * len(stream.deltas)
 
+    @pytest.mark.parametrize("mode", ["batch", "dynamic", "compare"])
+    def test_iterator_deltas_give_the_list_records(self, mode):
+        """The deltas are read once, as the driver pulls them: an iterator
+        used up by a first read gave one record for all the snapshots."""
+        stream = churn_stream(100, 3, steps=5, adds_per_step=3, removes_per_step=2, seed=1)
+        untimed = attrgetter(
+            "step", "num_nodes", "num_edges", "added_edges", "removed_edges", "centralities_computed"
+        )
+
+        def rows(result):
+            return [records and list(map(untimed, records)) for records in (result.batch, result.dynamic)]
+
+        expected = rows(bench_stream(stream, mode))
+        assert rows(bench_stream(SnapshotStream(stream.initial, iter(stream.deltas)), mode)) == expected
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             bench_stream(toy_stream(), "both")

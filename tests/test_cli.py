@@ -145,6 +145,24 @@ class TestCompareCommand:
         assert all(row.rsplit(",", 1)[1] for row in rows[1:])
         assert rows[2].split(",")[5] == "4"
 
+    def test_summary_prints_the_mean_speedup(self, data_dir, capsys, monkeypatch):
+        """Per-step speedups of 1 and 4 (set after the real run) read as a
+        mean of 2.50, neither the first, the last nor the largest."""
+        bench = cli.bench_stream
+
+        def set_speedups(*args):
+            result = bench(*args)
+            for b, d, speedup in zip(result.batch, result.dynamic, (1.0, 4.0), strict=True):
+                b.speedup = d.speedup = speedup
+            return result
+
+        monkeypatch.setattr(cli, "bench_stream", set_speedups)
+        argv = ["compare", "--input", str(data_dir / "toy_stream.txt"), "--snapshot", "count:7"]
+        assert cli_main(argv) == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("compare/unweighted: 2 steps, cumulative ")
+        assert line.endswith(" batch, mean speedup 2.50x")
+
     def test_out_dir(self, data_dir, tmp_path):
         code = cli_main(
             [

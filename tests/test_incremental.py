@@ -21,7 +21,7 @@ from genutil import (
     reading,
 )
 
-from lapstream import kernels
+from lapstream import incremental, kernels
 from lapstream.bench import bench_stream
 from lapstream.centrality import CentralityMap, lap_cent, normalize, write_centralities
 from lapstream.errors import (
@@ -602,6 +602,14 @@ class TestRunEvolving:
         assert [r.values for r in results] == [TOY_STEP1, TOY_STEP2, TOY_STEP1]
         assert [r.computed_count for r in results] == [7, 4, 4]
 
+    @pytest.mark.parametrize("mode", ["batch", "dynamic"])
+    def test_iterator_deltas(self, toy_graph, mode):
+        """The deltas are read once, as each step pulls its own, so an
+        iterator gives the list's maps."""
+        deltas = [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(4, 6)])]
+        results = run_evolving(toy_graph, iter(deltas), mode=mode)
+        assert [r.values for r in results] == [TOY_STEP1, TOY_STEP2, TOY_STEP1]
+
     def test_zero_deltas(self, toy_graph):
         results = run_evolving(toy_graph, [], mode="dynamic")
         assert len(results) == 1
@@ -630,6 +638,24 @@ class TestRunEvolving:
     def test_unknown_mode(self, toy_graph):
         with pytest.raises(ValueError):
             run_evolving(toy_graph, [], mode="incremental")
+
+    @pytest.mark.parametrize("mode", ["batch", "dynamic"])
+    def test_each_mode_times_its_step(self, toy_graph, mode, monkeypatch):
+        """Step 0 and a batch step time only lap_cent, a dynamic step the
+        whole step, on a clock that each of the driver's calls advances by
+        its own amount."""
+        now = [0]
+        monkeypatch.setattr(incremental, "perf_counter", lambda: now[0])
+        for name, cost in (("apply_delta", 1), ("lap_cent", 10), ("lap_cent_add_remove", 100)):
+
+            def advancing(*args, _call=getattr(incremental, name), _cost=cost):
+                now[0] += _cost
+                return _call(*args)
+
+            monkeypatch.setattr(incremental, name, advancing)
+        deltas = [EdgeDelta(adds=[Edge(4, 6)]), EdgeDelta(removes=[(4, 6)])]
+        seconds = [s for _, s in evolve(toy_graph, deltas, mode, "unweighted")]
+        assert seconds == [10] + [10 if mode == "batch" else 100] * len(deltas)
 
     def test_determinism(self):
         rng = random.Random(31)
