@@ -3,8 +3,10 @@
 Nodes are non-negative integers, given a position (0, 1, 2, ...) at the
 first edge that mentions them and never deleted, so isolated nodes keep
 their entries. Degrees are adjacency row sizes (O(1)); weighted degrees
-(strengths) are maintained incrementally on every mutation so incremental
-centrality steps stay proportional to the size of the change.
+(strengths) are kept up to date by every delta as it writes, so incremental
+centrality steps stay proportional to the size of the change. The
+constructor writes the rows only, and then sums every strength off its row,
+and the edge count off the row sizes, once.
 
 There are two writers, the constructor ``Graph(edges)`` and every delta of
 :mod:`lapstream.incremental`, and both go through one loop,
@@ -165,7 +167,10 @@ class Graph:
         short where no undo runs to its end keeps the stamp it took before its
         first write. ``read`` "unweighted" or "weighted" applies a delta; None
         is the constructor's call on an empty graph, which the undo leaves
-        empty.
+        empty. A delta updates the strengths and the edge count as it writes;
+        the constructor writes the rows only, and after its last add sums
+        each strength off its row and halves the rows' total size for the
+        edge count, both exact in any order.
         A check raises before any remove is written, so it keeps the rows'
         order; a cut-short commit of the removes puts its pairs back at the
         ends of their rows.
@@ -254,15 +259,17 @@ class Graph:
                     q = pos[v] = len(rows)
                     rows.append({})
                     strength.append(0)
+                if not delta:
+                    rows[p][q] = rows[q][p] = w
+                    continue
                 row_p = rows[p]
                 row_q = rows[q]
                 old = row_p.get(q)
-                if delta:
-                    if p not in s0:
-                        s0[p] = len(row_p) if degrees else strength[p]
-                    if q not in s0:
-                        s0[q] = len(row_q) if degrees else strength[q]
-                    write((p, q, old, w))
+                if p not in s0:
+                    s0[p] = len(row_p) if degrees else strength[p]
+                if q not in s0:
+                    s0[q] = len(row_q) if degrees else strength[q]
+                write((p, q, old, w))
                 row_p[q] = w
                 row_q[p] = w
                 if old is None:
@@ -273,6 +280,11 @@ class Graph:
                     d = w - old
                     strength[p] += d
                     strength[q] += d
+            if not delta:
+                # the constructor starts from an empty graph, so its strengths
+                # are its rows' sums and its edge count half their sizes
+                strength[:] = map(sum, map(dict.values, rows))
+                n = sum(map(len, rows)) // 2
             gone: dict[tuple[int, int], int] = {}
             for u, v in removes:
                 # a pair removed before is present, so the two faults exclude

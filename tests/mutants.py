@@ -17,7 +17,7 @@ cannot leave a mutant pointing at code that is gone. ``tests/test_mutants.py``
 checks the list itself in the tier-1 suite.
 
 Run it from anywhere (pytest does not collect it), two copies at a time
-(105 mutants in about 100 s on a 2-core VM)::
+(112 mutants in about 100 s on a 2-core VM)::
 
     python tests/mutants.py
 
@@ -436,6 +436,28 @@ MUTANTS = [
     # the edge count and the strengths of a write, and the clocks the harness reads
     Mutant(G, "n += 1", "pass", "a new edge is not counted"),
     Mutant(G, "d = w - old", "d = w", "an upsert adds its new weight without taking off the old"),
+    Mutant(G, "rows[p][q] = rows[q][p] = w", "rows[p][q] = w", "the constructor writes each pair on one end only"),
+    Mutant(
+        G,
+        "if not delta:\n                    rows[p][q]",
+        "if True:\n                    rows[p][q]",
+        "a delta takes the constructor's branch: no log, no running strengths or count",
+    ),
+    Mutant(G, "strength[:] = map(sum, map(dict.values, rows))", "pass", "the constructor leaves every strength 0"),
+    Mutant(
+        G,
+        "strength[:] = map(sum, map(dict.values, rows))",
+        "strength[:] = map(len, rows)",
+        "the constructor's strengths are its degrees",
+    ),
+    Mutant(G, "n = sum(map(len, rows)) // 2", "n = sum(map(len, rows))", "the constructor counts each edge twice"),
+    Mutant(G, "_INT_WEIGHT_LIMIT = 2**53", "_INT_WEIGHT_LIMIT = 2**54", "an int weight past 2**53 is stored as itself, not its float"),
+    Mutant(
+        N,
+        'if not fields[0].isascii() or "_" in fields[0]:',
+        'if "_" in fields[0]:',
+        "the parser reads a non-ASCII digit in the first id",
+    ),
     Mutant(
         I,
         "                apply_delta(g, delta)\n                t0 = perf_counter()\n",

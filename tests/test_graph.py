@@ -688,6 +688,20 @@ class TestRunningFigures:
         drops, _ = deletion_oracle(g._pos, g.edges(), "weighted")
         assert bits(lap_cent(g, "weighted").values) == bits({v: reading(x, True) for v, x in drops.items()})
 
+    @pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+    def test_int_past_the_limit_is_stored_as_its_float(self, variant):
+        """An int weight above 2**53 is stored as the float it converts to,
+        from the constructor and from a delta."""
+        big = 2**53 + 1
+        g = Graph([(0, 1, big), (1, 2)])
+        cmap = lap_cent(g, variant)
+        lap_cent_add_remove(g, EdgeDelta(adds=[Edge(2, 3, big)]), cmap)
+        assert sorted(g.edges()) == [(0, 1, 9007199254740992), (1, 2, 1), (2, 3, 9007199254740992)]
+        assert all(type(w) is int for _, _, w in g.edges())
+        assert g._shift == 0
+        drops, _ = deletion_oracle(g._pos, g.edges(), variant)
+        assert bits(cmap.values) == bits({v: reading(x, True) for v, x in drops.items()})
+
     @pytest.mark.parametrize(
         "bad", [(1, 2, float("nan")), (1, 2, float("inf")), (3, 3, 0.5), (3, 3), (1, 2, 10**400)]
     )

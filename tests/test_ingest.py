@@ -81,6 +81,14 @@ class TestParser:
             parse_edge_events(["1 2\n", line])
         assert err.value.lineno == 2
 
+    def test_non_ascii_digit_in_the_first_id(self):
+        """int() reads "\u0661" as 1, so the first field's text is checked as
+        the second's is, and the error names the line and its text."""
+        with pytest.raises(ParseError) as err:
+            parse_edge_events(["1 2\n", "\u0661 2\n"])
+        assert err.value.lineno == 2
+        assert str(err.value) == "line 2: node ids must be ASCII integers: '\u0661 2'"
+
     @pytest.mark.parametrize(
         "timestamp", ["253402300800", "-62135596801", "99999999999999999", str(10**30)]
     )
