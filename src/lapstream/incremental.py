@@ -82,8 +82,12 @@ class EdgeDelta:
     (the stream builders and :func:`~lapstream.synth.churn_stream`) emits
     them; an :class:`~lapstream.graph.Edge` still works. They are upserts:
     re-adding an existing edge replaces its weight. An edge in both lists
-    nets to removal (adds are applied first). A self-loop, a non-finite
-    weight, or the removal of an absent pair or of one pair twice (both
+    nets to removal (adds are applied first). The stream builders list a
+    step's edges unsorted, in the order the step observes them (see
+    :mod:`lapstream.ingest`), each pair once; with its pairs unique, the
+    order of a delta's lists changes no value, count or dump, as the
+    graph's sums are exact ints. A self-loop, a non-finite weight, or the
+    removal of an absent pair or of one pair twice (both
     :class:`~lapstream.errors.MissingEdgeError`) rejects the whole delta.
     """
 

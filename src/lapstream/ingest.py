@@ -54,6 +54,15 @@ cumulative build costs O(1) per observation. A shorter window also pays,
 for each edge a step touches, the copy of that edge's tuple, and under
 ``accumulate`` the re-fold of an edge whose oldest entry leaves:
 O(entries in the window) each.
+
+Order: nothing sorts a snapshot or a delta. Each lists its edges in the
+order its step observes them: the changed edges of the entering bucket in
+first-observed order, then the re-folded edges and the removes of the
+leaving bucket in that bucket's order, so the first snapshot lists every
+edge in first-observed order. No output depends on that order: each weight
+is its own edge's fold, the graph stores weights and strengths as exact
+ints, so no sum of theirs depends on its order, the harness's CSV columns
+are counts or times, and dumps are written sorted by node id.
 """
 
 from __future__ import annotations
@@ -252,14 +261,17 @@ def _bucket_weights(bucket: list[_Event], policy: str) -> dict[tuple[int, int], 
 
 
 def _check_weights(adds: list[tuple[int, int, float]], label: str) -> None:
-    """Reject the first weight the builder would emit that is not finite:
+    """Reject a snapshot or delta whose weights are not all finite:
     accumulated finite weights can overflow. The graph would reject it too,
-    but only this error names the bucket."""
-    for u, v, w in adds:
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(
-                f"weight {w} on edge ({u}, {v}) in bucket {label} is not finite"
-            )
+    but only this error names the bucket. It names the smallest pair with
+    such a weight, so that the message does not depend on the order of the
+    events."""
+    bad = [(u, v, w) for u, v, w in adds if not math.isfinite(w)]
+    if bad:
+        u, v, w = min(bad)
+        raise NonFiniteWeightError(
+            f"weight {w} on edge ({u}, {v}) in bucket {label} is not finite"
+        )
 
 
 def _build(
@@ -267,7 +279,14 @@ def _build(
 ) -> SnapshotStream:
     """The stream of a window of ``window_length`` buckets slid over
     ``buckets`` (see the module docstring): snapshot k holds the edges
-    observed in buckets k - window_length + 1 to k."""
+    observed in buckets k - window_length + 1 to k.
+
+    Each snapshot and delta lists its edges in the order the step observes
+    them, unsorted: first the edges of the entering bucket that change, in
+    first-observed order, then those of the leaving bucket, re-folded or
+    removed, in that bucket's order. The first snapshot has no leaving
+    bucket, so it lists every edge in first-observed order. No output
+    depends on this order (see the module docstring)."""
     accumulate = policy == "accumulate"
     windowed = window_length < len(buckets)  # else no entry ever leaves
     window: deque[dict[tuple[int, int], float]] = deque()  # bucket weights yet to leave
@@ -302,15 +321,11 @@ def _build(
             if state[pair] != w:
                 adds.append((pair[0], pair[1], w))
             state[pair] = w
-        if initial is None:
-            # every edge of the first snapshot, in first-observed order
-            _check_weights(adds, label)
-            initial = Graph(adds)
-            continue
-        adds.sort()  # pairs are unique within a step, so no weight is compared
-        removes.sort()
         _check_weights(adds, label)
-        deltas.append(EdgeDelta(adds=adds, removes=removes))
+        if initial is None:
+            initial = Graph(adds)
+        else:
+            deltas.append(EdgeDelta(adds=adds, removes=removes))
     assert initial is not None
     return SnapshotStream(initial, deltas)
 

@@ -17,7 +17,7 @@ cannot leave a mutant pointing at code that is gone. ``tests/test_mutants.py``
 checks the list itself in the tier-1 suite.
 
 Run it from anywhere (pytest does not collect it), two copies at a time
-(112 mutants in about 100 s on a 2-core VM)::
+(115 mutants in about 100 s on a 2-core VM)::
 
     python tests/mutants.py
 
@@ -339,7 +339,15 @@ MUTANTS = [
     ),
     Mutant(N, "removes.append(pair)", "pass", "an edge with no entry left in the window stays"),
     Mutant(N, "return lambda i, e: i // size, str", "return lambda i, e: i // (size + 1), str", "count:N buckets hold N + 1 events"),
-    Mutant(N, "        if not math.isfinite(w):", "        if False:", "an overflowing accumulated weight names no bucket"),
+    Mutant(N, "if not math.isfinite(w)]", "if False]", "an overflowing accumulated weight names no bucket"),
+    Mutant(N, "u, v, w = min(bad)", "u, v, w = max(bad)", "an overflow names the largest non-finite pair, not the smallest"),
+    Mutant(
+        N,
+        "EdgeDelta(adds=adds, removes=removes)",
+        "EdgeDelta(adds=sorted(adds), removes=sorted(removes))",
+        "a delta lists its edges sorted, not in the order its step observes them",
+    ),
+    Mutant(N, "initial = Graph(adds)", "initial = Graph(sorted(adds))", "the first snapshot's edges are built sorted, not in first-observed order"),
     # the parser's field checks
     Mutant(
         N,

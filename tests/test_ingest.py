@@ -526,8 +526,9 @@ def _rebuilt_window(events, period, window_length, policy):
     each step and diffs the whole state against the previous one.
 
     Returns the initial state and per-step ``(adds, removes)``, weights as
-    ``float.hex``, plus the edge and label of the first non-finite weight
-    the builder must reject, in the order it checks them (None if none).
+    ``float.hex``, plus the edge and label the builder must name when it
+    rejects a non-finite weight: the smallest such pair of the first
+    snapshot or delta with one (None if none).
     """
     buckets = bucket_events(events, period)
     per_bucket = []
@@ -553,7 +554,8 @@ def _rebuilt_window(events, period, window_length, policy):
 
     labels = [label for label, _ in buckets]
     prev = window_state(0)
-    rejected = next(((pair, labels[0]) for pair, w in prev.items() if not math.isfinite(w)), None)
+    bad = [pair for pair, w in prev.items() if not math.isfinite(w)]
+    rejected = (min(bad), labels[0]) if bad else None
     initial = bits({pair: stored(w) for pair, w in prev.items()})
     steps = []
     for k in range(1, len(buckets)):
@@ -562,19 +564,22 @@ def _rebuilt_window(events, period, window_length, policy):
         removes = sorted(pair for pair in prev if pair not in cur)
         if rejected is None:
             bad = [(u, v) for u, v, w in adds if not math.isfinite(w)]
-            rejected = (bad[0], labels[k]) if bad else None
+            rejected = (min(bad), labels[k]) if bad else None
         steps.append(([(u, v, w.hex()) for u, v, w in adds], removes))
         prev = cur
     return initial, steps, rejected
 
 
 def _built_window(events, period, window_length, policy):
+    """The builder's stream in ``_rebuilt_window``'s terms, each delta's
+    lists sorted: the builder lists them in observed order, which
+    ``TestDeltaOrder`` pins."""
     if window_length == "cumulative":
         stream = snapshots_cumulative(events, period, policy)
     else:
         stream = snapshots_window(events, period, window_length, policy)
     initial = bits({(u, v): w for u, v, w in stream.initial.edges()})
-    steps = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
+    steps = [([(u, v, w.hex()) for u, v, w in sorted(d.adds)], sorted(d.removes)) for d in stream.deltas]
     return initial, steps
 
 
@@ -664,7 +669,7 @@ class TestWindowOracle:
             (7, 8, 1.0, 2 * DAY),
         ]
         _, _, ((u, v), label) = _rebuilt_window(events, "daily", 2, "accumulate")
-        assert (u, v) == ((5, 6) if day == 0 else (1, 2))
+        assert (u, v) == (1, 2)
         with pytest.raises(NonFiniteWeightError, match=rf"\({u}, {v}\) in bucket {label}"):
             snapshots_window(events, "daily", 2, "accumulate")
 
@@ -718,6 +723,61 @@ class TestAccumulateOverflow:
         stream = snapshots_window(events, "daily", 1, "accumulate")
         assert node_rows(stream.initial)[1][2] == 1e308
         assert stream.deltas[0].adds == []
+
+
+# day 0 lists its edges out of sorted order; day 1 re-weights (1, 2) and
+# re-observes (3, 4); on day 2 (5, 6) is observed again as day 0 leaves
+ORDER_EVENTS = [
+    (5, 6, 1.0, 0),
+    (10, 11, 1.0, 0),
+    (1, 2, 1.0, 0),
+    (3, 4, 1.0, 0),
+    (0, 13, 1.0, 0),
+    (8, 9, 1.0, DAY),
+    (1, 2, 2.0, DAY),
+    (4, 3, 1.0, DAY),
+    (7, 8, 1.0, DAY),
+    (7, 9, 1.0, 2 * DAY),
+    (6, 5, 3.0, 2 * DAY),
+    (9, 8, 1.0, 2 * DAY),
+]
+# the first snapshot, every edge in first-observed order
+ORDER_INITIAL = [(5, 6, 1), (10, 11, 1), (1, 2, 1), (3, 4, 1), (0, 13, 1)]
+
+
+class TestDeltaOrder:
+    """Each builder lists a step's edges in the order the step observes
+    them: the entering bucket's changes in first-observed order, then the
+    leaving bucket's re-folded edges and removes in that bucket's order."""
+
+    def test_window(self):
+        stream = snapshots_window(ORDER_EVENTS, "daily", 2, "accumulate")
+        assert list(stream.initial.edges()) == ORDER_INITIAL
+        assert stream.deltas == [
+            EdgeDelta(adds=[(8, 9, 1.0), (1, 2, 3.0), (3, 4, 2.0), (7, 8, 1.0)]),
+            # (7, 9) and (8, 9) enter; day 0 leaves: (5, 6), seen again today,
+            # is folded in its place, and (10, 11) and (0, 13) go
+            EdgeDelta(
+                adds=[(7, 9, 1.0), (8, 9, 2.0), (5, 6, 3.0), (1, 2, 2.0), (3, 4, 1.0)],
+                removes=[(10, 11), (0, 13)],
+            ),
+        ]
+
+    def test_cumulative(self):
+        stream = snapshots_cumulative(ORDER_EVENTS, "daily", "accumulate")
+        assert list(stream.initial.edges()) == ORDER_INITIAL
+        assert stream.deltas == [
+            EdgeDelta(adds=[(8, 9, 1.0), (1, 2, 3.0), (3, 4, 2.0), (7, 8, 1.0)]),
+            EdgeDelta(adds=[(7, 9, 1.0), (5, 6, 4.0), (8, 9, 2.0)]),
+        ]
+
+    def test_snapshot_dir(self, tmp_path):
+        (tmp_path / "s0.txt").write_text("5 6\n10 11\n1 2 2\n0 13\n")
+        # (5, 6) and (1, 2) are in both files: they follow s0's order
+        (tmp_path / "s1.txt").write_text("9 8\n1 2 3\n6 5\n")
+        stream = stream_from_snapshot_dir(tmp_path)
+        assert list(stream.initial.edges()) == [(5, 6, 1), (10, 11, 1), (1, 2, 2), (0, 13, 1)]
+        assert stream.deltas == [EdgeDelta(adds=[(8, 9, 1.0), (1, 2, 3.0)], removes=[(10, 11), (0, 13)])]
 
 
 class TestSnapshotDir:
@@ -791,7 +851,7 @@ class TestSnapshotDir:
             {pair: stored(w) for pair, w in states[0].items()}
         )
         assert bits(node_strengths(stream.initial)) == bits(node_strengths(expected))
-        built = [([(u, v, w.hex()) for u, v, w in d.adds], d.removes) for d in stream.deltas]
+        built = [([(u, v, w.hex()) for u, v, w in sorted(d.adds)], sorted(d.removes)) for d in stream.deltas]
         diffs = []
         for prev, cur in zip(states, states[1:]):
             adds = sorted((u, v, w) for (u, v), w in cur.items() if prev.get((u, v)) != w)

@@ -10,10 +10,11 @@ from genutil import affected_nodes, bits, exponent, far_delta, far_graph, node_r
 
 from lapstream import kernels
 from lapstream.centrality import lap_cent, normalize
+from lapstream.cli import cli_main
 from lapstream.errors import FloatRangeError, ZeroEnergyError
 from lapstream.graph import Edge, Graph
 from lapstream.incremental import EdgeDelta, apply_delta, lap_cent_add_remove, run_evolving
-from lapstream.ingest import stream_from_snapshot_dir
+from lapstream.ingest import load_edge_events, snapshots_cumulative, snapshots_window, stream_from_snapshot_dir
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -429,3 +430,65 @@ def test_finite_history_equals_batch_with_no_kernel(variant, run):
                     dyn.values[v]
                 continue
             assert bits({v: dyn.values[v]}) == bits({v: want})
+
+
+# -- a step's edge order is no output's business ----------------------------------
+
+
+@st.composite
+def reordered_days(draw):
+    """Daily events, and the same events with those of different pairs
+    swapped within their day: each pair's own events keep their order, so
+    every edge folds the same weights in the same order."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    weight = st.sampled_from([1.0, 2.0, 3.0, 0.5, 0.1, 1 / 3, 2.5, 1e16])
+    days = draw(st.lists(st.lists(st.tuples(pair, weight), min_size=1, max_size=10), min_size=1, max_size=5))
+    events, reordered = [], []
+    for day, observed in enumerate(days):
+        own = {}
+        for e in observed:
+            own.setdefault(frozenset(e[0]), []).append(e)
+        queues = {key: iter(pair_events) for key, pair_events in own.items()}
+        # each pair's events, in their order, fill the places a shuffle gives the pair
+        shuffled = draw(st.permutations(observed))
+        moved = [next(queues[frozenset(e[0])]) for e in shuffled]
+        events += [(u, v, w, day * 86400) for (u, v), w in observed]
+        reordered += [(u, v, w, day * 86400) for (u, v), w in moved]
+    return events, reordered
+
+
+@pytest.mark.parametrize("variant", ["unweighted", "weighted"])
+@SETTINGS
+@hypothesis.given(
+    files=reordered_days(),
+    window=st.sampled_from([None, 1, 2]),
+    policy=st.sampled_from(["overwrite", "accumulate"]),
+)
+def test_event_order_within_a_day_changes_no_output(variant, files, window, policy):
+    """Both orders give, at every step, bitwise the same map, the same CSV
+    columns 1-6 (all but the timings) and byte-identical dumps."""
+    runs = []
+    with tempfile.TemporaryDirectory() as directory:
+        for name, events in zip(("a", "b"), files):
+            path = Path(directory, f"{name}.txt")
+            path.write_text("".join(f"{u} {v} {w!r} {t}\n" for u, v, w, t in events))
+            loaded = load_edge_events(path)
+            if window is None:
+                stream = snapshots_cumulative(loaded, "daily", policy)
+                flags = []
+            else:
+                stream = snapshots_window(loaded, "daily", window, policy)
+                flags = ["--window", str(window)]
+            maps = run_evolving(stream.initial, stream.deltas, "dynamic", variant)
+            out = Path(directory, name)
+            argv = ["compare", "--input", str(path), "--variant", variant, "--weight-policy", policy]
+            assert cli_main([*argv, *flags, "--out", str(out), "--dump-centralities"]) == 0
+            csvs = [
+                [row.split(",")[:6] for row in (out / csv).read_text().splitlines()]
+                for csv in ("batch.csv", "dynamic.csv")
+            ]
+            dumps = {f.name: f.read_bytes() for f in (out / "centralities").iterdir()}
+            runs.append(([bits(m.values) for m in maps], csvs, dumps))
+    assert runs[0] == runs[1]
